@@ -107,15 +107,15 @@ func cmdAnalyze(args []string, out io.Writer) error {
 // solveGraph picks the cheapest applicable solver.
 func solveGraph(g *petri.Graph) ([]float64, string, error) {
 	if !g.HasDeterministic() {
-		pi, err := g.SteadyState()
+		pi, _, err := g.SteadyState(nil, nil, petri.Opts{})
 		return pi, "CTMC (GTH)", err
 	}
-	if sol, err := mrgp.Solve(g); err == nil {
+	if sol, _, err := mrgp.Solve(nil, nil, g, mrgp.Opts{}); err == nil {
 		return sol.Pi, "Markov-regenerative (clock-synchronous)", nil
 	} else if !errors.Is(err, mrgp.ErrClockNotAlwaysEnabled) && !errors.Is(err, mrgp.ErrMixedClocks) {
 		return nil, "", err
 	}
-	sol, err := mrgp.SolveGeneral(g)
+	sol, err := mrgp.SolveGeneral(nil, nil, g)
 	if err != nil {
 		return nil, "", err
 	}

@@ -67,6 +67,27 @@ type scaleFamily struct {
 	sparse func(g *petri.Graph) ([]float64, error)
 }
 
+// ctmcRung returns a solver pinned to one steady-state rung of a plain
+// CTMC graph ("gth" or "gs"), with no fallback to blur the timing.
+func ctmcRung(rung string) func(*petri.Graph) ([]float64, error) {
+	return func(g *petri.Graph) ([]float64, error) {
+		pi, _, err := g.SteadyState(nil, nil, petri.Opts{Rung: rung})
+		return pi, err
+	}
+}
+
+// mrgpRung returns a solver pinned to one MRGP formulation
+// ("mrgp-dense" or "mrgp-sparse").
+func mrgpRung(rung string) func(*petri.Graph) ([]float64, error) {
+	return func(g *petri.Graph) ([]float64, error) {
+		sol, _, err := mrgp.Solve(nil, nil, g, mrgp.Opts{Rung: rung})
+		if err != nil {
+			return nil, err
+		}
+		return sol.Pi, nil
+	}
+}
+
 // transientHorizon is the propagation horizon of the transient family,
 // long enough for several failure/repair cycles without dwarfing the
 // per-term cost differences.
@@ -98,29 +119,17 @@ func scaleFamilies() []scaleFamily {
 			name:   "steady-norejuv",
 			sizes:  []int{6, 10, 16, 24, 40, 60, 90, 130, 180},
 			build:  noRejuv,
-			dense:  func(g *petri.Graph) ([]float64, error) { return g.SteadyStateDenseWS(nil) },
-			sparse: func(g *petri.Graph) ([]float64, error) { return g.SteadyStateSparseWS(nil) },
+			dense:  ctmcRung("gth"),
+			sparse: ctmcRung("gs"),
 		},
 		{
 			// MRGP steady state: dense embedded-chain construction vs the
 			// matrix-free sparse power iteration.
-			name:  "steady-rejuv",
-			sizes: []int{6, 8, 10, 12, 14, 16, 20, 24, 30},
-			build: withRejuv,
-			dense: func(g *petri.Graph) ([]float64, error) {
-				sol, err := mrgp.SolveDenseWS(nil, g)
-				if err != nil {
-					return nil, err
-				}
-				return sol.Pi, nil
-			},
-			sparse: func(g *petri.Graph) ([]float64, error) {
-				sol, err := mrgp.SolveSparseWS(nil, g)
-				if err != nil {
-					return nil, err
-				}
-				return sol.Pi, nil
-			},
+			name:   "steady-rejuv",
+			sizes:  []int{6, 8, 10, 12, 14, 16, 20, 24, 30},
+			build:  withRejuv,
+			dense:  mrgpRung("mrgp-dense"),
+			sparse: mrgpRung("mrgp-sparse"),
 		},
 		{
 			// Transient distribution at a fixed horizon: dense

@@ -199,7 +199,7 @@ func cmdBenchWarmstart(output string, only string, warmRatio, agree float64, out
 		coldPis := make([][]float64, len(models))
 		coldStart := time.Now()
 		for i, m := range models {
-			pi, diag, err := m.SolveDiagCtxWS(nil, ws)
+			pi, diag, err := m.SolveWith(nil, ws, nvp.Opts{})
 			if err != nil {
 				return fmt.Errorf("bench -warmstart: %s cold point %d: %w", probe.name, i, err)
 			}

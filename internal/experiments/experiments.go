@@ -79,7 +79,7 @@ func evalSixWS(ws *linalg.Workspace, p nvp.Params) (float64, error) {
 // evalModel is the shared solve-and-weigh step of every experiment in this
 // package: a warm-registry solve (a passthrough for dense-routed models)
 // followed by the paper reliability summation over the solved
-// distribution — bit-identical to the one-call ExpectedPaperReliabilityWS
+// distribution — bit-identical to the one-call ExpectedPaperReliability
 // path (see ExpectedPaperReliabilityFrom).
 func evalModel(ws *linalg.Workspace, m *nvp.Model) (float64, error) {
 	pi, _, err := warmReg.SolveDiagCtxWS(nil, m, ws)

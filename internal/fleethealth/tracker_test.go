@@ -4,7 +4,6 @@ import (
 	"context"
 	"net/http"
 	"net/http/httptest"
-	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -150,27 +149,30 @@ func TestTrackerProbeAll(t *testing.T) {
 // readiness signal is the probe count itself, not a sleep.
 func TestStartProberRunsAndStops(t *testing.T) {
 	withObs(t)
-	var hits atomic.Int64
 	peer := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		hits.Add(1)
 		w.Write([]byte("ready\n"))
 	}))
 	defer peer.Close()
 
+	// Count probes by the tracker's own outcome counters, not by server
+	// hits: a probe cancelled in flight by stop() can still reach the
+	// handler afterwards, but its outcome is reported before stop returns.
+	probes := func() int64 { return metProbeOK.Value() + metProbeFail.Value() }
+	start := probes()
 	tr := NewTracker(Config{ProbeInterval: time.Millisecond, ProbeTimeout: time.Second}, []string{peer.URL})
 	stop := tr.StartProber(context.Background(), peer.Client())
 	deadline := time.Now().Add(5 * time.Second)
-	for hits.Load() < 2 && time.Now().Before(deadline) {
+	for probes()-start < 2 && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
 	stop()
-	if hits.Load() < 2 {
-		t.Fatalf("prober made %d probes in 5s, want >= 2", hits.Load())
+	after := probes()
+	if after-start < 2 {
+		t.Fatalf("prober made %d probes in 5s, want >= 2", after-start)
 	}
-	after := hits.Load()
-	// stop() blocks until the loop exits; no further probes may land.
+	// stop() blocks until the loop exits; no further probes may complete.
 	time.Sleep(5 * time.Millisecond)
-	if hits.Load() != after {
-		t.Errorf("probes continued after stop(): %d -> %d", after, hits.Load())
+	if got := probes(); got != after {
+		t.Errorf("probes continued after stop(): %d -> %d", after, got)
 	}
 }

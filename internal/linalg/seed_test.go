@@ -82,7 +82,7 @@ func TestSteadyStateGSSeededAgreesWithCold(t *testing.T) {
 		n := 2 + rng.Intn(60)
 		qt := CSRFromDense(transposeDense(randomGenerator(rng, n), n))
 		cold := make([]float64, n)
-		coldSweeps, warm, err := ws.SteadyStateGSSeededCtx(nil, qt, cold, nil)
+		coldSweeps, warm, _, err := ws.SteadyStateGS(nil, qt, cold, nil)
 		if err != nil {
 			t.Fatalf("rep %d: cold GS: %v", rep, err)
 		}
@@ -92,7 +92,7 @@ func TestSteadyStateGSSeededAgreesWithCold(t *testing.T) {
 		for _, rel := range rels {
 			seed := perturbedCopy(rng, cold, rel)
 			got := make([]float64, n)
-			sweeps, warm, err := ws.SteadyStateGSSeededCtx(nil, qt, got, seed)
+			sweeps, warm, _, err := ws.SteadyStateGS(nil, qt, got, seed)
 			if err != nil {
 				t.Fatalf("rep %d rel=%g: seeded GS: %v", rep, rel, err)
 			}
@@ -144,7 +144,7 @@ func TestSteadyStatePowerSeededAgreesWithCold(t *testing.T) {
 		n := 2 + rng.Intn(40)
 		q := CSRFromDense(mixedGenerator(rng, n))
 		cold := make([]float64, n)
-		coldIters, warm, err := ws.SteadyStatePowerSeededCtx(nil, q, cold, nil)
+		coldIters, warm, err := ws.SteadyStatePower(nil, q, cold, nil)
 		if err != nil {
 			t.Fatalf("rep %d: cold power: %v", rep, err)
 		}
@@ -154,7 +154,7 @@ func TestSteadyStatePowerSeededAgreesWithCold(t *testing.T) {
 		for _, rel := range []float64{1e-2, 1e-5} {
 			seed := perturbedCopy(rng, cold, rel)
 			got := make([]float64, n)
-			iters, warm, err := ws.SteadyStatePowerSeededCtx(nil, q, got, seed)
+			iters, warm, err := ws.SteadyStatePower(nil, q, got, seed)
 			if err != nil {
 				t.Fatalf("rep %d rel=%g: seeded power: %v", rep, rel, err)
 			}
@@ -181,7 +181,7 @@ func TestSeededKernelsRejectCorruptSeeds(t *testing.T) {
 	qt := CSRFromDense(transposeDense(randomGenerator(rng, n), n))
 	ws := NewWorkspace()
 	cold := make([]float64, n)
-	coldSweeps, _, err := ws.SteadyStateGSSeededCtx(nil, qt, cold, nil)
+	coldSweeps, _, _, err := ws.SteadyStateGS(nil, qt, cold, nil)
 	if err != nil {
 		t.Fatalf("cold GS: %v", err)
 	}
@@ -191,7 +191,7 @@ func TestSeededKernelsRejectCorruptSeeds(t *testing.T) {
 	}
 	corrupt[7] = math.NaN()
 	got := make([]float64, n)
-	sweeps, warm, err := ws.SteadyStateGSSeededCtx(nil, qt, got, corrupt)
+	sweeps, warm, _, err := ws.SteadyStateGS(nil, qt, got, corrupt)
 	if err != nil {
 		t.Fatalf("seeded GS with corrupt seed: %v", err)
 	}

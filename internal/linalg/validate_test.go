@@ -137,7 +137,7 @@ func TestSteadyStatePowerMatchesGTH(t *testing.T) {
 			t.Fatalf("n=%d: GTH: %v", n, err)
 		}
 		got := make([]float64, n)
-		iters, err := ws.SteadyStatePower(CSRFromDense(q), got)
+		iters, _, err := ws.SteadyStatePower(nil, CSRFromDense(q), got, nil)
 		if err != nil {
 			t.Fatalf("n=%d: power: %v", n, err)
 		}
@@ -180,12 +180,12 @@ func TestCorruptedGeneratorAlwaysTypedError(t *testing.T) {
 			continue // negating/scaling an exact zero changes nothing
 		}
 		dst := make([]float64, n)
-		if _, err := ws.SteadyStateGS(q, dst); err == nil {
+		if _, _, _, err := ws.SteadyStateGS(nil, q, dst, nil); err == nil {
 			t.Fatalf("rep %d (%s, n=%d, slot %d): GS accepted a corrupted generator", rep, c.name, n, k)
 		} else if _, ok := AsSolveError(err); !ok {
 			t.Fatalf("rep %d (%s): GS returned untyped error %v", rep, c.name, err)
 		}
-		if _, err := ws.SteadyStatePower(q, dst); err == nil {
+		if _, _, err := ws.SteadyStatePower(nil, q, dst, nil); err == nil {
 			t.Fatalf("rep %d (%s, n=%d, slot %d): power accepted a corrupted generator", rep, c.name, n, k)
 		} else if _, ok := AsSolveError(err); !ok {
 			t.Fatalf("rep %d (%s): power returned untyped error %v", rep, c.name, err)
@@ -204,8 +204,8 @@ func TestSteadyStateGSCtxDeadline(t *testing.T) {
 	time.Sleep(time.Millisecond)
 	dst := make([]float64, 20)
 	for name, solve := range map[string]func() error{
-		"gs":    func() error { _, err := ws.SteadyStateGSCtx(ctx, q, dst); return err },
-		"power": func() error { _, err := ws.SteadyStatePowerCtx(ctx, q, dst); return err },
+		"gs":    func() error { _, _, _, err := ws.SteadyStateGS(ctx, q, dst, nil); return err },
+		"power": func() error { _, _, err := ws.SteadyStatePower(ctx, q, dst, nil); return err },
 	} {
 		se, ok := AsSolveError(solve())
 		if !ok || se.Kind != FailDeadline {
@@ -236,13 +236,13 @@ func TestGSInjectedFaults(t *testing.T) {
 	}()
 
 	arm("linalg.gs.stall")
-	se, ok := AsSolveError(func() error { _, err := ws.SteadyStateGS(q, dst); return err }())
+	se, ok := AsSolveError(func() error { _, _, _, err := ws.SteadyStateGS(nil, q, dst, nil); return err }())
 	if !ok || se.Kind != FailNotConverged || !errors.Is(se, ErrNotConverged) {
 		t.Fatalf("injected stall gave %v", se)
 	}
 
 	arm("linalg.gs.poison")
-	se, ok = AsSolveError(func() error { _, err := ws.SteadyStateGS(q, dst); return err }())
+	se, ok = AsSolveError(func() error { _, _, _, err := ws.SteadyStateGS(nil, q, dst, nil); return err }())
 	if !ok || se.Kind != FailNaN {
 		t.Fatalf("injected poison gave %v", se)
 	}
@@ -254,6 +254,6 @@ func TestGSInjectedFaults(t *testing.T) {
 				t.Fatal("injected kernel panic did not surface")
 			}
 		}()
-		ws.SteadyStateGS(q, dst)
+		ws.SteadyStateGS(nil, q, dst, nil)
 	}()
 }

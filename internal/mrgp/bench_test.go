@@ -47,7 +47,7 @@ func BenchmarkSolveShortPeriod(b *testing.B) {
 	g := benchGraph(b, 60)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Solve(g); err != nil {
+		if _, _, err := Solve(nil, nil, g, Opts{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -58,7 +58,7 @@ func BenchmarkSolveLongPeriod(b *testing.B) {
 	g := benchGraph(b, 3000)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Solve(g); err != nil {
+		if _, _, err := Solve(nil, nil, g, Opts{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -68,7 +68,7 @@ func BenchmarkSolveGeneral(b *testing.B) {
 	g := benchGraph(b, 600)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := SolveGeneral(g); err != nil {
+		if _, err := SolveGeneral(nil, nil, g); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -27,14 +27,14 @@ func armMrgpFault(t *testing.T, f faultinject.Fault) {
 }
 
 // sparseRoutedGraph returns a clocked DSPN with the threshold dropped so
-// SolveWS routes it through the sparse solver, plus its dense reference.
+// Solve routes it through the sparse solver, plus its dense reference.
 func sparseRoutedGraph(t *testing.T) (*petri.Graph, *Solution) {
 	t.Helper()
 	g := explore(t, buildClockedPopulation(t, 4, 15))
 	prev := linalg.SparseThreshold
 	linalg.SparseThreshold = 1
 	t.Cleanup(func() { linalg.SparseThreshold = prev })
-	dense, err := SolveDenseWS(nil, g)
+	dense, _, err := Solve(nil, nil, g, Opts{Rung: "mrgp-dense"})
 	if err != nil {
 		t.Fatalf("dense reference: %v", err)
 	}
@@ -46,14 +46,14 @@ func sparseRoutedGraph(t *testing.T) (*petri.Graph, *Solution) {
 func TestSparseFailsTypedUnderInjectedStall(t *testing.T) {
 	g, _ := sparseRoutedGraph(t)
 	armMrgpFault(t, faultinject.Fault{Site: "mrgp.power.stall"})
-	_, err := SolveSparseWS(nil, g)
+	_, _, err := Solve(nil, nil, g, Opts{Rung: "mrgp-sparse"})
 	se, ok := linalg.AsSolveError(err)
 	if !ok || se.Kind != linalg.FailNotConverged {
 		t.Fatalf("injected stall gave %v", err)
 	}
 }
 
-// TestSolveRecoversFromInjectedPowerStall: SolveWS falls back to the dense
+// TestSolveRecoversFromInjectedPowerStall: Solve falls back to the dense
 // path after the injected sparse failure, the result matches the dense
 // reference, and the recovered_dense counter distinguishes the rescue
 // from plain size routing (the satellite-3 contract).
@@ -68,9 +68,12 @@ func TestSolveRecoversFromInjectedPowerStall(t *testing.T) {
 	fallback0 := obs.CounterFor("mrgp.solve.fallback_dense").Value()
 
 	armMrgpFault(t, faultinject.Fault{Site: "mrgp.power.stall"})
-	sol, err := SolveWS(nil, g)
+	sol, diag, err := Solve(nil, nil, g, Opts{})
 	if err != nil {
-		t.Fatalf("SolveWS did not recover: %v", err)
+		t.Fatalf("Solve did not recover: %v", err)
+	}
+	if diag.Path != petri.PathSparseFallbackDense || diag.Fallback == nil || diag.PowerIters != 0 {
+		t.Errorf("diag = %+v, want the sparse-fallback-dense path with its failure and no cycles", diag)
 	}
 	for i := range sol.Pi {
 		if math.Abs(sol.Pi[i]-dense.Pi[i]) > 1e-12 {
@@ -96,9 +99,9 @@ func TestSolveRecoversFromInjectedPowerStall(t *testing.T) {
 func TestSolveRecoversFromInjectedPanic(t *testing.T) {
 	g, dense := sparseRoutedGraph(t)
 	armMrgpFault(t, faultinject.Fault{Site: "mrgp.kernel.panic"})
-	sol, err := SolveWS(nil, g)
+	sol, _, err := Solve(nil, nil, g, Opts{})
 	if err != nil {
-		t.Fatalf("SolveWS did not recover from the panic: %v", err)
+		t.Fatalf("Solve did not recover from the panic: %v", err)
 	}
 	for i := range sol.Pi {
 		if math.Abs(sol.Pi[i]-dense.Pi[i]) > 1e-12 {
@@ -114,7 +117,7 @@ func TestSolveCtxDeadline(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), time.Nanosecond)
 	defer cancel()
 	time.Sleep(time.Millisecond)
-	_, err := SolveCtxWS(ctx, nil, g)
+	_, _, err := Solve(ctx, nil, g, Opts{})
 	se, ok := linalg.AsSolveError(err)
 	if !ok || se.Kind != linalg.FailDeadline {
 		t.Fatalf("expired ctx gave %v", err)

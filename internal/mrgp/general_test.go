@@ -21,11 +21,11 @@ func TestSolveGeneralMatchesSolveOnToy(t *testing.T) {
 		t.Run(tt.name, func(t *testing.T) {
 			n := buildRejuvenationToy(t, tt.lambda, tt.tau)
 			g := explore(t, n)
-			specialized, err := Solve(g)
+			specialized, _, err := Solve(nil, nil, g, Opts{})
 			if err != nil {
 				t.Fatalf("Solve: %v", err)
 			}
-			general, err := SolveGeneral(g)
+			general, err := SolveGeneral(nil, nil, g)
 			if err != nil {
 				t.Fatalf("SolveGeneral: %v", err)
 			}
@@ -42,11 +42,11 @@ func TestSolveGeneralMatchesSolveOnToy(t *testing.T) {
 func TestSolveGeneralMatchesSolveOnIdentityClock(t *testing.T) {
 	n := buildIdentityClock(t, 4, 2, 3, 1.7)
 	g := explore(t, n)
-	specialized, err := Solve(g)
+	specialized, _, err := Solve(nil, nil, g, Opts{})
 	if err != nil {
 		t.Fatalf("Solve: %v", err)
 	}
-	general, err := SolveGeneral(g)
+	general, err := SolveGeneral(nil, nil, g)
 	if err != nil {
 		t.Fatalf("SolveGeneral: %v", err)
 	}
@@ -102,10 +102,10 @@ func TestSolveGeneralGatedClock(t *testing.T) {
 	for _, tt := range tests {
 		n := buildGatedClock(t, tt.lam, tt.mu, tt.tau)
 		g := explore(t, n)
-		if _, err := Solve(g); !errors.Is(err, ErrClockNotAlwaysEnabled) {
+		if _, _, err := Solve(nil, nil, g, Opts{}); !errors.Is(err, ErrClockNotAlwaysEnabled) {
 			t.Fatalf("Solve should reject the gated clock, got %v", err)
 		}
-		sol, err := SolveGeneral(g)
+		sol, err := SolveGeneral(nil, nil, g)
 		if err != nil {
 			t.Fatalf("SolveGeneral: %v", err)
 		}
@@ -155,7 +155,7 @@ func TestSolveGeneralDeferredRestore(t *testing.T) {
 	} {
 		n := buildDeferredRestore(t, tt.lam, tt.tau)
 		g := explore(t, n)
-		sol, err := SolveGeneral(g)
+		sol, err := SolveGeneral(nil, nil, g)
 		if err != nil {
 			t.Fatalf("SolveGeneral: %v", err)
 		}
@@ -173,7 +173,7 @@ func TestSolveGeneralDeferredRestore(t *testing.T) {
 func TestSolveGeneralRejectsPureCTMC(t *testing.T) {
 	n := buildMM1KForGeneral(t)
 	g := explore(t, n)
-	if _, err := SolveGeneral(g); !errors.Is(err, ErrNoDeterministic) {
+	if _, err := SolveGeneral(nil, nil, g); !errors.Is(err, ErrNoDeterministic) {
 		t.Errorf("err = %v, want ErrNoDeterministic", err)
 	}
 }
@@ -222,7 +222,7 @@ func TestSolveGeneralDetectsDeadlock(t *testing.T) {
 		t.Fatal(err)
 	}
 	g := explore(t, n)
-	if _, err := SolveGeneral(g); !errors.Is(err, ErrNoTimedTransitions) {
+	if _, err := SolveGeneral(nil, nil, g); !errors.Is(err, ErrNoTimedTransitions) {
 		t.Errorf("err = %v, want ErrNoTimedTransitions", err)
 	}
 }
@@ -250,10 +250,10 @@ func TestSolveGeneralMixedDelays(t *testing.T) {
 		t.Fatal(err)
 	}
 	g := explore(t, n)
-	if _, err := Solve(g); !errors.Is(err, ErrMixedClocks) {
+	if _, _, err := Solve(nil, nil, g, Opts{}); !errors.Is(err, ErrMixedClocks) {
 		t.Fatalf("Solve should reject mixed delays, got %v", err)
 	}
-	sol, err := SolveGeneral(g)
+	sol, err := SolveGeneral(nil, nil, g)
 	if err != nil {
 		t.Fatalf("SolveGeneral: %v", err)
 	}

@@ -55,38 +55,14 @@ type Solution struct {
 
 	// Delay is the clock period tau.
 	Delay float64
-
-	// Cycles is the number of embedded-chain power cycles the sparse
-	// solver ran (0 on the dense direct path, which has no iteration).
-	Cycles int
-
-	// Warm reports whether the sparse solver started from an accepted
-	// warm-start seed instead of the uniform vector.
-	Warm bool
 }
 
 const truncationEpsilon = 1e-12
 
-// Solve computes the steady-state distribution of the tangible reachability
-// graph g, which must enable one deterministic transition (with one common
-// delay) in every tangible state.
-func Solve(g *petri.Graph) (*Solution, error) {
-	return SolveWS(nil, g)
-}
-
-// SolveWS is the workspace-backed form of Solve: all scratch matrices and
-// Poisson weight vectors come from ws, so sweeping a parameter over the
-// same model solves allocation-free after the first point. The returned
-// Solution owns its vectors either way.
-//
-// State spaces of linalg.SparseThreshold states or more route through the
-// matrix-free sparse solver (SolveSparseWS), falling back to the dense
-// path when the sparse path fails for any recoverable reason; smaller
-// ones solve dense directly, float-for-float identical to Solve has
-// always been.
-func SolveWS(ws *linalg.Workspace, g *petri.Graph) (*Solution, error) {
-	return SolveCtxWS(nil, ws, g)
-}
+// Opts selects how Solve runs: Seed warm-starts the sparse embedded-chain
+// iteration and Rung pins one formulation; the zero value takes the
+// default routed path. It is the same struct as petri.Opts.
+type Opts = petri.Opts
 
 // isStructuralErr reports model-class failures the dense path would hit
 // identically, so falling back cannot recover them.
@@ -104,64 +80,95 @@ func isDeadline(err error) bool {
 	return ok && se.Kind == linalg.FailDeadline
 }
 
-// SolveCtxWS is the hardened MRGP entry point: size routing, panic
-// recovery around both kernels, a distribution guard on every candidate
-// result, and a sparse -> dense fallback driven by any recoverable typed
-// failure (not only convergence). The routed_dense/routed_sparse counters
-// record the routing decision; recovered_dense records dense successes
-// that followed a sparse failure, so observability can tell "small model,
-// dense by design" apart from "sparse path failed and was rescued".
-func SolveCtxWS(ctx context.Context, ws *linalg.Workspace, g *petri.Graph) (*Solution, error) {
-	return SolveSeededCtxWS(ctx, ws, g, nil)
-}
-
-// SolveSeededCtxWS is SolveCtxWS with an optional warm-start seed for the
-// embedded-chain stationary vector (a previous Solution's Embedded from a
-// Restamp sibling of g). Only the first sparse rung consumes the seed; the
-// dense fallback and the dense-by-size route ignore it entirely, so chain
-// semantics and the direct paths are untouched and a nil seed reproduces
-// SolveCtxWS bit for bit.
-func SolveSeededCtxWS(ctx context.Context, ws *linalg.Workspace, g *petri.Graph, seed []float64) (*Solution, error) {
+// Solve computes the steady-state distribution of the tangible reachability
+// graph g, which must enable one deterministic transition (with one common
+// delay) in every tangible state. Scratch matrices and Poisson weight
+// vectors come from ws (nil allocates), so sweeping a parameter over the
+// same model solves allocation-light after the first point; the returned
+// Solution owns its vectors either way.
+//
+// With zero Opts it is the hardened routed entry point: state spaces of
+// linalg.SparseThreshold states or more run the matrix-free sparse
+// formulation, smaller ones the dense one; panic recovery wraps both
+// kernels, a distribution guard checks every candidate result, and any
+// recoverable typed sparse failure (not only non-convergence) falls back
+// to dense. The routed_dense/routed_sparse counters record the routing
+// decision and recovered_dense the dense successes that followed a sparse
+// failure, so observability can tell "small model, dense by design" apart
+// from "sparse path failed and was rescued". The returned diag says the
+// same: Path is PathDense, PathSparse or PathSparseFallbackDense, with the
+// sparse failure in Fallback.
+//
+// Opts.Seed is a previous Solution's Embedded vector from a Restamp
+// sibling of g. Only the sparse formulation consumes it; the dense route
+// and the dense fallback ignore it, and a nil or rejected seed reproduces
+// the cold solve bit for bit. diag.PowerIters carries the sparse path's
+// embedded-chain cycle count and diag.Seeded whether it started warm.
+//
+// Opts.Rung "mrgp-dense" or "mrgp-sparse" runs exactly that formulation
+// with no size routing and no fallback: a failing rung surfaces its typed
+// error. Like petri.Opts.Rung it exists for shadow verification, where the
+// re-solve must stay on the path independent of the one that produced the
+// primary answer, and for tests and benchmarks that compare the two. Both
+// rungs keep the guarded panic recovery and result validation; diag.Path
+// is left zero.
+func Solve(ctx context.Context, ws *linalg.Workspace, g *petri.Graph, opts Opts) (*Solution, petri.SolveDiag, error) {
+	diag := petri.SolveDiag{States: g.NumStates()}
+	switch opts.Rung {
+	case "":
+	case "mrgp-dense":
+		sol, err := solveDenseGuarded(ctx, ws, g)
+		return sol, diag, err
+	case "mrgp-sparse":
+		sol, err := solveSparseGuarded(ctx, ws, g, opts.Seed, &diag)
+		return sol, diag, err
+	default:
+		return nil, diag, fmt.Errorf("mrgp: unknown solver rung %q (want mrgp-dense or mrgp-sparse)", opts.Rung)
+	}
 	ctx, sp := obs.StartSpan(ctx, "mrgp.solve")
 	defer sp.End()
 	sp.Int("states", int64(g.NumStates()))
 	if err := linalg.CtxError("mrgp.solve", ctx); err != nil {
 		sp.Err(err)
-		return nil, err
+		return nil, diag, err
 	}
-	if g.NumStates() >= linalg.SparseThreshold {
-		metRoutedSparse.Inc()
-		sp.Str("routed", "sparse")
-		sol, err := solveSparseGuarded(ctx, ws, g, seed)
-		if err == nil {
-			sp.Int("cycles", int64(sol.Cycles)).
-				Str("seeded", map[bool]string{false: "cold", true: "warm"}[sol.Warm])
-			return sol, nil
-		}
-		if isStructuralErr(err) || isDeadline(err) {
-			sp.Err(err)
-			return nil, err
-		}
-		metSolveFallback.Inc()
-		sol, derr := solveDenseGuarded(ctx, ws, g)
-		if derr == nil {
-			metRecoveredDense.Inc()
-			sp.Str("recovered", "dense")
-			return sol, nil
-		}
-		sp.Err(derr)
-		return nil, derr
+	if g.NumStates() < linalg.SparseThreshold {
+		metRoutedDense.Inc()
+		sp.Str("routed", "dense")
+		sol, err := solveDenseGuarded(ctx, ws, g)
+		sp.Err(err)
+		return sol, diag, err
 	}
-	metRoutedDense.Inc()
-	sp.Str("routed", "dense")
-	sol, err := solveDenseGuarded(ctx, ws, g)
-	sp.Err(err)
-	return sol, err
+	metRoutedSparse.Inc()
+	sp.Str("routed", "sparse")
+	diag.Path = petri.PathSparse
+	sol, err := solveSparseGuarded(ctx, ws, g, opts.Seed, &diag)
+	if err == nil {
+		sp.Int("cycles", int64(diag.PowerIters)).
+			Str("seeded", map[bool]string{false: "cold", true: "warm"}[diag.Seeded])
+		return sol, diag, nil
+	}
+	if isStructuralErr(err) || isDeadline(err) {
+		sp.Err(err)
+		return nil, diag, err
+	}
+	metSolveFallback.Inc()
+	diag.Path = petri.PathSparseFallbackDense
+	diag.Fallback = err
+	sol, err = solveDenseGuarded(ctx, ws, g)
+	if err != nil {
+		sp.Err(err)
+		return nil, diag, err
+	}
+	metRecoveredDense.Inc()
+	sp.Str("recovered", "dense")
+	return sol, diag, nil
 }
 
 // solveSparseGuarded runs one sparse attempt with panic recovery and
-// result guards on both output distributions.
-func solveSparseGuarded(ctx context.Context, ws *linalg.Workspace, g *petri.Graph, seed []float64) (sol *Solution, err error) {
+// result guards on both output distributions. On success it records the
+// cycle count and seed use in diag.
+func solveSparseGuarded(ctx context.Context, ws *linalg.Workspace, g *petri.Graph, seed []float64, diag *petri.SolveDiag) (sol *Solution, err error) {
 	ctx, sp := obs.StartSpan(ctx, "mrgp.rung.sparse")
 	defer func() {
 		sp.Err(err)
@@ -172,13 +179,15 @@ func solveSparseGuarded(ctx context.Context, ws *linalg.Workspace, g *petri.Grap
 			sol, err = nil, linalg.NewPanicError("mrgp.solve.sparse", r)
 		}
 	}()
-	sol, err = SolveSparseSeededCtxWS(ctx, ws, g, seed)
-	if err == nil {
-		if verr := validateSolution("mrgp.solve.sparse", sol); verr != nil {
-			return nil, verr
-		}
+	sol, cycles, warm, err := solveSparse(ctx, ws, g, seed)
+	if err != nil {
+		return nil, err
 	}
-	return sol, err
+	if err := validateSolution("mrgp.solve.sparse", sol); err != nil {
+		return nil, err
+	}
+	diag.PowerIters, diag.Seeded = cycles, warm
+	return sol, nil
 }
 
 // solveDenseGuarded runs one dense attempt with panic recovery and result
@@ -197,32 +206,13 @@ func solveDenseGuarded(ctx context.Context, ws *linalg.Workspace, g *petri.Graph
 	if err := linalg.CtxError("mrgp.solve.dense", ctx); err != nil {
 		return nil, err
 	}
-	sol, err = SolveDenseWS(ws, g)
+	sol, err = solveDense(ws, g)
 	if err == nil {
 		if verr := validateSolution("mrgp.solve.dense", sol); verr != nil {
 			return nil, verr
 		}
 	}
 	return sol, err
-}
-
-// SolveRungCtxWS runs exactly one MRGP formulation — "dense" (dense
-// transient pair + GTH on the embedded chain) or "sparse" (matrix-free
-// uniformized series + embedded power iteration) — with NO size routing
-// and NO fallback: a failing rung surfaces its typed error. Like
-// petri.Graph.SteadyStateRungCtxWS it exists for shadow verification,
-// where the re-solve must stay on the path independent of the one that
-// produced the primary answer. Both rungs keep the guarded panic
-// recovery and result validation of the hardened entry point.
-func SolveRungCtxWS(ctx context.Context, ws *linalg.Workspace, g *petri.Graph, rung string) (*Solution, error) {
-	switch rung {
-	case "dense":
-		return solveDenseGuarded(ctx, ws, g)
-	case "sparse":
-		return solveSparseGuarded(ctx, ws, g, nil)
-	default:
-		return nil, fmt.Errorf("mrgp: unknown solver rung %q (want dense or sparse)", rung)
-	}
 }
 
 // validateSolution guards both output vectors of a Solution: the
@@ -235,12 +225,12 @@ func validateSolution(site string, sol *Solution) error {
 	return linalg.ValidateDistribution(site, sol.Embedded)
 }
 
-// SolveDenseWS computes the solution with the dense kernels (dense
+// solveDense computes the solution with the dense kernels (dense
 // generator, dense scaling-and-doubling transient pair, GTH on the
 // embedded chain), unconditionally. It is the reference path the sparse
 // solver is validated against and the backstop when the sparse power
 // iteration does not converge.
-func SolveDenseWS(ws *linalg.Workspace, g *petri.Graph) (*Solution, error) {
+func solveDense(ws *linalg.Workspace, g *petri.Graph) (*Solution, error) {
 	n := g.NumStates()
 	if n == 0 {
 		return nil, petri.ErrNoStates
@@ -295,16 +285,6 @@ func SolveDenseWS(ws *linalg.Workspace, g *petri.Graph) (*Solution, error) {
 	linalg.Normalize(occupancy)
 
 	return &Solution{Pi: occupancy, Embedded: sigma, Delay: delay}, nil
-}
-
-// ExpectedReward computes the steady-state expected reward of a clocked
-// DSPN graph under the given rate-reward function.
-func ExpectedReward(g *petri.Graph, f petri.RewardFn) (float64, error) {
-	sol, err := Solve(g)
-	if err != nil {
-		return 0, err
-	}
-	return linalg.Dot(sol.Pi, g.RewardVector(f))
 }
 
 // embeddedStationary solves sigma = sigma * P for the embedded chain. The

@@ -20,7 +20,7 @@ const (
 	embMaxCycles = 50000
 )
 
-// SolveSparseWS computes the steady state of a clocked DSPN without ever
+// solveSparse computes the steady state of a clocked DSPN without ever
 // materializing a dense matrix. The embedded chain P = e^{Q tau} D is
 // never formed: its stationary vector is found by power iteration
 //
@@ -38,47 +38,39 @@ const (
 // Memory is O(nnz + n) against the dense path's O(n^2), and a cycle costs
 // O(rate*tau) sparse matvecs, so the solver reaches state spaces the
 // dense path cannot hold. linalg.ErrNotConverged (wrapped) signals the
-// caller to fall back to SolveDenseWS.
-func SolveSparseWS(ws *linalg.Workspace, g *petri.Graph) (*Solution, error) {
-	return SolveSparseCtxWS(nil, ws, g)
-}
-
-// SolveSparseCtxWS is SolveSparseWS with a context: the cycle loop checks
-// for cancellation once per embedded-chain cycle (each cycle is a full
-// uniformization series, so the check granularity is coarse but the cost
-// per check is negligible) and returns a typed SolveError{Kind:
-// FailDeadline} when the context dies. A nil context never checks.
-func SolveSparseCtxWS(ctx context.Context, ws *linalg.Workspace, g *petri.Graph) (*Solution, error) {
-	return SolveSparseSeededCtxWS(ctx, ws, g, nil)
-}
-
-// SolveSparseSeededCtxWS is SolveSparseCtxWS with an optional warm-start
-// seed for the embedded-chain power iteration: a seed accepted by
-// linalg.ApplySeed (right length, finite, non-negative, positive mass)
-// replaces the uniform starting vector — typically the Embedded vector of
-// a neighboring parameter point on the same topology. The iteration
-// contracts onto the stationary vector of the unique closed class of
-// P = e^{Q tau} D from any starting distribution with mass on it, and any
-// mass a stale seed puts on epoch-transient states decays geometrically,
-// so the fixed point is independent of the seed; only the cycle count
-// changes. A nil or rejected seed reproduces the cold solve bit for bit.
-func SolveSparseSeededCtxWS(ctx context.Context, ws *linalg.Workspace, g *petri.Graph, seed []float64) (*Solution, error) {
+// caller to fall back to solveDense. It returns the embedded-chain cycle
+// count alongside the solution.
+//
+// The cycle loop checks ctx once per cycle (each cycle is a full
+// uniformization series, so the granularity is coarse but each check is
+// negligible) and returns a typed SolveError{Kind: FailDeadline} when it
+// dies; a nil context never checks.
+//
+// seed is an optional warm start for the embedded iteration: a seed
+// accepted by linalg.ApplySeed replaces the uniform starting vector
+// (warm reports true) — typically the Embedded vector of a neighboring
+// parameter point on the same topology. The iteration contracts onto the
+// same fixed point from any starting distribution with mass on the closed
+// class, and any mass a stale seed puts on epoch-transient states decays
+// geometrically, so only the cycle count changes. A nil or rejected seed
+// reproduces the cold solve bit for bit.
+func solveSparse(ctx context.Context, ws *linalg.Workspace, g *petri.Graph, seed []float64) (sol *Solution, cycles int, warm bool, err error) {
 	n := g.NumStates()
 	if n == 0 {
-		return nil, petri.ErrNoStates
+		return nil, 0, false, petri.ErrNoStates
 	}
 	if !g.HasDeterministic() {
-		return nil, ErrNoDeterministic
+		return nil, 0, false, ErrNoDeterministic
 	}
 	delay, err := commonDelay(g)
 	if err != nil {
-		return nil, err
+		return nil, 0, false, err
 	}
 	metSolveSparse.Inc()
 
 	q, err := g.GeneratorCSR(ws)
 	if err != nil {
-		return nil, err
+		return nil, 0, false, err
 	}
 	defer ws.PutCSR(q)
 	d := g.DetBranchCSR()
@@ -90,7 +82,7 @@ func SolveSparseSeededCtxWS(ctx context.Context, ws *linalg.Workspace, g *petri.
 	defer ws.PutVec(v)
 	defer ws.PutVec(moved)
 	defer ws.PutVec(next)
-	warm := linalg.ApplySeed(v, seed)
+	warm = linalg.ApplySeed(v, seed)
 	if !warm {
 		for i := range v {
 			v[i] = 1 / float64(n)
@@ -100,7 +92,6 @@ func SolveSparseSeededCtxWS(ctx context.Context, ws *linalg.Workspace, g *petri.
 	converged := false
 	prev := math.Inf(1)
 	stall := 0
-	cycles := 0
 	lastDelta := math.Inf(1)
 	// The embedded-chain span must close before the occupancy span opens
 	// (they are sibling kernels under mrgp.rung.sparse), so it ends via
@@ -119,31 +110,31 @@ func SolveSparseSeededCtxWS(ctx context.Context, ws *linalg.Workspace, g *petri.
 	defer endEmbedded(nil)
 	for cycle := 0; cycle < embMaxCycles; cycle++ {
 		if err := linalg.CtxError("mrgp.power", ctx); err != nil {
-			return nil, err
+			return nil, 0, false, err
 		}
 		if faultinject.Enabled() {
 			fiMrgpPanic.Panic()
 			if fiPowerStall.Fire() {
-				return nil, &linalg.SolveError{Site: "mrgp.power", Kind: linalg.FailNotConverged, Index: -1,
+				return nil, 0, false, &linalg.SolveError{Site: "mrgp.power", Kind: linalg.FailNotConverged, Index: -1,
 					Err: fmt.Errorf("%w: injected embedded power stall at cycle %d", linalg.ErrNotConverged, cycle)}
 			}
 		}
 		if _, err := ws.UniformizedPowerCSR(q, v, delay, rate, truncationEpsilon, moved); err != nil {
-			return nil, err
+			return nil, 0, false, err
 		}
 		if err := d.VecMulInto(next, moved); err != nil {
-			return nil, err
+			return nil, 0, false, err
 		}
 		var delta, norm float64
 		for i := range next {
 			norm += next[i]
 		}
 		if math.IsNaN(norm) || math.IsInf(norm, 0) {
-			return nil, &linalg.SolveError{Site: "mrgp.power", Kind: linalg.FailNaN, Index: -1,
+			return nil, 0, false, &linalg.SolveError{Site: "mrgp.power", Kind: linalg.FailNaN, Index: -1,
 				Err: fmt.Errorf("mrgp: embedded iterate went non-finite at cycle %d", cycle)}
 		}
 		if norm <= 0 {
-			return nil, &linalg.SolveError{Site: "mrgp.power", Kind: linalg.FailNotConverged, Index: -1,
+			return nil, 0, false, &linalg.SolveError{Site: "mrgp.power", Kind: linalg.FailNotConverged, Index: -1,
 				Err: fmt.Errorf("mrgp: embedded iterate vanished at cycle %d", cycle)}
 		}
 		inv := 1 / norm
@@ -178,7 +169,7 @@ func SolveSparseSeededCtxWS(ctx context.Context, ws *linalg.Workspace, g *petri.
 		err := &linalg.SolveError{Site: "mrgp.power", Kind: linalg.FailNotConverged, Index: -1, Residual: lastDelta,
 			Err: fmt.Errorf("%w: embedded power iteration after %d cycles", linalg.ErrNotConverged, embMaxCycles)}
 		endEmbedded(err)
-		return nil, err
+		return nil, 0, false, err
 	}
 	endEmbedded(nil)
 
@@ -191,9 +182,9 @@ func SolveSparseSeededCtxWS(ctx context.Context, ws *linalg.Workspace, g *petri.
 	osp.Err(oerr)
 	osp.End()
 	if oerr != nil {
-		return nil, oerr
+		return nil, 0, false, oerr
 	}
 	linalg.Normalize(occupancy)
 
-	return &Solution{Pi: occupancy, Embedded: sigma, Delay: delay, Cycles: cycles, Warm: warm}, nil
+	return &Solution{Pi: occupancy, Embedded: sigma, Delay: delay}, cycles, warm, nil
 }

@@ -319,29 +319,24 @@ func (m *Model) classify(mk petri.Marking) (healthy, compromised, down int) {
 	return healthy, compromised, down
 }
 
+// Opts selects how a model solve runs (the same struct as petri.Opts);
+// the zero value takes the default routed chain. What Seed means depends
+// on the routed solver: the previous stationary distribution pi for the
+// CTMC architecture, the previous embedded-chain vector for the
+// clock-synchronous Markov-regenerative path; the general (waits-for-wave)
+// solver ignores it. Rung names one solver rung to run with no fallback:
+// "gs", "gth" or "power" for the CTMC architecture, "mrgp-dense" or
+// "mrgp-sparse" for the clock-synchronous one.
+type Opts = petri.Opts
+
 // Solve returns the steady-state distribution over tangible states using
 // the solver appropriate to the architecture: GTH on the CTMC without
 // rejuvenation, the clock-synchronous Markov-regenerative solver for the
 // free-running clock, and the general Markov-regenerative solver when the
-// clock stops during rejuvenation waves.
+// clock stops during rejuvenation waves. It is SolveWith with no context,
+// workspace, or options.
 func (m *Model) Solve() ([]float64, error) {
-	return m.SolveWS(nil)
-}
-
-// SolveWS is the workspace-backed form of Solve: all solver scratch comes
-// from ws, making repeated solves over same-sized models allocation-light.
-// The result is float-for-float identical to Solve. A workspace must not be
-// shared between goroutines.
-func (m *Model) SolveWS(ws *linalg.Workspace) ([]float64, error) {
-	return m.SolveCtxWS(nil, ws)
-}
-
-// SolveCtxWS is SolveWS with a context deadline threaded through the
-// underlying solvers, plus a final distribution guard: whatever path
-// produced the vector, it is validated (finite, non-negative, simplex)
-// before any caller computes a reliability number from it.
-func (m *Model) SolveCtxWS(ctx context.Context, ws *linalg.Workspace) ([]float64, error) {
-	pi, _, err := m.SolveDiagCtxWS(ctx, ws)
+	pi, _, err := m.SolveWith(nil, nil, Opts{})
 	return pi, err
 }
 
@@ -359,80 +354,71 @@ func (m *Model) SolverKind() string {
 	}
 }
 
-// SolveDiagCtxWS solves like SolveCtxWS and additionally reports the
-// petri.SolveDiag for the CTMC architecture (path taken, GS sweeps,
-// fallback attempts). The Markov-regenerative architectures have no
-// per-rung diagnostics struct; they report only the state count.
-func (m *Model) SolveDiagCtxWS(ctx context.Context, ws *linalg.Workspace) ([]float64, petri.SolveDiag, error) {
-	pi, _, diag, err := m.solveSeededDiagCtxWS(ctx, ws, nil)
+// SolveWith is the model's one solve entry point. Solver scratch comes
+// from ws (nil allocates; a workspace must not be shared between
+// goroutines), ctx carries the deadline into the iterative kernels and
+// parents the spans, and opts seeds or pins the solve (see Opts). Whatever
+// path produced the vector, it is validated (finite, non-negative,
+// simplex) before it is returned, so no caller computes a reliability
+// number from a corrupt distribution.
+//
+// The diag reports the path taken and the iterative work: GS sweeps and
+// fallback attempts on the CTMC architecture, the routed path and the
+// embedded-chain cycles (in PowerIters) on the clock-synchronous one, and
+// only the state count for the general solver. With opts.Rung set the
+// solve is always a pinned, no-fallback re-solve — the shadow-verification
+// primitive — so it shares nothing with a primary solve beyond the model.
+func (m *Model) SolveWith(ctx context.Context, ws *linalg.Workspace, opts Opts) ([]float64, petri.SolveDiag, error) {
+	pi, _, diag, err := m.solve(ctx, ws, opts)
 	return pi, diag, err
 }
 
-// SolveSeededDiagCtxWS is SolveDiagCtxWS with an optional warm-start seed.
-// What the seed means depends on the routed solver: the previous stationary
-// distribution pi for the CTMC architecture, the previous embedded-chain
-// vector for the clock-synchronous Markov-regenerative path. The general
-// (waits-for-wave) solver ignores seeds. A nil seed reproduces
-// SolveDiagCtxWS bit for bit; callers normally go through
-// WarmRegistry.SolveDiagCtxWS, which pairs each solve with the matching
-// iterate automatically.
-func (m *Model) SolveSeededDiagCtxWS(ctx context.Context, ws *linalg.Workspace, seed []float64) ([]float64, petri.SolveDiag, error) {
-	pi, _, diag, err := m.solveSeededDiagCtxWS(ctx, ws, seed)
-	return pi, diag, err
-}
-
-// solveSeededDiagCtxWS additionally returns the iterate vector a future
-// warm start should begin from — pi itself on the CTMC path, the embedded
-// vector on the Markov-regenerative path, nil where seeding is
-// unsupported.
-func (m *Model) solveSeededDiagCtxWS(ctx context.Context, ws *linalg.Workspace, seed []float64) ([]float64, []float64, petri.SolveDiag, error) {
-	ctx, sp := obs.StartSpan(ctx, "nvp.solve")
-	sp.Str("arch", m.Arch.String()).Str("solver", m.SolverKind())
-	var (
-		pi      []float64
-		iterate []float64
-		diag    petri.SolveDiag
-		err     error
-	)
-	if m.Arch != WithRejuvenation {
-		pi, diag, err = m.Graph.SteadyStateSeededDiagCtxWS(ctx, ws, seed)
+// solve additionally returns the iterate vector a future warm start
+// should begin from — pi itself on the CTMC path, the embedded vector on
+// the Markov-regenerative path.
+func (m *Model) solve(ctx context.Context, ws *linalg.Workspace, opts Opts) (pi, iterate []float64, diag petri.SolveDiag, err error) {
+	name := "nvp.solve"
+	if opts.Rung != "" {
+		name = "nvp.solve.rung"
+	}
+	ctx, sp := obs.StartSpan(ctx, name)
+	defer sp.End()
+	kind := m.SolverKind()
+	sp.Str("arch", m.Arch.String()).Str("solver", kind)
+	rungKind := "ctmc"
+	if strings.HasPrefix(opts.Rung, "mrgp-") {
+		rungKind = "mrgp"
+	}
+	if opts.Rung != "" {
+		sp.Str("rung", opts.Rung)
+	}
+	var sol *mrgp.Solution
+	switch {
+	case opts.Rung != "" && rungKind != kind:
+		err = fmt.Errorf("nvp: rung %q needs the %s architecture, model solves via %s", opts.Rung, rungKind, kind)
+	case kind == "ctmc":
+		pi, diag, err = m.Graph.SteadyState(ctx, ws, opts)
 		iterate = pi
-	} else if m.Params.Clock == ClockWaitsForWave {
+	case kind == "mrgp-general":
 		diag = petri.SolveDiag{States: m.Graph.NumStates()}
-		var sol *mrgp.Solution
-		sol, err = mrgp.SolveGeneralCtxWS(ctx, ws, m.Graph)
-		if sol != nil {
-			pi = sol.Pi
-		}
-	} else {
-		diag = petri.SolveDiag{States: m.Graph.NumStates()}
-		var sol *mrgp.Solution
-		sol, err = mrgp.SolveSeededCtxWS(ctx, ws, m.Graph, seed)
-		if sol != nil {
-			pi = sol.Pi
-			iterate = sol.Embedded
-			// The embedded power cycles are this path's iterative work;
-			// surface them in the power slot so SolveDiag.Iterations()
-			// measures both architectures uniformly.
-			diag.PowerIters = sol.Cycles
-			diag.Seeded = sol.Warm
-		}
+		sol, err = mrgp.SolveGeneral(ctx, ws, m.Graph)
+	default:
+		sol, diag, err = mrgp.Solve(ctx, ws, m.Graph, opts)
+	}
+	if sol != nil {
+		pi, iterate = sol.Pi, sol.Embedded
+	}
+	if err == nil && opts.Rung == "" && faultinject.Enabled() && fiResultNaN.Fire() && len(pi) > 0 {
+		pi[0] = math.NaN()
+	}
+	if err == nil {
+		err = linalg.ValidateDistribution(name, pi)
 	}
 	if err != nil {
 		sp.Err(err)
-		sp.End()
-		return nil, nil, diag, err
-	}
-	if faultinject.Enabled() && fiResultNaN.Fire() && len(pi) > 0 {
-		pi[0] = math.NaN()
-	}
-	if err := linalg.ValidateDistribution("nvp.solve", pi); err != nil {
-		sp.Err(err)
-		sp.End()
 		return nil, nil, diag, err
 	}
 	sp.Int("states", int64(diag.States))
-	sp.End()
 	return pi, iterate, diag, nil
 }
 
@@ -449,10 +435,10 @@ func (m *Model) solveSeededDiagCtxWS(ctx context.Context, ws *linalg.Workspace, 
 // power, a GS→GTH fallback by power, and a GTH→power fallback by GS; a
 // solve that already fell all the way to power has no rung left. For
 // the clock-synchronous MRGP architecture the sparse embedded-chain
-// solution is cross-checked by the dense formulation and vice versa
-// (diag.PowerIters carries the sparse path's cycle count, so zero means
-// the dense path answered). The general (waits-for-wave) solver has a
-// single formulation and is never shadowed.
+// solution is cross-checked by the dense formulation and vice versa; a
+// sparse solve the dense fallback recovered has already run both, so it
+// is skipped. The general (waits-for-wave) solver has a single
+// formulation and is never shadowed.
 func (m *Model) ShadowRung(diag petri.SolveDiag) string {
 	switch m.SolverKind() {
 	case "ctmc":
@@ -464,62 +450,15 @@ func (m *Model) ShadowRung(diag petri.SolveDiag) string {
 		case petri.PathDenseFallbackPower:
 			return "gs"
 		}
-		return ""
 	case "mrgp":
-		if diag.PowerIters > 0 {
+		switch diag.Path {
+		case petri.PathSparse:
 			return "mrgp-dense"
+		case petri.PathDense:
+			return "mrgp-sparse"
 		}
-		return "mrgp-sparse"
-	default:
-		return ""
 	}
-}
-
-// SolveRungCtxWS re-solves the model on exactly one named rung ("gs",
-// "gth", "power" for the CTMC architecture; "mrgp-dense", "mrgp-sparse"
-// for the clock-synchronous one) with no fallback, returning the
-// distribution and the rung's iterative work. It is always a cold solve
-// — no warm-start seed — so the shadow result shares nothing with the
-// primary beyond the model itself.
-func (m *Model) SolveRungCtxWS(ctx context.Context, ws *linalg.Workspace, rung string) ([]float64, int, error) {
-	ctx, sp := obs.StartSpan(ctx, "nvp.solve.rung")
-	defer sp.End()
-	sp.Str("arch", m.Arch.String()).Str("rung", rung)
-	var (
-		pi    []float64
-		iters int
-		err   error
-	)
-	switch rung {
-	case "gs", "gth", "power":
-		if m.SolverKind() != "ctmc" {
-			err = fmt.Errorf("nvp: rung %q needs the ctmc architecture, model solves via %s", rung, m.SolverKind())
-			break
-		}
-		pi, iters, err = m.Graph.SteadyStateRungCtxWS(ctx, ws, rung)
-	case "mrgp-dense", "mrgp-sparse":
-		if m.SolverKind() != "mrgp" {
-			err = fmt.Errorf("nvp: rung %q needs the mrgp architecture, model solves via %s", rung, m.SolverKind())
-			break
-		}
-		var sol *mrgp.Solution
-		sol, err = mrgp.SolveRungCtxWS(ctx, ws, m.Graph, strings.TrimPrefix(rung, "mrgp-"))
-		if sol != nil {
-			pi = sol.Pi
-			iters = sol.Cycles
-		}
-	default:
-		err = fmt.Errorf("nvp: unknown solver rung %q", rung)
-	}
-	if err != nil {
-		sp.Err(err)
-		return nil, iters, err
-	}
-	if err := linalg.ValidateDistribution("nvp.solve.rung", pi); err != nil {
-		sp.Err(err)
-		return nil, iters, err
-	}
-	return pi, iters, nil
+	return ""
 }
 
 // StateDistribution aggregates the steady state into module-population
@@ -546,27 +485,11 @@ func (m *Model) StateDistribution() ([]ModuleState, error) {
 // ExpectedReliability computes E[R_sys] = sum pi(i,j,k) R(i,j,k) under the
 // given state reliability function.
 func (m *Model) ExpectedReliability(rf reliability.StateFn) (float64, error) {
-	return m.ExpectedReliabilityWS(nil, rf)
-}
-
-// ExpectedReliabilityWS is the workspace-backed form of ExpectedReliability.
-func (m *Model) ExpectedReliabilityWS(ws *linalg.Workspace, rf reliability.StateFn) (float64, error) {
-	return m.ExpectedReliabilityCtxWS(nil, ws, rf)
-}
-
-// ExpectedReliabilityCtxWS is ExpectedReliabilityWS with a context
-// threaded through the solve.
-func (m *Model) ExpectedReliabilityCtxWS(ctx context.Context, ws *linalg.Workspace, rf reliability.StateFn) (float64, error) {
-	pi, err := m.SolveCtxWS(ctx, ws)
+	pi, err := m.Solve()
 	if err != nil {
 		return 0, err
 	}
-	var e float64
-	for s, mk := range m.Graph.Markings {
-		i, j, k := m.classify(mk)
-		e += pi[s] * rf(i, j, k)
-	}
-	return e, nil
+	return m.expectedFrom(pi, rf)
 }
 
 // PaperReliability returns the paper's verbatim reliability function when
@@ -587,38 +510,31 @@ func (m *Model) PaperReliability() (reliability.StateFn, error) {
 	}
 }
 
-// ExpectedPaperReliability is the one-call headline metric: E[R_sys] under
-// the paper's reliability functions.
+// ExpectedPaperReliability is the one-call headline metric: E[R_sys]
+// under the paper's reliability functions.
 func (m *Model) ExpectedPaperReliability() (float64, error) {
-	return m.ExpectedPaperReliabilityWS(nil)
-}
-
-// ExpectedPaperReliabilityWS is the workspace-backed form of
-// ExpectedPaperReliability.
-func (m *Model) ExpectedPaperReliabilityWS(ws *linalg.Workspace) (float64, error) {
-	return m.ExpectedPaperReliabilityCtxWS(nil, ws)
-}
-
-// ExpectedPaperReliabilityCtxWS is ExpectedPaperReliabilityWS with a
-// context threaded through the solve.
-func (m *Model) ExpectedPaperReliabilityCtxWS(ctx context.Context, ws *linalg.Workspace) (float64, error) {
 	rf, err := m.PaperReliability()
 	if err != nil {
 		return 0, err
 	}
-	return m.ExpectedReliabilityCtxWS(ctx, ws, rf)
+	return m.ExpectedReliability(rf)
 }
 
 // ExpectedPaperReliabilityFrom computes E[R_sys] under the paper's
-// reliability function from an already-solved distribution. The summation
-// loop is identical to ExpectedReliabilityCtxWS, so callers that solve
-// once (for diagnostics) and weigh separately get a bit-for-bit match
-// with the one-call path.
+// reliability function from an already-solved distribution. It shares
+// the summation with ExpectedReliability, so callers that solve once (for
+// diagnostics) and weigh separately get a bit-for-bit match with the
+// one-call path.
 func (m *Model) ExpectedPaperReliabilityFrom(pi []float64) (float64, error) {
 	rf, err := m.PaperReliability()
 	if err != nil {
 		return 0, err
 	}
+	return m.expectedFrom(pi, rf)
+}
+
+// expectedFrom is the reward summation sum_s pi[s] R(class(s)).
+func (m *Model) expectedFrom(pi []float64, rf reliability.StateFn) (float64, error) {
 	if len(pi) != len(m.Graph.Markings) {
 		return 0, fmt.Errorf("nvp: distribution has %d states, graph has %d", len(pi), len(m.Graph.Markings))
 	}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"nvrel/internal/mrgp"
+	"nvrel/internal/petri"
 )
 
 // TestSparseSolversMatchDenseOnPaperModels: the acceptance bar of the
@@ -20,11 +21,11 @@ func TestSparseSolversMatchDenseOnPaperModels(t *testing.T) {
 			if err != nil {
 				t.Fatalf("N=%d: %v", n, err)
 			}
-			want, err := m.Graph.SteadyStateDenseWS(nil)
+			want, _, err := m.Graph.SteadyState(nil, nil, petri.Opts{Rung: "gth"})
 			if err != nil {
 				t.Fatalf("N=%d dense: %v", n, err)
 			}
-			got, err := m.Graph.SteadyStateSparseWS(nil)
+			got, _, err := m.Graph.SteadyState(nil, nil, petri.Opts{Rung: "gs"})
 			if err != nil {
 				t.Fatalf("N=%d sparse: %v", n, err)
 			}
@@ -43,11 +44,11 @@ func TestSparseSolversMatchDenseOnPaperModels(t *testing.T) {
 			if err != nil {
 				t.Fatalf("N=%d: %v", n, err)
 			}
-			want, err := mrgp.SolveDenseWS(nil, m.Graph)
+			want, _, err := mrgp.Solve(nil, nil, m.Graph, mrgp.Opts{Rung: "mrgp-dense"})
 			if err != nil {
 				t.Fatalf("N=%d dense: %v", n, err)
 			}
-			got, err := mrgp.SolveSparseWS(nil, m.Graph)
+			got, _, err := mrgp.Solve(nil, nil, m.Graph, mrgp.Opts{Rung: "mrgp-sparse"})
 			if err != nil {
 				t.Fatalf("N=%d sparse: %v", n, err)
 			}

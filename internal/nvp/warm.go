@@ -37,21 +37,21 @@ func NewWarmRegistry() *WarmRegistry {
 	return &WarmRegistry{reg: warmstart.NewRegistry()}
 }
 
-// SolveDiagCtxWS solves m like Model.SolveDiagCtxWS, seeded from and
-// feeding the registry. The returned diag carries the seed provenance:
-// Seeded is true when the producing kernel actually started from the
-// registry's vector, and SeedSource names the registry policy.
+// SolveDiagCtxWS solves m like Model.SolveWith with zero Opts, seeded
+// from and feeding the registry. The returned diag carries the seed
+// provenance: Seeded is true when the producing kernel actually started
+// from the registry's vector, and SeedSource names the registry policy.
 func (w *WarmRegistry) SolveDiagCtxWS(ctx context.Context, m *Model, ws *linalg.Workspace) ([]float64, petri.SolveDiag, error) {
 	if w == nil || m.Graph.NumStates() < linalg.SparseThreshold || m.Params.Clock == ClockWaitsForWave {
-		return m.SolveDiagCtxWS(ctx, ws)
+		return m.SolveWith(ctx, ws, Opts{})
 	}
 	key := m.Graph.TopologyKey()
 	if key == nil {
-		return m.SolveDiagCtxWS(ctx, ws)
+		return m.SolveWith(ctx, ws, Opts{})
 	}
 	sig := m.Graph.RateSignature(nil)
 	seed := w.reg.Lookup(key, sig)
-	pi, iterate, diag, err := m.solveSeededDiagCtxWS(ctx, ws, seed)
+	pi, iterate, diag, err := m.solve(ctx, ws, Opts{Seed: seed})
 	if err != nil {
 		return nil, diag, err
 	}

@@ -57,7 +57,7 @@ func TestWarmRegistryAgreesWithColdFuzz(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s point %d: build: %v", tc.name, i, err)
 			}
-			cold, _, err := m.SolveDiagCtxWS(nil, ws)
+			cold, _, err := m.SolveWith(nil, ws, Opts{})
 			if err != nil {
 				t.Fatalf("%s point %d: cold solve: %v", tc.name, i, err)
 			}
@@ -91,7 +91,7 @@ func TestWarmRegistryDensePassthrough(t *testing.T) {
 		t.Fatal(err)
 	}
 	ws := linalg.NewWorkspace()
-	cold, coldDiag, err := m.SolveDiagCtxWS(nil, ws)
+	cold, coldDiag, err := m.SolveWith(nil, ws, Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +124,7 @@ func TestNilWarmRegistrySolvesCold(t *testing.T) {
 		t.Fatal(err)
 	}
 	ws := linalg.NewWorkspace()
-	cold, _, err := m.SolveDiagCtxWS(nil, ws)
+	cold, _, err := m.SolveWith(nil, ws, Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +170,7 @@ func TestWarmRegistryCorruptSeedDegrades(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cold, _, err := m.SolveDiagCtxWS(nil, ws)
+		cold, _, err := m.SolveWith(nil, ws, Opts{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -57,7 +57,7 @@ func BenchmarkGraphSteadyState(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := g.SteadyState(); err != nil {
+		if _, _, err := g.SteadyState(nil, nil, Opts{}); err != nil {
 			b.Fatal(err)
 		}
 	}

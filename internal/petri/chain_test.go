@@ -32,11 +32,11 @@ func chainGraph(t *testing.T, seed int64) (*Graph, *linalg.Workspace, []float64,
 	rng := rand.New(rand.NewSource(seed))
 	g := randomReachabilityGraph(rng, linalg.SparseThreshold+40)
 	ws := linalg.NewWorkspace()
-	clean, diag, err := g.SteadyStateDiagWS(ws)
+	clean, diag, err := g.SteadyState(nil, ws, Opts{})
 	if err != nil || diag.Path != PathSparse {
 		t.Fatalf("clean solve: path=%v err=%v", diag.Path, err)
 	}
-	dense, err := g.SteadyStateDenseWS(ws)
+	dense, _, err := g.SteadyState(nil, ws, Opts{Rung: "gth"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +50,7 @@ func chainGraph(t *testing.T, seed int64) (*Graph, *linalg.Workspace, []float64,
 func TestChainRecoversFromInjectedGSStall(t *testing.T) {
 	g, ws, clean, dense := chainGraph(t, 61)
 	armFault(t, faultinject.Fault{Site: "linalg.gs.stall"})
-	pi, diag, err := g.SteadyStateDiagWS(ws)
+	pi, diag, err := g.SteadyState(nil, ws, Opts{})
 	if err != nil {
 		t.Fatalf("chain did not recover: %v", err)
 	}
@@ -80,7 +80,7 @@ func TestChainRecoversFromInjectedGSStall(t *testing.T) {
 func TestChainRecoversFromCorruptedStamp(t *testing.T) {
 	g, ws, _, dense := chainGraph(t, 62)
 	armFault(t, faultinject.Fault{Site: "petri.stamp.corrupt", Mode: "nan"})
-	pi, diag, err := g.SteadyStateDiagWS(ws)
+	pi, diag, err := g.SteadyState(nil, ws, Opts{})
 	if err != nil {
 		t.Fatalf("chain did not recover: %v", err)
 	}
@@ -107,7 +107,7 @@ func TestChainRecoversFromCorruptedStamp(t *testing.T) {
 func TestChainRecoversFromSilentRateScale(t *testing.T) {
 	g, ws, _, dense := chainGraph(t, 63)
 	armFault(t, faultinject.Fault{Site: "petri.stamp.corrupt", Mode: "scale", Value: 1.75})
-	pi, diag, err := g.SteadyStateDiagWS(ws)
+	pi, diag, err := g.SteadyState(nil, ws, Opts{})
 	if err != nil {
 		t.Fatalf("chain did not recover: %v", err)
 	}
@@ -128,7 +128,7 @@ func TestChainRecoversFromSilentRateScale(t *testing.T) {
 func TestChainRecoversFromKernelPanic(t *testing.T) {
 	g, ws, _, dense := chainGraph(t, 64)
 	armFault(t, faultinject.Fault{Site: "linalg.kernel.panic"})
-	pi, diag, err := g.SteadyStateDiagWS(ws)
+	pi, diag, err := g.SteadyState(nil, ws, Opts{})
 	if err != nil {
 		t.Fatalf("chain did not recover: %v", err)
 	}
@@ -153,7 +153,7 @@ func TestChainDeadlineStopsFallback(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), time.Nanosecond)
 	defer cancel()
 	time.Sleep(time.Millisecond)
-	_, diag, err := g.SteadyStateDiagCtxWS(ctx, ws)
+	_, diag, err := g.SteadyState(ctx, ws, Opts{})
 	se, ok := linalg.AsSolveError(err)
 	if !ok || se.Kind != linalg.FailDeadline {
 		t.Fatalf("expired ctx gave %v", err)

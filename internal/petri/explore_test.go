@@ -43,7 +43,7 @@ func TestExploreMM1K(t *testing.T) {
 	if g.NumStates() != k+1 {
 		t.Fatalf("NumStates = %d, want %d", g.NumStates(), k+1)
 	}
-	pi, err := g.SteadyState()
+	pi, _, err := g.SteadyState(nil, nil, Opts{})
 	if err != nil {
 		t.Fatalf("SteadyState: %v", err)
 	}
@@ -322,24 +322,8 @@ func TestExploreDeterministicSchedule(t *testing.T) {
 	if withDet != 2 || withoutDet != 2 {
 		t.Errorf("det/no-det split = %d/%d, want 2/2", withDet, withoutDet)
 	}
-	if _, err := g.SteadyState(); err == nil {
+	if _, _, err := g.SteadyState(nil, nil, Opts{}); err == nil {
 		t.Error("SteadyState must refuse graphs with deterministic transitions")
-	}
-}
-
-func TestGraphExpectedRewardMM1K(t *testing.T) {
-	n := buildMM1K(t, 3, 1, 1)
-	g, err := Explore(n, ExploreOptions{})
-	if err != nil {
-		t.Fatalf("Explore: %v", err)
-	}
-	// Uniform stationary distribution (rho = 1): mean queue length = 1.5.
-	mean, err := g.ExpectedReward(func(m Marking) float64 { return float64(m[0]) })
-	if err != nil {
-		t.Fatalf("ExpectedReward: %v", err)
-	}
-	if math.Abs(mean-1.5) > 1e-12 {
-		t.Errorf("mean queue = %g, want 1.5", mean)
 	}
 }
 
@@ -437,7 +421,7 @@ func TestExploreAbsorbingTangible(t *testing.T) {
 	if g.NumStates() != 2 {
 		t.Fatalf("NumStates = %d", g.NumStates())
 	}
-	if _, err := g.SteadyState(); err == nil {
+	if _, _, err := g.SteadyState(nil, nil, Opts{}); err == nil {
 		t.Error("steady state of an absorbing chain should fail")
 	}
 }

@@ -59,32 +59,9 @@ func (g *Graph) RewardVector(f RewardFn) []float64 {
 	return r
 }
 
-// SteadyState computes the stationary distribution of a graph with no
-// deterministic transitions (a plain GSPN/CTMC).
-func (g *Graph) SteadyState() ([]float64, error) {
-	return g.SteadyStateWS(nil)
-}
-
-// SteadyStateWS is the workspace-backed form of SteadyState; scratch comes
-// from ws. The returned vector is freshly allocated either way. State
-// spaces of linalg.SparseThreshold states or more route through the sparse
-// Gauss-Seidel solver (with dense GTH as convergence backstop); smaller
-// ones go straight to dense GTH, whose constant factors win there.
-func (g *Graph) SteadyStateWS(ws *linalg.Workspace) ([]float64, error) {
-	pi, _, err := g.SteadyStateDiagWS(ws)
-	return pi, err
-}
-
-// SteadyStateCtxWS is SteadyStateWS with a context: the iterative kernels
-// check for cancellation periodically and the fallback chain stops at the
-// first deadline failure instead of retrying slower solvers against a
-// dead clock.
-func (g *Graph) SteadyStateCtxWS(ctx context.Context, ws *linalg.Workspace) ([]float64, error) {
-	pi, _, err := g.SteadyStateDiagCtxWS(ctx, ws)
-	return pi, err
-}
-
 // SolvePath identifies which solver produced a steady-state result.
+// mrgp.Solve reuses PathDense, PathSparse and PathSparseFallbackDense for
+// its dense and sparse formulations.
 type SolvePath int
 
 // Solver paths, in routing order.
@@ -152,7 +129,8 @@ type SolveDiag struct {
 
 	// PowerIters is the iteration count of the uniformized power rung when
 	// it produced the result (zero when power never ran or failed; failed
-	// power attempts record their count in Attempts).
+	// power attempts record their count in Attempts). On the MRGP path it
+	// carries the sparse embedded-chain cycle count.
 	PowerIters int
 
 	// Seeded reports whether the iterative kernel that produced the result
@@ -188,12 +166,6 @@ func (d SolveDiag) Iterations() int {
 	return total
 }
 
-// SteadyStateDiagWS computes the stationary distribution like
-// SteadyStateWS and additionally reports which solver path produced it.
-func (g *Graph) SteadyStateDiagWS(ws *linalg.Workspace) ([]float64, SolveDiag, error) {
-	return g.SteadyStateDiagCtxWS(nil, ws)
-}
-
 // isDeadline reports whether err is a typed deadline failure — the one
 // failure kind the fallback chain must not retry past, because every
 // later rung would burn time against a clock that already expired.
@@ -202,28 +174,55 @@ func isDeadline(err error) bool {
 	return ok && se.Kind == linalg.FailDeadline
 }
 
-// SteadyStateDiagCtxWS is the hardened steady-state entry point: solver
-// routing by size, a validated fallback chain driven by typed failures
-// (sparse: GS -> dense GTH -> uniformized power; dense: GTH -> power),
-// panic recovery around every kernel, and a distribution guard on every
-// candidate result. The contract is that a fault anywhere in the solve
-// either recovers on a later rung or surfaces as a typed
-// *linalg.SolveError — never a silently wrong vector.
-func (g *Graph) SteadyStateDiagCtxWS(ctx context.Context, ws *linalg.Workspace) ([]float64, SolveDiag, error) {
-	return g.SteadyStateSeededDiagCtxWS(ctx, ws, nil)
+// errDeterministic rejects clocked graphs, which need the MRGP solver.
+var errDeterministic = errors.New("petri: graph has deterministic transitions; use mrgp.Solve")
+
+// Opts selects how a steady-state solve runs; the zero value takes the
+// default routed chain. The same struct configures the MRGP and model
+// layers (mrgp.Opts and nvp.Opts are aliases of it).
+type Opts struct {
+	// Seed is an optional warm-start vector for the first iterative rung:
+	// a previous stationary vector from a Restamp sibling of this graph.
+	// The dense direct rung and every fallback rung ignore it, and a nil
+	// or rejected seed reproduces the cold solve bit for bit.
+	Seed []float64
+
+	// Rung, when set, runs exactly one named rung — "gs" (sparse
+	// Gauss-Seidel), "gth" (dense direct) or "power" (uniformized power
+	// iteration) — with no size routing and no fallback: a failing rung
+	// surfaces its typed error instead of rerouting. It is the
+	// shadow-verification primitive (internal/shadow), whose cross-check
+	// re-solve must stay on the independent path it was assigned, and the
+	// way benchmarks and tests reach one solver on purpose.
+	Rung string
 }
 
-// SteadyStateSeededDiagCtxWS is SteadyStateDiagCtxWS with an optional
-// warm-start seed: a previous stationary vector from a Restamp sibling of
-// this graph. Only the first Gauss-Seidel rung consumes the seed — the
-// dense GTH route and every fallback rung restart from their usual
-// initialization, so chain semantics and the direct paths are unchanged
-// and a nil seed reproduces SteadyStateDiagCtxWS bit for bit. The
-// returned diag reports whether the producing kernel actually started
-// warm (Seeded) alongside the usual path and iteration counts.
-func (g *Graph) SteadyStateSeededDiagCtxWS(ctx context.Context, ws *linalg.Workspace, seed []float64) ([]float64, SolveDiag, error) {
+// SteadyState computes the stationary distribution of a graph with no
+// deterministic transitions (a plain GSPN/CTMC) and reports how the solve
+// went. The returned vector is freshly allocated; scratch comes from ws
+// (nil allocates).
+//
+// With zero Opts it is the hardened routed chain: state spaces of
+// linalg.SparseThreshold states or more start on sparse Gauss-Seidel,
+// smaller ones on dense GTH, whose constant factors win there; a typed
+// failure falls back along GS -> dense GTH -> uniformized power, with
+// panic recovery around every kernel and a distribution guard on every
+// candidate result. The contract is that a fault anywhere in the solve
+// either recovers on a later rung or surfaces as a typed
+// *linalg.SolveError — never a silently wrong vector. The iterative
+// kernels check ctx periodically, and the chain stops at the first
+// deadline failure instead of retrying slower solvers against a dead
+// clock; a nil ctx never expires.
+//
+// With Opts.Rung set only that rung runs (see Opts); the diag then
+// reports its iterative work in GSSweeps or PowerIters and leaves Path
+// and the fallback fields zero.
+func (g *Graph) SteadyState(ctx context.Context, ws *linalg.Workspace, opts Opts) ([]float64, SolveDiag, error) {
+	if opts.Rung != "" {
+		return g.steadyStateRung(ctx, ws, opts)
+	}
 	ctx, sp := obs.StartSpan(ctx, "petri.solve")
-	pi, diag, err := g.steadyStateDiagCtxWS(ctx, ws, seed)
+	pi, diag, err := g.steadyStateChain(ctx, ws, opts.Seed)
 	sp.Int("states", int64(diag.States)).
 		Str("path", diag.Path.String()).
 		Int("gs_sweeps", int64(diag.GSSweeps)).
@@ -235,105 +234,101 @@ func (g *Graph) SteadyStateSeededDiagCtxWS(ctx context.Context, ws *linalg.Works
 	return pi, diag, err
 }
 
-func (g *Graph) steadyStateDiagCtxWS(ctx context.Context, ws *linalg.Workspace, seed []float64) ([]float64, SolveDiag, error) {
+// steadyStateChain is the routed fallback chain behind SteadyState: the
+// sparse route enters at Gauss-Seidel, the dense route at GTH, and both
+// share the GTH -> power tail.
+func (g *Graph) steadyStateChain(ctx context.Context, ws *linalg.Workspace, seed []float64) ([]float64, SolveDiag, error) {
 	if g.HasDeterministic() {
-		return nil, SolveDiag{}, errors.New("petri: graph has deterministic transitions; use mrgp.Solve")
+		return nil, SolveDiag{}, errDeterministic
 	}
+	diag := SolveDiag{States: g.NumStates(), Path: PathDense}
 	if err := linalg.CtxError("petri.solve", ctx); err != nil {
-		return nil, SolveDiag{States: g.NumStates()}, err
+		return nil, diag, err
 	}
 	if g.NumStates() >= linalg.SparseThreshold {
-		return g.steadyStateSparseDiagCtxWS(ctx, ws, seed)
+		metSolveSparse.Inc()
+		diag.Path = PathSparse
+		pi := make([]float64, g.NumStates())
+		sweeps, warm, res, err := g.sparseGSGuarded(ctx, ws, pi, seed)
+		diag.GSSweeps = sweeps
+		if err == nil {
+			diag.Seeded = warm
+			diag.Residual = res
+			return pi, diag, nil
+		}
+		diag.Fallback = err
+		diag.Attempts = append(diag.Attempts, Attempt{Solver: "gs", Sweeps: sweeps, Err: err})
+		if isDeadline(err) {
+			metSolveFailed.Inc()
+			return nil, diag, err
+		}
+		// Rung 2: dense GTH. The dense generator is assembled independently
+		// from the rate edges, so a corrupted CSR stamp does not poison it.
+		metSolveFallback.Inc()
+		diag.Path = PathSparseFallbackDense
+	} else {
+		metSolveDense.Inc()
 	}
-	metSolveDense.Inc()
-	diag := SolveDiag{States: g.NumStates(), Path: PathDense}
 	pi, err := g.steadyStateDenseGuarded(ctx, ws)
 	if err == nil {
+		if diag.Path == PathSparseFallbackDense {
+			metSolveRecovered.Inc()
+		}
 		return pi, diag, nil
 	}
-	diag.Fallback = err
+	if diag.Fallback == nil {
+		diag.Fallback = err
+	}
 	diag.Attempts = append(diag.Attempts, Attempt{Solver: "gth", Err: err})
 	if isDeadline(err) {
 		metSolveFailed.Inc()
 		return nil, diag, err
 	}
-	diag.Path = PathDenseFallbackPower
+	// Last rung: uniformized power iteration, which needs nothing from the
+	// generator beyond matvecs.
+	if diag.Path == PathSparseFallbackDense {
+		diag.Path = PathSparseFallbackPower
+	} else {
+		diag.Path = PathDenseFallbackPower
+	}
 	metSolveFallbackPower.Inc()
-	pi, iters, perr := g.steadyStatePowerGuarded(ctx, ws)
-	if perr != nil {
-		diag.Attempts = append(diag.Attempts, Attempt{Solver: "power", Sweeps: iters, Err: perr})
+	pi, iters, err := g.steadyStatePowerGuarded(ctx, ws)
+	if err != nil {
+		diag.Attempts = append(diag.Attempts, Attempt{Solver: "power", Sweeps: iters, Err: err})
 		metSolveFailed.Inc()
-		return nil, diag, perr
+		return nil, diag, err
 	}
 	diag.PowerIters = iters
 	metSolveRecovered.Inc()
 	return pi, diag, nil
 }
 
-// SteadyStateDenseWS computes the stationary distribution by dense GTH
-// elimination, unconditionally. It is the reference path the sparse solver
-// is validated against and the backstop when iteration fails to converge.
-func (g *Graph) SteadyStateDenseWS(ws *linalg.Workspace) ([]float64, error) {
-	q, err := g.GeneratorWS(ws)
+// steadyStateRung runs the single rung opts.Rung names, guard-validated
+// like every chain rung but with no fallback.
+func (g *Graph) steadyStateRung(ctx context.Context, ws *linalg.Workspace, opts Opts) ([]float64, SolveDiag, error) {
+	diag := SolveDiag{States: g.NumStates()}
+	if g.HasDeterministic() {
+		return nil, diag, errDeterministic
+	}
+	var (
+		pi  []float64
+		err error
+	)
+	switch opts.Rung {
+	case "gs":
+		pi = make([]float64, g.NumStates())
+		diag.GSSweeps, diag.Seeded, diag.Residual, err = g.sparseGSGuarded(ctx, ws, pi, opts.Seed)
+	case "gth":
+		pi, err = g.steadyStateDenseGuarded(ctx, ws)
+	case "power":
+		pi, diag.PowerIters, err = g.steadyStatePowerGuarded(ctx, ws)
+	default:
+		err = fmt.Errorf("petri: unknown solver rung %q (want gs, gth, or power)", opts.Rung)
+	}
 	if err != nil {
-		return nil, err
-	}
-	defer ws.PutMat(q)
-	return ws.SteadyStateGTH(q, nil)
-}
-
-// SteadyStateSparseWS computes the stationary distribution by Gauss-Seidel
-// sweeps over the transposed CSR generator, never materializing a dense
-// matrix. If the iteration does not converge it falls back to dense GTH.
-func (g *Graph) SteadyStateSparseWS(ws *linalg.Workspace) ([]float64, error) {
-	pi, _, err := g.steadyStateSparseDiagCtxWS(nil, ws, nil)
-	return pi, err
-}
-
-func (g *Graph) steadyStateSparseDiagCtxWS(ctx context.Context, ws *linalg.Workspace, seed []float64) ([]float64, SolveDiag, error) {
-	metSolveSparse.Inc()
-	diag := SolveDiag{States: g.NumStates(), Path: PathSparse}
-	pi := make([]float64, g.NumStates())
-	sweeps, warm, res, err := g.sparseGSGuarded(ctx, ws, pi, seed)
-	diag.GSSweeps = sweeps
-	if err == nil {
-		diag.Seeded = warm
-		diag.Residual = res
-		return pi, diag, nil
-	}
-	diag.Fallback = err
-	diag.Attempts = append(diag.Attempts, Attempt{Solver: "gs", Sweeps: sweeps, Err: err})
-	if isDeadline(err) {
-		metSolveFailed.Inc()
 		return nil, diag, err
 	}
-	// Rung 2: dense GTH. The dense generator is assembled independently
-	// from the rate edges, so a corrupted CSR stamp does not poison it.
-	metSolveFallback.Inc()
-	diag.Path = PathSparseFallbackDense
-	dpi, derr := g.steadyStateDenseGuarded(ctx, ws)
-	if derr == nil {
-		metSolveRecovered.Inc()
-		return dpi, diag, nil
-	}
-	diag.Attempts = append(diag.Attempts, Attempt{Solver: "gth", Err: derr})
-	if isDeadline(derr) {
-		metSolveFailed.Inc()
-		return nil, diag, derr
-	}
-	// Rung 3: uniformized power iteration, which needs nothing from the
-	// generator beyond matvecs.
-	diag.Path = PathSparseFallbackPower
-	metSolveFallbackPower.Inc()
-	ppi, iters, perr := g.steadyStatePowerGuarded(ctx, ws)
-	if perr != nil {
-		diag.Attempts = append(diag.Attempts, Attempt{Solver: "power", Sweeps: iters, Err: perr})
-		metSolveFailed.Inc()
-		return nil, diag, perr
-	}
-	diag.PowerIters = iters
-	metSolveRecovered.Inc()
-	return ppi, diag, nil
+	return pi, diag, nil
 }
 
 // sparseGSGuarded runs one Gauss-Seidel attempt with panic recovery and a
@@ -357,7 +352,7 @@ func (g *Graph) sparseGSGuarded(ctx context.Context, ws *linalg.Workspace, pi, s
 		return 0, false, 0, err
 	}
 	_, ksp := obs.StartSpan(ctx, "linalg.gs")
-	sweeps, warm, residual, err = ws.SteadyStateGSSeededResCtx(ctx, qt, pi, seed)
+	sweeps, warm, residual, err = ws.SteadyStateGS(ctx, qt, pi, seed)
 	ksp.Int("sweeps", int64(sweeps)).Int("nnz", int64(qt.NNZ())).Err(err)
 	ksp.End()
 	ws.PutCSR(qt)
@@ -368,8 +363,8 @@ func (g *Graph) sparseGSGuarded(ctx context.Context, ws *linalg.Workspace, pi, s
 }
 
 // steadyStateDenseGuarded runs one dense GTH attempt with panic recovery
-// and a result guard. The body inlines SteadyStateDenseWS so the kernel
-// span covers only the GTH elimination, not the generator assembly.
+// and a result guard. The kernel span covers only the GTH elimination,
+// not the generator assembly.
 func (g *Graph) steadyStateDenseGuarded(ctx context.Context, ws *linalg.Workspace) (pi []float64, err error) {
 	ctx, sp := obs.StartSpan(ctx, "petri.rung.gth")
 	defer func() {
@@ -417,7 +412,7 @@ func (g *Graph) steadyStatePowerGuarded(ctx context.Context, ws *linalg.Workspac
 	}
 	pi = make([]float64, g.NumStates())
 	_, ksp := obs.StartSpan(ctx, "linalg.power")
-	iters, err = ws.SteadyStatePowerCtx(ctx, q, pi)
+	iters, _, err = ws.SteadyStatePower(ctx, q, pi, nil)
 	ksp.Int("iters", int64(iters)).Int("nnz", int64(q.NNZ())).Err(err)
 	ksp.End()
 	ws.PutCSR(q)
@@ -428,46 +423,4 @@ func (g *Graph) steadyStatePowerGuarded(ctx context.Context, ws *linalg.Workspac
 		return nil, iters, err
 	}
 	return pi, iters, nil
-}
-
-// SteadyStateRungCtxWS runs exactly one named rung of the steady-state
-// chain — "gs" (sparse Gauss-Seidel), "gth" (dense direct), or "power"
-// (uniformized power iteration) — with NO fallback: a failing rung
-// surfaces its typed error instead of rerouting. It is the
-// shadow-verification primitive (internal/shadow): a cross-check
-// re-solve must stay on the independent path it was assigned, because
-// silently falling back onto the primary's path would compare the
-// primary result against itself. The returned count is the rung's
-// iterative work (GS sweeps or power iterations; zero for the direct
-// GTH elimination). The result is guard-validated like every chain rung.
-func (g *Graph) SteadyStateRungCtxWS(ctx context.Context, ws *linalg.Workspace, rung string) ([]float64, int, error) {
-	if g.HasDeterministic() {
-		return nil, 0, errors.New("petri: graph has deterministic transitions; use mrgp.Solve")
-	}
-	switch rung {
-	case "gs":
-		pi := make([]float64, g.NumStates())
-		sweeps, _, _, err := g.sparseGSGuarded(ctx, ws, pi, nil)
-		if err != nil {
-			return nil, sweeps, err
-		}
-		return pi, sweeps, nil
-	case "gth":
-		pi, err := g.steadyStateDenseGuarded(ctx, ws)
-		return pi, 0, err
-	case "power":
-		return g.steadyStatePowerGuarded(ctx, ws)
-	default:
-		return nil, 0, fmt.Errorf("petri: unknown solver rung %q (want gs, gth, or power)", rung)
-	}
-}
-
-// ExpectedReward computes the steady-state expected reward of a graph with
-// no deterministic transitions.
-func (g *Graph) ExpectedReward(f RewardFn) (float64, error) {
-	pi, err := g.SteadyState()
-	if err != nil {
-		return 0, err
-	}
-	return linalg.Dot(pi, g.RewardVector(f))
 }

@@ -77,11 +77,11 @@ func TestSteadyStateSparseMatchesDense(t *testing.T) {
 	for rep := 0; rep < 20; rep++ {
 		n := 1 + rng.Intn(50)
 		g := randomReachabilityGraph(rng, n)
-		want, err := g.SteadyStateDenseWS(ws)
+		want, _, err := g.SteadyState(nil, ws, Opts{Rung: "gth"})
 		if err != nil {
 			t.Fatalf("rep %d: dense: %v", rep, err)
 		}
-		got, err := g.SteadyStateSparseWS(ws)
+		got, _, err := g.SteadyState(nil, ws, Opts{Rung: "gs"})
 		if err != nil {
 			t.Fatalf("rep %d: sparse: %v", rep, err)
 		}
@@ -228,7 +228,7 @@ func TestRestampedCSRSolveNoAlloc(t *testing.T) {
 		if err != nil {
 			t.Fatalf("GeneratorCSRTranspose: %v", err)
 		}
-		if _, err := ws.SteadyStateGS(qt, dst); err != nil {
+		if _, _, _, err := ws.SteadyStateGS(nil, qt, dst, nil); err != nil {
 			t.Fatalf("SteadyStateGS: %v", err)
 		}
 		ws.PutCSR(qt)
@@ -252,7 +252,7 @@ func BenchmarkRestampedCSRSolveNoAlloc(b *testing.B) {
 	if err != nil {
 		b.Fatalf("warm-up: %v", err)
 	}
-	if _, err := ws.SteadyStateGS(qt, dst); err != nil {
+	if _, _, _, err := ws.SteadyStateGS(nil, qt, dst, nil); err != nil {
 		b.Fatalf("warm-up: %v", err)
 	}
 	ws.PutCSR(qt)
@@ -263,7 +263,7 @@ func BenchmarkRestampedCSRSolveNoAlloc(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := ws.SteadyStateGS(qt, dst); err != nil {
+		if _, _, _, err := ws.SteadyStateGS(nil, qt, dst, nil); err != nil {
 			b.Fatal(err)
 		}
 		ws.PutCSR(qt)

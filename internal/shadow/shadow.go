@@ -302,7 +302,7 @@ func (v *Verifier) verify(job Job) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), v.cfg.Timeout)
 	ws := v.arena.Get()
-	pi, _, err := model.SolveRungCtxWS(ctx, ws, rung)
+	pi, _, err := model.SolveWith(ctx, ws, nvp.Opts{Rung: rung})
 	v.arena.Put(ws)
 	cancel()
 	if err != nil {
@@ -377,9 +377,9 @@ func primaryLabel(model *nvp.Model, diag petri.SolveDiag) string {
 	if model.SolverKind() == "ctmc" {
 		return diag.Path.String()
 	}
-	// For MRGP PowerIters carries the sparse path's cycle count; the
-	// dense formulation reports zero.
-	if diag.PowerIters > 0 {
+	// A recovered MRGP solve (sparse failed, dense answered) is never
+	// shadowed, so the primary is one of the two clean routes.
+	if diag.Path == petri.PathSparse {
 		return "mrgp-sparse"
 	}
 	return "mrgp-dense"

@@ -25,7 +25,7 @@ func solvePrimary(t *testing.T, n int) (Job, *nvp.Model) {
 		t.Fatalf("build: %v", err)
 	}
 	ws := linalg.NewWorkspace()
-	pi, diag, err := model.SolveDiagCtxWS(context.Background(), ws)
+	pi, diag, err := model.SolveWith(context.Background(), ws, nvp.Opts{})
 	if err != nil {
 		t.Fatalf("solve: %v", err)
 	}
@@ -208,25 +208,79 @@ func TestShadowOfferAfterCloseSkips(t *testing.T) {
 }
 
 func TestShadowRungMatrix(t *testing.T) {
-	p := nvp.DefaultFourVersion()
-	model, err := nvp.BuildNoRejuvenation(p)
+	ctmc, err := nvp.BuildNoRejuvenation(nvp.DefaultFourVersion())
+	if err != nil {
+		t.Fatal(err)
+	}
+	clocked, err := nvp.BuildWithRejuvenation(nvp.DefaultSixVersion())
+	if err != nil {
+		t.Fatal(err)
+	}
+	wp := nvp.DefaultSixVersion()
+	wp.Clock = nvp.ClockWaitsForWave
+	general, err := nvp.BuildWithRejuvenation(wp)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cases := []struct {
-		path petri.SolvePath
-		want string
+		model *nvp.Model
+		path  petri.SolvePath
+		want  string
 	}{
-		{petri.PathSparse, "gth"},
-		{petri.PathDense, "power"},
-		{petri.PathSparseFallbackDense, "power"},
-		{petri.PathDenseFallbackPower, "gs"},
-		{petri.PathSparseFallbackPower, ""},
+		{ctmc, petri.PathSparse, "gth"},
+		{ctmc, petri.PathDense, "power"},
+		{ctmc, petri.PathSparseFallbackDense, "power"},
+		{ctmc, petri.PathDenseFallbackPower, "gs"},
+		{ctmc, petri.PathSparseFallbackPower, ""},
+		{clocked, petri.PathSparse, "mrgp-dense"},
+		{clocked, petri.PathDense, "mrgp-sparse"},
+		{clocked, petri.PathSparseFallbackDense, ""},
+		{general, petri.PathDense, ""},
 	}
 	for _, c := range cases {
-		if got := model.ShadowRung(petri.SolveDiag{Path: c.path}); got != c.want {
-			t.Errorf("ShadowRung(%v) = %q, want %q", c.path, got, c.want)
+		if got := c.model.ShadowRung(petri.SolveDiag{Path: c.path}); got != c.want {
+			t.Errorf("%s ShadowRung(%v) = %q, want %q", c.model.SolverKind(), c.path, got, c.want)
 		}
+	}
+}
+
+// TestShadowSkipsRecoveredMRGP: a sparse MRGP solve that stalled and was
+// rescued by the dense formulation has already run both formulations, so
+// the shadow layer must skip it instead of re-solving on the sparse path
+// that just failed.
+func TestShadowSkipsRecoveredMRGP(t *testing.T) {
+	faultinject.Reset()
+	if err := faultinject.Arm(faultinject.Fault{Site: "mrgp.power.stall"}, 1); err != nil {
+		t.Fatalf("arm: %v", err)
+	}
+	faultinject.Enable()
+	t.Cleanup(func() {
+		faultinject.Disable()
+		faultinject.Reset()
+	})
+	p := nvp.DefaultSixVersion()
+	p.N = 10
+	model, err := nvp.BuildWithRejuvenation(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pi, diag, err := model.SolveWith(context.Background(), linalg.NewWorkspace(), nvp.Opts{})
+	faultinject.Disable()
+	if err != nil {
+		t.Fatalf("solve did not recover: %v", err)
+	}
+	if diag.Path != petri.PathSparseFallbackDense {
+		t.Fatalf("path = %v, want %v", diag.Path, petri.PathSparseFallbackDense)
+	}
+	rel, err := model.ExpectedPaperReliabilityFrom(pi)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := newTestVerifier(t, Config{})
+	v.Offer(Job{Arch: "6v", Params: p, KeyHash: "recovered", Pi: pi, Rel: rel, Diag: diag})
+	v.Flush()
+	if st := v.Stats(); st.Skipped != 1 || st.Agree+st.Diverge+st.Errors != 0 {
+		t.Fatalf("want 1 skipped, got %+v", st)
 	}
 }
 

@@ -8,6 +8,12 @@ cd "$(dirname "$0")/.."
 echo "== go vet ./..."
 go vet ./...
 
+echo "== perfbench module: go vet + go test"
+# The benchmark is a separate Go module that imports this one; the
+# root ./... pattern does not build it, so an API change that breaks it
+# would otherwise surface only at the next benchmark run.
+(cd perfbench && go vet ./... && go test ./...)
+
 echo "== gofmt -l ."
 unformatted=$(gofmt -l .)
 if [[ -n "$unformatted" ]]; then
