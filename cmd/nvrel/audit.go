@@ -19,7 +19,7 @@ import (
 // stream and/or a /debug/flight dump — into one post-hoc report:
 // cross-path divergence rate, worst accepted residuals, fallback
 // frequency, and the per-path latency split. The same thresholds that
-// gate a live fleet gate CI here: any -max-* flag violation makes the
+// gate a live daemon gate CI here: any -max-* flag violation makes the
 // command exit non-zero, so a chaos or loadgen run whose numerics
 // drifted fails the pipeline even though every request returned 200.
 
@@ -53,7 +53,6 @@ type auditEvents struct {
 	CacheHits      int `json:"cache_hits"`
 	ShadowDiverged int `json:"shadow_diverged"`
 	ShadowErrors   int `json:"shadow_errors"`
-	Degraded       int `json:"degraded"`
 }
 
 type auditFlight struct {
@@ -191,9 +190,6 @@ func auditEventLog(path string, rep *auditReport) (*auditEvents, error) {
 			if e.Cache == "hit" {
 				ev.CacheHits++
 			}
-			if e.Degraded {
-				ev.Degraded++
-			}
 			if e.Path != "" {
 				p := rep.pathFor(e.Path)
 				p.Count++
@@ -230,7 +226,7 @@ func auditFlightDump(path string, rep *auditReport) (*auditFlight, error) {
 		if r.Residual > fl.WorstResidual {
 			fl.WorstResidual = r.Residual
 		}
-		// MRGP solves carry no CTMC fallback path; bucket them by solver.
+		// General-MRGP solves carry no solve path; bucket them by solver.
 		label := r.Path
 		if label == "" {
 			label = r.Solver
@@ -322,8 +318,8 @@ func auditGates(cfg auditConfig, rep *auditReport) []string {
 
 func writeAuditSummary(out io.Writer, rep *auditReport) {
 	if rep.Events != nil {
-		fmt.Fprintf(out, "audit: events: %d total, %d solves (%d errors, %d cache hits, %d degraded), %d shadow divergences, %d shadow errors\n",
-			rep.Events.Total, rep.Events.Solves, rep.Events.Errors, rep.Events.CacheHits, rep.Events.Degraded,
+		fmt.Fprintf(out, "audit: events: %d total, %d solves (%d errors, %d cache hits), %d shadow divergences, %d shadow errors\n",
+			rep.Events.Total, rep.Events.Solves, rep.Events.Errors, rep.Events.CacheHits,
 			rep.Events.ShadowDiverged, rep.Events.ShadowErrors)
 	}
 	if rep.Flight != nil {

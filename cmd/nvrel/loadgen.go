@@ -11,7 +11,6 @@ import (
 	"net"
 	"net/http"
 	"os"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -64,19 +63,17 @@ type loadgenConfig struct {
 
 	// SLO burn-rate gates: the run fails when the observed error rate
 	// (or tail-latency fraction) spends the declared error budget at
-	// >= 1x — i.e. the fleet as driven would violate the objective.
+	// >= 1x — i.e. the daemon as driven would violate the objective.
 	sloAvailability float64       // 0 = off
 	sloP99          time.Duration // 0 = off
 }
 
 // lgSample is one completed request as the client saw it.
 type lgSample struct {
-	seconds  float64
-	status   int    // HTTP status (0 = transport error)
-	cache    string // "hit" | "miss" | "coalesced" | "proxied" | "" on error
-	class    string // "repeat" | "neighbor" | "cold"
-	servedBy string // X-Nvrel-Served-By answer attribution ("" unsharded)
-	degraded bool   // answered by a degraded-mode local solve (owner down)
+	seconds float64
+	status  int    // HTTP status (0 = transport error)
+	cache   string // "hit" | "miss" | "coalesced" | "" on error
+	class   string // "repeat" | "neighbor" | "cold"
 }
 
 // lgLatency is the exact latency summary of one sample subset.
@@ -101,7 +98,6 @@ type lgReport struct {
 	TotalRequests   int            `json:"total_requests"`
 	Errors          int            `json:"errors"`
 	ErrorRate       float64        `json:"error_rate"`
-	Degraded        int            `json:"degraded,omitempty"`
 	AchievedRPS     float64        `json:"achieved_rps"`
 	Latency         lgLatency      `json:"latency"`
 	CacheStatus     map[string]int `json:"cache_status"`
@@ -110,7 +106,6 @@ type lgReport struct {
 	HitLatency      lgLatency      `json:"hit_latency"`
 	MissLatency     lgLatency      `json:"miss_latency"`
 	HitSpeedupP50   float64        `json:"hit_speedup_p50"`
-	ServedBy        map[string]int `json:"served_by,omitempty"`
 	SLO             *lgSLO         `json:"slo,omitempty"`
 	Shadow          *shadow.Stats  `json:"shadow,omitempty"`
 }
@@ -396,16 +391,13 @@ func lgFire(ctx context.Context, client *http.Client, url, class string, body []
 		return sample
 	}
 	var sr struct {
-		Cache    string `json:"cache"`
-		Degraded bool   `json:"degraded"`
+		Cache string `json:"cache"`
 	}
 	json.NewDecoder(resp.Body).Decode(&sr)
 	resp.Body.Close()
 	sample.seconds = time.Since(t0).Seconds()
 	sample.status = resp.StatusCode
 	sample.cache = sr.Cache
-	sample.servedBy = resp.Header.Get(servedByHeader)
-	sample.degraded = sr.Degraded
 	return sample
 }
 
@@ -427,18 +419,9 @@ func buildReport(cfg *loadgenConfig, samples []lgSample, elapsed time.Duration) 
 	for _, s := range samples {
 		all = append(all, s.seconds)
 		report.ClassCounts[s.class]++
-		if s.servedBy != "" {
-			if report.ServedBy == nil {
-				report.ServedBy = map[string]int{}
-			}
-			report.ServedBy[s.servedBy]++
-		}
 		if s.status != http.StatusOK {
 			report.Errors++
 			continue
-		}
-		if s.degraded {
-			report.Degraded++
 		}
 		report.CacheStatus[s.cache]++
 		switch s.cache {
@@ -494,9 +477,6 @@ func buildSLO(cfg *loadgenConfig, r *lgReport, samples []lgSample) *lgSLO {
 func writeLoadgenSummary(out io.Writer, r *lgReport) {
 	fmt.Fprintf(out, "loadgen: %d requests in %.1fs = %.1f req/s, %d errors (%.2f%%)\n",
 		r.TotalRequests, r.DurationSeconds, r.AchievedRPS, r.Errors, 100*r.ErrorRate)
-	if r.Degraded > 0 {
-		fmt.Fprintf(out, "  degraded %d answers served by a non-owner peer (owner down; results identical)\n", r.Degraded)
-	}
 	fmt.Fprintf(out, "  latency  p50 %.3fms  p95 %.3fms  p99 %.3fms  max %.3fms\n",
 		1000*r.Latency.P50, 1000*r.Latency.P95, 1000*r.Latency.P99, 1000*r.Latency.Max)
 	fmt.Fprintf(out, "  cache    hit %d  miss %d  coalesced %d  (hit rate %.1f%%)\n",
@@ -504,13 +484,6 @@ func writeLoadgenSummary(out io.Writer, r *lgReport) {
 	if r.HitLatency.Count > 0 && r.MissLatency.Count > 0 {
 		fmt.Fprintf(out, "  hit p50 %.3fms vs miss p50 %.3fms = %.1fx speedup\n",
 			1000*r.HitLatency.P50, 1000*r.MissLatency.P50, r.HitSpeedupP50)
-	}
-	if len(r.ServedBy) > 0 {
-		fmt.Fprint(out, "  served by")
-		for _, peer := range sortedPeers(r.ServedBy) {
-			fmt.Fprintf(out, "  %s=%d", peer, r.ServedBy[peer])
-		}
-		fmt.Fprintln(out)
 	}
 	if r.SLO != nil {
 		fmt.Fprintf(out, "  slo      availability burn %.2fx  latency burn %.2fx\n",
@@ -520,15 +493,6 @@ func writeLoadgenSummary(out io.Writer, r *lgReport) {
 		fmt.Fprintf(out, "  shadow   sampled %d  agree %d  diverge %d  skipped %d  errors %d\n",
 			r.Shadow.Sampled, r.Shadow.Agree, r.Shadow.Diverge, r.Shadow.Skipped, r.Shadow.Errors)
 	}
-}
-
-func sortedPeers(m map[string]int) []string {
-	peers := make([]string, 0, len(m))
-	for p := range m {
-		peers = append(peers, p)
-	}
-	sort.Strings(peers)
-	return peers
 }
 
 // checkGates turns threshold violations into a non-zero exit, mirroring

@@ -2,7 +2,6 @@ package main
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 	"math"
 	"math/rand"
@@ -12,7 +11,6 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -284,55 +282,5 @@ func TestLoadgenSLOGates(t *testing.T) {
 	cfg = &loadgenConfig{maxErrorRate: -1, minHitRate: -1}
 	if r := buildReport(cfg, samples, time.Second); r.SLO != nil {
 		t.Error("slo block present with gates off")
-	}
-}
-
-// TestLoadgenServedByDistribution: the report must attribute answers to
-// the peers that served them, as read from the response headers.
-func TestLoadgenServedByDistribution(t *testing.T) {
-	var n atomic.Int64
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		io.Copy(io.Discard, r.Body)
-		peer := fmt.Sprintf("http://peer-%d:80", n.Add(1)%2)
-		w.Header().Set(servedByHeader, peer)
-		json.NewEncoder(w).Encode(map[string]any{"cache": "hit", "reliability": 0.9})
-	}))
-	defer srv.Close()
-
-	out := filepath.Join(t.TempDir(), "loadgen.json")
-	err := cmdLoadgen([]string{
-		"-url", srv.URL,
-		"-duration", "200ms",
-		"-concurrency", "2",
-		"-o", out,
-		"-slo-availability", "0.99",
-		"-slo-p99", "30s",
-	}, io.Discard)
-	if err != nil {
-		t.Fatalf("cmdLoadgen: %v", err)
-	}
-	data, err := os.ReadFile(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rep lgReport
-	if err := json.Unmarshal(data, &rep); err != nil {
-		t.Fatal(err)
-	}
-	var attributed int
-	for peer, c := range rep.ServedBy {
-		if !strings.HasPrefix(peer, "http://peer-") || c < 1 {
-			t.Errorf("served_by entry %q=%d", peer, c)
-		}
-		attributed += c
-	}
-	if attributed != rep.TotalRequests {
-		t.Errorf("served_by attributes %d of %d requests", attributed, rep.TotalRequests)
-	}
-	if len(rep.ServedBy) != 2 {
-		t.Errorf("served_by = %v, want both synthetic peers", rep.ServedBy)
-	}
-	if rep.SLO == nil || rep.SLO.AvailabilityBurnRate != 0 || rep.SLO.LatencyBurnRate != 0 {
-		t.Errorf("clean run slo = %+v, want zero burn", rep.SLO)
 	}
 }

@@ -70,8 +70,6 @@ func dispatch(args []string, out io.Writer) error {
 		return cmdServe(args[1:], out)
 	case "loadgen":
 		return cmdLoadgen(args[1:], out)
-	case "fleet":
-		return cmdFleet(args[1:], out)
 	case "audit":
 		return cmdAudit(args[1:], out)
 	case "help", "-h", "--help":
@@ -100,16 +98,13 @@ commands:
                              assert every fault is recovered or surfaced typed
   serve                      run the live-telemetry HTTP daemon (/metrics
                              Prometheus, /metrics.json, /traces, /events, /slo,
-                             /cluster/metrics{,.json}, POST /solve,
-                             POST /solve/batch; -peers for sharded serving)
+                             /healthz, /debug/flight, POST /solve,
+                             POST /solve/batch)
   loadgen                    drive a serve daemon with a repeat/neighbor/cold
                              request mix and report latency percentiles, error
                              rate, and cache-hit rate (gates: -max-p99,
                              -max-error-rate, -min-hit-rate, -min-p50-speedup,
                              -slo-availability, -slo-p99)
-  fleet                      scrape every peer's /metrics.json and write one
-                             merged fleet snapshot (-peers, -o; -trace stitches
-                             the peers' span rings into one Chrome timeline)
   audit                      replay a run's numerics evidence (-event-log JSONL
                              and/or a /debug/flight dump) into a report:
                              divergence rate, worst residuals, fallback

@@ -20,7 +20,6 @@ import (
 
 	"nvrel"
 	"nvrel/internal/faultinject"
-	"nvrel/internal/fleethealth"
 	"nvrel/internal/linalg"
 	"nvrel/internal/obs"
 	"nvrel/internal/parallel"
@@ -41,9 +40,8 @@ import (
 // every /solve answer is cached under the canonical parameter-signature
 // key (internal/servecache: bounded LRU + TTL, copy-on-read), identical
 // in-flight requests coalesce onto one solve, /solve/batch amortizes
-// graph work across requests sharing a topology, and a -peers ring
-// partitions the key space across daemons, proxying non-owned keys to
-// their owner so peer caches stop duplicating each other.
+// graph work across requests sharing a topology. One daemon is the
+// whole serving path: request -> cache -> pool -> solve.
 
 // Serve-layer metrics, following the <package>.<area>.<event> convention.
 var (
@@ -59,22 +57,14 @@ var (
 	srvMetBatch         = obs.CounterFor("serve.batch")
 	srvMetBatchItems    = obs.CounterFor("serve.batch.items")
 	srvMetBatchGroups   = obs.CounterFor("serve.batch.groups")
-	srvMetProxy         = obs.CounterFor("serve.proxy")
-	srvMetProxyErrors   = obs.CounterFor("serve.proxy.error")
 )
 
-// Peer-forwarding headers: Forwarded marks a request that already crossed
-// the ring once (the receiver serves it locally, whatever the ring says,
-// so two instances with disagreeing peer lists can never bounce a request
-// forever), and Served-By names the instance whose solver/cache actually
-// answered. Trace carries "<trace>-<span>" across the proxy hop so the
-// owner's spans join the requesting instance's trace (and is returned on
-// every response so clients can correlate with /traces).
-const (
-	forwardHeader  = "X-Nvrel-Forwarded"
-	servedByHeader = "X-Nvrel-Served-By"
-	traceHeader    = "X-Nvrel-Trace"
-)
+// traceHeader carries each request's trace ID on the response, so
+// clients can correlate an answer with /traces and /events.
+const traceHeader = "X-Nvrel-Trace"
+
+// maxSolveBody bounds one POST /solve body.
+const maxSolveBody = 1 << 20
 
 // errBusy marks an admission-control rejection inside the cache compute
 // path so the handler can map it to 429 rather than 422.
@@ -89,20 +79,12 @@ type serveConfig struct {
 	traceRing       int
 	cacheSize       int
 	cacheTTL        time.Duration
-	peers           string // comma-separated peer base URLs ("" = no sharding)
-	self            string // this instance's own URL within -peers
 	eventLog        string // JSON-lines request-event stream ("" = ring only)
 	sloWindow       time.Duration
 	sloAvailability float64
 	sloLatency      time.Duration
 
-	// Fleet resilience (DESIGN.md §13).
-	peerTimeout        time.Duration // per-hop proxy client timeout
-	peerRetries        int           // total attempts per proxied hop
-	breakerFailures    int           // consecutive hop/probe failures that open a peer's breaker
-	breakerCooldown    time.Duration // open → half-open delay
-	probeInterval      time.Duration // background /readyz probe period (jittered)
-	probeTimeout       time.Duration // one probe's deadline
+	// Process rejuvenation and chaos arming.
 	rejuvenateAfter    time.Duration // drain + exit after this long (0 = off)
 	rejuvenateRequests int           // drain + exit after this many solve requests (0 = off)
 	chaosPlan          string        // faultinject plan JSON armed at boot ("" = off)
@@ -121,21 +103,16 @@ type serveConfig struct {
 // solve borrows its own; the arena tops out at max-concurrency
 // workspaces and never loses them to GC), the warm-start registry that
 // seeds cache-miss solves from the nearest already-served neighbor, the
-// solve-result cache with singleflight coalescing, the consistent-hash
-// ring when peers are configured, the solve-concurrency semaphore, the
-// readiness latch the warm-up solve flips, and the draining latch the
-// shutdown path flips so load balancers stop routing before the drain.
+// solve-result cache with singleflight coalescing, the solve-concurrency
+// semaphore, the readiness latch the warm-up solve flips, and the
+// draining latch the shutdown path flips so load balancers stop routing
+// before the drain.
 type server struct {
 	cfg      serveConfig
 	cache    *nvrel.ModelCache
 	warmReg  *nvrel.WarmRegistry
 	arena    *linalg.Arena
 	scache   *servecache.Cache[solveResult]
-	ring     *servecache.Ring
-	self     string
-	httpc    *http.Client
-	health   *fleethealth.Tracker
-	retryCfg fleethealth.RetryConfig
 	sem      chan struct{}
 	slo      *obs.SLOTracker
 	shadow   *shadow.Verifier // nil unless -shadow-rate > 0
@@ -156,12 +133,6 @@ func newServer(cfg serveConfig) *server {
 	if cfg.maxConcurrent < 1 {
 		cfg.maxConcurrent = 1
 	}
-	if cfg.peerTimeout <= 0 {
-		cfg.peerTimeout = 10 * time.Second
-	}
-	if cfg.peerRetries <= 0 {
-		cfg.peerRetries = 3
-	}
 	// Every daemon keeps the numerics flight recorder rolling; it is
 	// one mutexed record per solve, far off any hot path.
 	shadow.FlightEnable()
@@ -174,20 +145,7 @@ func newServer(cfg serveConfig) *server {
 		warmReg: nvrel.NewWarmRegistry(),
 		arena:   linalg.NewArena(),
 		scache:  servecache.New(cfg.cacheSize, cfg.cacheTTL, cloneSolveResult),
-		// The proxy client is explicitly bounded: a per-hop timeout (a
-		// wedged peer costs one hop, not the whole outer solve deadline)
-		// and a capped idle pool so a flapping fleet can't accumulate
-		// sockets.
-		httpc: &http.Client{
-			Timeout: cfg.peerTimeout,
-			Transport: &http.Transport{
-				MaxIdleConns:        64,
-				MaxIdleConnsPerHost: 8,
-				IdleConnTimeout:     90 * time.Second,
-			},
-		},
-		retryCfg: fleethealth.RetryConfig{Attempts: cfg.peerRetries},
-		sem:      make(chan struct{}, cfg.maxConcurrent),
+		sem:     make(chan struct{}, cfg.maxConcurrent),
 		slo: obs.NewSLOTracker(obs.SLOConfig{
 			Window:       cfg.sloWindow,
 			Availability: cfg.sloAvailability,
@@ -208,59 +166,6 @@ func newServer(cfg serveConfig) *server {
 		})
 	}
 	return s
-}
-
-// configureRing validates the -peers/-self pair and installs the
-// consistent-hash ring. Every peer must be given the identical peer set
-// (order-free) for the instances to agree on ownership.
-func (s *server) configureRing(peers, self string) error {
-	if peers == "" {
-		if strings.TrimSpace(self) != "" {
-			return fmt.Errorf("-self %q given without -peers", self)
-		}
-		return nil
-	}
-	var list []string
-	for _, p := range strings.Split(peers, ",") {
-		p = strings.TrimSpace(strings.TrimSuffix(strings.TrimSpace(p), "/"))
-		if p != "" {
-			list = append(list, p)
-		}
-	}
-	ring, err := servecache.NewRing(list)
-	if err != nil {
-		return err
-	}
-	self = strings.TrimSuffix(strings.TrimSpace(self), "/")
-	if self == "" {
-		return fmt.Errorf("-peers requires -self (this instance's own URL within the peer list)")
-	}
-	found := false
-	for _, p := range list {
-		if p == self {
-			found = true
-		}
-	}
-	if !found {
-		return fmt.Errorf("-self %q is not in -peers %q", self, peers)
-	}
-	s.ring = ring
-	s.self = self
-	var others []string
-	for _, p := range list {
-		if p != self {
-			others = append(others, p)
-		}
-	}
-	s.health = fleethealth.NewTracker(fleethealth.Config{
-		Breaker: fleethealth.BreakerConfig{
-			FailureThreshold: s.cfg.breakerFailures,
-			Cooldown:         s.cfg.breakerCooldown,
-		},
-		ProbeInterval: s.cfg.probeInterval,
-		ProbeTimeout:  s.cfg.probeTimeout,
-	}, others)
-	return nil
 }
 
 // statusWriter captures the response code for the request metrics.
@@ -300,12 +205,9 @@ func (s *server) instrument(h http.Handler) http.Handler {
 func (s *server) handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
-		// Liveness plus the daemon's own verdict on itself: a sharded
-		// daemon reports per-peer breaker position and probe history
-		// (the prober keeps this fresh with no solve traffic flowing),
-		// and every daemon reports the numerics field — the shadow
-		// verifier's outcome counts, with status "diverging" once any
-		// sampled solve has disagreed across solver paths.
+		// Liveness plus the daemon's own verdict on its arithmetic: the
+		// shadow verifier's outcome counts, with status "diverging" once
+		// any sampled solve has disagreed across solver paths.
 		w.Header().Set("Content-Type", "application/json")
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
@@ -373,51 +275,9 @@ func (s *server) handler() http.Handler {
 		enc.SetIndent("", "  ")
 		enc.Encode(s.slo.Report())
 	})
-	mux.HandleFunc("GET /cluster/metrics", func(w http.ResponseWriter, r *http.Request) {
-		doc := s.clusterSnapshot(r)
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		if err := doc.Merged.WritePrometheus(w); err != nil {
-			srvMetRequestErrors.Inc()
-		}
-	})
-	mux.HandleFunc("GET /cluster/metrics.json", func(w http.ResponseWriter, r *http.Request) {
-		doc := s.clusterSnapshot(r)
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		enc.Encode(doc)
-	})
 	mux.HandleFunc("POST /solve", s.handleSolve)
 	mux.HandleFunc("POST /solve/batch", s.handleBatch)
 	return s.instrument(mux)
-}
-
-// clusterSnapshot scrapes the fleet (or just this instance when no ring
-// is configured, or when the request already crossed the ring once — the
-// same one-hop guard the solve proxy uses, so two peers can never scrape
-// each other forever).
-func (s *server) clusterSnapshot(r *http.Request) clusterDoc {
-	peers := []string{localPeerName}
-	local := localPeerName
-	if s.ring != nil {
-		peers = s.ring.Peers()
-		local = s.self
-	}
-	if r.Header.Get(forwardHeader) != "" || s.ring == nil {
-		peers = []string{local}
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), 10*time.Second)
-	defer cancel()
-	doc := scrapeCluster(ctx, s.httpc, peers, local)
-	if s.health != nil {
-		// The local peer's snapshot never crossed HTTP, so attach its
-		// fleet-health view from the in-process tracker.
-		if doc.Health == nil {
-			doc.Health = map[string]healthDoc{}
-		}
-		doc.Health[local] = s.healthSnapshot()
-	}
-	return doc
 }
 
 // beginDrain flips /readyz to 503 ahead of connection draining.
@@ -504,7 +364,7 @@ func solveSignature(p nvrel.Params) []float64 {
 	}
 }
 
-// solveKey is the canonical cache/ring key of a resolved request.
+// solveKey is the canonical cache key of a resolved request.
 func solveKey(arch string, p nvrel.Params) string {
 	return servecache.Key(arch, solveSignature(p))
 }
@@ -562,7 +422,6 @@ type solveResponse struct {
 	States         int               `json:"states"`
 	Reliability    float64           `json:"reliability"`
 	Cache          string            `json:"cache,omitempty"`
-	Degraded       bool              `json:"degraded,omitempty"` // owner unreachable; solved locally off-ring
 	TraceID        string            `json:"trace_id,omitempty"`
 	ElapsedSeconds float64           `json:"elapsed_seconds"`
 	Diag           *solveDiagJSON    `json:"diag,omitempty"`
@@ -573,17 +432,6 @@ func httpError(w http.ResponseWriter, code int, format string, args ...any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	json.NewEncoder(w).Encode(map[string]string{"error": fmt.Sprintf(format, args...)})
-}
-
-// remoteTraceCtx joins the request to an upstream trace when the proxy
-// hop carried one, so spans recorded here share the originating
-// instance's trace ID.
-func remoteTraceCtx(r *http.Request) context.Context {
-	ctx := r.Context()
-	if trace, span, ok := obs.ParseTraceHeader(r.Header.Get(traceHeader)); ok {
-		ctx = obs.ContextWithRemoteSpan(ctx, trace, span)
-	}
-	return ctx
 }
 
 // keyHash is the short stable digest of a cache key used in request
@@ -597,7 +445,7 @@ func keyHash(key string) string {
 
 func (s *server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	t0 := time.Now()
-	ctx, sp := obs.StartSpan(remoteTraceCtx(r), "serve.request")
+	ctx, sp := obs.StartSpan(r.Context(), "serve.request")
 	defer sp.End()
 	sp.Str("endpoint", "/solve")
 	traceID := obs.FormatTraceID(sp.TraceID())
@@ -611,7 +459,7 @@ func (s *server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	}()
 
 	var req solveRequest
-	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<20)).Decode(&req); err != nil {
+	if err := json.NewDecoder(io.LimitReader(r.Body, maxSolveBody)).Decode(&req); err != nil {
 		ev.Status, ev.Error = http.StatusBadRequest, err.Error()
 		httpError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
@@ -624,23 +472,6 @@ func (s *server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	}
 	key := solveKey(arch, p)
 	ev.Key = keyHash(key)
-	// Ring ownership: a non-owned key is proxied to its owner (once — the
-	// forward header stops a second hop), so the peers' caches partition
-	// the model space instead of each holding a copy of everything. A hop
-	// that fails terminally — breaker open, retries exhausted — falls
-	// through to a DEGRADED local solve: same answer (solves are pure),
-	// worse cache partitioning, zero client-visible errors.
-	degraded := false
-	if s.ring != nil && r.Header.Get(forwardHeader) == "" {
-		if owner := s.ring.Owner(key); owner != s.self {
-			ev.Cache = "proxied"
-			if s.proxySolve(ctx, w, owner, &req, &ev) {
-				return
-			}
-			degraded = true
-			ev.Cache = ""
-		}
-	}
 	timeout := s.cfg.solveTimeout
 	if req.TimeoutSeconds > 0 {
 		timeout = time.Duration(req.TimeoutSeconds * float64(time.Second))
@@ -653,18 +484,10 @@ func (s *server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	srvMetSolveOK.Inc()
-	if degraded {
-		srvMetDegraded.Inc()
-		resp.Degraded = true
-		ev.Degraded = true
-	}
 	resp.TraceID = traceID
-	ev.Cache, ev.ServedBy = resp.Cache, s.self
+	ev.Cache = resp.Cache
 	if resp.Diag != nil {
 		ev.Path, ev.Seeded, ev.SeedSource = resp.Diag.Path, resp.Diag.Seeded, resp.Diag.SeedSource
-	}
-	if s.self != "" {
-		w.Header().Set(servedByHeader, s.self)
 	}
 	w.Header().Set("Content-Type", "application/json")
 	enc := json.NewEncoder(w)
@@ -797,7 +620,7 @@ func noteShadowSolve(ctx context.Context, source, arch string, model *nvrel.Mode
 	if trid != 0 {
 		rec.TraceID = obs.FormatTraceID(trid)
 	}
-	if model.SolverKind() == "ctmc" {
+	if reportsPath(model) {
 		rec.Path = diag.Path.String()
 		if diag.Fallback != nil {
 			rec.Fallback = diag.Fallback.Error()
@@ -820,6 +643,15 @@ func noteShadowSolve(ctx context.Context, source, arch string, model *nvrel.Mode
 			Diag:    diag,
 		})
 	}
+}
+
+// reportsPath says whether the model's solver sets SolveDiag.Path and
+// Fallback: the CTMC chain (GS/GTH/power) and the MRGP embedded-chain
+// solve (dense/sparse/sparse-fallback-dense) do; the general MRGP solve
+// has a single route and leaves them zero.
+func reportsPath(model *nvrel.Model) bool {
+	k := model.SolverKind()
+	return k == "ctmc" || k == "mrgp"
 }
 
 // solveModel builds and solves one parameter point on the caller's
@@ -863,18 +695,106 @@ func (s *server) solveBuilt(ctx context.Context, arch string, model *nvrel.Model
 		reliability: rel,
 	}
 	d := &solveDiagJSON{States: diag.States, Seeded: diag.Seeded, SeedSource: diag.SeedSource, PowerIters: diag.PowerIters}
-	if res.solver == "ctmc" {
+	if reportsPath(model) {
 		d.Path = diag.Path.String()
-		d.GSSweeps = diag.GSSweeps
 		if diag.Fallback != nil {
 			d.Fallback = diag.Fallback.Error()
 		}
+	}
+	if res.solver == "ctmc" {
+		d.GSSweeps = diag.GSSweeps
 		for _, a := range diag.Attempts {
 			d.Attempts = append(d.Attempts, attemptJSON{Solver: a.Solver, Sweeps: a.Sweeps, Error: a.Err.Error()})
 		}
 	}
 	res.diag = d
 	return res, nil
+}
+
+// healthDoc is the GET /healthz JSON contract.
+type healthDoc struct {
+	Status   string         `json:"status"`
+	Draining bool           `json:"draining,omitempty"`
+	Numerics healthNumerics `json:"numerics"`
+}
+
+// healthNumerics is the shadow verifier's verdict on this daemon's own
+// arithmetic: "off" when shadowing is disabled, "ok" while every
+// sampled solve has agreed across independent solver paths, "diverging"
+// once any has not. Divergence means a converged-but-wrong answer was
+// served — the one failure class the fallback chain cannot see.
+type healthNumerics struct {
+	Status  string `json:"status"` // ok | diverging | off
+	Sampled int64  `json:"sampled,omitempty"`
+	Agree   int64  `json:"agree,omitempty"`
+	Diverge int64  `json:"diverge,omitempty"`
+	Skipped int64  `json:"skipped,omitempty"`
+	Errors  int64  `json:"errors,omitempty"`
+}
+
+func (s *server) healthSnapshot() healthDoc {
+	doc := healthDoc{
+		Status:   "ok",
+		Draining: s.draining.Load(),
+		Numerics: s.numerics(),
+	}
+	if doc.Numerics.Status == "diverging" {
+		doc.Status = "diverging"
+	}
+	return doc
+}
+
+func (s *server) numerics() healthNumerics {
+	if s.shadow == nil {
+		return healthNumerics{Status: "off"}
+	}
+	st := s.shadow.Stats()
+	n := healthNumerics{
+		Status:  "ok",
+		Sampled: st.Sampled,
+		Agree:   st.Agree,
+		Diverge: st.Diverge,
+		Skipped: st.Skipped,
+		Errors:  st.Errors,
+	}
+	if st.Diverge > 0 {
+		n.Status = "diverging"
+	}
+	return n
+}
+
+// noteSolveRequest counts one solve-traffic request against the
+// -rejuvenate-requests budget.
+func (s *server) noteSolveRequest() {
+	if s.cfg.rejuvenateRequests <= 0 {
+		return
+	}
+	if s.solveReqs.Add(1) == int64(s.cfg.rejuvenateRequests) {
+		s.triggerRejuvenate(fmt.Sprintf("served %d solve requests", s.cfg.rejuvenateRequests))
+	}
+}
+
+// triggerRejuvenate asks the daemon to drain and exit cleanly — the
+// paper's software rejuvenation applied to the serving process itself.
+// A supervisor (systemd, the smoke script, a container runtime) restarts
+// it fresh. Idempotent: the first reason wins.
+func (s *server) triggerRejuvenate(reason string) {
+	s.rejuvenateOnce.Do(func() {
+		s.rejuvenateReason = reason
+		close(s.rejuvenateC)
+	})
+}
+
+// rejuvenateTimer arms the -rejuvenate-after clock; the returned stop
+// function cancels it on normal shutdown.
+func (s *server) rejuvenateTimer() (stop func()) {
+	if s.cfg.rejuvenateAfter <= 0 {
+		return func() {}
+	}
+	t := time.AfterFunc(s.cfg.rejuvenateAfter, func() {
+		s.triggerRejuvenate(fmt.Sprintf("ran for %v", s.cfg.rejuvenateAfter))
+	})
+	return func() { t.Stop() }
 }
 
 // warmUp solves the default six-version model once so the first real
@@ -906,21 +826,13 @@ func cmdServe(args []string, out io.Writer) error {
 	fs.IntVar(&cfg.traceRing, "trace-ring", obs.DefaultTraceCapacity, "span ring-buffer capacity")
 	fs.IntVar(&cfg.cacheSize, "cache-size", 4096, "solve-result cache capacity in entries (0 = unbounded)")
 	fs.DurationVar(&cfg.cacheTTL, "cache-ttl", 15*time.Minute, "solve-result cache entry lifetime (0 = never expires)")
-	fs.StringVar(&cfg.peers, "peers", "", "comma-separated peer base URLs for consistent-hash sharding (include this instance)")
-	fs.StringVar(&cfg.self, "self", "", "this instance's own base URL within -peers")
 	fs.StringVar(&cfg.eventLog, "event-log", "", "append request events as JSON lines to this file (\"\" = in-memory ring only)")
 	fs.DurationVar(&cfg.sloWindow, "slo-window", 5*time.Minute, "SLO rolling evaluation window")
 	fs.Float64Var(&cfg.sloAvailability, "slo-availability", 0.999, "availability objective scored at /slo")
 	fs.DurationVar(&cfg.sloLatency, "slo-latency", time.Second, "p99 latency objective scored at /slo")
-	fs.DurationVar(&cfg.peerTimeout, "peer-timeout", 10*time.Second, "per-hop proxy client timeout (one attempt, not the whole retry budget)")
-	fs.IntVar(&cfg.peerRetries, "peer-retries", 3, "total attempts per proxied hop before degraded local fallback")
-	fs.IntVar(&cfg.breakerFailures, "breaker-failures", 3, "consecutive hop/probe failures that open a peer's circuit breaker")
-	fs.DurationVar(&cfg.breakerCooldown, "breaker-cooldown", 5*time.Second, "open-breaker cooldown before a half-open trial")
-	fs.DurationVar(&cfg.probeInterval, "probe-interval", time.Second, "peer /readyz probe period (full-jitter)")
-	fs.DurationVar(&cfg.probeTimeout, "probe-timeout", 2*time.Second, "one health probe's deadline")
 	fs.DurationVar(&cfg.rejuvenateAfter, "rejuvenate-after", 0, "drain and exit cleanly after this long, for a supervisor restart (0 = off)")
 	fs.IntVar(&cfg.rejuvenateRequests, "rejuvenate-requests", 0, "drain and exit cleanly after this many solve requests (0 = off)")
-	fs.StringVar(&cfg.chaosPlan, "chaos-plan", "", "arm this faultinject plan JSON at boot (transport.* sites hit the outbound proxy hops)")
+	fs.StringVar(&cfg.chaosPlan, "chaos-plan", "", "arm this faultinject plan JSON at boot (solver sites such as linalg.gs.drift)")
 	fs.Float64Var(&cfg.shadowRate, "shadow-rate", 0, "fraction of solves re-solved on an independent solver path and cross-checked (0 = off)")
 	fs.IntVar(&cfg.shadowWorkers, "shadow-workers", 1, "shadow verification worker pool size")
 	fs.IntVar(&cfg.shadowQueue, "shadow-queue", 64, "pending shadow verifications before shedding (skipped, never blocking)")
@@ -956,13 +868,6 @@ func cmdServe(args []string, out io.Writer) error {
 		return fmt.Errorf("serve: %w", err)
 	}
 	s := newServer(cfg)
-	if err := s.configureRing(cfg.peers, cfg.self); err != nil {
-		ln.Close()
-		return fmt.Errorf("serve: %w", err)
-	}
-	if s.ring != nil {
-		fmt.Fprintf(out, "nvrel serve: sharding across %d peers as %s\n", len(s.ring.Peers()), s.self)
-	}
 	if cfg.chaosPlan != "" {
 		data, err := os.ReadFile(cfg.chaosPlan)
 		if err != nil {
@@ -981,9 +886,6 @@ func cmdServe(args []string, out io.Writer) error {
 			}
 		}
 		faultinject.Enable()
-		// Every outbound hop — proxied solves, sub-batches, probes,
-		// cluster scrapes — rides the chaos transport.
-		s.httpc.Transport = faultinject.NewTransport(s.httpc.Transport)
 		fmt.Fprintf(out, "nvrel serve: chaos plan %s armed (%d faults, seed %d)\n",
 			cfg.chaosPlan, len(plan.Faults), plan.Seed)
 	}
@@ -997,10 +899,6 @@ func cmdServe(args []string, out io.Writer) error {
 
 	fmt.Fprintf(out, "nvrel serve: listening on http://%s\n", ln.Addr())
 	go s.warmUp(out)
-	if s.health != nil {
-		stopProbe := s.health.StartProber(context.Background(), s.httpc)
-		defer stopProbe()
-	}
 	stopRejuvenate := s.rejuvenateTimer()
 	defer stopRejuvenate()
 

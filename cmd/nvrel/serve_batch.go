@@ -3,7 +3,6 @@ package main
 import (
 	"context"
 	"encoding/json"
-	"fmt"
 	"io"
 	"net/http"
 	"time"
@@ -35,23 +34,25 @@ import (
 // malformed envelopes.
 
 // maxBatchItems bounds one envelope; bigger workloads should paginate.
-const maxBatchItems = 1024
+// maxBatchBody bounds its encoded size.
+const (
+	maxBatchItems = 1024
+	maxBatchBody  = 8 << 20
+)
 
 type batchRequest struct {
 	Requests []solveRequest `json:"requests"`
 }
 
 // batchItemJSON is one per-item result: the solve fields or an error.
-// It mirrors solveResponse flattened (embedding the unexported struct by
-// pointer would break json.Unmarshal on the peer-forwarding path); batch
-// items carry no per-request trace or elapsed time — the envelope does.
+// It mirrors solveResponse flattened; batch items carry no per-request
+// trace or elapsed time — the envelope does.
 type batchItemJSON struct {
 	Arch        string         `json:"arch,omitempty"`
 	Solver      string         `json:"solver,omitempty"`
 	States      int            `json:"states,omitempty"`
 	Reliability float64        `json:"reliability,omitempty"`
 	Cache       string         `json:"cache,omitempty"`
-	Degraded    bool           `json:"degraded,omitempty"` // owner peer down; solved locally off-ring
 	Diag        *solveDiagJSON `json:"diag,omitempty"`
 	Error       string         `json:"error,omitempty"`
 }
@@ -66,19 +67,17 @@ type batchResponse struct {
 
 // batchItem is the per-item resolution state threaded through the phases.
 type batchItem struct {
-	req      *solveRequest
-	p        nvrel.Params
-	arch     string
-	key      string
-	res      *solveResult
-	st       servecache.Status
-	degraded bool // owner peer failed; left for the local phases
-	err      error
+	p    nvrel.Params
+	arch string
+	key  string
+	res  *solveResult
+	st   servecache.Status
+	err  error
 }
 
 func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	t0 := time.Now()
-	sctx, sp := obs.StartSpan(remoteTraceCtx(r), "serve.batch")
+	sctx, sp := obs.StartSpan(r.Context(), "serve.batch")
 	defer sp.End()
 	traceID := obs.FormatTraceID(sp.TraceID())
 	if traceID != "" {
@@ -91,7 +90,7 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}()
 
 	var breq batchRequest
-	if err := json.NewDecoder(io.LimitReader(r.Body, 8<<20)).Decode(&breq); err != nil {
+	if err := json.NewDecoder(io.LimitReader(r.Body, maxBatchBody)).Decode(&breq); err != nil {
 		ev.Status, ev.Error = http.StatusBadRequest, err.Error()
 		httpError(w, http.StatusBadRequest, "bad batch body: %v", err)
 		return
@@ -114,18 +113,10 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	items := make([]batchItem, len(breq.Requests))
 	for i := range breq.Requests {
 		it := &items[i]
-		it.req = &breq.Requests[i]
-		it.p, it.arch, it.err = it.req.params()
+		it.p, it.arch, it.err = breq.Requests[i].params()
 		if it.err == nil {
 			it.key = solveKey(it.arch, it.p)
 		}
-	}
-
-	// Ring ownership: non-owned items are regrouped into per-peer
-	// sub-batches and forwarded in one round trip per peer; already
-	// forwarded batches are served locally whatever the ring says.
-	if s.ring != nil && r.Header.Get(forwardHeader) == "" {
-		s.forwardBatchSlices(sctx, items, &ev)
 	}
 
 	groups := s.solveBatchLocal(sctx, items)
@@ -145,12 +136,7 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 				States:      it.res.states,
 				Reliability: it.res.reliability,
 				Cache:       it.st.String(),
-				Degraded:    it.degraded,
 				Diag:        it.res.diag,
-			}
-			if it.degraded {
-				srvMetDegraded.Inc()
-				ev.Degraded = true
 			}
 			if it.st == servecache.StatusMiss {
 				unique[it.key] = true
@@ -159,120 +145,13 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	resp.UniqueSolves = len(unique)
 	resp.ElapsedSeconds = time.Since(t0).Seconds()
-	ev.ServedBy = s.self
-	if s.self != "" {
-		w.Header().Set(servedByHeader, s.self)
-	}
 	w.Header().Set("Content-Type", "application/json")
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	enc.Encode(resp)
 }
 
-// forwardBatchSlices sends every item owned by another peer to that peer
-// as one /solve/batch sub-request per peer, concurrently, and scatters
-// the results back into items. A peer whose hop fails terminally
-// (breaker open or retries exhausted) has its slice marked degraded and
-// left for the local phases — solves are pure, so the answers are
-// identical; only the cache partition suffers. Items owned locally are
-// left untouched for the local phases.
-func (s *server) forwardBatchSlices(ctx context.Context, items []batchItem, ev *obs.Event) {
-	byOwner := make(map[string][]int)
-	for i := range items {
-		if items[i].err != nil {
-			continue
-		}
-		if owner := s.ring.Owner(items[i].key); owner != s.self {
-			byOwner[owner] = append(byOwner[owner], i)
-		}
-	}
-	if len(byOwner) == 0 {
-		return
-	}
-	owners := make([]string, 0, len(byOwner))
-	for o := range byOwner {
-		owners = append(owners, o)
-	}
-	hopErrs := make([]error, len(owners))
-	parallel.ForEachCtx(ctx, len(owners), func(fctx context.Context, oi int) error {
-		owner := owners[oi]
-		idxs := byOwner[owner]
-		sub := batchRequest{Requests: make([]solveRequest, len(idxs))}
-		for j, i := range idxs {
-			sub.Requests[j] = *items[i].req
-		}
-		sres, err := s.postBatch(fctx, owner, &sub)
-		if err != nil {
-			hopErrs[oi] = err
-			for _, i := range idxs {
-				items[i].degraded = true // degrade, never fail the items
-			}
-			return nil
-		}
-		for j, i := range idxs {
-			pr := sres.Results[j]
-			if pr.Error != "" {
-				items[i].err = fmt.Errorf("peer %s: %s", owner, pr.Error)
-				continue
-			}
-			items[i].res = &solveResult{
-				arch:        pr.Arch,
-				solver:      pr.Solver,
-				states:      pr.States,
-				reliability: pr.Reliability,
-				diag:        pr.Diag,
-			}
-			items[i].st = statusFromString(pr.Cache)
-		}
-		return nil
-	})
-	// ForEachCtx is a barrier, so the per-owner writes are visible here;
-	// the event records the first failed hop (one line per request).
-	for oi, err := range hopErrs {
-		if err != nil {
-			ev.Peer, ev.ProxyError = owners[oi], err.Error()
-			break
-		}
-	}
-}
-
-// postBatch sends one sub-batch to a peer through the breaker/retry hop
-// (peerPost) and decodes the buffered reply.
-func (s *server) postBatch(ctx context.Context, owner string, sub *batchRequest) (*batchResponse, error) {
-	srvMetProxy.Inc()
-	buf, err := json.Marshal(sub)
-	if err != nil {
-		return nil, err
-	}
-	reply, err := s.peerPost(ctx, owner, "/solve/batch", buf)
-	if err != nil {
-		return nil, err
-	}
-	if reply.status != http.StatusOK {
-		return nil, fmt.Errorf("status %d: %s", reply.status, bodySnippet(reply.body))
-	}
-	var sres batchResponse
-	if err := json.Unmarshal(reply.body, &sres); err != nil {
-		return nil, err
-	}
-	if len(sres.Results) != len(sub.Requests) {
-		return nil, fmt.Errorf("peer answered %d results for %d requests", len(sres.Results), len(sub.Requests))
-	}
-	return &sres, nil
-}
-
-func statusFromString(s string) servecache.Status {
-	switch s {
-	case "hit":
-		return servecache.StatusHit
-	case "coalesced":
-		return servecache.StatusCoalesced
-	default:
-		return servecache.StatusMiss
-	}
-}
-
-// solveBatchLocal answers every still-unresolved item: cache hits first,
+// solveBatchLocal answers every valid item: cache hits first,
 // then misses grouped by topology and solved group-by-group through the
 // hardened pool. Returns the number of topology groups scheduled.
 func (s *server) solveBatchLocal(ctx context.Context, items []batchItem) int {
@@ -281,7 +160,7 @@ func (s *server) solveBatchLocal(ctx context.Context, items []batchItem) int {
 	byKey := make(map[string][]int)
 	var keyOrder []string
 	for i := range items {
-		if items[i].err != nil || items[i].res != nil {
+		if items[i].err != nil {
 			continue
 		}
 		if _, ok := byKey[items[i].key]; !ok {

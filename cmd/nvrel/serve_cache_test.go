@@ -7,7 +7,6 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -306,120 +305,6 @@ func TestServeBatchPerItemErrors(t *testing.T) {
 	}
 }
 
-// TestServeShardedPairProxiesToOwner: two instances joined in a ring must
-// agree on key ownership, transparently proxy to the owner, and return
-// the same bits from either entry point.
-func TestServeShardedPairProxiesToOwner(t *testing.T) {
-	prevObs := obs.Enable()
-	t.Cleanup(func() { obs.SetEnabled(prevObs) })
-
-	mk := func() (*server, *httptest.Server) {
-		s := newServer(serveConfig{maxConcurrent: 2, solveTimeout: 30 * time.Second})
-		ts := httptest.NewServer(s.handler())
-		t.Cleanup(ts.Close)
-		return s, ts
-	}
-	s1, ts1 := mk()
-	s2, ts2 := mk()
-	peers := ts1.URL + "," + ts2.URL
-	if err := s1.configureRing(peers, ts1.URL); err != nil {
-		t.Fatal(err)
-	}
-	if err := s2.configureRing(peers, ts2.URL); err != nil {
-		t.Fatal(err)
-	}
-
-	req := solveRequest{Arch: "4v"}
-	p, arch, err := req.params()
-	if err != nil {
-		t.Fatal(err)
-	}
-	owner := s1.ring.Owner(solveKey(arch, p))
-	if o2 := s2.ring.Owner(solveKey(arch, p)); o2 != owner {
-		t.Fatalf("ring disagreement: %q vs %q", owner, o2)
-	}
-
-	proxyBefore := obs.CounterFor("serve.proxy").Value()
-	var rels []float64
-	for _, entry := range []string{ts1.URL, ts2.URL} {
-		resp, err := http.Post(entry+"/solve", "application/json", strings.NewReader(`{"arch":"4v"}`))
-		if err != nil {
-			t.Fatal(err)
-		}
-		raw, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("entry %s = %d: %s", entry, resp.StatusCode, raw)
-		}
-		if got := resp.Header.Get(servedByHeader); got != owner {
-			t.Errorf("entry %s served by %q, ring owner is %q", entry, got, owner)
-		}
-		var sr solveResponse
-		if err := json.Unmarshal(raw, &sr); err != nil {
-			t.Fatal(err)
-		}
-		rels = append(rels, sr.Reliability)
-	}
-	if rels[0] != rels[1] {
-		t.Errorf("sharded entries disagree: %.17g vs %.17g", rels[0], rels[1])
-	}
-	model, _ := nvrel.BuildFourVersion(nvrel.DefaultFourVersion())
-	want, err := model.ExpectedPaperReliability()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rels[0] != want {
-		t.Errorf("sharded reliability %.17g, batch CLI computes %.17g", rels[0], want)
-	}
-	// Exactly one of the two entry points was the non-owner, so exactly
-	// one proxy hop happened.
-	if got := obs.CounterFor("serve.proxy").Value() - proxyBefore; got != 1 {
-		t.Errorf("serve.proxy advanced by %d, want 1", got)
-	}
-
-	// Only the owner holds the key; the non-owner stays empty.
-	ownerSrv, otherSrv := s1, s2
-	if owner == ts2.URL {
-		ownerSrv, otherSrv = s2, s1
-	}
-	if ownerSrv.scache.Len() == 0 {
-		t.Error("owner cache is empty after serving")
-	}
-	if otherSrv.scache.Len() != 0 {
-		t.Error("non-owner cached a proxied result")
-	}
-
-	// Batches split the same way: items for the other peer are answered
-	// by sub-batch forwarding with per-item results intact.
-	code, br, raw := postBatchJSON(t, ts1.URL, `{"requests":[{"arch":"4v"},{"arch":"6v"},{"arch":"4v","n":7}]}`)
-	if code != http.StatusOK {
-		t.Fatalf("sharded batch = %d: %s", code, raw)
-	}
-	for i, r := range br.Results {
-		if r.Error != "" || r.Solver == "" {
-			t.Fatalf("sharded batch item %d: %q", i, r.Error)
-		}
-	}
-}
-
-// TestServeRingConfigRejectsBadPeerSets mirrors the CLI validation: the
-// instance's own URL must be in the peer list, and junk peer lists fail.
-func TestServeRingConfigRejectsBadPeerSets(t *testing.T) {
-	s := newServer(serveConfig{maxConcurrent: 1, solveTimeout: time.Second})
-	if err := s.configureRing("http://a:1,http://b:2", "http://c:3"); err == nil {
-		t.Error("self outside the peer list accepted")
-	}
-	if err := s.configureRing("http://a:1,http://a:1", "http://a:1"); err == nil {
-		t.Error("duplicate peers accepted")
-	}
-	if err := s.configureRing("", "http://a:1"); err == nil {
-		t.Error("empty peer list with -self accepted")
-	}
-	if err := s.configureRing("http://a:1/,http://b:2", "http://a:1"); err != nil {
-		t.Errorf("trailing slash not normalized: %v", err)
-	}
-}
-
 // TestServeCacheStatusValues pins the wire vocabulary that the load
 // generator and smoke test grep for.
 func TestServeCacheStatusValues(t *testing.T) {
@@ -431,148 +316,8 @@ func TestServeCacheStatusValues(t *testing.T) {
 		if st.String() != want {
 			t.Errorf("status %d = %q, want %q", st, st.String(), want)
 		}
-		if statusFromString(want) != st {
-			t.Errorf("statusFromString(%q) = %v", want, statusFromString(want))
-		}
 	}
 	if fmt.Sprintf("%v", servecache.StatusMiss) != "miss" {
 		t.Error("Status does not format as its wire string")
-	}
-}
-
-// TestServeShardedPairStitchedTrace: a solve proxied between two peers
-// must come back with the entry instance's trace ID, and the owner's
-// spans must join that same trace (the cross-peer stitching the fleet
-// trace artifact relies on). The peers also have to agree on the fleet
-// view: /cluster/metrics.json merged counters must equal the per-peer
-// sums.
-func TestServeShardedPairStitchedTrace(t *testing.T) {
-	prevObs := obs.Enable()
-	prevTrace := obs.TraceEnable()
-	obs.TraceReset()
-	t.Cleanup(func() {
-		obs.SetEnabled(prevObs)
-		obs.SetTraceEnabled(prevTrace)
-	})
-
-	mk := func() (*server, *httptest.Server) {
-		s := newServer(serveConfig{maxConcurrent: 2, solveTimeout: 30 * time.Second})
-		ts := httptest.NewServer(s.handler())
-		t.Cleanup(ts.Close)
-		return s, ts
-	}
-	s1, ts1 := mk()
-	s2, ts2 := mk()
-	peers := ts1.URL + "," + ts2.URL
-	if err := s1.configureRing(peers, ts1.URL); err != nil {
-		t.Fatal(err)
-	}
-	if err := s2.configureRing(peers, ts2.URL); err != nil {
-		t.Fatal(err)
-	}
-
-	req := solveRequest{Arch: "4v"}
-	p, arch, err := req.params()
-	if err != nil {
-		t.Fatal(err)
-	}
-	owner := s1.ring.Owner(solveKey(arch, p))
-	entry := ts1.URL
-	if owner == ts1.URL {
-		entry = ts2.URL
-	}
-
-	// Solve through the NON-owner, forcing a proxy hop.
-	resp, err := http.Post(entry+"/solve", "application/json", strings.NewReader(`{"arch":"4v"}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sr solveResponse
-	if err := json.NewDecoder(resp.Body).Decode(&sr); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if sr.Cache != "miss" {
-		t.Fatalf("proxied solve cache = %q, want miss", sr.Cache)
-	}
-	if sr.TraceID == "" {
-		t.Fatal("proxied solve has no trace_id")
-	}
-	if got := resp.Header.Get(traceHeader); got != sr.TraceID {
-		t.Errorf("trace header %q != envelope %q", got, sr.TraceID)
-	}
-	trace, perr := strconv.ParseUint(sr.TraceID, 16, 64)
-	if perr != nil {
-		t.Fatalf("trace_id %q is not hex: %v", sr.TraceID, perr)
-	}
-
-	// Both instances share this process's span ring, so one collect sees
-	// the full stitched trace: the entry's serve.request, the owner's
-	// serve.request (joined via the proxy's trace header), and the
-	// owner's serve.solve underneath.
-	recs := obs.CollectTrace(trace)
-	names := map[string]int{}
-	for _, r := range recs {
-		names[r.Name]++
-		if r.Trace != trace {
-			t.Errorf("span %q trace = %x, want %x", r.Name, r.Trace, trace)
-		}
-	}
-	if names["serve.request"] != 2 {
-		t.Errorf("stitched trace has %d serve.request spans, want 2 (both peers): %v", names["serve.request"], names)
-	}
-	if names["serve.solve"] != 1 {
-		t.Errorf("stitched trace has %d serve.solve spans, want 1: %v", names["serve.solve"], names)
-	}
-
-	// Fleet merge: the cluster endpoint on either peer must report
-	// counters equal to the per-peer sum.
-	cresp, err := http.Get(ts1.URL + "/cluster/metrics.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var doc clusterDoc
-	err = json.NewDecoder(cresp.Body).Decode(&doc)
-	cresp.Body.Close()
-	if err != nil {
-		t.Fatalf("/cluster/metrics.json: %v", err)
-	}
-	if len(doc.Peers) != 2 || len(doc.Errors) != 0 {
-		t.Fatalf("cluster doc peers = %v errors = %v", doc.Peers, doc.Errors)
-	}
-	var sum int64
-	for peer, snap := range doc.PerPeer {
-		if snap.Counters["serve.request"] < 1 {
-			t.Errorf("peer %s reports serve.request = %d", peer, snap.Counters["serve.request"])
-		}
-		sum += snap.Counters["serve.request"]
-	}
-	if doc.Merged.Counters["serve.request"] != sum {
-		t.Errorf("merged serve.request = %d, per-peer sum = %d", doc.Merged.Counters["serve.request"], sum)
-	}
-	h := doc.Merged.Histograms["serve.request.seconds"]
-	var hsum int64
-	for _, snap := range doc.PerPeer {
-		hsum += snap.Histograms["serve.request.seconds"].Count
-	}
-	if h.Count != hsum {
-		t.Errorf("merged latency histogram count = %d, per-peer sum = %d", h.Count, hsum)
-	}
-
-	// The one-hop guard: a scrape marked as forwarded stays local.
-	greq, _ := http.NewRequest(http.MethodGet, ts2.URL+"/cluster/metrics.json", nil)
-	greq.Header.Set(forwardHeader, "test")
-	gresp, err := http.DefaultClient.Do(greq)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var local clusterDoc
-	err = json.NewDecoder(gresp.Body).Decode(&local)
-	gresp.Body.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(local.Peers) != 1 || local.Peers[0] != ts2.URL {
-		t.Errorf("forwarded cluster scrape fanned out to %v, want just %s", local.Peers, ts2.URL)
 	}
 }

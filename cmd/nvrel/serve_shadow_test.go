@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -30,8 +32,6 @@ func TestServeContentTypeHeaders(t *testing.T) {
 		{"/traces", "application/json"},
 		{"/slo", "application/json"},
 		{"/debug/flight", "application/json"},
-		{"/cluster/metrics", "text/plain; version=0.0.4; charset=utf-8"},
-		{"/cluster/metrics.json", "application/json"},
 	}
 	for _, c := range cases {
 		resp, err := http.Get(ts.URL + c.path)
@@ -191,5 +191,67 @@ func TestServeShadowOffByDefault(t *testing.T) {
 	}
 	if doc := getFlight(t, ts.URL); len(doc.Flight) == 0 {
 		t.Fatal("flight recorder idle without shadowing")
+	}
+}
+
+// TestServeMRGPFallbackPathReported: a sparse MRGP solve that stalls and
+// is recovered on the dense rung must say so everywhere the evidence
+// goes — the reply's diag, the flight record, and the audit report.
+func TestServeMRGPFallbackPathReported(t *testing.T) {
+	_, ts := newTestServer(t)
+	faultinject.Reset()
+	if err := faultinject.Arm(faultinject.Fault{Site: "mrgp.power.stall"}, 1); err != nil {
+		t.Fatal(err)
+	}
+	faultinject.Enable()
+	t.Cleanup(func() {
+		faultinject.Disable()
+		faultinject.Reset()
+	})
+	resp, err := http.Post(ts.URL+"/solve", "application/json", strings.NewReader(`{"arch":"6v","n":10}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sr solveResponse
+	err = json.NewDecoder(resp.Body).Decode(&sr)
+	resp.Body.Close()
+	faultinject.Disable()
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("/solve = %d: %v", resp.StatusCode, err)
+	}
+	if sr.Solver != "mrgp" || sr.Diag == nil || sr.Diag.Path != "sparse-fallback-dense" || sr.Diag.Fallback == "" {
+		t.Fatalf("reply solver=%q diag=%+v, want mrgp with path sparse-fallback-dense and a fallback", sr.Solver, sr.Diag)
+	}
+
+	doc := getFlight(t, ts.URL)
+	if len(doc.Flight) != 1 {
+		t.Fatalf("flight ring has %d records, want 1", len(doc.Flight))
+	}
+	rec := doc.Flight[0]
+	if rec.Path != "sparse-fallback-dense" || rec.Fallback == "" {
+		t.Fatalf("flight record path=%q fallback=%q", rec.Path, rec.Fallback)
+	}
+
+	dir := t.TempDir()
+	dump, out := filepath.Join(dir, "flight.json"), filepath.Join(dir, "audit.json")
+	data, err := json.Marshal(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(dump, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := cmdAudit([]string{"-flight", dump, "-o", out}, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	var rep auditReport
+	if data, err = os.ReadFile(out); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(data, &rep); err != nil {
+		t.Fatal(err)
+	}
+	if rep.FallbackRate <= 0 {
+		t.Fatalf("audit fallback_rate = %g, want > 0", rep.FallbackRate)
 	}
 }

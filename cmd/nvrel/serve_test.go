@@ -352,39 +352,6 @@ func TestServeSolveReturnsTraceID(t *testing.T) {
 	}
 }
 
-func TestServeSolveJoinsUpstreamTrace(t *testing.T) {
-	_, ts := newTestServer(t)
-	req, err := http.NewRequest(http.MethodPost, ts.URL+"/solve", strings.NewReader(`{"arch":"6v"}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set(traceHeader, "00000000000000aa-00000000000000bb")
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sr solveResponse
-	if err := json.NewDecoder(resp.Body).Decode(&sr); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if sr.TraceID != "00000000000000aa" {
-		t.Errorf("trace_id = %q, want the upstream trace 00000000000000aa", sr.TraceID)
-	}
-	// The joined spans must be collectible under the upstream trace ID.
-	recs := obs.CollectTrace(0xaa)
-	found := false
-	for _, r := range recs {
-		if r.Name == "serve.solve" {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("upstream trace holds %d spans, none named serve.solve", len(recs))
-	}
-}
-
 func TestServeBatchReturnsTraceID(t *testing.T) {
 	_, ts := newTestServer(t)
 	resp, err := http.Post(ts.URL+"/solve/batch", "application/json",
@@ -478,43 +445,6 @@ func TestServeSLOEndpoint(t *testing.T) {
 	}
 }
 
-func TestServeClusterMetricsUnsharded(t *testing.T) {
-	_, ts := newTestServer(t)
-	if resp, err := http.Post(ts.URL+"/solve", "application/json", strings.NewReader(`{"arch":"6v"}`)); err == nil {
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-	}
-	resp, err := http.Get(ts.URL + "/cluster/metrics.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var doc clusterDoc
-	err = json.NewDecoder(resp.Body).Decode(&doc)
-	resp.Body.Close()
-	if err != nil {
-		t.Fatalf("/cluster/metrics.json: %v", err)
-	}
-	if len(doc.Peers) != 1 || doc.Peers[0] != localPeerName {
-		t.Errorf("unsharded cluster peers = %v, want [%s]", doc.Peers, localPeerName)
-	}
-	if doc.Merged.Counters["serve.request"] < 1 {
-		t.Errorf("merged serve.request = %d, want >= 1", doc.Merged.Counters["serve.request"])
-	}
-	if doc.PerPeer[localPeerName].Counters["serve.request"] != doc.Merged.Counters["serve.request"] {
-		t.Error("single-peer merge does not equal the peer's own counters")
-	}
-
-	presp, err := http.Get(ts.URL + "/cluster/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ := io.ReadAll(presp.Body)
-	presp.Body.Close()
-	if !strings.Contains(string(body), "serve_request") {
-		t.Errorf("/cluster/metrics missing serve_request:\n%.300s", body)
-	}
-}
-
 func TestServeReadyzDrainingWins(t *testing.T) {
 	s, ts := newTestServer(t)
 	s.warmUp(io.Discard)
@@ -530,5 +460,58 @@ func TestServeReadyzDrainingWins(t *testing.T) {
 	}
 	if !strings.Contains(string(body), "draining") {
 		t.Errorf("/readyz drain body = %q, want \"draining\"", body)
+	}
+}
+
+// TestServeHealthzSingleDaemon: /healthz is always the JSON health doc;
+// with shadow verification off its numerics block says so.
+func TestServeHealthzSingleDaemon(t *testing.T) {
+	_, ts := newTestServer(t)
+	resp, err := http.Get(ts.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var hd healthDoc
+	err = json.NewDecoder(resp.Body).Decode(&hd)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatalf("/healthz is not JSON: %v", err)
+	}
+	if hd.Status != "ok" || hd.Draining {
+		t.Errorf("healthz status=%q draining=%v, want ok/false", hd.Status, hd.Draining)
+	}
+	if hd.Numerics.Status != "off" {
+		t.Errorf("healthz numerics.status = %q, want off with -shadow-rate 0", hd.Numerics.Status)
+	}
+}
+
+// TestServeRejuvenateAfterNRequests: the request-count trigger fires
+// exactly at the budget and the latch is idempotent.
+func TestServeRejuvenateAfterNRequests(t *testing.T) {
+	s := newServer(serveConfig{maxConcurrent: 1, solveTimeout: time.Second, rejuvenateRequests: 3})
+	for i := 0; i < 2; i++ {
+		s.noteSolveRequest()
+		select {
+		case <-s.rejuvenateC:
+			t.Fatalf("rejuvenation fired after %d requests, budget is 3", i+1)
+		default:
+		}
+	}
+	s.noteSolveRequest()
+	select {
+	case <-s.rejuvenateC:
+	default:
+		t.Fatal("rejuvenation did not fire at the request budget")
+	}
+	first := s.rejuvenateReason
+	if first == "" {
+		t.Error("no rejuvenation reason recorded")
+	}
+	// Later triggers (more requests, the timer) must not re-close the
+	// channel or overwrite the reason.
+	s.noteSolveRequest()
+	s.triggerRejuvenate("second trigger")
+	if s.rejuvenateReason != first {
+		t.Errorf("reason overwritten: %q -> %q", first, s.rejuvenateReason)
 	}
 }

@@ -11,15 +11,13 @@ import (
 
 // Event is one structured per-request record: enough to answer "what
 // happened to this request" without grepping logs — how it was served
-// (cache hit, miss, coalesced wait, or proxied to the owning peer),
-// where, how long it took, and which trace to pull for the full span
-// tree. Field names are stable JSON contract for /events consumers.
+// (cache hit, miss, or coalesced wait), how long it took, and which
+// trace to pull for the full span tree. Field names are stable JSON contract for /events consumers.
 type Event struct {
 	Time           time.Time `json:"time"`
 	Method         string    `json:"method"`                    // "solve" | "batch"
 	Key            string    `json:"params_key_hash,omitempty"` // FNV-64a of the cache key
-	Cache          string    `json:"cache,omitempty"`           // hit | miss | coalesced | proxied
-	ServedBy       string    `json:"served_by,omitempty"`       // peer that computed the result
+	Cache          string    `json:"cache,omitempty"`           // hit | miss | coalesced
 	Status         int       `json:"status"`                    // HTTP status
 	LatencySeconds float64   `json:"latency_seconds"`
 	Path           string    `json:"solve_path,omitempty"`  // SolveDiag path (sparse/dense/...)
@@ -28,9 +26,6 @@ type Event struct {
 	TraceID        string    `json:"trace_id,omitempty"`    // hex, correlates with /traces
 	Items          int       `json:"items,omitempty"`       // batch size (method=batch)
 	Error          string    `json:"error,omitempty"`
-	Peer           string    `json:"peer,omitempty"`        // peer a failed proxy hop targeted
-	ProxyError     string    `json:"proxy_error,omitempty"` // final proxy failure (status may still be 200 via degraded fallback)
-	Degraded       bool      `json:"degraded,omitempty"`    // answered by a degraded-mode local solve
 }
 
 // eventRing is a bounded MPMC ring with the same slot-claim discipline

@@ -98,7 +98,7 @@ func TestEventSinkStreamsJSONLines(t *testing.T) {
 	withEvents(t, func() {
 		var buf bytes.Buffer
 		SetEventSink(&buf)
-		RecordEvent(Event{Time: time.Unix(3000, 0), Method: "solve", Cache: "proxied", ServedBy: "peer:9"})
+		RecordEvent(Event{Time: time.Unix(3000, 0), Method: "solve", Cache: "coalesced", Key: "k9"})
 		RecordEvent(Event{Time: time.Unix(3001, 0), Method: "batch", Items: 2})
 		SetEventSink(nil)
 		RecordEvent(Event{Method: "solve"}) // after nil sink: ring only
@@ -111,7 +111,7 @@ func TestEventSinkStreamsJSONLines(t *testing.T) {
 				t.Fatalf("sink line %d is not JSON: %v", lines, err)
 			}
 			lines++
-			if lines == 1 && (ev.Cache != "proxied" || ev.ServedBy != "peer:9") {
+			if lines == 1 && (ev.Cache != "coalesced" || ev.Key != "k9") {
 				t.Errorf("first sink line = %+v", ev)
 			}
 		}

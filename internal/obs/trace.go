@@ -7,9 +7,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -64,12 +64,18 @@ type Attr struct {
 	Str   string
 }
 
-// Value returns the attribute payload as an any, for JSON export.
+// Value returns the attribute payload as an any, for JSON export. JSON
+// has no encoding for infinities and NaN (a stalled kernel records a
+// +Inf residual), so those export as their strconv form instead of
+// failing the whole document.
 func (a Attr) Value() any {
 	switch a.Kind {
 	case AttrInt:
 		return a.Int
 	case AttrFloat:
+		if math.IsInf(a.Float, 0) || math.IsNaN(a.Float) {
+			return strconv.FormatFloat(a.Float, 'g', -1, 64)
+		}
 		return a.Float
 	default:
 		return a.Str
@@ -80,8 +86,8 @@ func (a Attr) Value() any {
 type SpanRecord struct {
 	ID     uint64
 	Parent uint64 // zero for root spans
-	Root   uint64 // ID of the outermost LOCAL enclosing span (== ID for roots)
-	Trace  uint64 // per-request trace ID, shared across peer processes
+	Root   uint64 // ID of the outermost enclosing span (== ID for roots)
+	Trace  uint64 // per-request trace ID
 	Name   string
 	Start  time.Time
 	Dur    time.Duration
@@ -90,9 +96,8 @@ type SpanRecord struct {
 
 // idRng is the process-global splitmix64 state behind trace IDs and the
 // per-tracer span-ID bases. Seeded from crypto/rand at init (clock
-// fallback), it makes identifiers unique across peer processes with
-// overwhelming probability — which is what lets spans recorded on two
-// daemons stitch into one fleet trace without any coordination.
+// fallback), so trace IDs from different runs and processes do not
+// collide with overwhelming probability.
 var idRng atomic.Uint64
 
 func seedIDRng() {
@@ -143,8 +148,7 @@ type Tracer struct {
 
 // NewTracer returns a disabled tracer with the given ring capacity. Span
 // IDs are sequential above a random per-tracer base, so they stay
-// monotone in claim order locally while never colliding with another
-// process's spans in a stitched fleet trace.
+// monotone in claim order while differing between tracers.
 func NewTracer(capacity int) *Tracer {
 	if capacity < 1 {
 		capacity = 1
@@ -200,31 +204,6 @@ func (t *Tracer) Reset() {
 // spanCtxKey carries the active span through a context.
 type spanCtxKey struct{}
 
-// remoteSpanKey carries a remote parent (trace ID + span ID received in
-// an X-Nvrel-Trace header) through a context, so the first local span of
-// a proxied request joins the originating peer's trace instead of
-// minting its own.
-type remoteSpanKey struct{}
-
-type remoteSpan struct {
-	trace uint64
-	span  uint64
-}
-
-// ContextWithRemoteSpan returns a context under which the next StartSpan
-// joins an in-flight trace from another process: the new span adopts the
-// given trace ID and records the remote span as its parent. A zero trace
-// leaves ctx unchanged.
-func ContextWithRemoteSpan(ctx context.Context, trace, span uint64) context.Context {
-	if trace == 0 {
-		return ctx
-	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	return context.WithValue(ctx, remoteSpanKey{}, remoteSpan{trace: trace, span: span})
-}
-
 // SpanFromContext returns the span carried by ctx, or nil (which is a
 // valid, inert span) when there is none.
 func SpanFromContext(ctx context.Context) *TraceSpan {
@@ -273,12 +252,6 @@ func (t *Tracer) StartSpan(ctx context.Context, name string) (context.Context, *
 		sp.parent = parent.id
 		sp.root = parent.root
 		sp.trace = parent.trace
-	} else if rp, ok := ctx.Value(remoteSpanKey{}).(remoteSpan); ok && rp.trace != 0 {
-		// A proxied request: adopt the originating peer's trace ID and hang
-		// off its span, so the two rings stitch into one timeline.
-		sp.root = sp.id
-		sp.trace = rp.trace
-		sp.parent = rp.span
 	} else {
 		sp.root = sp.id
 		sp.trace = newID()
@@ -303,8 +276,7 @@ func (s *TraceSpan) Root() uint64 {
 }
 
 // TraceID returns the per-request trace identifier the span belongs to
-// (zero for the nil span). Spans of one request share it across every
-// peer the request touched.
+// (zero for the nil span). Every span of one request shares it.
 func (s *TraceSpan) TraceID() uint64 {
 	if s == nil {
 		return 0
@@ -319,34 +291,6 @@ func FormatTraceID(id uint64) string {
 		return ""
 	}
 	return fmt.Sprintf("%016x", id)
-}
-
-// EncodeTraceHeader renders a trace/span pair in the X-Nvrel-Trace wire
-// form "<trace>-<span>" (zero-padded hex). Empty when trace is zero.
-func EncodeTraceHeader(trace, span uint64) string {
-	if trace == 0 {
-		return ""
-	}
-	return fmt.Sprintf("%016x-%016x", trace, span)
-}
-
-// ParseTraceHeader decodes the X-Nvrel-Trace wire form produced by
-// EncodeTraceHeader. ok is false for anything malformed or zero-trace,
-// so a garbage header degrades to "mint a fresh trace", never an error.
-func ParseTraceHeader(h string) (trace, span uint64, ok bool) {
-	t, s, found := strings.Cut(strings.TrimSpace(h), "-")
-	if !found {
-		return 0, 0, false
-	}
-	trace, err := strconv.ParseUint(t, 16, 64)
-	if err != nil || trace == 0 {
-		return 0, 0, false
-	}
-	span, err = strconv.ParseUint(s, 16, 64)
-	if err != nil {
-		return 0, 0, false
-	}
-	return trace, span, true
 }
 
 func (s *TraceSpan) attr(a Attr) *TraceSpan {
@@ -469,9 +413,7 @@ type traceDoc struct {
 // WriteTraceEvents encodes the default tracer's ring as Chrome
 // trace-event JSON: one complete ("X") event per span in start-time
 // order, timestamps in absolute microseconds since the Unix epoch, one
-// track (tid) per trace ID. Absolute timestamps and trace-keyed tracks
-// are what make two peers' exports stitch: concatenating the event lists
-// (see MergeTraceEvents) puts every span of one proxied request on one
+// track (tid) per trace ID, so every span of one request lands on one
 // shared track, correctly interleaved. The output loads in Perfetto and
 // chrome://tracing (both render relative to the earliest event).
 func WriteTraceEvents(w io.Writer) error {
@@ -516,26 +458,6 @@ func EncodeTraceEvents(w io.Writer, records []SpanRecord) error {
 	}
 	enc := json.NewEncoder(w)
 	return enc.Encode(doc)
-}
-
-// MergeTraceEvents decodes several Chrome trace-event documents (as
-// served by each peer's /traces endpoint) and re-encodes them as one,
-// events sorted by timestamp. Because every export uses absolute
-// epoch-based timestamps and trace-ID tracks, spans recorded on
-// different peers for one proxied request land on one coherent timeline.
-func MergeTraceEvents(w io.Writer, docs ...io.Reader) error {
-	merged := traceDoc{DisplayTimeUnit: "ms"}
-	for i, r := range docs {
-		var doc traceDoc
-		if err := json.NewDecoder(r).Decode(&doc); err != nil {
-			return fmt.Errorf("obs: merge traces: document %d: %w", i, err)
-		}
-		merged.TraceEvents = append(merged.TraceEvents, doc.TraceEvents...)
-	}
-	sort.SliceStable(merged.TraceEvents, func(i, j int) bool {
-		return merged.TraceEvents[i].TS < merged.TraceEvents[j].TS
-	})
-	return json.NewEncoder(w).Encode(merged)
 }
 
 // SpanSummary is one row of the compact per-solve summary: the span, its

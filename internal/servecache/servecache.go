@@ -1,7 +1,6 @@
 // Package servecache is the serving-scale layer under `nvrel serve`: a
 // parameter-keyed solve-result cache with bounded LRU capacity, optional
-// TTL expiry, and singleflight coalescing, plus the consistent-hash ring
-// that partitions the key space across peer daemons.
+// TTL expiry, and singleflight coalescing.
 //
 // The cache trades memory for solver time under the traffic shape the
 // ROADMAP targets — millions of users asking identical and near-identical

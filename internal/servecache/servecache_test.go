@@ -2,7 +2,6 @@ package servecache
 
 import (
 	"errors"
-	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -201,55 +200,5 @@ func TestKeyCanonical(t *testing.T) {
 	x, y := 0.1, 0.1+1e-17
 	if x != y && Key("p", []float64{x}) == Key("p", []float64{y}) {
 		t.Error("distinct float64s collide")
-	}
-}
-
-func TestRingDeterministicAndBalanced(t *testing.T) {
-	peers := []string{"http://a:1", "http://b:2", "http://c:3"}
-	r1, err := NewRing(peers)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Order-independence: every instance builds the same ring from its own
-	// flag ordering.
-	r2, err := NewRing([]string{"http://c:3", "http://a:1", "http://b:2"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	counts := map[string]int{}
-	for i := 0; i < 3000; i++ {
-		key := fmt.Sprintf("key-%d", i)
-		o1, o2 := r1.Owner(key), r2.Owner(key)
-		if o1 != o2 {
-			t.Fatalf("ring disagreement for %q: %q vs %q", key, o1, o2)
-		}
-		counts[o1]++
-	}
-	for _, p := range peers {
-		if counts[p] < 300 {
-			t.Errorf("peer %s owns only %d/3000 keys — ring badly unbalanced: %v", p, counts[p], counts)
-		}
-	}
-}
-
-func TestRingRejectsBadPeers(t *testing.T) {
-	if _, err := NewRing(nil); err == nil {
-		t.Error("empty ring accepted")
-	}
-	if _, err := NewRing([]string{"http://a:1", "http://a:1"}); err == nil {
-		t.Error("duplicate peer accepted")
-	}
-	if _, err := NewRing([]string{""}); err == nil {
-		t.Error("empty peer URL accepted")
-	}
-}
-
-func TestNilRingOwnsNothing(t *testing.T) {
-	var r *Ring
-	if r.Owner("k") != "" {
-		t.Error("nil ring claims an owner")
-	}
-	if r.Peers() != nil {
-		t.Error("nil ring has peers")
 	}
 }

@@ -76,7 +76,7 @@ type Config struct {
 	// Rate is the sampled fraction of solves in [0, 1]. Sampling is a
 	// deterministic hash of the cache key, so a given parameter point is
 	// either always or never shadowed at a fixed rate — reruns are
-	// reproducible and the sampled set is stable across peers.
+	// reproducible and the sampled set is stable across restarts.
 	Rate float64
 	// PiTol is the L-inf agreement band on the steady-state
 	// distribution (default DefaultPiTol).

@@ -118,234 +118,6 @@ if ! grep -q '"serve.solve"' artifacts/trace.json; then
     exit 1
 fi
 
-echo "== serve smoke: 2-peer sharded pair"
-# Sharding needs the peer URLs up front, so ephemeral :0 ports won't do:
-# grab two currently-free ports and boot a pair joined into one ring.
-read -r port_a port_b < <(python3 - <<'EOF'
-import socket
-socks = []
-for _ in range(2):
-    s = socket.socket()
-    s.bind(("127.0.0.1", 0))
-    socks.append(s)
-print(socks[0].getsockname()[1], socks[1].getsockname()[1])
-for s in socks:
-    s.close()
-EOF
-)
-url_a="http://127.0.0.1:$port_a"
-url_b="http://127.0.0.1:$port_b"
-peers="$url_a,$url_b"
-artifacts/nvrel serve -addr "127.0.0.1:$port_a" -peers "$peers" -self "$url_a" >artifacts/serve_peer_a.log 2>&1 &
-peer_a_pid=$!
-artifacts/nvrel serve -addr "127.0.0.1:$port_b" -peers "$peers" -self "$url_b" >artifacts/serve_peer_b.log 2>&1 &
-peer_b_pid=$!
-cleanup_pair() {
-    kill "$peer_a_pid" "$peer_b_pid" 2>/dev/null || true
-    wait "$peer_a_pid" "$peer_b_pid" 2>/dev/null || true
-}
-trap 'cleanup; cleanup_pair' EXIT
-for url in "$url_a" "$url_b"; do
-    pair_ready=0
-    for _ in $(seq 1 100); do
-        if curl -fsS -o /dev/null "$url/readyz" 2>/dev/null; then
-            pair_ready=1
-            break
-        fi
-        sleep 0.1
-    done
-    if [[ "$pair_ready" != 1 ]]; then
-        echo "serve smoke: sharded peer $url never turned ready" >&2
-        cat artifacts/serve_peer_a.log artifacts/serve_peer_b.log >&2
-        exit 1
-    fi
-done
-# The same request through either entry point must be answered by the
-# ring owner of its key: both X-Nvrel-Served-By headers agree, the
-# reliabilities are identical, and the non-owner's proxy counter moved.
-body='{"arch":"4v","n":7}'
-served_a=$(curl -fsS -D - -o artifacts/solve_peer_a.json -X POST -d "$body" "$url_a/solve" |
-    tr -d '\r' | awk -F': ' 'tolower($1) == "x-nvrel-served-by" { print $2 }')
-served_b=$(curl -fsS -D - -o artifacts/solve_peer_b.json -X POST -d "$body" "$url_b/solve" |
-    tr -d '\r' | awk -F': ' 'tolower($1) == "x-nvrel-served-by" { print $2 }')
-if [[ -z "$served_a" || "$served_a" != "$served_b" ]]; then
-    echo "serve smoke: sharded entries disagree on the owner ('$served_a' vs '$served_b')" >&2
-    exit 1
-fi
-rel_a=$(grep -o '"reliability": [0-9.e+-]*' artifacts/solve_peer_a.json | head -1)
-rel_b=$(grep -o '"reliability": [0-9.e+-]*' artifacts/solve_peer_b.json | head -1)
-if [[ -z "$rel_a" || "$rel_a" != "$rel_b" ]]; then
-    echo "serve smoke: sharded reliabilities differ ('$rel_a' vs '$rel_b')" >&2
-    exit 1
-fi
-proxied=0
-for url in "$url_a" "$url_b"; do
-    if curl -fsS "$url/metrics" | awk '$1 == "serve_proxy" { if ($2 + 0 > 0) found = 1 } END { exit !found }'; then
-        proxied=1
-    fi
-done
-if [[ "$proxied" != 1 ]]; then
-    echo "serve smoke: no serve_proxy count moved on either peer" >&2
-    exit 1
-fi
-echo "   owner $served_a answered both entry points ($rel_a)"
-
-echo "== serve smoke: cross-peer trace stitches on both rings"
-# The entry point that is NOT the owner proxied its solve, so that
-# request's trace ID must appear in BOTH peers' span rings.
-if [[ "$served_a" == "$url_a" ]]; then
-    proxied_resp=artifacts/solve_peer_b.json
-else
-    proxied_resp=artifacts/solve_peer_a.json
-fi
-trace_id=$(grep -o '"trace_id": "[0-9a-f]*"' "$proxied_resp" | head -1 | grep -o '[0-9a-f]\{16\}')
-if [[ -z "$trace_id" ]]; then
-    echo "serve smoke: proxied solve response carries no trace_id" >&2
-    cat "$proxied_resp" >&2
-    exit 1
-fi
-curl -fsS "$url_a/traces" >artifacts/trace_peer_a.json
-curl -fsS "$url_b/traces" >artifacts/trace_peer_b.json
-for f in artifacts/trace_peer_a.json artifacts/trace_peer_b.json; do
-    if ! grep -q "$trace_id" "$f"; then
-        echo "serve smoke: trace $trace_id missing from $f — proxied solve did not stitch" >&2
-        exit 1
-    fi
-done
-echo "   trace $trace_id present in both peers' rings"
-
-echo "== serve smoke: /cluster/metrics.json sums the fleet"
-curl -fsS "$url_a/cluster/metrics.json" >artifacts/cluster_metrics.json
-curl -fsS "$url_a/cluster/metrics" >artifacts/cluster_metrics.prom
-python3 - artifacts/cluster_metrics.json <<'EOF'
-import json, sys
-doc = json.load(open(sys.argv[1]))
-assert not doc.get("errors"), f"cluster scrape had errors: {doc['errors']}"
-peers = doc["peers"]
-assert len(peers) == 2, f"expected 2 peers, got {peers}"
-per = doc["per_peer"]
-merged = doc["merged"]
-want = sum(per[p].get("counters", {}).get("serve.request", 0) for p in peers)
-got = merged["counters"]["serve.request"]
-assert got == want > 0, f"merged serve.request={got}, per-peer sum={want}"
-hname = "serve.request.seconds"
-hists = [per[p].get("histograms", {}).get(hname) for p in peers]
-if all(hists):
-    hsum = sum(h["count"] for h in hists)
-    hm = merged["histograms"][hname]
-    assert hm["count"] == hsum > 0, f"merged {hname} count={hm['count']}, sum={hsum}"
-    assert sum(hm["counts"]) == hsum, "merged histogram buckets do not sum to count"
-print(f"   merged serve.request={got} across {len(peers)} peers checks out")
-EOF
-if ! grep -q '^serve_request ' artifacts/cluster_metrics.prom; then
-    echo "serve smoke: /cluster/metrics Prometheus text missing serve_request" >&2
-    exit 1
-fi
-
-echo "== serve smoke: nvrel fleet snapshot"
-artifacts/nvrel fleet -peers "$peers" -strict \
-    -o artifacts/fleet.json -trace artifacts/fleet_trace.json
-python3 - artifacts/fleet.json artifacts/fleet_trace.json "$trace_id" <<'EOF'
-import json, sys
-doc = json.load(open(sys.argv[1]))
-assert doc["manifest"]["command"] == "fleet"
-want = sum(p.get("counters", {}).get("serve.request", 0) for p in doc["per_peer"].values())
-assert doc["merged"]["counters"]["serve.request"] == want > 0
-trace = json.load(open(sys.argv[2]))
-events = trace["traceEvents"]
-assert events, "stitched fleet trace is empty"
-ts = [e["ts"] for e in events]
-assert ts == sorted(ts), "stitched fleet trace not time-ordered"
-stitched = [e for e in events if e.get("args", {}).get("trace_id") == sys.argv[3]]
-assert len(stitched) >= 2, f"proxied trace has {len(stitched)} spans in the fleet timeline, want >=2"
-print(f"   fleet.json + fleet_trace.json: {len(events)} spans, proxied trace spans={len(stitched)}")
-EOF
-
-echo "== serve smoke: peer kill/restart under load (self-healing)"
-# SIGKILL one peer of the pair mid-loadgen: every request the dead peer
-# owned must still come back 200 from the surviving entry point (as a
-# degraded local solve), the survivor's breaker must open, and after the
-# peer restarts the ring must re-converge — breaker closed, proxied
-# solves owned by the restarted peer again.
-artifacts/nvrel loadgen -url "$url_a" -duration 6s -concurrency 3 \
-    -mix 0.5,0.3,0.2 -max-error-rate 0 -slo-availability 0.999 \
-    -o artifacts/smoke_kill_loadgen.json >artifacts/smoke_kill_loadgen.log 2>&1 &
-lg_pid=$!
-sleep 1.5
-kill -9 "$peer_b_pid"
-wait "$peer_b_pid" 2>/dev/null || true
-echo "   peer_b SIGKILLed mid-run"
-sleep 1.5
-artifacts/nvrel serve -addr "127.0.0.1:$port_b" -peers "$peers" -self "$url_b" \
-    >>artifacts/serve_peer_b.log 2>&1 &
-peer_b_pid=$!
-echo "   peer_b restarted"
-lg_rc=0
-wait "$lg_pid" || lg_rc=$?
-if [[ "$lg_rc" != 0 ]]; then
-    echo "serve smoke: loadgen saw client-visible errors during the peer kill (exit $lg_rc)" >&2
-    cat artifacts/smoke_kill_loadgen.log >&2
-    exit 1
-fi
-# The survivor must have served the dead peer's keys itself...
-if ! grep -q '"degraded"' artifacts/smoke_kill_loadgen.json; then
-    echo "serve smoke: no degraded answers recorded while a peer was dead" >&2
-    cat artifacts/smoke_kill_loadgen.json >&2
-    exit 1
-fi
-curl -fsS "$url_a/metrics" >artifacts/smoke_kill_metrics.prom
-if ! awk '$1 == "fleet_degraded_solve" { if ($2 + 0 > 0) found = 1 } END { exit !found }' artifacts/smoke_kill_metrics.prom; then
-    echo "serve smoke: fleet_degraded_solve did not move on the survivor" >&2
-    grep '^fleet_' artifacts/smoke_kill_metrics.prom >&2 || true
-    exit 1
-fi
-# ...and its circuit breaker must have opened on the dead peer.
-if ! awk '$1 == "fleet_breaker_open" { if ($2 + 0 > 0) found = 1 } END { exit !found }' artifacts/smoke_kill_metrics.prom; then
-    echo "serve smoke: fleet_breaker_open did not move on the survivor" >&2
-    grep '^fleet_' artifacts/smoke_kill_metrics.prom >&2 || true
-    exit 1
-fi
-# Re-convergence: the survivor's prober sees the restarted peer, closes
-# the breaker, and /healthz reports it healthy again (bounded poll).
-reconverged=0
-for _ in $(seq 1 100); do
-    if curl -fsS "$url_a/healthz" 2>/dev/null |
-        python3 -c '
-import json, sys
-doc = json.load(sys.stdin)
-peers = {p["peer"]: p for p in doc.get("peers", [])}
-sys.argv[1] in peers or sys.exit(1)
-p = peers[sys.argv[1]]
-sys.exit(0 if p["healthy"] and p["breaker"] == "closed" else 1)
-' "$url_b" 2>/dev/null; then
-        reconverged=1
-        break
-    fi
-    sleep 0.2
-done
-if [[ "$reconverged" != 1 ]]; then
-    echo "serve smoke: restarted peer never re-converged on $url_a/healthz" >&2
-    curl -fsS "$url_a/healthz" >&2 || true
-    exit 1
-fi
-if ! curl -fsS "$url_a/metrics" | awk '$1 == "fleet_breaker_close" { if ($2 + 0 > 0) found = 1 } END { exit !found }'; then
-    echo "serve smoke: breaker never closed again after the restart" >&2
-    exit 1
-fi
-# The ring must agree again: both entries route a shared key to one owner.
-served_a2=$(curl -fsS -D - -o /dev/null -X POST -d "$body" "$url_a/solve" |
-    tr -d '\r' | awk -F': ' 'tolower($1) == "x-nvrel-served-by" { print $2 }')
-served_b2=$(curl -fsS -D - -o /dev/null -X POST -d "$body" "$url_b/solve" |
-    tr -d '\r' | awk -F': ' 'tolower($1) == "x-nvrel-served-by" { print $2 }')
-if [[ -z "$served_a2" || "$served_a2" != "$served_b2" ]]; then
-    echo "serve smoke: ring did not re-converge after restart ('$served_a2' vs '$served_b2')" >&2
-    exit 1
-fi
-echo "   survivor degraded + breaker open->close + ring re-converged"
-
-cleanup_pair
-trap cleanup EXIT
-
 echo "== serve smoke: rejuvenation drain (-rejuvenate-requests)"
 # A daemon with a 2-request rejuvenation budget must drain and exit 0 on
 # its own after the second solve — the paper's software rejuvenation
