@@ -40,6 +40,7 @@ const defaultChaosItemTimeout = 2 * time.Second
 var chaosEvidenceCounters = []string{
 	"petri.solve.recovered",
 	"mrgp.solve.recovered_dense",
+	"mrgp.krylov.discarded",
 	"parallel.item.retry",
 	"parallel.worker.respawn",
 	"linalg.seed.rejected",
@@ -59,6 +60,7 @@ func defaultChaosPlan(seed int64) *faultinject.Plan {
 		{Site: "petri.stamp.corrupt", Mode: "scale", Value: 1.75},
 		{Site: "mrgp.power.stall", Mode: "fire"},
 		{Site: "mrgp.kernel.panic", Mode: "panic"},
+		{Site: "mrgp.krylov.breakdown", Mode: "fire"},
 		{Site: "parallel.worker.panic", Mode: "panic"},
 		{Site: "parallel.worker.stall", Mode: "stall", DelayMS: 5000},
 		{Site: "nvp.result.nan", Mode: "fire"},

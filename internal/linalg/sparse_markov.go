@@ -20,9 +20,11 @@ var ErrNotConverged = errors.New("linalg: iterative solver did not converge")
 // sparse kernels' O(nnz) matvecs and O(n) memory dominate. The default was
 // chosen from the BENCH_scale.json curves: the CTMC steady state crosses
 // over at ~153 states and the transient series wins from the smallest
-// models, while the MRGP path is within 4% of parity at 176 states and
-// wins outright from 247 — so 160 sits in the tie band where no family
-// loses measurably and the fast-growing ones already win.
+// models — so 160 sits in the tie band where no family loses measurably.
+// The sparse MRGP path, with its Krylov start, now wins from the smallest
+// measured model (6x at 70 states, 14x at 176); a lower threshold for
+// that family alone is left to its own change, since it moves the
+// dense-routed results.
 var SparseThreshold = 160
 
 // GS iteration limits. The tolerance is on the L1 change of the iterate per

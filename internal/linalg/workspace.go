@@ -27,9 +27,11 @@ type poissonMemo struct {
 	right   int
 }
 
-// poissonMemoLimit bounds the memo so pathological sweeps over thousands
-// of distinct (lambda, epsilon) pairs cannot grow it without bound.
-const poissonMemoLimit = 512
+// poissonMemoLimit bounds the memo. Reuse only matters within one solve,
+// whose series all share a handful of (lambda, epsilon) pairs; a daemon
+// answering unique parameter points would otherwise keep every weight
+// vector it ever computed (megabytes per pooled workspace).
+const poissonMemoLimit = 8
 
 // NewWorkspace returns an empty workspace.
 func NewWorkspace() *Workspace {

@@ -123,3 +123,36 @@ func TestSolveCtxDeadline(t *testing.T) {
 		t.Fatalf("expired ctx gave %v", err)
 	}
 }
+
+// TestKrylovBreakdownHandsOffToPower: a broken-down Krylov start is
+// discarded (mrgp.krylov.discarded moves), the power finisher still
+// converges on the sparse rung to the dense reference, and the route
+// needs more applications than the Krylov-started solve.
+func TestKrylovBreakdownHandsOffToPower(t *testing.T) {
+	g, dense := sparseRoutedGraph(t)
+	_, fast, err := Solve(nil, nil, g, Opts{Rung: "mrgp-sparse"})
+	if err != nil {
+		t.Fatalf("clean sparse solve: %v", err)
+	}
+	prevObs := obs.Enabled()
+	obs.Enable()
+	t.Cleanup(func() { obs.SetEnabled(prevObs) })
+	discarded0 := obs.CounterFor("mrgp.krylov.discarded").Value()
+
+	armMrgpFault(t, faultinject.Fault{Site: "mrgp.krylov.breakdown"})
+	sol, diag, err := Solve(nil, nil, g, Opts{Rung: "mrgp-sparse"})
+	if err != nil {
+		t.Fatalf("sparse rung did not absorb the breakdown: %v", err)
+	}
+	if d := obs.CounterFor("mrgp.krylov.discarded").Value() - discarded0; d != 1 {
+		t.Errorf("mrgp.krylov.discarded delta = %d, want 1", d)
+	}
+	if diag.PowerIters <= fast.PowerIters {
+		t.Errorf("power-only start took %d applications, Krylov start %d", diag.PowerIters, fast.PowerIters)
+	}
+	for i := range sol.Pi {
+		if math.Abs(sol.Pi[i]-dense.Pi[i]) > 1e-12 {
+			t.Fatalf("Pi[%d] = %.17g, dense reference %.17g", i, sol.Pi[i], dense.Pi[i])
+		}
+	}
+}

@@ -23,8 +23,14 @@ var (
 	metRoutedSparse   = obs.CounterFor("mrgp.solve.routed_sparse")
 	metRecoveredDense = obs.CounterFor("mrgp.solve.recovered_dense")
 
-	// Sparse embedded-chain power iteration: cycles run across solves and
+	// Sparse embedded-chain operator applications (Krylov start and power
+	// finisher alike, one uniformization series each) across solves, and
 	// the final L1 residual of the most recent solve.
 	metPowerCycles   = obs.CounterFor("mrgp.power.cycles")
 	metPowerResidual = obs.GaugeFor("mrgp.power.final_residual")
+
+	// Krylov starts whose result was discarded (breakdown, non-finite or
+	// zero mass), leaving the power finisher to run from the original
+	// start.
+	metKrylovDiscarded = obs.CounterFor("mrgp.krylov.discarded")
 )

@@ -13,4 +13,8 @@ var (
 	// fiMrgpPanic panics inside the embedded-chain cycle loop, exercising
 	// the recover-and-fall-back layer of Solve.
 	fiMrgpPanic = faultinject.SiteFor("mrgp.kernel.panic")
+	// fiKrylovBreakdown forces a breakdown of the embedded-chain Krylov
+	// start, exercising the discard path that hands the original start
+	// to the power finisher.
+	fiKrylovBreakdown = faultinject.SiteFor("mrgp.krylov.breakdown")
 )

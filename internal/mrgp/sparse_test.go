@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"nvrel/internal/linalg"
+	"nvrel/internal/obs"
 	"nvrel/internal/petri"
 )
 
@@ -172,5 +173,64 @@ func TestTransientPairCSRMatchesDense(t *testing.T) {
 			ws.PutMat(tmS)
 			ws.PutMat(umS)
 		}
+	}
+}
+
+// TestKrylovStartNoAllocAfterWarmup: the Krylov stage takes its basis,
+// Hessenberg and rotation storage from the workspace, so once the
+// workspace is warm a start allocates nothing.
+func TestKrylovStartNoAllocAfterWarmup(t *testing.T) {
+	g := explore(t, buildClockedPopulation(t, 9, 30))
+	ws := linalg.NewWorkspace()
+	q, err := g.GeneratorCSR(ws)
+	if err != nil {
+		t.Fatal(err)
+	}
+	delay, err := commonDelay(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := g.NumStates()
+	op := embeddedOp{ws: ws, q: q, d: g.DetBranchCSR(), delay: delay, rate: q.MaxAbsDiag() * 1.02, moved: make([]float64, n)}
+	v := make([]float64, n)
+	start := func() {
+		for i := range v {
+			v[i] = 1 / float64(n)
+		}
+		if applied, err := op.krylov(nil, v); err != nil || applied == 0 {
+			t.Fatalf("krylov: %d applications, %v", applied, err)
+		}
+	}
+	start()
+	if allocs := testing.AllocsPerRun(5, start); allocs != 0 {
+		t.Errorf("Krylov start allocated %.0f times per run after warm-up", allocs)
+	}
+}
+
+// TestPoissonMemoServesOneSolve: the workspace Poisson memo is bounded
+// to a few entries, yet after it has churned through many unrelated
+// means every series of one sparse solve after the first still hits it.
+func TestPoissonMemoServesOneSolve(t *testing.T) {
+	g := explore(t, buildClockedPopulation(t, 9, 30))
+	ws := linalg.NewWorkspace()
+	for i := 0; i < 50; i++ {
+		ws.Poisson(100+float64(i), truncationEpsilon)
+	}
+	prevObs := obs.Enabled()
+	obs.Enable()
+	t.Cleanup(func() { obs.SetEnabled(prevObs) })
+	hit0 := obs.CounterFor("linalg.workspace.poisson.hit").Value()
+	miss0 := obs.CounterFor("linalg.workspace.poisson.miss").Value()
+	_, diag, err := Solve(nil, ws, g, Opts{Rung: "mrgp-sparse"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hits := obs.CounterFor("linalg.workspace.poisson.hit").Value() - hit0
+	misses := obs.CounterFor("linalg.workspace.poisson.miss").Value() - miss0
+	// One miss for the first series; every other application and the
+	// occupancy integral reuse its weights.
+	if misses != 1 || hits != int64(diag.PowerIters) {
+		t.Errorf("poisson memo: %d misses, %d hits over %d applications; want 1 miss and %d hits",
+			misses, hits, diag.PowerIters, diag.PowerIters)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"math"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -94,6 +95,44 @@ func TestSiblingTracesGetDistinctRoots(t *testing.T) {
 		}
 		if len(CollectTrace(a.TraceID())) != 1 || len(CollectTrace(b.TraceID())) != 1 {
 			t.Error("CollectTrace mixed spans across traces")
+		}
+	})
+}
+
+// TestCollectTraceMatchesFilteredSnapshot: collecting one trace under
+// the slot locks yields exactly the full snapshot filtered by trace ID,
+// in the same order, when several traces' spans interleave in the ring.
+func TestCollectTraceMatchesFilteredSnapshot(t *testing.T) {
+	withTracing(t, func() {
+		const traces = 5
+		var ctxs [traces]context.Context
+		var roots [traces]*TraceSpan
+		for i := range roots {
+			ctxs[i], roots[i] = StartSpan(nil, "interleaved.root")
+			roots[i].Int("trace", int64(i))
+		}
+		for round := 0; round < 4; round++ {
+			for i := range ctxs {
+				_, c := StartSpan(ctxs[(i+round)%traces], "interleaved.child")
+				c.Int("round", int64(round)).Str("k", "v")
+				c.End()
+			}
+		}
+		for i := traces - 1; i >= 0; i-- {
+			roots[i].End()
+		}
+		all := TraceSnapshot()
+		for _, root := range roots {
+			var want []SpanRecord
+			for _, r := range all {
+				if r.Trace == root.TraceID() {
+					want = append(want, r)
+				}
+			}
+			got := CollectTrace(root.TraceID())
+			if len(got) != 5 || !reflect.DeepEqual(got, want) {
+				t.Errorf("trace %x: CollectTrace = %+v, filtered snapshot %+v", root.TraceID(), got, want)
+			}
 		}
 	})
 }

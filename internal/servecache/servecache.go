@@ -21,7 +21,6 @@ import (
 	"container/list"
 	"fmt"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -256,14 +255,17 @@ func (c *Cache[V]) setNow(now func() time.Time) { c.now = now }
 // key exactly when every float64 is bit-identical after normalization, so
 // a cache hit can never alias two distinguishable solver inputs. This is
 // the same signature vector internal/warmstart ranks neighbors with —
-// warmstart compares it by L1 distance, the cache by exact identity.
+// warmstart compares it by L1 distance, the cache by exact identity. The
+// key bytes feed shadow sampling and event hashes, so their format is
+// pinned by TestKeyBytesPinned.
 func Key(prefix string, sig []float64) string {
-	var b strings.Builder
-	b.Grow(len(prefix) + 1 + len(sig)*20)
-	b.WriteString(prefix)
+	// A paper signature renders to ~200 bytes; building it in a stack
+	// buffer leaves one exact-size allocation, the returned string.
+	var buf [384]byte
+	b := append(buf[:0], prefix...)
 	for _, v := range sig {
-		b.WriteByte('|')
-		b.WriteString(strconv.FormatFloat(v, 'x', -1, 64))
+		b = append(b, '|')
+		b = strconv.AppendFloat(b, v, 'x', -1, 64)
 	}
-	return b.String()
+	return string(b)
 }

@@ -202,3 +202,22 @@ func TestKeyCanonical(t *testing.T) {
 		t.Error("distinct float64s collide")
 	}
 }
+
+// TestKeyBytesPinned pins the exact key bytes: shadow sampling and event
+// hashes are functions of them, so any change of rendering would move
+// which requests are sampled. The key is also exactly its content long
+// and costs one allocation.
+func TestKeyBytesPinned(t *testing.T) {
+	sig := []float64{10, 1, 1, 0.5, 0.9, 0.05, 1523, 1e5, 30, 60, 450, 0, 1}
+	const want = "6v|0x1.4p+03|0x1p+00|0x1p+00|0x1p-01|0x1.ccccccccccccdp-01|0x1.999999999999ap-05|" +
+		"0x1.7ccp+10|0x1.86ap+16|0x1.ep+04|0x1.ep+05|0x1.c2p+08|0x0p+00|0x1p+00"
+	if got := Key("6v", sig); got != want {
+		t.Errorf("Key = %q, want %q", got, want)
+	}
+	if got, want := Key("4v", []float64{-0.1, 1e-300, 5e-324}), "4v|-0x1.999999999999ap-04|0x1.56e1fc2f8f359p-997|0x1p-1074"; got != want {
+		t.Errorf("Key = %q, want %q", got, want)
+	}
+	if allocs := testing.AllocsPerRun(10, func() { Key("6v", sig) }); allocs != 1 {
+		t.Errorf("Key allocated %.0f times, want 1 (the string)", allocs)
+	}
+}
