@@ -93,12 +93,12 @@ func run() error {
 		fmt.Printf("  longest mission with P(error-free) >= %.0f%%: %.0f s (%.1f min)\n",
 			100*survivalTarget, lo, lo/60)
 
-		// 4. Voter-outage horizon (exact only without the clock).
-		if mtto, err := a.model.MeanTimeToVoterOutage(); err == nil {
-			fmt.Printf("  mean time to voter outage:          %.0f s (%.1f days)\n", mtto, mtto/86400)
-		} else {
-			fmt.Printf("  mean time to voter outage:          (simulate: see `nvrel run outage`)\n")
+		// 4. Voter-outage horizon (exact first passage for both designs).
+		mtto, err := a.model.MeanTimeToVoterOutage()
+		if err != nil {
+			return err
 		}
+		fmt.Printf("  mean time to voter outage:          %.0f s (%.1f days)\n", mtto, mtto/86400)
 		fmt.Println()
 	}
 	fmt.Println("reading the numbers: very short missions are limited by the all-healthy")

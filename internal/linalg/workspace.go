@@ -33,6 +33,12 @@ type poissonMemo struct {
 // vector it ever computed (megabytes per pooled workspace).
 const poissonMemoLimit = 8
 
+// matPoolDims bounds how many distinct matrix sizes the pool holds. One
+// solve works in a handful of sizes; a long-lived workspace that sweeps
+// many model sizes (the architecture comparison solves every (N, f, r))
+// would otherwise keep every n x n matrix it ever released.
+const matPoolDims = 4
+
 // NewWorkspace returns an empty workspace.
 func NewWorkspace() *Workspace {
 	return &Workspace{
@@ -88,12 +94,17 @@ func (ws *Workspace) Mat(rows, cols int) *Dense {
 	return m
 }
 
-// PutMat releases a matrix obtained from Mat back to the workspace.
+// PutMat releases a matrix obtained from Mat back to the workspace. A
+// size that would make more than matPoolDims sizes pooled first empties
+// the pool.
 func (ws *Workspace) PutMat(m *Dense) {
 	if ws == nil || m == nil {
 		return
 	}
 	d := matDim{m.rows, m.cols}
+	if _, ok := ws.mats[d]; !ok && len(ws.mats) >= matPoolDims {
+		clear(ws.mats)
+	}
 	ws.mats[d] = append(ws.mats[d], m)
 }
 

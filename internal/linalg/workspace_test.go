@@ -2,6 +2,8 @@ package linalg
 
 import (
 	"testing"
+
+	"nvrel/internal/obs"
 )
 
 // testGenerator returns a small irreducible CTMC generator.
@@ -119,6 +121,35 @@ func TestWorkspacePoissonMemo(t *testing.T) {
 	again, _ := ws.Poisson(37.5, 1e-12)
 	if &again[0] != &got[0] {
 		t.Error("memo miss on identical (lambda, epsilon)")
+	}
+}
+
+// TestWorkspaceMatPoolBounded: cycling through more than matPoolDims
+// sizes leaves at most matPoolDims pooled, and a released matrix of a
+// pooled size is still handed back on the next request.
+func TestWorkspaceMatPoolBounded(t *testing.T) {
+	prev := obs.Enable()
+	t.Cleanup(func() { obs.SetEnabled(prev) })
+	ws := NewWorkspace()
+	for n := 1; n <= 3*matPoolDims; n++ {
+		ws.PutMat(ws.Mat(n, n))
+		if len(ws.mats) > matPoolDims {
+			t.Fatalf("after size %d: %d sizes pooled, want <= %d", n, len(ws.mats), matPoolDims)
+		}
+	}
+	m := ws.Mat(7, 7)
+	m.Set(0, 0, 3)
+	ws.PutMat(m)
+	hits := metWSMatHit.Value()
+	again := ws.Mat(7, 7)
+	if again != m {
+		t.Error("same-size request after release did not reuse the pooled matrix")
+	}
+	if metWSMatHit.Value() == hits {
+		t.Error("same-size reuse not counted as a pool hit")
+	}
+	if again.At(0, 0) != 0 {
+		t.Error("reused matrix not zeroed")
 	}
 }
 

@@ -4,11 +4,8 @@ import (
 	"errors"
 
 	"nvrel/internal/ctmc"
+	"nvrel/internal/mrgp"
 )
-
-// ErrOutageUnsupported is returned when exact outage analysis is requested
-// for the clocked architecture; use the simulator (percept) there.
-var ErrOutageUnsupported = errors.New("nvp: exact outage analysis requires the architecture without rejuvenation")
 
 // MeanTimeToVoterOutage returns the expected time, starting from the
 // all-healthy state, until the voter first cannot reach a decision: fewer
@@ -18,25 +15,17 @@ var ErrOutageUnsupported = errors.New("nvp: exact outage analysis requires the a
 // correct, erroneous, or deliberately skipped; after it the voter is
 // structurally silent until a repair completes.
 //
-// Exact analysis is available for the CTMC architecture (no rejuvenation).
-// The clocked architecture needs the deterministic timer in the hitting
-// analysis; estimate it with the percept simulator instead.
+// The CTMC architecture is solved as a CTMC first passage, the clocked
+// one as an MRGP first passage over clock epochs (mrgp.MeanTimeToTarget).
+// The waits-for-wave clock is outside the MRGP class and returns
+// mrgp.ErrClockNotAlwaysEnabled.
 func (m *Model) MeanTimeToVoterOutage() (float64, error) {
+	target, err := m.outageTarget()
+	if err != nil {
+		return 0, err
+	}
 	if m.Arch == WithRejuvenation {
-		return 0, ErrOutageUnsupported
-	}
-	maxDown := m.Params.Scheme().MaxDown()
-	target := make([]bool, m.Graph.NumStates())
-	reachable := false
-	for s, mk := range m.Graph.Markings {
-		_, _, k := m.classify(mk)
-		if k > maxDown {
-			target[s] = true
-			reachable = true
-		}
-	}
-	if !reachable {
-		return 0, errors.New("nvp: no voter-outage states are reachable in this model")
+		return mrgp.MeanTimeToTarget(nil, nil, m.Graph, target)
 	}
 	q, err := m.Graph.Generator()
 	if err != nil {
@@ -51,4 +40,21 @@ func (m *Model) MeanTimeToVoterOutage() (float64, error) {
 		return 0, err
 	}
 	return fp.MeanTimeFrom(m.Graph.Initial)
+}
+
+// outageTarget flags the markings in which the voter is structurally
+// silent; a rejuvenating module counts as down.
+func (m *Model) outageTarget() ([]bool, error) {
+	scheme := m.Params.Scheme()
+	target := make([]bool, m.Graph.NumStates())
+	reachable := false
+	for s, mk := range m.Graph.Markings {
+		_, _, k := m.classify(mk)
+		target[s] = scheme.Outage(k)
+		reachable = reachable || target[s]
+	}
+	if !reachable {
+		return nil, errors.New("nvp: no voter-outage states are reachable in this model")
+	}
+	return target, nil
 }

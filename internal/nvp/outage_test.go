@@ -2,7 +2,11 @@ package nvp
 
 import (
 	"errors"
+	"math"
 	"testing"
+
+	"nvrel/internal/mrgp"
+	"nvrel/internal/petri"
 )
 
 func TestMeanTimeToVoterOutageFourVersion(t *testing.T) {
@@ -49,12 +53,65 @@ func TestMeanTimeToVoterOutageScalesWithRepair(t *testing.T) {
 	}
 }
 
-func TestMeanTimeToVoterOutageRejectsClockedModel(t *testing.T) {
+func TestMeanTimeToVoterOutageClockedModel(t *testing.T) {
 	m, err := BuildWithRejuvenation(DefaultSixVersion())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.MeanTimeToVoterOutage(); !errors.Is(err, ErrOutageUnsupported) {
-		t.Errorf("err = %v, want ErrOutageUnsupported", err)
+	mtto, err := m.MeanTimeToVoterOutage()
+	if err != nil {
+		t.Fatalf("MeanTimeToVoterOutage: %v", err)
+	}
+	// Golden value from the MRGP first-passage solve (~31,789 days).
+	const want = 2.746570687e9
+	if rel := math.Abs(mtto-want) / want; rel > 1e-6 {
+		t.Errorf("MTTO = %.10g s, want %.10g (rel err %.2g)", mtto, want, rel)
+	}
+
+	wave := DefaultSixVersion()
+	wave.Clock = ClockWaitsForWave
+	mw, err := BuildWithRejuvenation(wave)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := mw.MeanTimeToVoterOutage(); !errors.Is(err, mrgp.ErrClockNotAlwaysEnabled) {
+		t.Errorf("waits-for-wave err = %v, want mrgp.ErrClockNotAlwaysEnabled", err)
+	}
+}
+
+// TestOutageTargetMatchesScheme checks the absorbing set marking by
+// marking against the predicate the simulator uses: Scheme.Outage of the
+// failed plus rejuvenating modules.
+func TestOutageTargetMatchesScheme(t *testing.T) {
+	for _, n := range []int{6, 8} {
+		p := DefaultSixVersion()
+		p.N = n
+		m, err := BuildWithRejuvenation(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		places := make(map[string]int)
+		for i := 0; i < m.Net.NumPlaces(); i++ {
+			places[m.Net.PlaceName(petri.PlaceRef(i))] = i
+		}
+		pmf, pmr := places["Pmf"], places["Pmr"]
+		target, err := m.outageTarget()
+		if err != nil {
+			t.Fatal(err)
+		}
+		scheme := p.Scheme()
+		rejuvenatingOutage := false
+		for s, mk := range m.Graph.Markings {
+			want := scheme.Outage(mk[pmf] + mk[pmr])
+			if target[s] != want {
+				t.Errorf("N=%d %s: target %v, want %v", n, m.Net.FormatMarking(mk), target[s], want)
+			}
+			if want && !scheme.Outage(mk[pmf]) {
+				rejuvenatingOutage = true
+			}
+		}
+		if !rejuvenatingOutage {
+			t.Errorf("N=%d: no marking where a rejuvenating module tips the voter into outage", n)
+		}
 	}
 }

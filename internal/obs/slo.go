@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"math"
 	"sync"
 	"time"
 )
@@ -63,10 +62,12 @@ func (c SLOConfig) withDefaults() SLOConfig {
 
 // SLOTracker scores requests against rolling-window availability and
 // latency objectives. The window is a fixed array of time slices, each
-// holding a request/error count and the same log2-ns latency histogram
-// the Timing metrics use — so a tracker is a few KB, never allocates
-// per request, and reports exact windowed counts rather than decayed
-// estimates.
+// holding request, error and slow-request counts, the largest latency,
+// and the same log2-ns latency histogram the Timing metrics use — so a
+// tracker is a few KB, never allocates per request, and reports exact
+// windowed counts rather than decayed estimates. The latency threshold is
+// known at construction, so requests slower than it are counted exactly;
+// the histogram only feeds the reported quantile.
 type SLOTracker struct {
 	cfg    SLOConfig
 	sliceD time.Duration
@@ -80,6 +81,8 @@ type sloSlice struct {
 	epoch  int64 // sliceD-granular time; stale slices are re-zeroed lazily
 	total  int64
 	errors int64
+	slow   int64 // requests slower than cfg.Latency
+	maxNS  int64 // largest latency recorded in the slice
 	lat    [latencyBuckets]int64
 }
 
@@ -112,6 +115,10 @@ func (t *SLOTracker) Record(d time.Duration, failed bool) {
 	if failed {
 		s.errors++
 	}
+	if d > t.cfg.Latency {
+		s.slow++
+	}
+	s.maxNS = max(s.maxNS, int64(d))
 	s.lat[latencyBucket(int64(d))]++
 	t.mu.Unlock()
 }
@@ -156,7 +163,10 @@ func (t *SLOTracker) Report() SLOReport {
 
 	nowEpoch := t.now().UnixNano() / int64(t.sliceD)
 	oldest := nowEpoch - int64(len(t.slices)) + 1
-	var lat [latencyBuckets]int64
+	var (
+		lat         [latencyBuckets]int64
+		slow, maxNS int64
+	)
 	t.mu.Lock()
 	for i := range t.slices {
 		s := &t.slices[i]
@@ -165,6 +175,8 @@ func (t *SLOTracker) Report() SLOReport {
 		}
 		rep.Requests += s.total
 		rep.Errors += s.errors
+		slow += s.slow
+		maxNS = max(maxNS, s.maxNS)
 		for b, c := range s.lat {
 			lat[b] += c
 		}
@@ -178,43 +190,9 @@ func (t *SLOTracker) Report() SLOReport {
 	rep.Availability = 1 - float64(rep.Errors)/float64(rep.Requests)
 	rep.AvailabilityBurnRate = (1 - rep.Availability) / rep.ErrorBudget
 
-	rep.QuantileSeconds = log2Quantile(&lat, rep.Requests, t.cfg.LatencyP, 0) / 1e9
-	rep.SlowFraction = slowFraction(&lat, rep.Requests, t.cfg.Latency)
+	rep.QuantileSeconds = log2Quantile(&lat, rep.Requests, t.cfg.LatencyP, float64(maxNS)) / 1e9
+	rep.SlowFraction = float64(slow) / float64(rep.Requests)
 	rep.LatencyBurnRate = rep.SlowFraction / (1 - t.cfg.LatencyP)
 	rep.Healthy = rep.AvailabilityBurnRate < 1 && rep.LatencyBurnRate < 1
 	return rep
-}
-
-// slowFraction estimates the fraction of samples slower than the
-// threshold from log2-ns buckets, linearly interpolating within the
-// octave containing the threshold.
-func slowFraction(counts *[latencyBuckets]int64, n int64, threshold time.Duration) float64 {
-	if n == 0 {
-		return 0
-	}
-	tns := int64(threshold)
-	tb := latencyBucket(tns)
-	var slow float64
-	for b := tb + 1; b < latencyBuckets; b++ {
-		slow += float64(counts[b])
-	}
-	// Split the threshold's own octave [2^(tb-1), 2^tb) proportionally.
-	if c := counts[tb]; c > 0 {
-		var lo, hi float64
-		if tb == 0 {
-			lo, hi = 0, 1
-		} else {
-			lo = math.Ldexp(1, tb-1)
-			hi = lo * 2
-		}
-		frac := (hi - float64(tns)) / (hi - lo)
-		if frac < 0 {
-			frac = 0
-		}
-		if frac > 1 {
-			frac = 1
-		}
-		slow += float64(c) * frac
-	}
-	return slow / float64(n)
 }

@@ -124,3 +124,28 @@ func TestSLOWindowExpiry(t *testing.T) {
 		t.Error("recovered window reported unhealthy")
 	}
 }
+
+// TestSLOSingleRequestUnderThreshold: one 0.55 s request sits in the same
+// log2 octave as the 1 s objective. It is not slow, so the window is
+// healthy with a zero slow fraction, and the reported p99 cannot exceed
+// the largest latency actually recorded.
+func TestSLOSingleRequestUnderThreshold(t *testing.T) {
+	tr, _ := testSLO(SLOConfig{})
+	tr.Record(550*time.Millisecond, false)
+	rep := tr.Report()
+	if !rep.Healthy || rep.SlowFraction != 0 || rep.LatencyBurnRate != 0 {
+		t.Errorf("report = %+v, want healthy with slow fraction 0", rep)
+	}
+	if rep.QuantileSeconds > 0.55 {
+		t.Errorf("p99 = %vs, above the only recorded latency 0.55s", rep.QuantileSeconds)
+	}
+
+	// A request exactly at the objective is not slower than it; one just
+	// above is.
+	tr2, _ := testSLO(SLOConfig{})
+	tr2.Record(time.Second, false)
+	tr2.Record(time.Second+time.Nanosecond, false)
+	if rep := tr2.Report(); rep.SlowFraction != 0.5 {
+		t.Errorf("slow fraction = %v, want 0.5", rep.SlowFraction)
+	}
+}

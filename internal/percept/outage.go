@@ -38,11 +38,6 @@ type OutageEstimate struct {
 	// outage (their times are excluded from MeanTime, so the estimate is
 	// biased low when Censored > 0).
 	Censored int
-	// ExponentialMLE is the censoring-aware maximum-likelihood estimate of
-	// the mean time to outage under an exponential model: total observed
-	// time (including censored runs) divided by the number of observed
-	// outages. Zero when no outage was observed.
-	ExponentialMLE float64
 }
 
 // EstimateOutage replicates RunUntilOutage. Request sampling and warm-up
@@ -55,9 +50,8 @@ func EstimateOutage(cfg Config, n int, seed uint64, maxHorizon float64) (*Outage
 		return nil, errors.New("percept: replication count must be positive")
 	}
 	var (
-		acc       des.Accumulator
-		censored  int
-		totalTime float64
+		acc      des.Accumulator
+		censored int
 	)
 	master := des.NewRNG(seed)
 	for rep := 0; rep < n; rep++ {
@@ -71,15 +65,9 @@ func EstimateOutage(cfg Config, n int, seed uint64, maxHorizon float64) (*Outage
 		}
 		if tOut < 0 {
 			censored++
-			totalTime += maxHorizon
 			continue
 		}
-		totalTime += tOut
 		acc.Add(tOut)
 	}
-	est := &OutageEstimate{MeanTime: acc.Summarize(), Censored: censored}
-	if acc.N() > 0 {
-		est.ExponentialMLE = totalTime / float64(acc.N())
-	}
-	return est, nil
+	return &OutageEstimate{MeanTime: acc.Summarize(), Censored: censored}, nil
 }

@@ -1,6 +1,7 @@
 package percept
 
 import (
+	"math"
 	"testing"
 
 	"nvrel/internal/des"
@@ -53,11 +54,6 @@ func TestEstimateOutageMatchesExact(t *testing.T) {
 	if !est.MeanTime.Contains(exact) {
 		t.Errorf("exact %.0f outside simulated CI %v", exact, est.MeanTime)
 	}
-	// The exponential MLE agrees with the plain mean when nothing is
-	// censored.
-	if est.ExponentialMLE <= 0 {
-		t.Errorf("MLE = %g", est.ExponentialMLE)
-	}
 }
 
 func TestEstimateOutageValidation(t *testing.T) {
@@ -90,5 +86,52 @@ func TestOutageRejuvenationExtendsAvailability(t *testing.T) {
 	if six.Censored <= four.Censored {
 		t.Errorf("six-version censored %d should exceed four-version %d at horizon %g",
 			six.Censored, four.Censored, horizon)
+	}
+}
+
+// TestOutageExactMatchesDES cross-checks the exact MRGP first-passage
+// value of the clocked architecture against the simulator at stressed
+// parameters, where outages arrive within a few thousand seconds instead
+// of ~10^9. The band is 4 standard errors of the replicated mean; no run
+// may be censored at a 100x horizon.
+func TestOutageExactMatchesDES(t *testing.T) {
+	for _, tc := range []struct {
+		name                          string
+		compromise, fail, repair, tau float64
+	}{
+		{name: "fast attack", compromise: 20, fail: 40},
+		{name: "fast attack, short clock", compromise: 30, fail: 60, tau: 300},
+		{name: "fast attack, slow repair", compromise: 15, fail: 30, repair: 10},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p := nvp.DefaultSixVersion()
+			p.MeanTimeToCompromise, p.MeanTimeToFailure = tc.compromise, tc.fail
+			if tc.repair > 0 {
+				p.MeanTimeToRepair = tc.repair
+			}
+			if tc.tau > 0 {
+				p.RejuvenationInterval = tc.tau
+			}
+			model, err := nvp.BuildWithRejuvenation(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			exact, err := model.MeanTimeToVoterOutage()
+			if err != nil {
+				t.Fatal(err)
+			}
+			est, err := EstimateOutage(Config{Params: p, Rejuvenation: true, Horizon: 1}, 2000, 11, 100*exact)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Logf("exact %.1f s, DES %.1f ± %.1f (SE)", exact, est.MeanTime.Mean, est.MeanTime.StdErr)
+			if est.Censored != 0 {
+				t.Errorf("censored = %d with a 100x horizon", est.Censored)
+			}
+			if d := math.Abs(est.MeanTime.Mean - exact); d > 4*est.MeanTime.StdErr {
+				t.Errorf("DES mean %.1f ± %.1f (SE) vs exact %.1f: off by %.1f SE",
+					est.MeanTime.Mean, est.MeanTime.StdErr, exact, d/est.MeanTime.StdErr)
+			}
+		})
 	}
 }

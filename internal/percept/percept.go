@@ -160,7 +160,7 @@ type System struct {
 	labelScheme voter.LabelScheme
 
 	firstOutage float64
-	maxDown     int
+	scheme      reliability.Scheme
 
 	occupancy  map[[3]int]float64
 	lastState  [3]int
@@ -202,7 +202,7 @@ func New(cfg Config, rng *des.RNG) (*System, error) {
 		healthy:   cfg.Params.N,
 	}
 	s.firstOutage = -1
-	s.maxDown = cfg.Params.Scheme().MaxDown()
+	s.scheme = cfg.Params.Scheme()
 	if cfg.Classes >= 2 {
 		s.labelScheme = cfg.LabelScheme
 		if s.labelScheme == nil {
@@ -310,7 +310,7 @@ func (s *System) stateTriple() [3]int {
 // and records the first voter outage. Call it after mutating the
 // population counts.
 func (s *System) noteStateChange() {
-	if s.firstOutage < 0 && s.failed+s.rejuvenating > s.maxDown {
+	if s.firstOutage < 0 && s.scheme.Outage(s.failed+s.rejuvenating) {
 		s.firstOutage = s.sim.Now()
 	}
 	if !s.measuring {

@@ -34,6 +34,10 @@ func (s Scheme) Threshold() int { return 2*s.F + s.R + 1 }
 // satisfied: beyond it the voter cannot gather Threshold() outputs.
 func (s Scheme) MaxDown() int { return s.N - s.Threshold() }
 
+// Outage reports whether down non-operational modules (failed or
+// rejuvenating) leave the voter structurally silent: down > MaxDown().
+func (s Scheme) Outage(down int) bool { return down > s.MaxDown() }
+
 // Dependent returns the generalized Ege-style dependent-error reliability
 // function for an arbitrary scheme. The probability that exactly m of i
 // healthy modules err is modeled as
