@@ -3,6 +3,7 @@ package des
 import (
 	"errors"
 	"math"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -400,6 +401,91 @@ func TestClockMonotoneProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
+	}
+}
+
+// Property: with ties in time and random cancellations, the events that
+// fire are exactly the uncanceled ones, in sort.Slice (time, seq) order.
+func TestEventHeapPopOrderProperty(t *testing.T) {
+	for seed := uint64(1); seed <= 200; seed++ {
+		r := NewRNG(seed)
+		var s Simulation
+		var all, fired []*Handle
+		for i, n := 0, 1+r.Intn(300); i < n; i++ {
+			var h *Handle
+			// Few distinct delays, so most events tie in time.
+			h = mustSchedule(t, &s, float64(r.Intn(8))/4, func() { fired = append(fired, h) })
+			all = append(all, h)
+		}
+		var want []*Handle
+		for _, h := range all {
+			if r.Bernoulli(0.3) {
+				h.Cancel()
+			} else {
+				want = append(want, h)
+			}
+		}
+		sort.Slice(want, func(i, j int) bool {
+			if want[i].time != want[j].time {
+				return want[i].time < want[j].time
+			}
+			return want[i].seq < want[j].seq
+		})
+		s.RunUntil(math.Inf(1))
+		if len(fired) != len(want) {
+			t.Fatalf("seed %d: fired %d events, want %d", seed, len(fired), len(want))
+		}
+		for i := range want {
+			if fired[i] != want[i] {
+				t.Fatalf("seed %d: pop %d is (%g, %d), want (%g, %d)",
+					seed, i, fired[i].time, fired[i].seq, want[i].time, want[i].seq)
+			}
+		}
+	}
+}
+
+// Property: events scheduled and canceled from inside actions while the
+// heap drains still fire in strictly increasing (time, seq) order, and
+// every uncanceled event fires.
+func TestEventHeapNestedScheduleProperty(t *testing.T) {
+	for seed := uint64(1); seed <= 200; seed++ {
+		r := NewRNG(seed)
+		var s Simulation
+		var all, fired []*Handle
+		var schedule func()
+		schedule = func() {
+			var h *Handle
+			h = mustSchedule(t, &s, float64(r.Intn(4))/2, func() {
+				fired = append(fired, h)
+				for k := r.Intn(3); k > 0 && len(all) < 500; k-- {
+					schedule()
+				}
+				if r.Bernoulli(0.2) {
+					all[r.Intn(len(all))].Cancel()
+				}
+			})
+			all = append(all, h)
+		}
+		for i := 0; i < 20; i++ {
+			schedule()
+		}
+		s.RunUntil(math.Inf(1))
+		done := make(map[*Handle]bool, len(fired))
+		for i, h := range fired {
+			done[h] = true
+			if i == 0 {
+				continue
+			}
+			p := fired[i-1]
+			if h.time < p.time || (h.time == p.time && h.seq <= p.seq) {
+				t.Fatalf("seed %d: pop %d (%g, %d) after (%g, %d)", seed, i, h.time, h.seq, p.time, p.seq)
+			}
+		}
+		for _, h := range all {
+			if !h.Canceled() && !done[h] {
+				t.Fatalf("seed %d: uncanceled event (%g, %d) never fired", seed, h.time, h.seq)
+			}
+		}
 	}
 }
 

@@ -1,7 +1,6 @@
 package des
 
 import (
-	"container/heap"
 	"errors"
 	"math"
 )
@@ -18,7 +17,6 @@ type Handle struct {
 	seq      uint64
 	action   Action
 	canceled bool
-	index    int // heap position, -1 once popped
 }
 
 // Cancel prevents the event from firing. Canceling an already-fired or
@@ -51,7 +49,7 @@ func (s *Simulation) Now() float64 { return s.now }
 func (s *Simulation) Fired() uint64 { return s.fired }
 
 // Pending returns the number of scheduled (possibly canceled) events.
-func (s *Simulation) Pending() int { return s.events.Len() }
+func (s *Simulation) Pending() int { return len(s.events) }
 
 // Schedule enqueues action to fire after delay. Ties are broken in
 // scheduling order, which keeps runs deterministic.
@@ -64,14 +62,14 @@ func (s *Simulation) Schedule(delay float64, action Action) (*Handle, error) {
 	}
 	h := &Handle{time: s.now + delay, seq: s.seq, action: action}
 	s.seq++
-	heap.Push(&s.events, h)
+	s.events.push(h)
 	return h, nil
 }
 
 // Step fires the next pending event, returning false when none remain.
 func (s *Simulation) Step() bool {
-	for s.events.Len() > 0 {
-		h := heap.Pop(&s.events).(*Handle)
+	for len(s.events) > 0 {
+		h := s.events.pop()
 		if h.canceled {
 			continue
 		}
@@ -88,7 +86,7 @@ func (s *Simulation) Step() bool {
 // events remain. Events scheduled exactly at the horizon still fire; the
 // clock never exceeds the horizon.
 func (s *Simulation) RunUntil(horizon float64) {
-	for s.events.Len() > 0 {
+	for len(s.events) > 0 {
 		next := s.peek()
 		if next == nil {
 			return
@@ -106,46 +104,72 @@ func (s *Simulation) RunUntil(horizon float64) {
 
 // peek returns the next non-canceled event without firing it.
 func (s *Simulation) peek() *Handle {
-	for s.events.Len() > 0 {
+	for len(s.events) > 0 {
 		h := s.events[0]
 		if !h.canceled {
 			return h
 		}
-		heap.Pop(&s.events)
+		s.events.pop()
 	}
 	return nil
 }
 
-// eventHeap orders events by (time, seq).
+// eventHeap is a binary min-heap of events ordered by (time, seq). seq is
+// unique, so the order is strict and total: the pop sequence depends only
+// on the events, never on the heap's layout.
 type eventHeap []*Handle
 
-func (h eventHeap) Len() int { return len(h) }
-
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].time != h[j].time {
-		return h[i].time < h[j].time
+// before reports whether a fires ahead of b.
+func before(a, b *Handle) bool {
+	if a.time != b.time {
+		return a.time < b.time
 	}
-	return h[i].seq < h[j].seq
+	return a.seq < b.seq
 }
 
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
+// push inserts e, sifting it up from the last leaf.
+func (h *eventHeap) push(e *Handle) {
+	s := append(*h, e)
+	i := len(s) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !before(e, s[parent]) {
+			break
+		}
+		s[i] = s[parent]
+		i = parent
+	}
+	s[i] = e
+	*h = s
 }
 
-func (h *eventHeap) Push(x any) {
-	e := x.(*Handle)
-	e.index = len(*h)
-	*h = append(*h, e)
-}
-
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	e.index = -1
-	*h = old[:n-1]
-	return e
+// pop removes and returns the earliest event; the heap must be non-empty.
+// The last leaf moves into the root's place and sifts down.
+func (h *eventHeap) pop() *Handle {
+	s := *h
+	top := s[0]
+	n := len(s) - 1
+	last := s[n]
+	s[n] = nil
+	s = s[:n]
+	if n > 0 {
+		i := 0
+		for {
+			c := 2*i + 1
+			if c >= n {
+				break
+			}
+			if r := c + 1; r < n && before(s[r], s[c]) {
+				c = r
+			}
+			if !before(s[c], last) {
+				break
+			}
+			s[i] = s[c]
+			i = c
+		}
+		s[i] = last
+	}
+	*h = s
+	return top
 }

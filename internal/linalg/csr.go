@@ -43,6 +43,12 @@ func NewCSR(rows, cols, nnz int) *CSR {
 // which is always materialized so generator kernels can read exit rates
 // without searching.
 func CSRFromDense(d *Dense) *CSR {
+	return (*Workspace)(nil).CSRFromDense(d)
+}
+
+// CSRFromDense is the workspace-backed form of the package-level
+// function: the CSR comes from ws.CSR, so release it with ws.PutCSR.
+func (ws *Workspace) CSRFromDense(d *Dense) *CSR {
 	rows, cols := d.Dims()
 	nnz := 0
 	for i := 0; i < rows; i++ {
@@ -52,7 +58,7 @@ func CSRFromDense(d *Dense) *CSR {
 			}
 		}
 	}
-	c := NewCSR(rows, cols, nnz)
+	c := ws.CSR(rows, cols, nnz)
 	k := 0
 	for i := 0; i < rows; i++ {
 		c.RowPtr[i] = k

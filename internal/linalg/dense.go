@@ -115,6 +115,20 @@ func (m *Dense) AddMat(other *Dense) error {
 	return nil
 }
 
+// AddScaled accumulates m += s * src in place; s == 0 leaves m untouched.
+func (m *Dense) AddScaled(src *Dense, s float64) error {
+	if m.rows != src.rows || m.cols != src.cols {
+		return ErrDimensionMismatch
+	}
+	if s == 0 {
+		return nil
+	}
+	for i, v := range src.data {
+		m.data[i] += s * v
+	}
+	return nil
+}
+
 // Mul returns the matrix product m * other.
 func (m *Dense) Mul(other *Dense) (*Dense, error) {
 	out := NewDense(m.rows, other.cols)

@@ -92,7 +92,7 @@ func (ws *Workspace) UniformizedPower(q *Dense, pi []float64, t, rate, epsilon f
 		return dst, nil
 	}
 	p := ws.uniformizedDTMC(q, rate)
-	defer ws.PutMat(p)
+	defer ws.PutCSR(p)
 	weights, right := ws.Poisson(rate*t, epsilon)
 
 	cur := ws.Vec(n)
@@ -160,7 +160,7 @@ func (ws *Workspace) UniformizedIntegral(q *Dense, pi []float64, t, rate, epsilo
 		return dst, nil
 	}
 	p := ws.uniformizedDTMC(q, rate)
-	defer ws.PutMat(p)
+	defer ws.PutCSR(p)
 	weights, right := ws.Poisson(rate*t, epsilon)
 	// tail[k] = P[K > k] = 1 - sum_{j<=k} w[j]
 	tail := ws.Vec(right + 1)
@@ -223,14 +223,19 @@ func uniformizationRate(q *Dense) float64 {
 	return max * 1.02
 }
 
-// uniformizedDTMC returns P = I + Q/rate in a workspace matrix.
-func (ws *Workspace) uniformizedDTMC(q *Dense, rate float64) *Dense {
+// uniformizedDTMC returns P = I + Q/rate as a workspace CSR; release it
+// with ws.PutCSR. P has the generator's sparsity, so each series term
+// costs O(nnz) instead of the dense vector product's O(n^2), with the same
+// sums in the same order (the dense product's zero entries of P only ever
+// add +0).
+func (ws *Workspace) uniformizedDTMC(q *Dense, rate float64) *CSR {
 	n, _ := q.Dims()
 	p := ws.Mat(n, n)
+	defer ws.PutMat(p)
 	p.CopyFrom(q)
 	p.Scale(1 / rate)
 	for i := 0; i < n; i++ {
 		p.Add(i, i, 1)
 	}
-	return p
+	return ws.CSRFromDense(p)
 }

@@ -21,10 +21,11 @@ var ErrNotConverged = errors.New("linalg: iterative solver did not converge")
 // chosen from the BENCH_scale.json curves: the CTMC steady state crosses
 // over at ~153 states and the transient series wins from the smallest
 // models — so 160 sits in the tie band where no family loses measurably.
-// The sparse MRGP path, with its Krylov start, now wins from the smallest
-// measured model (6x at 70 states, 14x at 176); a lower threshold for
-// that family alone is left to its own change, since it moves the
-// dense-routed results.
+// The MRGP crossover depends on rate*tau rather than on the state count:
+// at 70 states the sparse route is 2x faster at tau = 100 s but 1.2x
+// slower at 600 s and 20x slower at 3000 s, where the dense route's
+// doubling pays (DESIGN.md section 7). A lower MRGP threshold would slow
+// the long-interval sweep points, so the family shares this one.
 var SparseThreshold = 160
 
 // GS iteration limits. The tolerance is on the L1 change of the iterate per

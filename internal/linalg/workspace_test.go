@@ -192,3 +192,43 @@ func BenchmarkUniformizedPowerNoAlloc(b *testing.B) {
 		}
 	}
 }
+
+// TestUniformizedIntegralNoAlloc: the integral kernel takes P's CSR form,
+// the tail weights and both series vectors from the workspace, so with a
+// caller-provided destination it too runs allocation-free after warm-up.
+func TestUniformizedIntegralNoAlloc(t *testing.T) {
+	q := testGenerator()
+	pi := []float64{1, 0, 0, 0}
+	dst := make([]float64, 4)
+	ws := NewWorkspace()
+	if _, err := ws.UniformizedIntegral(q, pi, 1.7, 0, 1e-12, dst); err != nil {
+		t.Fatalf("warm-up: %v", err)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := ws.UniformizedIntegral(q, pi, 1.7, 0, 1e-12, dst); err != nil {
+			t.Fatalf("UniformizedIntegral: %v", err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("steady-state allocations = %v, want 0", allocs)
+	}
+}
+
+// BenchmarkUniformizedIntegralNoAlloc guards the same property in
+// benchmark form; -benchmem must report 0 allocs/op after warm-up.
+func BenchmarkUniformizedIntegralNoAlloc(b *testing.B) {
+	q := testGenerator()
+	pi := []float64{1, 0, 0, 0}
+	dst := make([]float64, 4)
+	ws := NewWorkspace()
+	if _, err := ws.UniformizedIntegral(q, pi, 1.7, 0, 1e-12, dst); err != nil {
+		b.Fatalf("warm-up: %v", err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := ws.UniformizedIntegral(q, pi, 1.7, 0, 1e-12, dst); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

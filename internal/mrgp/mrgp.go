@@ -226,7 +226,7 @@ func validateSolution(site string, sol *Solution) error {
 }
 
 // solveDense computes the solution with the dense kernels (dense
-// generator, dense scaling-and-doubling transient pair, GTH on the
+// generator, dense scaling-and-doubling transient series, GTH on the
 // embedded chain), unconditionally. It is the reference path the sparse
 // solver is validated against and the backstop when the sparse power
 // iteration does not converge.
@@ -244,33 +244,38 @@ func solveDense(ws *linalg.Workspace, g *petri.Graph) (*Solution, error) {
 	}
 	metSolveDense.Inc()
 
+	// T = e^{Q tau} via uniformization with scaling and doubling (see
+	// transient.go). The occupancy needs only sigma * U(tau), which the
+	// retained squarings give without forming U, and its base-step series
+	// needs only Q's CSR form, so the dense generator is released early.
 	q, err := g.GeneratorWS(ws)
 	if err != nil {
 		return nil, err
 	}
-	defer ws.PutMat(q)
+	sq, err := newSquarings(ws, q, delay, false)
+	qc := ws.CSRFromDense(q)
+	ws.PutMat(q)
+	defer ws.PutCSR(qc)
+	if err != nil {
+		return nil, fmt.Errorf("transient pair: %w", err)
+	}
+	defer sq.release(ws)
 
-	// D: branching matrix applied at clock firings.
+	// D: branching matrix applied at clock firings, multiplied in CSR form
+	// (the same sums in the same order as the dense product).
 	d := ws.Mat(n, n)
-	defer ws.PutMat(d)
 	for i, sched := range g.Det {
 		for _, pe := range sched.Successors {
 			d.Add(i, pe.To, pe.Prob)
 		}
 	}
-
-	// T = e^{Q tau} and U = Integral_0^tau e^{Qt} dt via uniformization
-	// with scaling and doubling (see transient.go).
-	tMat, uMat, err := transientPairDense(ws, q, delay)
-	if err != nil {
-		return nil, fmt.Errorf("transient pair: %w", err)
-	}
-	defer ws.PutMat(tMat)
-	defer ws.PutMat(uMat)
+	dc := ws.CSRFromDense(d)
+	ws.PutMat(d)
+	defer ws.PutCSR(dc)
 
 	p := ws.Mat(n, n)
 	defer ws.PutMat(p)
-	if err := p.MulInto(tMat, d); err != nil {
+	if err := p.MulCSRInto(sq.T(), dc); err != nil {
 		return nil, err
 	}
 	sigma, err := embeddedStationary(ws, p)
@@ -279,7 +284,7 @@ func solveDense(ws *linalg.Workspace, g *petri.Graph) (*Solution, error) {
 	}
 
 	occupancy := make([]float64, n)
-	if err := uMat.VecMulInto(occupancy, sigma); err != nil {
+	if err := sq.occupancy(ws, qc, sigma, occupancy); err != nil {
 		return nil, err
 	}
 	linalg.Normalize(occupancy)

@@ -21,70 +21,167 @@ func transientPair(ws *linalg.Workspace, q *linalg.Dense, t float64) (tm, um *li
 	return transientPairDense(ws, q, t)
 }
 
-// transientPairDense computes the pair with dense scaling and doubling.
-//
-// Direct uniformization needs O(rate*t) series terms; with the paper's
-// rejuvenation intervals (hundreds to thousands of seconds against a 1/3 Hz
-// repair rate) that is over a thousand matrix terms. Scaling and doubling
-// evaluates the series at t/2^k where rate*t/2^k <= transientTarget and
-// then applies
-//
-//	T(2s) = T(s) T(s)
-//	U(2s) = U(s) + T(s) U(s)
-//
-// k times, reducing the work by roughly rate*t/(transientTarget + 3k).
+// transientPairDense computes the pair with dense scaling and doubling:
+// U(t) is derived from the retained squarings (see squarings.integral).
 func transientPairDense(ws *linalg.Workspace, q *linalg.Dense, t float64) (tm, um *linalg.Dense, err error) {
-	n, _ := q.Dims()
-	rate := maxExitRate(q)
-	if rate == 0 || t == 0 {
-		// Frozen chain: T = I, U = t*I.
-		tm = ws.Mat(n, n)
-		um = ws.Mat(n, n)
-		for i := 0; i < n; i++ {
-			tm.Set(i, i, 1)
-			um.Set(i, i, t)
-		}
-		return tm, um, nil
-	}
-
-	doublings := 0
-	base := t
-	for rate*base > transientTarget {
-		base /= 2
-		doublings++
-	}
-
-	tm, um, err = uniformizedPair(ws, q, rate, base)
+	sq, err := newSquarings(ws, q, t, true)
 	if err != nil {
 		return nil, nil, err
 	}
-	if doublings > 0 {
-		tu := ws.Mat(n, n)
-		tmp := ws.Mat(n, n)
-		for i := 0; i < doublings; i++ {
-			if err := tu.MulInto(tm, um); err != nil {
-				return nil, nil, err
-			}
-			if err := um.AddMat(tu); err != nil {
-				return nil, nil, err
-			}
-			if err := tmp.MulInto(tm, tm); err != nil {
-				return nil, nil, err
-			}
-			tm, tmp = tmp, tm
-		}
-		ws.PutMat(tu)
-		ws.PutMat(tmp)
+	um, err = sq.integral(ws)
+	if err != nil {
+		sq.release(ws)
+		return nil, nil, err
 	}
+	last := len(sq.pow) - 1
+	tm = sq.pow[last]
+	sq.pow = sq.pow[:last]
+	sq.release(ws)
 	return tm, um, nil
 }
 
-// uniformizedPair evaluates both series at horizon t directly. tm and um
-// come from ws; release them with ws.PutMat.
-func uniformizedPair(ws *linalg.Workspace, q *linalg.Dense, rate, t float64) (tm, um *linalg.Dense, err error) {
+// squarings is the dense scaling-and-doubling form of the transient pair
+// at horizon t. Direct uniformization needs O(rate*t) series terms; with
+// the paper's rejuvenation intervals (hundreds to thousands of seconds
+// against a 1/3 Hz repair rate) that is over a thousand matrix terms.
+// Scaling and doubling evaluates the series at the base step
+// b = t/2^d, where rate*b <= transientTarget, and squares:
+//
+//	pow[i] = T_b^{2^i},  i = 0..d,  so pow[d] = e^{Q t}.
+//
+// The integral U(t) = Integral_0^t e^{Q s} ds follows from the same
+// squarings by U(2s) = U(s) + T(s) U(s), that is
+//
+//	U(t) = (I + pow[d-1]) ... (I + pow[0]) U_b,
+//
+// so a caller that only needs x U(t) applies d vector products and one
+// base-step vector series instead of materializing U (see occupancy).
+type squarings struct {
+	rate float64
+	t    float64 // horizon
+	base float64 // base step b = t/2^d
+	pow  []*linalg.Dense
+	ub   *linalg.Dense // U_b, held only when requested
+}
+
+// newSquarings evaluates the base step and squares it d times. All
+// matrices come from ws; release them with sq.release. withU also keeps
+// the base-step integral matrix, which squarings.integral consumes.
+func newSquarings(ws *linalg.Workspace, q *linalg.Dense, t float64, withU bool) (*squarings, error) {
+	n, _ := q.Dims()
+	sq := &squarings{rate: maxExitRate(q), t: t, base: t}
+	if sq.frozen() {
+		// Frozen chain: T = I, U = t*I.
+		tm := ws.Mat(n, n)
+		for i := 0; i < n; i++ {
+			tm.Set(i, i, 1)
+		}
+		sq.pow = []*linalg.Dense{tm}
+		if withU {
+			sq.ub = ws.Mat(n, n)
+			for i := 0; i < n; i++ {
+				sq.ub.Set(i, i, t)
+			}
+		}
+		return sq, nil
+	}
+
+	doublings := 0
+	for sq.rate*sq.base > transientTarget {
+		sq.base /= 2
+		doublings++
+	}
+	tm, um, err := uniformizedPair(ws, q, sq.rate, sq.base, withU)
+	if err != nil {
+		return nil, err
+	}
+	sq.ub = um
+	sq.pow = append(make([]*linalg.Dense, 0, doublings+1), tm)
+	for i := 0; i < doublings; i++ {
+		next := ws.Mat(n, n)
+		sq.pow = append(sq.pow, next)
+		if err := next.MulInto(sq.pow[i], sq.pow[i]); err != nil {
+			sq.release(ws)
+			return nil, err
+		}
+	}
+	return sq, nil
+}
+
+// frozen reports the trivial cases T = I, U = t*I.
+func (sq *squarings) frozen() bool { return sq.rate == 0 || sq.t == 0 }
+
+// T returns e^{Q t}; it stays owned by sq.
+func (sq *squarings) T() *linalg.Dense { return sq.pow[len(sq.pow)-1] }
+
+// integral returns U(t) as a matrix, built by U_{i+1} = U_i + pow[i] U_i
+// from the base-step integral. The result is handed to the caller
+// (release it with ws.PutMat). It needs newSquarings(withU = true).
+func (sq *squarings) integral(ws *linalg.Workspace) (*linalg.Dense, error) {
+	um := sq.ub
+	sq.ub = nil
+	if len(sq.pow) == 1 {
+		return um, nil
+	}
+	n, _ := um.Dims()
+	tu := ws.Mat(n, n)
+	defer ws.PutMat(tu)
+	for _, p := range sq.pow[:len(sq.pow)-1] {
+		if err := tu.MulInto(p, um); err != nil {
+			ws.PutMat(um)
+			return nil, err
+		}
+		if err := um.AddMat(tu); err != nil {
+			ws.PutMat(um)
+			return nil, err
+		}
+	}
+	return um, nil
+}
+
+// occupancy writes dst = x U(t) without forming U(t): x is carried
+// through the factors (I + pow[i]) from the largest square down, and the
+// base-step integral is applied as a vector uniformization series over
+// qc, the generator the squarings were built from in CSR form.
+func (sq *squarings) occupancy(ws *linalg.Workspace, qc *linalg.CSR, x, dst []float64) error {
+	if sq.frozen() {
+		for j, v := range x {
+			dst[j] = sq.t * v
+		}
+		return nil
+	}
+	v := ws.Vec(len(x))
+	defer ws.PutVec(v)
+	tmp := ws.Vec(len(x))
+	defer ws.PutVec(tmp)
+	copy(v, x)
+	for i := len(sq.pow) - 2; i >= 0; i-- {
+		if err := sq.pow[i].VecMulInto(tmp, v); err != nil {
+			return err
+		}
+		for j, w := range tmp {
+			v[j] += w
+		}
+	}
+	_, err := ws.UniformizedIntegralCSR(qc, v, sq.base, sq.rate, truncationEpsilon, dst)
+	return err
+}
+
+// release returns every matrix still held by sq to ws.
+func (sq *squarings) release(ws *linalg.Workspace) {
+	for _, p := range sq.pow {
+		ws.PutMat(p)
+	}
+	ws.PutMat(sq.ub)
+	sq.pow, sq.ub = nil, nil
+}
+
+// uniformizedPair evaluates the series for T and, when withU is set, U at
+// horizon t directly (um is nil otherwise). tm and um come from ws;
+// release them with ws.PutMat.
+func uniformizedPair(ws *linalg.Workspace, q *linalg.Dense, rate, t float64, withU bool) (tm, um *linalg.Dense, err error) {
 	n, _ := q.Dims()
 	p := ws.Mat(n, n)
-	defer ws.PutMat(p)
 	p.CopyFrom(q)
 	p.Scale(1 / rate)
 	for i := 0; i < n; i++ {
@@ -93,28 +190,38 @@ func uniformizedPair(ws *linalg.Workspace, q *linalg.Dense, rate, t float64) (tm
 	// P has the generator's sparsity, so each term multiplies by it in CSR
 	// form: O(n*nnz) instead of O(n^3), and the same sums in the same order
 	// (the dense product's zero entries of P only ever add +0).
-	pc := linalg.CSRFromDense(p)
+	pc := ws.CSRFromDense(p)
+	ws.PutMat(p)
+	defer ws.PutCSR(pc)
 	weights, right := ws.Poisson(rate*t, truncationEpsilon)
-	tail := ws.Vec(right + 1)
-	acc := 0.0
-	for k := 0; k <= right; k++ {
-		acc += weights[k]
-		tail[k] = 1 - acc
-		if tail[k] < 0 {
-			tail[k] = 0
+	var tail []float64
+	if withU {
+		tail = ws.Vec(right + 1)
+		defer ws.PutVec(tail)
+		acc := 0.0
+		for k := 0; k <= right; k++ {
+			acc += weights[k]
+			tail[k] = 1 - acc
+			if tail[k] < 0 {
+				tail[k] = 0
+			}
 		}
+		um = ws.Mat(n, n)
 	}
 
 	tm = ws.Mat(n, n)
-	um = ws.Mat(n, n)
 	power := ws.Mat(n, n) // P^k
 	next := ws.Mat(n, n)
+	defer ws.PutMat(power)
+	defer ws.PutMat(next)
 	for i := 0; i < n; i++ {
 		power.Set(i, i, 1)
 	}
 	for k := 0; k <= right; k++ {
-		addScaled(tm, power, weights[k])
-		addScaled(um, power, tail[k]/rate)
+		tm.AddScaled(power, weights[k])
+		if withU {
+			um.AddScaled(power, tail[k]/rate)
+		}
 		if k == right {
 			break
 		}
@@ -123,9 +230,6 @@ func uniformizedPair(ws *linalg.Workspace, q *linalg.Dense, rate, t float64) (tm
 		}
 		power, next = next, power
 	}
-	ws.PutMat(power)
-	ws.PutMat(next)
-	ws.PutVec(tail)
 	return tm, um, nil
 }
 
@@ -181,8 +285,8 @@ func transientPairCSR(ws *linalg.Workspace, q *linalg.CSR, t float64) (tm, um *l
 		power.Set(i, i, 1)
 	}
 	for k := 0; k <= right; k++ {
-		addScaled(tm, power, weights[k])
-		addScaled(um, power, tail[k]/rate)
+		tm.AddScaled(power, weights[k])
+		um.AddScaled(power, tail[k]/rate)
 		if k == right {
 			break
 		}
@@ -195,19 +299,6 @@ func transientPairCSR(ws *linalg.Workspace, q *linalg.CSR, t float64) (tm, um *l
 	ws.PutMat(next)
 	ws.PutVec(tail)
 	return tm, um, nil
-}
-
-// addScaled accumulates dst += s * src.
-func addScaled(dst, src *linalg.Dense, s float64) {
-	if s == 0 {
-		return
-	}
-	rows, cols := dst.Dims()
-	for i := 0; i < rows; i++ {
-		for j := 0; j < cols; j++ {
-			dst.Add(i, j, s*src.At(i, j))
-		}
-	}
 }
 
 // maxExitRate returns the uniformization rate max_i |Q[i,i]| with a small

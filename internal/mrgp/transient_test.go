@@ -124,3 +124,56 @@ func TestTransientPairRowsStochastic(t *testing.T) {
 		}
 	}
 }
+
+// TestSquaringsOccupancy: x U(t) carried through the retained squarings
+// agrees with x times the materialized U(t); the frozen chains (rate 0
+// and horizon 0) agree bit for bit.
+func TestSquaringsOccupancy(t *testing.T) {
+	ws := linalg.NewWorkspace()
+	cases := []struct {
+		name    string
+		q       *linalg.Dense
+		horizon float64
+		exact   bool
+	}{
+		{"rate-0", linalg.NewDense(3, 3), 5, true},
+		{"horizon-0", randomGenerator(4, 3), 0, true},
+		{"base-step", randomGenerator(5, 7), 0.5, false},
+		{"doubled", randomGenerator(5, 7), 300, false},
+		{"doubled-long", randomGenerator(6, 11), 5000, false},
+	}
+	for _, c := range cases {
+		n, _ := c.q.Dims()
+		x := make([]float64, n)
+		for i := range x {
+			x[i] = 1 / float64(i+2)
+		}
+		sq, err := newSquarings(ws, c.q, c.horizon, false)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		got := make([]float64, n)
+		err = sq.occupancy(ws, linalg.CSRFromDense(c.q), x, got)
+		sq.release(ws)
+		if err != nil {
+			t.Fatalf("%s occupancy: %v", c.name, err)
+		}
+		_, um, err := transientPairDense(ws, c.q, c.horizon)
+		if err != nil {
+			t.Fatalf("%s pair: %v", c.name, err)
+		}
+		want, err := um.VecMul(x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j := range want {
+			if c.exact {
+				if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
+					t.Errorf("%s: occupancy[%d] = %.17g, want exactly %.17g", c.name, j, got[j], want[j])
+				}
+			} else if d := math.Abs(got[j] - want[j]); d > 1e-14*math.Max(1, math.Abs(want[j])) {
+				t.Errorf("%s: occupancy[%d] = %.17g, want %.17g (diff %.3g)", c.name, j, got[j], want[j], d)
+			}
+		}
+	}
+}

@@ -9,9 +9,14 @@ import (
 	"nvrel/internal/petri"
 )
 
-// denseN10Bits is E[R] of six-version N=10 on the dense MRGP rung. The
-// sparse route's pins below must stay within 1e-12 of it.
-const denseN10Bits uint64 = 0x3fead149e9b6cdbf
+// Dense MRGP rung pins. denseDefaultBits is E[R] of the six-version
+// default (70 states, which the routing sends dense); denseN10Bits is E[R]
+// of six-version N=10, and the sparse route's pins below must stay within
+// 1e-12 of it.
+const (
+	denseDefaultBits uint64 = 0x3fee19ca934d3a3b
+	denseN10Bits     uint64 = 0x3fead149e9b6cdbf
+)
 
 // goldenCase is one pinned solver route.
 type goldenCase struct {
@@ -101,7 +106,7 @@ func TestGoldenBitsPerRoute(t *testing.T) {
 	cases := []goldenCase{
 		{"4v-N4-dense-gth", false, four(4), nil, false, 0x3fea50ae2ff60c60},
 		{"4v-N24-sparse-gs", false, four(24), nil, true, 0x3ef485d90ad15826},
-		{"6v-default-dense-mrgp", true, sixVersion(0, ClockFreeRunning), nil, false, 0x3fee19ca934d3a3c},
+		{"6v-default-dense-mrgp", true, sixVersion(0, ClockFreeRunning), nil, false, denseDefaultBits},
 		{"6v-N10-sparse-mrgp", true, sixVersion(10, ClockFreeRunning), nil, true, 0x3fead149e9b6cdba},
 		{"6v-general-mrgp", true, sixVersion(0, ClockWaitsForWave), nil, false, 0x3fee19353cecf949},
 		{"6v-N10-warm-mrgp", true, sixVersion(10, ClockFreeRunning), sparseMRGPNeighbour(), true, 0x3fead149e9b6cdc1},
@@ -160,6 +165,49 @@ func TestKrylovBreakdownKeepsPowerOnlyBits(t *testing.T) {
 			}
 			if diag.Path != petri.PathSparse {
 				t.Errorf("path = %q, want the sparse route to absorb the breakdown", diag.Path)
+			}
+		})
+	}
+}
+
+// TestDenseMRGPRungPins re-derives the dense MRGP rung's pins and checks
+// each against the sparse rung at the same point: the default point (70
+// states, routed dense, pinned in TestGoldenBitsPerRoute) and N=10, whose
+// denseN10Bits is the reference the sparse route's pins are measured
+// against.
+func TestDenseMRGPRungPins(t *testing.T) {
+	cases := []struct {
+		name string
+		n    int
+		bits uint64
+	}{
+		{"6v-default", 0, denseDefaultBits},
+		{"6v-N10", 10, denseN10Bits},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			m, err := BuildWithRejuvenation(sixVersion(c.n, ClockFreeRunning))
+			if err != nil {
+				t.Fatal(err)
+			}
+			rung := func(name string) float64 {
+				t.Helper()
+				pi, _, err := m.SolveWith(nil, nil, Opts{Rung: name})
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				e, err := m.ExpectedPaperReliabilityFrom(pi)
+				if err != nil {
+					t.Fatalf("%s reward: %v", name, err)
+				}
+				return e
+			}
+			dense, sparse := rung("mrgp-dense"), rung("mrgp-sparse")
+			if got := math.Float64bits(dense); got != c.bits {
+				t.Errorf("dense E[R] = %.17g bits %#x, want %#x", dense, got, c.bits)
+			}
+			if d := math.Abs(dense - sparse); d > 1e-12 {
+				t.Errorf("dense E[R] = %.17g is %.3g from the sparse rung's %.17g", dense, d, sparse)
 			}
 		})
 	}
