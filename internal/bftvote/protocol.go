@@ -97,10 +97,18 @@ type replica struct {
 	id      ReplicaID
 	quorum  int
 	silent  bool // rejuvenating/crashed: neither votes nor processes
-	tallies map[Label]int
-	voted   map[ReplicaID]bool
+	tallies []labelCount
+	voted   []bool // indexed by sender; a window of the round's shared slice
 	out     *Decision
 	sim     *des.Simulation
+}
+
+// labelCount is one label's running vote count. Labels are arbitrary ints,
+// so a replica keeps its few distinct labels in a short list, not a slice
+// indexed by label.
+type labelCount struct {
+	label Label
+	count int
 }
 
 // onVote processes a received (or own) vote: first vote per sender counts.
@@ -109,10 +117,21 @@ func (r *replica) onVote(v Vote) {
 		return
 	}
 	r.voted[v.From] = true
-	r.tallies[v.Label]++
-	if r.tallies[v.Label] >= r.quorum {
+	if r.tally(v.Label) >= r.quorum {
 		*r.out = Decision{Decided: true, Label: v.Label, At: r.sim.Now()}
 	}
+}
+
+// tally counts one more vote for label and returns its new total.
+func (r *replica) tally(label Label) int {
+	for i := range r.tallies {
+		if r.tallies[i].label == label {
+			r.tallies[i].count++
+			return r.tallies[i].count
+		}
+	}
+	r.tallies = append(r.tallies, labelCount{label, 1})
+	return 1
 }
 
 // Run executes one voting round to completion (all deliveries processed or
@@ -130,13 +149,18 @@ func Run(cfg RoundConfig, rng *des.RNG) (*RoundResult, error) {
 
 	res := &RoundResult{Decisions: make([]Decision, n)}
 	replicas := make([]*replica, n)
+	// One allocation each for all replicas: replica i's sender flags are
+	// voted[i*n:(i+1)*n], and its tallies start in counts[2i:2i+2], room
+	// for the round's two labels.
+	voted := make([]bool, n*n)
+	counts := make([]labelCount, 2*n)
 	for i := 0; i < n; i++ {
 		replicas[i] = &replica{
 			id:      ReplicaID(i),
 			quorum:  cfg.Quorum,
 			silent:  cfg.Behaviors[i] == Silent,
-			tallies: make(map[Label]int),
-			voted:   make(map[ReplicaID]bool),
+			tallies: counts[2*i : 2*i : 2*i+2],
+			voted:   voted[i*n : (i+1)*n : (i+1)*n],
 			out:     &res.Decisions[i],
 			sim:     &sim,
 		}

@@ -48,6 +48,41 @@ func BenchmarkEventHeapChurn(b *testing.B) {
 	}
 }
 
+// BenchmarkRearmChurnNoAlloc: 1000 caller-owned timers kept pending while
+// events fire and re-arm other timers, the lifecycle pattern of the
+// perception simulator. Once the heap has grown, neither Rearm nor Step
+// may allocate; check.sh fails on any allocation.
+func BenchmarkRearmChurnNoAlloc(b *testing.B) {
+	var s Simulation
+	r := NewRNG(7)
+	timers := make([]Handle, 1000)
+	actions := make([]Action, len(timers))
+	for i := range timers {
+		h := &timers[i]
+		actions[i] = func() {
+			// Firing re-arms this timer and moves one other timer.
+			if err := s.Rearm(h, r.Exp(1), actions[i]); err != nil {
+				b.Fatal(err)
+			}
+			if j := r.Intn(len(timers)); j != i {
+				if err := s.Rearm(&timers[j], r.Exp(1), actions[j]); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	}
+	for i := range timers {
+		if err := s.Rearm(&timers[i], r.Exp(1), actions[i]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.Step()
+	}
+}
+
 func BenchmarkAccumulator(b *testing.B) {
 	var a Accumulator
 	for i := 0; i < b.N; i++ {

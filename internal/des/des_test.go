@@ -489,6 +489,192 @@ func TestEventHeapNestedScheduleProperty(t *testing.T) {
 	}
 }
 
+// Property: under a random interleave of Schedule, Rearm and Cancel,
+// issued both up front and from inside firing actions, every pop is the
+// earliest (time, seq) event of a reference model of the live set, and
+// the live set is empty once the heap drains: exactly the live events
+// fire, in sorted order.
+func TestEventHeapRearmCancelProperty(t *testing.T) {
+	type key struct {
+		time float64
+		seq  uint64
+	}
+	for seed := uint64(1); seed <= 200; seed++ {
+		r := NewRNG(seed)
+		var s Simulation
+		live := make(map[*Handle]key)
+		owned := make([]Handle, 8)
+		var all []*Handle
+		fires := 0
+		var mutate func()
+		fire := func(h *Handle) {
+			var next *Handle
+			for c, k := range live {
+				if next == nil || k.time < live[next].time || (k.time == live[next].time && k.seq < live[next].seq) {
+					next = c
+				}
+			}
+			if h != next {
+				t.Fatalf("seed %d: fired (%g, %d), earliest live is (%g, %d)",
+					seed, h.time, h.seq, live[next].time, live[next].seq)
+			}
+			delete(live, h)
+			if fires++; fires < 400 {
+				mutate()
+			}
+		}
+		mutate = func() {
+			for k := r.Intn(3); k >= 0; k-- {
+				delay := float64(r.Intn(4)) / 2
+				switch op := r.Intn(3); {
+				case op == 0 && len(all) < 500:
+					var h *Handle
+					h = mustSchedule(t, &s, delay, func() { fire(h) })
+					all = append(all, h)
+					live[h] = key{h.time, h.seq}
+				case op == 1:
+					h := &owned[r.Intn(len(owned))]
+					if err := s.Rearm(h, delay, func() { fire(h) }); err != nil {
+						t.Fatalf("Rearm: %v", err)
+					}
+					live[h] = key{h.time, h.seq}
+				default:
+					h := &owned[r.Intn(len(owned))]
+					if len(all) > 0 && r.Bernoulli(0.5) {
+						h = all[r.Intn(len(all))]
+					}
+					h.Cancel()
+					delete(live, h)
+				}
+				if s.Pending() != len(live) {
+					t.Fatalf("seed %d: Pending = %d, live = %d", seed, s.Pending(), len(live))
+				}
+			}
+		}
+		for i := 0; i < 10; i++ {
+			mutate()
+		}
+		s.RunUntil(math.Inf(1))
+		if len(live) != 0 || s.Pending() != 0 {
+			t.Fatalf("seed %d: %d live events never fired (Pending %d)", seed, len(live), s.Pending())
+		}
+	}
+}
+
+func TestRearm(t *testing.T) {
+	var s Simulation
+	var h Handle
+	var at []float64
+	fire := func() { at = append(at, s.Now()) }
+
+	// Re-arming a pending handle moves it: it fires once, at the new time.
+	if err := s.Rearm(&h, 5, fire); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Rearm(&h, 2, fire); err != nil {
+		t.Fatal(err)
+	}
+	if s.Pending() != 1 {
+		t.Errorf("Pending = %d after re-arming a pending handle, want 1", s.Pending())
+	}
+	s.RunUntil(10)
+	if len(at) != 1 || at[0] != 2 {
+		t.Fatalf("fired at %v, want [2]", at)
+	}
+
+	// Cancel on a handle that already fired is a no-op.
+	h.Cancel()
+	if h.Canceled() {
+		t.Error("Cancel after firing marked the handle canceled")
+	}
+
+	// Re-arming a fired handle makes it live again.
+	if err := s.Rearm(&h, 1, fire); err != nil {
+		t.Fatal(err)
+	}
+	s.RunUntil(20)
+	if len(at) != 2 || at[1] != 11 {
+		t.Fatalf("fired at %v, want [2 11]", at)
+	}
+
+	// Re-arming a canceled handle makes it live again.
+	if err := s.Rearm(&h, 1, fire); err != nil {
+		t.Fatal(err)
+	}
+	h.Cancel()
+	if !h.Canceled() || s.Pending() != 0 {
+		t.Fatalf("Canceled = %v, Pending = %d after Cancel", h.Canceled(), s.Pending())
+	}
+	if err := s.Rearm(&h, 3, fire); err != nil {
+		t.Fatal(err)
+	}
+	if h.Canceled() {
+		t.Error("re-armed handle still reports Canceled")
+	}
+	s.RunUntil(30)
+	if len(at) != 3 || at[2] != 23 {
+		t.Fatalf("fired at %v, want [2 11 23]", at)
+	}
+
+	// A rejected re-arm leaves a pending handle untouched.
+	if err := s.Rearm(&h, 4, fire); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Rearm(&h, -1, fire); !errors.Is(err, ErrTimeTravel) {
+		t.Errorf("err = %v, want ErrTimeTravel", err)
+	}
+	if err := s.Rearm(&h, 1, nil); err == nil {
+		t.Error("nil action accepted")
+	}
+	if s.Pending() != 1 || h.Time() != 34 {
+		t.Errorf("Pending = %d, Time = %g after rejected re-arms, want 1, 34", s.Pending(), h.Time())
+	}
+}
+
+// A handle can re-arm itself from inside its own action: the periodic
+// timer pattern.
+func TestRearmFromOwnAction(t *testing.T) {
+	var s Simulation
+	var h Handle
+	count := 0
+	var tick Action
+	tick = func() {
+		count++
+		if err := s.Rearm(&h, 1, tick); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Rearm(&h, 1, tick); err != nil {
+		t.Fatal(err)
+	}
+	s.RunUntil(10)
+	if count != 10 || s.Pending() != 1 {
+		t.Errorf("count = %d, Pending = %d, want 10, 1", count, s.Pending())
+	}
+}
+
+func TestPendingCountsOnlyLiveEvents(t *testing.T) {
+	var s Simulation
+	var hs []*Handle
+	for i := 0; i < 10; i++ {
+		hs = append(hs, mustSchedule(t, &s, float64(i), func() {}))
+	}
+	for i := 0; i < 10; i += 2 {
+		hs[i].Cancel()
+	}
+	if s.Pending() != 5 {
+		t.Errorf("Pending = %d after canceling 5 of 10, want 5", s.Pending())
+	}
+	hs[0].Cancel() // already canceled
+	if s.Pending() != 5 {
+		t.Errorf("Pending = %d after a repeated Cancel, want 5", s.Pending())
+	}
+	s.Step()
+	if s.Pending() != 4 || s.Now() != 1 {
+		t.Errorf("Pending = %d, Now = %g after one Step, want 4, 1", s.Pending(), s.Now())
+	}
+}
+
 func mustSchedule(t *testing.T, s *Simulation, delay float64, action Action) *Handle {
 	t.Helper()
 	h, err := s.Schedule(delay, action)

@@ -81,13 +81,19 @@ func (b *SignBenchmark) Classes() int { return b.classes }
 // Sample draws a labeled input: a class chosen uniformly and its prototype
 // plus observation noise.
 func (b *SignBenchmark) Sample(rng *des.RNG) (x []float64, label int) {
-	label = rng.Intn(b.classes)
 	x = make([]float64, b.dims)
+	return x, b.sampleInto(x, rng)
+}
+
+// sampleInto is Sample writing the input into x (length dims); it makes
+// the same draws in the same order.
+func (b *SignBenchmark) sampleInto(x []float64, rng *des.RNG) (label int) {
+	label = rng.Intn(b.classes)
 	proto := b.prototypes[label]
 	for d := range x {
 		x[d] = proto[d] + b.inputNoise*gaussian(rng)
 	}
-	return x, label
+	return label
 }
 
 // Classifier is a diverse prototype matcher, one per ML module version.
@@ -162,9 +168,9 @@ func (b *SignBenchmark) EstimateInaccuracy(c *Classifier, n int, rng *des.RNG) (
 		return 0, errors.New("mlsim: sample count must be positive")
 	}
 	errs := 0
+	x := make([]float64, b.dims)
 	for i := 0; i < n; i++ {
-		x, label := b.Sample(rng)
-		if c.Classify(x) != label {
+		if label := b.sampleInto(x, rng); c.Classify(x) != label {
 			errs++
 		}
 	}

@@ -49,27 +49,46 @@ func NewErrorModel(p, pPrime, alpha float64) (*ErrorModel, error) {
 // request: the first healthy entries then compromised entries. The
 // returned slice is freshly allocated.
 func (m *ErrorModel) SampleCorrectness(rng *des.RNG, healthy, compromised int) []bool {
+	return m.SampleCorrectnessInto(nil, rng, healthy, compromised)
+}
+
+// SampleCorrectnessInto is SampleCorrectness writing into dst, which is
+// reallocated only when its capacity is short. It makes the same draws in
+// the same order, so the output and the rng's state afterwards match
+// SampleCorrectness exactly.
+func (m *ErrorModel) SampleCorrectnessInto(dst []bool, rng *des.RNG, healthy, compromised int) []bool {
+	return sampleErrors(dst, true, false, m, rng, healthy, compromised)
+}
+
+// sampleErrors fills healthy+compromised entries of dst (grown if needed)
+// with ok, then draws the request's error pattern and overwrites each
+// erring module's entry with bad.
+func sampleErrors[T any](dst []T, ok, bad T, m *ErrorModel, rng *des.RNG, healthy, compromised int) []T {
 	if healthy < 0 || compromised < 0 {
 		panic("mlsim: negative module count")
 	}
-	out := make([]bool, healthy+compromised)
+	n := healthy + compromised
+	if cap(dst) < n {
+		dst = make([]T, n)
+	}
+	out := dst[:n]
 	for i := range out {
-		out[i] = true
+		out[i] = ok
 	}
 	if healthy > 0 && rng.Bernoulli(m.P) {
 		// Common-cause perturbation: one healthy module is fooled outright,
 		// the rest independently with probability alpha.
 		victim := rng.Intn(healthy)
-		out[victim] = false
+		out[victim] = bad
 		for i := 0; i < healthy; i++ {
 			if i != victim && rng.Bernoulli(m.Alpha) {
-				out[i] = false
+				out[i] = bad
 			}
 		}
 	}
 	for i := 0; i < compromised; i++ {
 		if rng.Bernoulli(m.PPrime) {
-			out[healthy+i] = false
+			out[healthy+i] = bad
 		}
 	}
 	return out
@@ -106,21 +125,29 @@ var ErrTooFewClasses = errors.New("mlsim: need at least two classes")
 
 // SampleLabels draws per-module output labels for a request with the given
 // ground-truth label. Erring modules output a wrong label chosen by the
-// policy.
+// policy. The returned slice is freshly allocated.
 func (m *ErrorModel) SampleLabels(rng *des.RNG, truth, classes, healthy, compromised int, policy WrongLabelPolicy) ([]int, error) {
+	return m.SampleLabelsInto(nil, rng, truth, classes, healthy, compromised, policy)
+}
+
+// SampleLabelsInto is SampleLabels writing into dst, which is reallocated
+// only when its capacity is short. It makes the same draws in the same
+// order, so the output and the rng's state afterwards match SampleLabels
+// exactly.
+func (m *ErrorModel) SampleLabelsInto(dst []int, rng *des.RNG, truth, classes, healthy, compromised int, policy WrongLabelPolicy) ([]int, error) {
 	if classes < 2 {
-		return nil, ErrTooFewClasses
+		return dst, ErrTooFewClasses
 	}
 	if truth < 0 || truth >= classes {
-		return nil, fmt.Errorf("mlsim: truth label %d outside [0,%d)", truth, classes)
+		return dst, fmt.Errorf("mlsim: truth label %d outside [0,%d)", truth, classes)
 	}
-	correct := m.SampleCorrectness(rng, healthy, compromised)
-	labels := make([]int, len(correct))
+	// Mark erring modules -1 (labels are non-negative), then draw the
+	// wrong labels: the common one first, per-module ones in index order.
+	labels := sampleErrors(dst, truth, -1, m, rng, healthy, compromised)
 	common := wrongLabel(rng, truth, classes)
-	for i, ok := range correct {
+	for i, l := range labels {
 		switch {
-		case ok:
-			labels[i] = truth
+		case l >= 0:
 		case policy == CommonWrongLabel:
 			labels[i] = common
 		default:

@@ -3,6 +3,7 @@ package mlsim
 import (
 	"errors"
 	"math"
+	"slices"
 	"testing"
 
 	"nvrel/internal/des"
@@ -426,5 +427,103 @@ func TestGaussianMoments(t *testing.T) {
 	}
 	if math.Abs(variance-1) > 0.02 {
 		t.Errorf("gaussian variance = %g", variance)
+	}
+}
+
+// refSampleCorrectness and refSampleLabels are the original allocating
+// samplers, kept verbatim as the draw-order reference.
+func refSampleCorrectness(m *ErrorModel, rng *des.RNG, healthy, compromised int) []bool {
+	out := make([]bool, healthy+compromised)
+	for i := range out {
+		out[i] = true
+	}
+	if healthy > 0 && rng.Bernoulli(m.P) {
+		victim := rng.Intn(healthy)
+		out[victim] = false
+		for i := 0; i < healthy; i++ {
+			if i != victim && rng.Bernoulli(m.Alpha) {
+				out[i] = false
+			}
+		}
+	}
+	for i := 0; i < compromised; i++ {
+		if rng.Bernoulli(m.PPrime) {
+			out[healthy+i] = false
+		}
+	}
+	return out
+}
+
+func refSampleLabels(m *ErrorModel, rng *des.RNG, truth, classes, healthy, compromised int, policy WrongLabelPolicy) []int {
+	correct := refSampleCorrectness(m, rng, healthy, compromised)
+	labels := make([]int, len(correct))
+	common := wrongLabel(rng, truth, classes)
+	for i, ok := range correct {
+		switch {
+		case ok:
+			labels[i] = truth
+		case policy == CommonWrongLabel:
+			labels[i] = common
+		default:
+			labels[i] = wrongLabel(rng, truth, classes)
+		}
+	}
+	return labels
+}
+
+// Property: the buffer-reusing samplers, fed dirty buffers of random length
+// and capacity, return what the allocating samplers and the original
+// reference return, and leave every rng in the same state.
+func TestSampleIntoMatchesAllocatingProperty(t *testing.T) {
+	gen := des.NewRNG(99)
+	var correctBuf []bool
+	var labelBuf []int
+	for iter := 0; iter < 5000; iter++ {
+		m, err := NewErrorModel(gen.Float64(), gen.Float64(), gen.Float64())
+		if err != nil {
+			t.Fatal(err)
+		}
+		healthy, compromised := gen.Intn(7), gen.Intn(4)
+		classes := 2 + gen.Intn(50)
+		truth := gen.Intn(classes)
+		policy := CommonWrongLabel
+		if gen.Bernoulli(0.5) {
+			policy = IndependentWrongLabels
+		}
+		// Dirty the buffers: stale contents, random length and capacity.
+		if gen.Bernoulli(0.2) {
+			correctBuf = make([]bool, gen.Intn(12))
+			labelBuf = make([]int, gen.Intn(12))
+		}
+		for i := range correctBuf {
+			correctBuf[i] = gen.Bernoulli(0.5)
+		}
+		for i := range labelBuf {
+			labelBuf[i] = gen.Intn(100) - 50
+		}
+
+		seed := gen.Uint64()
+		ref, alloc, into := des.NewRNG(seed), des.NewRNG(seed), des.NewRNG(seed)
+		want := refSampleCorrectness(m, ref, healthy, compromised)
+		got := m.SampleCorrectness(alloc, healthy, compromised)
+		correctBuf = m.SampleCorrectnessInto(correctBuf, into, healthy, compromised)
+		if !slices.Equal(got, want) || !slices.Equal(correctBuf, want) {
+			t.Fatalf("iter %d: correctness alloc %v, into %v, want %v", iter, got, correctBuf, want)
+		}
+		wantLabels := refSampleLabels(m, ref, truth, classes, healthy, compromised, policy)
+		gotLabels, err := m.SampleLabels(alloc, truth, classes, healthy, compromised, policy)
+		if err != nil {
+			t.Fatal(err)
+		}
+		labelBuf, err = m.SampleLabelsInto(labelBuf, into, truth, classes, healthy, compromised, policy)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(gotLabels, wantLabels) || !slices.Equal(labelBuf, wantLabels) {
+			t.Fatalf("iter %d: labels alloc %v, into %v, want %v", iter, gotLabels, labelBuf, wantLabels)
+		}
+		if r, a, i := ref.Uint64(), alloc.Uint64(), into.Uint64(); r != a || r != i {
+			t.Fatalf("iter %d: rng states diverged: %x %x %x", iter, r, a, i)
+		}
 	}
 }

@@ -49,3 +49,34 @@ func BenchmarkSimulationLabelVoting(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkPerceptStepNoAlloc steps a warmed label-voting System one event
+// at a time. Every timer is a re-armed handle, every action is bound in
+// New and every request samples into reused buffers, so no event may
+// allocate; check.sh fails on any allocation.
+func BenchmarkPerceptStepNoAlloc(b *testing.B) {
+	cfg := Config{
+		Params:          nvp.DefaultSixVersion(),
+		Rejuvenation:    true,
+		Horizon:         1e6,
+		RequestInterval: 300,
+		Classes:         43,
+	}
+	sys, err := New(cfg, des.NewRNG(3))
+	if err != nil {
+		b.Fatal(err)
+	}
+	sys.armDynamics()
+	sys.scheduleNextRequest()
+	sys.startMeasuring()
+	for i := 0; i < 10000; i++ {
+		sys.sim.Step()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if !sys.sim.Step() {
+			b.Fatal("event list drained")
+		}
+	}
+}

@@ -17,41 +17,42 @@ import (
 func (s *System) rescheduleLifecycle() {
 	p := s.cfg.Params
 
-	s.compromiseEv.Cancel()
-	s.compromiseEv = nil
-	if s.healthy > 0 {
-		if a := s.cfg.Attacker; a != nil {
-			rate := a.OffRate
-			if s.attackOn {
-				rate = a.OnRate
-			}
-			if rate > 0 {
-				s.compromiseEv = s.mustSchedule(s.rng.Exp(1/rate), s.onCompromise)
-			}
-		} else {
-			s.compromiseEv = s.mustSchedule(s.lifecycleDelay(p.MeanTimeToCompromise, s.healthy), s.onCompromise)
+	switch a := s.cfg.Attacker; {
+	case s.healthy == 0:
+		s.compromiseEv.Cancel()
+	case a != nil:
+		rate := a.OffRate
+		if s.attackOn {
+			rate = a.OnRate
 		}
+		if rate > 0 {
+			s.mustRearm(&s.compromiseEv, s.rng.Exp(1/rate), s.act.compromise)
+		} else {
+			s.compromiseEv.Cancel()
+		}
+	default:
+		s.mustRearm(&s.compromiseEv, s.lifecycleDelay(p.MeanTimeToCompromise, s.healthy), s.act.compromise)
 	}
 
-	s.failEv.Cancel()
-	s.failEv = nil
 	if s.compromised > 0 {
-		s.failEv = s.mustSchedule(s.lifecycleDelay(p.MeanTimeToFailure, s.compromised), s.onFailure)
+		s.mustRearm(&s.failEv, s.lifecycleDelay(p.MeanTimeToFailure, s.compromised), s.act.fail)
+	} else {
+		s.failEv.Cancel()
 	}
 
-	s.repairEv.Cancel()
-	s.repairEv = nil
 	if s.failed > 0 {
-		s.repairEv = s.mustSchedule(s.lifecycleDelay(p.MeanTimeToRepair, s.failed), s.onRepair)
+		s.mustRearm(&s.repairEv, s.lifecycleDelay(p.MeanTimeToRepair, s.failed), s.act.repair)
+	} else {
+		s.repairEv.Cancel()
 	}
 
 	// The rejuvenation-completion rate is marking dependent
 	// (1/(base x #Pmr)); resample it too.
-	s.rejuvDoneEv.Cancel()
-	s.rejuvDoneEv = nil
 	if s.rejuvenating > 0 {
 		mean := p.MeanTimeToRejuvenate * float64(s.rejuvenating)
-		s.rejuvDoneEv = s.mustSchedule(s.rng.Exp(mean), s.onRejuvenationDone)
+		s.mustRearm(&s.rejuvDoneEv, s.rng.Exp(mean), s.act.rejuvDone)
+	} else {
+		s.rejuvDoneEv.Cancel()
 	}
 }
 
@@ -130,26 +131,26 @@ func (s *System) scheduleAttackPhaseFlip() {
 	if s.attackOn {
 		mean = a.MeanTimeOn
 	}
-	s.attackPhaseEv = s.mustSchedule(s.rng.Exp(mean), func() {
-		s.attackOn = !s.attackOn
-		if s.attackOn {
-			s.observe("attack campaign started")
-		} else {
-			s.observe("attack campaign ended")
-		}
-		s.scheduleAttackPhaseFlip()
-		s.rescheduleLifecycle()
-	})
+	s.mustRearm(&s.attackPhaseEv, s.rng.Exp(mean), s.act.attackFlip)
 }
 
-// scheduleClockTick arms the deterministic rejuvenation clock (Trc).
-func (s *System) scheduleClockTick(interval float64) error {
-	if _, err := s.sim.Schedule(interval, func() {
-		s.onClockTick(interval)
-	}); err != nil {
-		return fmt.Errorf("percept: scheduling clock: %w", err)
+// onAttackPhaseFlip toggles the attacker's phase and re-arms both the
+// next flip and the phase-dependent compromise timer.
+func (s *System) onAttackPhaseFlip() {
+	s.attackOn = !s.attackOn
+	if s.attackOn {
+		s.observe("attack campaign started")
+	} else {
+		s.observe("attack campaign ended")
 	}
-	return nil
+	s.scheduleAttackPhaseFlip()
+	s.rescheduleLifecycle()
+}
+
+// armClock arms the deterministic rejuvenation clock (Trc) one interval
+// ahead.
+func (s *System) armClock() {
+	s.mustRearm(&s.clockEv, s.cfg.Params.RejuvenationInterval, s.act.clock)
 }
 
 // onClockTick implements Tac + Trt: if no wave is in flight, dispatch r
@@ -157,7 +158,7 @@ func (s *System) scheduleClockTick(interval float64) error {
 // holds, or park otherwise). Under the free-running policy the clock
 // restarts immediately; under the waits-for-wave policy it restarts when
 // the wave drains (see maybeRestartClock).
-func (s *System) onClockTick(interval float64) {
+func (s *System) onClockTick() {
 	s.observe("rejuvenation clock tick")
 	if s.parked == 0 && s.rejuvenating == 0 {
 		s.parked = s.cfg.Params.R
@@ -169,11 +170,7 @@ func (s *System) onClockTick(interval float64) {
 		s.maybeRestartClock()
 		return
 	}
-	if err := s.scheduleClockTick(interval); err != nil {
-		// Scheduling a positive, finite interval cannot fail; a failure
-		// here is a programming error.
-		panic(err)
-	}
+	s.armClock()
 }
 
 // maybeRestartClock re-arms a waiting clock once the rejuvenation wave has
@@ -183,9 +180,7 @@ func (s *System) maybeRestartClock() {
 		return
 	}
 	s.clockWaiting = false
-	if err := s.scheduleClockTick(s.cfg.Params.RejuvenationInterval); err != nil {
-		panic(err)
-	}
+	s.armClock()
 }
 
 // dispatchWave moves modules into rejuvenation while activation tokens are
@@ -213,42 +208,37 @@ func (s *System) dispatchWave() {
 }
 
 // scheduleNextRequest arms the Poisson perception-request stream.
-func (s *System) scheduleNextRequest() error {
-	if _, err := s.sim.Schedule(s.rng.Exp(s.cfg.RequestInterval), s.onRequest); err != nil {
-		return fmt.Errorf("percept: scheduling request: %w", err)
-	}
-	return nil
+func (s *System) scheduleNextRequest() {
+	s.mustRearm(&s.requestEv, s.rng.Exp(s.cfg.RequestInterval), s.act.request)
 }
 
 // onRequest samples one perception request. Without label voting the
 // operational modules' correctness flags feed the counting rule; with
 // label voting enabled each module outputs a class label, the label scheme
 // decides, and the counting rule is tallied from the same sample so both
-// views stay comparable.
+// views stay comparable. Samples land in the System's reused buffers.
 func (s *System) onRequest() {
 	if s.measuring {
 		if s.labelScheme != nil {
 			truth := s.rng.Intn(s.cfg.Classes)
-			labels, err := s.errModel.SampleLabels(
+			labels, err := s.errModel.SampleLabelsInto(s.labels,
 				s.rng, truth, s.cfg.Classes, s.healthy, s.compromised, s.cfg.wrongLabelPolicy())
 			if err != nil {
 				panic(fmt.Sprintf("percept: label sampling: %v", err))
 			}
+			s.labels = labels
 			s.labelTally.Record(voter.ClassifyDecision(s.labelScheme.Decide(labels), truth))
-			correct := make([]bool, len(labels))
-			for i, l := range labels {
-				correct[i] = l == truth
+			s.correct = s.correct[:0]
+			for _, l := range labels {
+				s.correct = append(s.correct, l == truth)
 			}
-			s.tally.Record(s.rule.Classify(correct))
 		} else {
-			correct := s.errModel.SampleCorrectness(s.rng, s.healthy, s.compromised)
-			s.tally.Record(s.rule.Classify(correct))
+			s.correct = s.errModel.SampleCorrectnessInto(s.correct, s.rng, s.healthy, s.compromised)
 		}
+		s.tally.Record(s.rule.Classify(s.correct))
 		s.requests++
 	}
-	if err := s.scheduleNextRequest(); err != nil {
-		panic(err)
-	}
+	s.scheduleNextRequest()
 }
 
 // observe emits a trace line if an observer is configured.
@@ -259,11 +249,9 @@ func (s *System) observe(event string) {
 	}
 }
 
-// mustSchedule wraps Schedule for delays we generate ourselves.
-func (s *System) mustSchedule(delay float64, action func()) *des.Handle {
-	h, err := s.sim.Schedule(delay, action)
-	if err != nil {
+// mustRearm wraps Rearm for delays we generate ourselves.
+func (s *System) mustRearm(h *des.Handle, delay float64, action des.Action) {
+	if err := s.sim.Rearm(h, delay, action); err != nil {
 		panic(fmt.Sprintf("percept: internal scheduling error: %v", err))
 	}
-	return h
 }

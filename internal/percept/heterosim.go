@@ -68,8 +68,11 @@ type heteroSystem struct {
 	state []moduleHealth
 	rule  voter.CountRule
 
-	compromiseEv, failEv, repairEv *des.Handle
+	// Timer slots re-armed in place, and their actions bound once.
+	compromiseEv, failEv, repairEv, requestEv     des.Handle
+	compromiseAct, failAct, repairAct, requestAct des.Action
 
+	correct   []bool // per-request buffer, capacity N
 	measuring bool
 	tally     voter.Tally
 }
@@ -88,11 +91,16 @@ func RunHeterogeneous(cfg HeteroConfig, rng *des.RNG) (voter.Tally, error) {
 		return voter.Tally{}, err
 	}
 	h := &heteroSystem{
-		cfg:   cfg,
-		rng:   rng,
-		state: make([]moduleHealth, cfg.Params.N),
-		rule:  rule,
+		cfg:     cfg,
+		rng:     rng,
+		state:   make([]moduleHealth, cfg.Params.N),
+		rule:    rule,
+		correct: make([]bool, 0, cfg.Params.N),
 	}
+	h.compromiseAct = func() { h.move(healthHealthy, healthCompromised) }
+	h.failAct = func() { h.move(healthCompromised, healthFailed) }
+	h.repairAct = func() { h.move(healthFailed, healthHealthy) }
+	h.requestAct = h.onRequest
 	for i := range h.state {
 		h.state[i] = healthHealthy
 	}
@@ -106,18 +114,24 @@ func RunHeterogeneous(cfg HeteroConfig, rng *des.RNG) (voter.Tally, error) {
 }
 
 // pick returns a uniformly random module index in the given health state,
-// or -1 when none exists.
+// or -1 when none exists. It draws once, k uniform over the matches, and
+// walks to the k-th.
 func (h *heteroSystem) pick(want moduleHealth) int {
-	var candidates []int
-	for i, st := range h.state {
-		if st == want {
-			candidates = append(candidates, i)
-		}
-	}
-	if len(candidates) == 0 {
+	n := h.count(want)
+	if n == 0 {
 		return -1
 	}
-	return candidates[h.rng.Intn(len(candidates))]
+	k := h.rng.Intn(n)
+	for i, st := range h.state {
+		if st != want {
+			continue
+		}
+		if k == 0 {
+			return i
+		}
+		k--
+	}
+	panic("percept: pick walked past its count")
 }
 
 func (h *heteroSystem) count(want moduleHealth) int {
@@ -134,27 +148,19 @@ func (h *heteroSystem) count(want moduleHealth) int {
 // resampling, as in the main simulator).
 func (h *heteroSystem) reschedule() {
 	p := h.cfg.Params
-	h.compromiseEv.Cancel()
-	h.compromiseEv = nil
-	if h.count(healthHealthy) > 0 {
-		h.compromiseEv = h.must(h.rng.Exp(p.MeanTimeToCompromise), func() {
-			h.move(healthHealthy, healthCompromised)
-		})
+	h.rearmIf(&h.compromiseEv, healthHealthy, p.MeanTimeToCompromise, h.compromiseAct)
+	h.rearmIf(&h.failEv, healthCompromised, p.MeanTimeToFailure, h.failAct)
+	h.rearmIf(&h.repairEv, healthFailed, p.MeanTimeToRepair, h.repairAct)
+}
+
+// rearmIf re-arms ev with an exponential delay of the given mean while some
+// module is in state from, and cancels it otherwise.
+func (h *heteroSystem) rearmIf(ev *des.Handle, from moduleHealth, mean float64, action des.Action) {
+	if h.count(from) == 0 {
+		ev.Cancel()
+		return
 	}
-	h.failEv.Cancel()
-	h.failEv = nil
-	if h.count(healthCompromised) > 0 {
-		h.failEv = h.must(h.rng.Exp(p.MeanTimeToFailure), func() {
-			h.move(healthCompromised, healthFailed)
-		})
-	}
-	h.repairEv.Cancel()
-	h.repairEv = nil
-	if h.count(healthFailed) > 0 {
-		h.repairEv = h.must(h.rng.Exp(p.MeanTimeToRepair), func() {
-			h.move(healthFailed, healthHealthy)
-		})
-	}
+	h.must(ev, h.rng.Exp(mean), action)
 }
 
 // move transitions a uniformly chosen module between health states.
@@ -166,27 +172,27 @@ func (h *heteroSystem) move(from, to moduleHealth) {
 }
 
 func (h *heteroSystem) scheduleRequest() {
-	h.must(h.rng.Exp(h.cfg.RequestInterval), func() {
-		if h.measuring {
-			var correct []bool
-			for i, st := range h.state {
-				switch st {
-				case healthHealthy:
-					correct = append(correct, !h.rng.Bernoulli(h.cfg.HealthyErr[i]))
-				case healthCompromised:
-					correct = append(correct, !h.rng.Bernoulli(h.cfg.Params.PPrime))
-				}
-			}
-			h.tally.Record(h.rule.Classify(correct))
-		}
-		h.scheduleRequest()
-	})
+	h.must(&h.requestEv, h.rng.Exp(h.cfg.RequestInterval), h.requestAct)
 }
 
-func (h *heteroSystem) must(delay float64, action func()) *des.Handle {
-	hd, err := h.sim.Schedule(delay, action)
-	if err != nil {
+func (h *heteroSystem) onRequest() {
+	if h.measuring {
+		h.correct = h.correct[:0]
+		for i, st := range h.state {
+			switch st {
+			case healthHealthy:
+				h.correct = append(h.correct, !h.rng.Bernoulli(h.cfg.HealthyErr[i]))
+			case healthCompromised:
+				h.correct = append(h.correct, !h.rng.Bernoulli(h.cfg.Params.PPrime))
+			}
+		}
+		h.tally.Record(h.rule.Classify(h.correct))
+	}
+	h.scheduleRequest()
+}
+
+func (h *heteroSystem) must(ev *des.Handle, delay float64, action des.Action) {
+	if err := h.sim.Rearm(ev, delay, action); err != nil {
 		panic(fmt.Sprintf("percept: internal scheduling error: %v", err))
 	}
-	return hd
 }

@@ -15,13 +15,7 @@ func (s *System) RunUntilOutage(maxHorizon float64) (float64, error) {
 	if maxHorizon <= 0 {
 		return 0, fmt.Errorf("percept: max horizon %g must be positive", maxHorizon)
 	}
-	s.scheduleAttackPhaseFlip()
-	s.rescheduleLifecycle()
-	if s.cfg.Rejuvenation {
-		if err := s.scheduleClockTick(s.cfg.Params.RejuvenationInterval); err != nil {
-			return 0, err
-		}
-	}
+	s.armDynamics()
 	for s.firstOutage < 0 && s.sim.Now() < maxHorizon {
 		if !s.sim.Step() {
 			break

@@ -151,7 +151,18 @@ type System struct {
 	clockWaiting                               bool // waits-for-wave policy: clock held until the wave drains
 	attackOn                                   bool // Markov-modulated attacker phase
 
-	compromiseEv, failEv, repairEv, rejuvDoneEv, attackPhaseEv *des.Handle
+	// Timer slots, each re-armed in place for the whole run.
+	compromiseEv, failEv, repairEv, rejuvDoneEv, attackPhaseEv, clockEv, requestEv des.Handle
+
+	// The timers' actions, bound once in New: a method value evaluated at
+	// every re-arm would allocate a closure each time.
+	act struct {
+		compromise, fail, repair, rejuvDone, attackFlip, clock, request des.Action
+	}
+
+	// Per-request sample buffers, sized N in New.
+	labels  []int
+	correct []bool
 
 	errModel *mlsim.ErrorModel
 	rf       reliability.StateFn
@@ -192,15 +203,25 @@ func New(cfg Config, rng *des.RNG) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
+	n := cfg.Params.N
 	s := &System{
 		cfg:       cfg,
 		rng:       rng,
 		errModel:  em,
 		rule:      rule,
 		rf:        rf,
-		occupancy: make(map[[3]int]float64),
-		healthy:   cfg.Params.N,
+		occupancy: make(map[[3]int]float64, numStates(n)),
+		healthy:   n,
+		labels:    make([]int, 0, n),
+		correct:   make([]bool, 0, n),
 	}
+	s.act.compromise = s.onCompromise
+	s.act.fail = s.onFailure
+	s.act.repair = s.onRepair
+	s.act.rejuvDone = s.onRejuvenationDone
+	s.act.attackFlip = s.onAttackPhaseFlip
+	s.act.clock = s.onClockTick
+	s.act.request = s.onRequest
 	s.firstOutage = -1
 	s.scheme = cfg.Params.Scheme()
 	if cfg.Classes >= 2 {
@@ -215,6 +236,12 @@ func New(cfg Config, rng *des.RNG) (*System, error) {
 	}
 	return s, nil
 }
+
+// numStates is the number of population states (i, j, k) with
+// i+j+k = n: the most occupancy entries a run can create, so maps sized
+// with it never grow and a run's allocations do not depend on how many
+// states its horizon happens to visit.
+func numStates(n int) int { return (n + 1) * (n + 2) / 2 }
 
 // paperReliability selects the same reward the analytic models use: the
 // verbatim appendix matrices for the two published configurations, the
@@ -234,23 +261,24 @@ func paperReliability(p nvp.Params) (reliability.StateFn, error) {
 // Run executes the simulation and returns its result. A System is
 // single-use: call New again for another replication.
 func (s *System) Run() (*Result, error) {
-	s.scheduleAttackPhaseFlip()
-	s.rescheduleLifecycle()
-	if s.cfg.Rejuvenation {
-		if err := s.scheduleClockTick(s.cfg.Params.RejuvenationInterval); err != nil {
-			return nil, err
-		}
-	}
+	s.armDynamics()
 	if s.cfg.RequestInterval > 0 {
-		if err := s.scheduleNextRequest(); err != nil {
-			return nil, err
-		}
+		s.scheduleNextRequest()
 	}
 	if _, err := s.sim.Schedule(s.cfg.WarmUp, s.startMeasuring); err != nil {
 		return nil, err
 	}
 	s.sim.RunUntil(s.cfg.Horizon)
 	return s.finish()
+}
+
+// armDynamics arms the initial attacker, lifecycle and clock timers.
+func (s *System) armDynamics() {
+	s.scheduleAttackPhaseFlip()
+	s.rescheduleLifecycle()
+	if s.cfg.Rejuvenation {
+		s.armClock()
+	}
 }
 
 func (s *System) startMeasuring() {
@@ -272,7 +300,7 @@ func (s *System) finish() (*Result, error) {
 	res := &Result{
 		Tally:       s.tally,
 		LabelTally:  s.labelTally,
-		Occupancy:   make(map[[3]int]float64, len(s.occupancy)),
+		Occupancy:   make(map[[3]int]float64, numStates(s.cfg.Params.N)),
 		Requests:    s.requests,
 		FirstOutage: s.firstOutage,
 	}

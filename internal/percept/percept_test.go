@@ -426,3 +426,33 @@ func TestStateTripleTracksCounts(t *testing.T) {
 		t.Errorf("initial state = %v", got)
 	}
 }
+
+// TestReplicationAllocsIndependentOfHorizon: a replication allocates a
+// fixed amount up front (New, the bound actions, the buffers, the result)
+// and nothing per event, so quadrupling the horizon must not change its
+// allocation count.
+func TestReplicationAllocsIndependentOfHorizon(t *testing.T) {
+	allocs := func(horizon float64) float64 {
+		cfg := Config{
+			Params:          nvp.DefaultSixVersion(),
+			Rejuvenation:    true,
+			Horizon:         horizon,
+			WarmUp:          horizon / 20,
+			RequestInterval: 300,
+			Classes:         43,
+		}
+		return testing.AllocsPerRun(5, func() {
+			sys, err := New(cfg, des.NewRNG(2))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := sys.Run(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	const h = 2e5
+	if short, long := allocs(h), allocs(4*h); short != long {
+		t.Errorf("allocs per replication: %g at horizon %g, %g at %g", short, h, long, 4*h)
+	}
+}

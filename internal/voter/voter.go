@@ -8,6 +8,7 @@ package voter
 import (
 	"errors"
 	"fmt"
+	"slices"
 )
 
 // Outcome classifies a single voted perception output.
@@ -111,8 +112,21 @@ func (t Threshold) Name() string { return fmt.Sprintf("%d-out-of-n", t.K) }
 
 // Decide implements LabelScheme.
 func (t Threshold) Decide(labels []int) Decision {
+	// Count each distinct label at its first occurrence. A quadratic scan
+	// over the at most N labels beats building a map per request, and the
+	// outcome does not depend on visiting order: tie ends true exactly
+	// when two labels share the top count.
 	best, bestCount, tie := 0, 0, false
-	for label, count := range tally(labels) {
+	for i, label := range labels {
+		if slices.Contains(labels[:i], label) {
+			continue
+		}
+		count := 1
+		for _, l := range labels[i+1:] {
+			if l == label {
+				count++
+			}
+		}
 		switch {
 		case count > bestCount:
 			best, bestCount, tie = label, count, false
@@ -229,12 +243,4 @@ func (t *Tally) Safety() float64 {
 		return 0
 	}
 	return 1 - t.ErrorRate()
-}
-
-func tally(labels []int) map[int]int {
-	m := make(map[int]int, len(labels))
-	for _, l := range labels {
-		m[l]++
-	}
-	return m
 }

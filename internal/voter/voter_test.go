@@ -2,6 +2,7 @@ package voter
 
 import (
 	"errors"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -232,5 +233,75 @@ func TestCountRuleConsistencyProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
+	}
+}
+
+// mapDecide is the map-based reference the label schemes once used:
+// tally every label, then the single top label wins if it reaches k.
+func mapDecide(labels []int, k int) Decision {
+	counts := make(map[int]int)
+	for _, l := range labels {
+		counts[l]++
+	}
+	best, bestCount, tie := 0, 0, false
+	for label, count := range counts {
+		switch {
+		case count > bestCount:
+			best, bestCount, tie = label, count, false
+		case count == bestCount:
+			tie = true
+		}
+	}
+	if bestCount < k || tie {
+		return Decision{}
+	}
+	return Decision{Label: best, Decided: true}
+}
+
+// Property: Threshold, Majority and Plurality decide exactly as the
+// map-based reference on random label vectors. Labels come from a small
+// alphabet and half the vectors are built as two equal blocks, so ties at
+// the top count are common.
+func TestDecideMatchesMapReferenceProperty(t *testing.T) {
+	r := rand.New(rand.NewSource(1))
+	ties := 0
+	for iter := 0; iter < 20000; iter++ {
+		n := r.Intn(10)
+		labels := make([]int, n)
+		for i := range labels {
+			labels[i] = r.Intn(4) - 1 // includes a negative label
+		}
+		if n >= 2 && r.Intn(2) == 0 {
+			// Force a tie: two labels, equally often, shuffled.
+			a, b := r.Intn(5), 5+r.Intn(5)
+			labels = labels[:n/2*2]
+			for i := range labels {
+				labels[i] = a
+				if i%2 == 1 {
+					labels[i] = b
+				}
+			}
+			r.Shuffle(len(labels), func(i, j int) { labels[i], labels[j] = labels[j], labels[i] })
+		}
+		k := 1 + r.Intn(6)
+		if len(labels) > 0 && !mapDecide(labels, 1).Decided {
+			ties++ // only a tie at the top count stops a 1-threshold
+		}
+		if got, want := (Threshold{K: k}).Decide(labels), mapDecide(labels, k); got != want {
+			t.Fatalf("Threshold{%d}.Decide(%v) = %+v, want %+v", k, labels, got, want)
+		}
+		if got, want := (Plurality{}).Decide(labels), mapDecide(labels, 1); got != want {
+			t.Fatalf("Plurality.Decide(%v) = %+v, want %+v", labels, got, want)
+		}
+		want := Decision{}
+		if len(labels) > 0 {
+			want = mapDecide(labels, len(labels)/2+1)
+		}
+		if got := (Majority{}).Decide(labels); got != want {
+			t.Fatalf("Majority.Decide(%v) = %+v, want %+v", labels, got, want)
+		}
+	}
+	if ties < 1000 {
+		t.Errorf("only %d tied vectors: the generator no longer forces ties", ties)
 	}
 }

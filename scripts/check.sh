@@ -26,6 +26,9 @@ echo "== go test -race ./..."
 go test -race ./...
 
 echo "== no-alloc benchmark guards (-benchtime=1x)"
+# Every benchmark named *NoAlloc must report 0 allocs/op, among them the
+# event simulator's steady state: BenchmarkRearmChurnNoAlloc (des) and
+# BenchmarkPerceptStepNoAlloc (percept).
 bench_out=$(go test -run '^$' -bench 'NoAlloc' -benchmem -benchtime=1x ./...)
 echo "$bench_out"
 if ! echo "$bench_out" | awk '/allocs\/op/ { if ($(NF-1)+0 != 0) { print "nonzero allocs: " $0 > "/dev/stderr"; bad = 1 } } END { exit bad }'; then
