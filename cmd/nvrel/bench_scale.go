@@ -145,12 +145,12 @@ func scaleFamilies() []scaleFamily {
 				return linalg.UniformizedPower(q, g.Initial, transientHorizon, 0, 1e-12)
 			},
 			sparse: func(g *petri.Graph) ([]float64, error) {
-				qc, err := g.GeneratorCSR(nil)
+				qt, err := g.GeneratorCSRTranspose(nil)
 				if err != nil {
 					return nil, err
 				}
 				var ws *linalg.Workspace
-				return ws.UniformizedPowerCSR(qc, g.Initial, transientHorizon, 0, 1e-12, nil)
+				return ws.UniformizedPowerCSR(qt, g.Initial, transientHorizon, 0, 1e-12, nil)
 			},
 		},
 	}

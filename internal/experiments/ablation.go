@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 
+	"nvrel/internal/linalg"
 	"nvrel/internal/nvp"
 	"nvrel/internal/parallel"
 	"nvrel/internal/reliability"
@@ -29,6 +30,9 @@ type AblationRow struct {
 //     waits-for-wave.
 func RunAblations() ([]AblationRow, error) {
 	var rows []AblationRow
+	memo := newSolveMemo()
+	ws := getWS()
+	defer putWS(ws)
 
 	// Reliability-model choice.
 	type rfChoice struct {
@@ -61,7 +65,7 @@ func RunAblations() ([]AblationRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		e4, err := m4.ExpectedReliability(rf4)
+		e4, err := expectedVia(memo, ws, m4, rf4)
 		if err != nil {
 			return nil, err
 		}
@@ -73,7 +77,7 @@ func RunAblations() ([]AblationRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		e6, err := m6.ExpectedReliability(rf6)
+		e6, err := expectedVia(memo, ws, m6, rf6)
 		if err != nil {
 			return nil, err
 		}
@@ -87,13 +91,13 @@ func RunAblations() ([]AblationRow, error) {
 	for _, sem := range []nvp.ServerSemantics{nvp.SingleServer, nvp.PerToken} {
 		p4 := nvp.DefaultFourVersion()
 		p4.Semantics = sem
-		e4, err := solveFour(p4)
+		e4, err := evalFourWS(memo, ws, p4)
 		if err != nil {
 			return nil, err
 		}
 		p6 := nvp.DefaultSixVersion()
 		p6.Semantics = sem
-		e6, err := solveSix(p6)
+		e6, err := evalSixWS(memo, ws, p6)
 		if err != nil {
 			return nil, err
 		}
@@ -111,11 +115,11 @@ func RunAblations() ([]AblationRow, error) {
 	for _, clock := range []nvp.ClockPolicy{nvp.ClockFreeRunning, nvp.ClockWaitsForWave} {
 		p6 := nvp.DefaultSixVersion()
 		p6.Clock = clock
-		e6, err := solveSix(p6)
+		e6, err := evalSixWS(memo, ws, p6)
 		if err != nil {
 			return nil, err
 		}
-		e4, err := solveFour(nvp.DefaultFourVersion())
+		e4, err := evalFourWS(memo, ws, nvp.DefaultFourVersion())
 		if err != nil {
 			return nil, err
 		}
@@ -131,9 +135,14 @@ func RunAblations() ([]AblationRow, error) {
 	return rows, nil
 }
 
-func solveFour(p nvp.Params) (float64, error) { return evalFour(p) }
-
-func solveSix(p nvp.Params) (float64, error) { return evalSix(p) }
+// expectedVia weighs m's memoized distribution with rf.
+func expectedVia(memo *solveMemo, ws *linalg.Workspace, m *nvp.Model, rf reliability.StateFn) (float64, error) {
+	pi, err := memo.solve(ws, m)
+	if err != nil {
+		return 0, err
+	}
+	return m.ExpectedReliabilityFrom(pi, rf)
+}
 
 // ReportAblations writes the E11 report.
 func ReportAblations(w io.Writer) error {
@@ -176,13 +185,15 @@ func RunArchitectures(maxN int) ([]ArchitectureRow, error) {
 			}
 		}
 	}
+	// Designs that differ only in f share a generator and one solve.
+	memo := newSolveMemo()
 	rows := make([]ArchitectureRow, len(combos))
 	err := parallel.ForEach(len(combos), func(i int) error {
 		c := combos[i]
 		if c.r == 0 {
 			p := nvp.DefaultFourVersion()
 			p.N, p.F, p.R = c.n, c.f, 0
-			e, err := solveFour(p)
+			e, err := evalFour(memo, p)
 			if err != nil {
 				return fmt.Errorf("n=%d f=%d: %w", c.n, c.f, err)
 			}
@@ -191,7 +202,7 @@ func RunArchitectures(maxN int) ([]ArchitectureRow, error) {
 		}
 		p := nvp.DefaultSixVersion()
 		p.N, p.F, p.R = c.n, c.f, c.r
-		e, err := solveSix(p)
+		e, err := evalSix(memo, p)
 		if err != nil {
 			return fmt.Errorf("n=%d f=%d r=%d: %w", c.n, c.f, c.r, err)
 		}

@@ -41,48 +41,50 @@ type Series struct {
 	Points     []Point
 }
 
-// evalFour solves the four-version system for params, reusing the cached
-// reachability graph, an arena workspace, and the warm-start registry.
-func evalFour(p nvp.Params) (float64, error) {
+// evalFour solves the four-version system for params through memo, reusing
+// the cached reachability graph, an arena workspace, and the warm-start
+// registry.
+func evalFour(memo *solveMemo, p nvp.Params) (float64, error) {
 	ws := getWS()
 	defer putWS(ws)
-	return evalFourWS(ws, p)
+	return evalFourWS(memo, ws, p)
 }
 
 // evalFourWS is evalFour on a caller-held workspace (sweep drivers hold
 // one workspace per pool worker; see forEachWS).
-func evalFourWS(ws *linalg.Workspace, p nvp.Params) (float64, error) {
+func evalFourWS(memo *solveMemo, ws *linalg.Workspace, p nvp.Params) (float64, error) {
 	m, err := solveCache.BuildNoRejuvenation(p)
 	if err != nil {
 		return 0, err
 	}
-	return evalModel(ws, m)
+	return evalModel(memo, ws, m)
 }
 
-// evalSix solves the six-version system for params, reusing the cached
-// reachability graph, an arena workspace, and the warm-start registry.
-func evalSix(p nvp.Params) (float64, error) {
+// evalSix solves the six-version system for params through memo, reusing
+// the cached reachability graph, an arena workspace, and the warm-start
+// registry.
+func evalSix(memo *solveMemo, p nvp.Params) (float64, error) {
 	ws := getWS()
 	defer putWS(ws)
-	return evalSixWS(ws, p)
+	return evalSixWS(memo, ws, p)
 }
 
 // evalSixWS is evalSix on a caller-held workspace.
-func evalSixWS(ws *linalg.Workspace, p nvp.Params) (float64, error) {
+func evalSixWS(memo *solveMemo, ws *linalg.Workspace, p nvp.Params) (float64, error) {
 	m, err := solveCache.BuildWithRejuvenation(p)
 	if err != nil {
 		return 0, err
 	}
-	return evalModel(ws, m)
+	return evalModel(memo, ws, m)
 }
 
 // evalModel is the shared solve-and-weigh step of every experiment in this
-// package: a warm-registry solve (a passthrough for dense-routed models)
-// followed by the paper reliability summation over the solved
-// distribution — bit-identical to the one-call ExpectedPaperReliability
-// path (see ExpectedPaperReliabilityFrom).
-func evalModel(ws *linalg.Workspace, m *nvp.Model) (float64, error) {
-	pi, _, err := warmReg.SolveDiagCtxWS(nil, m, ws)
+// package: the memoized warm-registry solve (a passthrough for dense-routed
+// models) followed by the paper reliability summation for m's own
+// parameters over the solved distribution — bit-identical to the one-call
+// ExpectedPaperReliability path (see ExpectedPaperReliabilityFrom).
+func evalModel(memo *solveMemo, ws *linalg.Workspace, m *nvp.Model) (float64, error) {
+	pi, err := memo.solve(ws, m)
 	if err != nil {
 		return 0, err
 	}
@@ -99,16 +101,17 @@ type Headline struct {
 // RunHeadline computes the headline numbers at the Table II defaults. The
 // two architectures solve concurrently.
 func RunHeadline() (Headline, error) {
+	memo := newSolveMemo()
 	var e4, e6 float64
 	err := parallel.ForEach(2, func(i int) error {
 		var err error
 		if i == 0 {
-			if e4, err = evalFour(nvp.DefaultFourVersion()); err != nil {
+			if e4, err = evalFour(memo, nvp.DefaultFourVersion()); err != nil {
 				return fmt.Errorf("four-version: %w", err)
 			}
 			return nil
 		}
-		if e6, err = evalSix(nvp.DefaultSixVersion()); err != nil {
+		if e6, err = evalSix(memo, nvp.DefaultSixVersion()); err != nil {
 			return fmt.Errorf("six-version: %w", err)
 		}
 		return nil
@@ -144,12 +147,13 @@ func RunFig3(grid []float64) (Series, error) {
 		PaperClaim: "reliability declines as the interval grows beyond the optimum; " +
 			"paper reports the maximum at 400-450 s",
 	}
+	memo := newSolveMemo()
 	points := make([]Point, len(grid))
 	err := forEachWS(len(grid), func(ws *linalg.Workspace, i int) error {
 		tau := grid[i]
 		p := nvp.DefaultSixVersion()
 		p.RejuvenationInterval = tau
-		e6, err := evalSixWS(ws, p)
+		e6, err := evalSixWS(memo, ws, p)
 		if err != nil {
 			return fmt.Errorf("tau=%g: %w", tau, err)
 		}
@@ -251,20 +255,23 @@ func RunFig4d(grid []float64) (Series, error) {
 // applying set to each architecture's default parameters. Points land in
 // grid order and the returned error is the one a serial sweep would hit
 // first (lowest grid index). Each pool worker holds one arena workspace
-// for the whole sweep instead of checking one out per point.
+// for the whole sweep instead of checking one out per point, and the
+// sweep's own memo solves a swept reward-only parameter (alpha, p, p')
+// once per architecture.
 func sweepBoth(s *Series, grid []float64, set func(*nvp.Params, float64)) error {
+	memo := newSolveMemo()
 	points := make([]Point, len(grid))
 	err := forEachWS(len(grid), func(ws *linalg.Workspace, i int) error {
 		v := grid[i]
 		p4 := nvp.DefaultFourVersion()
 		set(&p4, v)
-		e4, err := evalFourWS(ws, p4)
+		e4, err := evalFourWS(memo, ws, p4)
 		if err != nil {
 			return fmt.Errorf("%s: four-version at %g: %w", s.ID, v, err)
 		}
 		p6 := nvp.DefaultSixVersion()
 		set(&p6, v)
-		e6, err := evalSixWS(ws, p6)
+		e6, err := evalSixWS(memo, ws, p6)
 		if err != nil {
 			return fmt.Errorf("%s: six-version at %g: %w", s.ID, v, err)
 		}

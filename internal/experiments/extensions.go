@@ -30,10 +30,11 @@ func RunOptimize(lo, hi, tol float64) (OptimalInterval, error) {
 	if tol <= 0 {
 		tol = 1
 	}
+	memo := newSolveMemo()
 	eval := func(tau float64) (float64, error) {
 		p := nvp.DefaultSixVersion()
 		p.RejuvenationInterval = tau
-		return evalSix(p)
+		return evalSix(memo, p)
 	}
 	const phi = 0.6180339887498949
 	a, b := lo, hi
@@ -111,8 +112,9 @@ func RunSimulationCheck(replications int, horizon float64, seed uint64) ([]Simul
 		horizon = 2e6
 	}
 	var out []SimulationCheck
+	memo := newSolveMemo()
 
-	a4, err := evalFour(nvp.DefaultFourVersion())
+	a4, err := evalFour(memo, nvp.DefaultFourVersion())
 	if err != nil {
 		return nil, err
 	}
@@ -131,7 +133,7 @@ func RunSimulationCheck(replications int, horizon float64, seed uint64) ([]Simul
 		Covered:      est4.AnalyticReward.Contains(a4),
 	})
 
-	a6, err := evalSix(nvp.DefaultSixVersion())
+	a6, err := evalSix(memo, nvp.DefaultSixVersion())
 	if err != nil {
 		return nil, err
 	}

@@ -63,6 +63,11 @@ func RunSensitivity() ([]Elasticity, error) {
 		return (eHi - eLo) / (2 * h) / eMid, nil
 	}
 
+	// Perturbing alpha, p or p' leaves the generator alone, so with the
+	// memo those elasticities cost no solve beyond the shared base point.
+	memo := newSolveMemo()
+	solveFour := func(p nvp.Params) (float64, error) { return evalFour(memo, p) }
+	solveSix := func(p nvp.Params) (float64, error) { return evalSix(memo, p) }
 	out := make([]Elasticity, len(params))
 	err := parallel.ForEach(len(params), func(i int) error {
 		pm := params[i]

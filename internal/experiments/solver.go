@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"sync"
+
 	"nvrel/internal/linalg"
 	"nvrel/internal/nvp"
 	"nvrel/internal/parallel"
@@ -22,10 +24,13 @@ var wsArena = linalg.NewArena()
 
 // warmReg seeds every iterative solve in this package with the nearest
 // already-solved neighbor on the same topology (see nvp.WarmRegistry).
-// Paper-scale models route to the dense direct solvers and pass through
-// unseeded, so the published figures remain bit-identical to cold solves;
-// scaled-up sweeps, optimizer probes, and (N,f,r) enumerations get the
-// iteration reduction.
+// Models below linalg.SparseThreshold states (every paper-figure model)
+// route to the dense direct solvers and pass through unseeded, so the
+// published figures remain bit-identical to cold solves. Larger models
+// take the seeded iterative route: the N = 8 and 9 rejuvenation designs
+// of the architecture enumeration (E12) and scaled-up sweeps get the
+// iteration reduction, at the price of last-bit dependence on which
+// neighbor finished first.
 var warmReg = nvp.NewWarmRegistry()
 
 func getWS() *linalg.Workspace   { return wsArena.Get() }
@@ -36,4 +41,58 @@ func putWS(ws *linalg.Workspace) { wsArena.Put(ws) }
 // checkout per worker, not one per point).
 func forEachWS(n int, fn func(ws *linalg.Workspace, i int) error) error {
 	return parallel.ForEachRes(n, wsArena.Get, wsArena.Put, fn)
+}
+
+// solveMemo solves each distinct generator once per experiment run. The
+// error parameters alpha, p and p' and the fault bound f enter only the
+// reward, never the DSPN (nvp.Params.GeneratorKey), so sweep points that
+// differ only there (every point of fig4b-d, the reward-side
+// elasticities, the reliability-model ablations, designs that differ
+// only in f) share one solved distribution, which each point weighs with
+// its own reliability function. Only models from solveCache's builders
+// may go through it: an attacker-modified net is not determined by its
+// parameters.
+//
+// Scope: every exported Run* creates its own memo on entry and passes it
+// down; there is no package-level memo. A process-wide one would make a
+// second run of an experiment in the same process free, which measures
+// nothing an `nvrel run` user gets. Entries are singleflight, since sweep
+// points solve in parallel: a point asking for a key another worker is
+// solving waits for that solve instead of repeating it.
+type solveMemo struct {
+	mu      sync.Mutex
+	entries map[memoKey]*memoEntry
+}
+
+type memoKey struct {
+	arch   nvp.Architecture
+	params nvp.Params // GeneratorKey
+}
+
+type memoEntry struct {
+	once sync.Once
+	pi   []float64
+	err  error
+}
+
+func newSolveMemo() *solveMemo {
+	return &solveMemo{entries: make(map[memoKey]*memoEntry)}
+}
+
+// solve returns m's stationary distribution, solving it through warmReg
+// on ws only for the first model with its generator key. The returned
+// slice is shared between callers and must not be modified.
+func (s *solveMemo) solve(ws *linalg.Workspace, m *nvp.Model) ([]float64, error) {
+	key := memoKey{arch: m.Arch, params: m.Params.GeneratorKey()}
+	s.mu.Lock()
+	e, ok := s.entries[key]
+	if !ok {
+		e = &memoEntry{}
+		s.entries[key] = e
+	}
+	s.mu.Unlock()
+	e.once.Do(func() {
+		e.pi, _, e.err = warmReg.SolveDiagCtxWS(nil, m, ws)
+	})
+	return e.pi, e.err
 }

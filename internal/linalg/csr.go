@@ -49,11 +49,34 @@ func CSRFromDense(d *Dense) *CSR {
 // CSRFromDense is the workspace-backed form of the package-level
 // function: the CSR comes from ws.CSR, so release it with ws.PutCSR.
 func (ws *Workspace) CSRFromDense(d *Dense) *CSR {
+	return ws.csrFromDense(d, false)
+}
+
+// CSRFromDenseT returns the transpose of d in CSR form, which is d's CSC
+// form: the operand layout of the gather kernels (CSR.MulVecInto for
+// x * d, Dense.MulCSCInto for a * d). It keeps the same entries as
+// CSRFromDense.
+func CSRFromDenseT(d *Dense) *CSR {
+	return (*Workspace)(nil).CSRFromDenseT(d)
+}
+
+// CSRFromDenseT is the workspace-backed form of the package-level
+// function; release the result with ws.PutCSR.
+func (ws *Workspace) CSRFromDenseT(d *Dense) *CSR {
+	return ws.csrFromDense(d, true)
+}
+
+func (ws *Workspace) csrFromDense(d *Dense, transpose bool) *CSR {
 	rows, cols := d.Dims()
+	at := d.At
+	if transpose {
+		rows, cols = cols, rows
+		at = func(i, j int) float64 { return d.At(j, i) }
+	}
 	nnz := 0
 	for i := 0; i < rows; i++ {
 		for j := 0; j < cols; j++ {
-			if d.At(i, j) != 0 || (rows == cols && i == j) {
+			if at(i, j) != 0 || (rows == cols && i == j) {
 				nnz++
 			}
 		}
@@ -63,7 +86,7 @@ func (ws *Workspace) CSRFromDense(d *Dense) *CSR {
 	for i := 0; i < rows; i++ {
 		c.RowPtr[i] = k
 		for j := 0; j < cols; j++ {
-			if v := d.At(i, j); v != 0 || (rows == cols && i == j) {
+			if v := at(i, j); v != 0 || (rows == cols && i == j) {
 				c.ColIdx[k] = j
 				c.Vals[k] = v
 				k++
@@ -72,6 +95,36 @@ func (ws *Workspace) CSRFromDense(d *Dense) *CSR {
 	}
 	c.RowPtr[rows] = k
 	return c
+}
+
+// TransposeCSR returns the transpose of c as a workspace CSR (release it
+// with ws.PutCSR). It is a stable counting sort: row j of the result
+// lists c's column-j entries in c's storage order, so a gather over it
+// adds the terms of x * c in exactly the order a row scatter over c
+// would, duplicates and unsorted rows included.
+func (ws *Workspace) TransposeCSR(c *CSR) *CSR {
+	t := ws.CSR(c.cols, c.rows, len(c.ColIdx))
+	clear(t.RowPtr)
+	for _, j := range c.ColIdx {
+		t.RowPtr[j+1]++
+	}
+	for j := 0; j < c.cols; j++ {
+		t.RowPtr[j+1] += t.RowPtr[j]
+	}
+	// RowPtr[j] serves as row j's fill cursor; afterwards it holds the
+	// start of row j+1, so shifting it up one slot restores the offsets.
+	for i := 0; i < c.rows; i++ {
+		for k := c.RowPtr[i]; k < c.RowPtr[i+1]; k++ {
+			j := c.ColIdx[k]
+			p := t.RowPtr[j]
+			t.ColIdx[p] = i
+			t.Vals[p] = c.Vals[k]
+			t.RowPtr[j] = p + 1
+		}
+	}
+	copy(t.RowPtr[1:], t.RowPtr[:c.cols])
+	t.RowPtr[0] = 0
+	return t
 }
 
 // Dims returns the number of rows and columns.
@@ -118,61 +171,77 @@ func (c *CSR) DenseInto(dst *Dense) error {
 
 // MulVecInto computes dst = A * x. dst must have length rows and must not
 // alias x.
+//
+// On the transpose of a matrix M it computes x * M as a gather: each
+// dst[j] accumulates in a register over column j of M in ascending row
+// order, the order in which a row scatter over M would add into it, so
+// the bits are the scatter's whenever the operands are finite (a zero
+// x[i] the scatter skipped adds a signed zero, which leaves the sum
+// unchanged). Every uniformization series multiplies this way.
 func (c *CSR) MulVecInto(dst, x []float64) error {
 	if len(x) != c.cols || len(dst) != c.rows {
 		return ErrDimensionMismatch
 	}
-	for i := 0; i < c.rows; i++ {
+	for i := range dst {
+		lo, hi := c.RowPtr[i], c.RowPtr[i+1]
+		idx, vals := c.ColIdx[lo:hi], c.Vals[lo:hi]
+		vals = vals[:len(idx)]
 		var s float64
-		for k := c.RowPtr[i]; k < c.RowPtr[i+1]; k++ {
-			s += c.Vals[k] * x[c.ColIdx[k]]
+		for k, j := range idx {
+			s += vals[k] * x[j]
 		}
 		dst[i] = s
 	}
 	return nil
 }
 
-// VecMulInto computes dst = x * A (x treated as a row vector). dst must
-// have length cols and must not alias x; existing contents are overwritten.
-func (c *CSR) VecMulInto(dst, x []float64) error {
-	if len(x) != c.rows || len(dst) != c.cols {
-		return ErrDimensionMismatch
-	}
-	clear(dst)
-	for i, xi := range x {
-		if xi == 0 {
-			continue
-		}
-		for k := c.RowPtr[i]; k < c.RowPtr[i+1]; k++ {
-			dst[c.ColIdx[k]] += xi * c.Vals[k]
-		}
-	}
-	return nil
-}
-
-// MulCSRInto computes out = a * b for a dense left operand and a CSR right
-// operand: each non-zero a[i][k] scatters a scaled copy of b's row k into
-// out's row i, costing O(rows(a) * nnz(b)) instead of the dense product's
-// O(rows * cols * inner). out must be sized a.rows x b.cols and must not
-// alias a.
-func (out *Dense) MulCSRInto(a *Dense, b *CSR) error {
-	if a.cols != b.rows || out.rows != a.rows || out.cols != b.cols {
+// MulCSCInto computes out = a * B for a dense a and a sparse B given as
+// bt, B's transpose in CSR form (B's CSC form). Each output element is
+// gathered in a register over column j of B, two rows of a per pass, so
+// a term costs O(rows(a) * nnz(B)) as in the dense-times-CSR scatter but
+// without a load and store of the output per multiply-add. The terms of
+// out[i][j] are added in ascending k from +0, as the row scatter over B
+// adds them, so for finite operands the bits are the scatter's (see
+// MulVecInto). out must be sized a.rows x rows(bt) and must not alias a.
+func (out *Dense) MulCSCInto(a *Dense, bt *CSR) error {
+	if a.cols != bt.cols || out.rows != a.rows || out.cols != bt.rows {
 		return ErrDimensionMismatch
 	}
 	if out == a {
 		return ErrDimensionMismatch
 	}
-	out.Zero()
-	for i := 0; i < a.rows; i++ {
-		aRow := a.data[i*a.cols : (i+1)*a.cols]
-		outRow := out.data[i*out.cols : (i+1)*out.cols]
-		for kk, v := range aRow {
-			if v == 0 {
-				continue
+	inner, cols := a.cols, out.cols
+	i := 0
+	for ; i+1 < a.rows; i += 2 {
+		a0 := a.data[i*inner : (i+1)*inner]
+		a1 := a.data[(i+1)*inner : (i+2)*inner]
+		o0 := out.data[i*cols : (i+1)*cols]
+		o1 := out.data[(i+1)*cols : (i+2)*cols]
+		for j := range o0 {
+			lo, hi := bt.RowPtr[j], bt.RowPtr[j+1]
+			idx, vals := bt.ColIdx[lo:hi], bt.Vals[lo:hi]
+			vals = vals[:len(idx)]
+			var s0, s1 float64
+			for k, c := range idx {
+				v := vals[k]
+				s0 += a0[c] * v
+				s1 += a1[c] * v
 			}
-			for k := b.RowPtr[kk]; k < b.RowPtr[kk+1]; k++ {
-				outRow[b.ColIdx[k]] += v * b.Vals[k]
+			o0[j], o1[j] = s0, s1
+		}
+	}
+	if i < a.rows {
+		a0 := a.data[i*inner : (i+1)*inner]
+		o0 := out.data[i*cols : (i+1)*cols]
+		for j := range o0 {
+			lo, hi := bt.RowPtr[j], bt.RowPtr[j+1]
+			idx, vals := bt.ColIdx[lo:hi], bt.Vals[lo:hi]
+			vals = vals[:len(idx)]
+			var s float64
+			for k, c := range idx {
+				s += a0[c] * vals[k]
 			}
+			o0[j] = s
 		}
 	}
 	return nil

@@ -74,8 +74,8 @@ func TestCSRMulVecMatchesDense(t *testing.T) {
 			t.Fatalf("MulVecInto: %v", err)
 		}
 		gotXA := make([]float64, n)
-		if err := c.VecMulInto(gotXA, x); err != nil {
-			t.Fatalf("VecMulInto: %v", err)
+		if err := CSRFromDenseT(q).MulVecInto(gotXA, x); err != nil {
+			t.Fatalf("transposed MulVecInto: %v", err)
 		}
 		for i := 0; i < n; i++ {
 			if math.Abs(gotAx[i]-wantAx[i]) > 1e-12*(1+math.Abs(wantAx[i])) {
@@ -88,12 +88,12 @@ func TestCSRMulVecMatchesDense(t *testing.T) {
 	}
 }
 
-func TestMulCSRIntoMatchesDense(t *testing.T) {
+func TestMulCSCIntoMatchesDense(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for rep := 0; rep < 10; rep++ {
 		n := 2 + rng.Intn(20)
 		q := randomGenerator(rng, n)
-		c := CSRFromDense(q)
+		ct := CSRFromDenseT(q)
 		a := NewDense(n, n)
 		for i := 0; i < n; i++ {
 			for j := 0; j < n; j++ {
@@ -105,8 +105,8 @@ func TestMulCSRIntoMatchesDense(t *testing.T) {
 			t.Fatalf("MulInto: %v", err)
 		}
 		got := NewDense(n, n)
-		if err := got.MulCSRInto(a, c); err != nil {
-			t.Fatalf("MulCSRInto: %v", err)
+		if err := got.MulCSCInto(a, ct); err != nil {
+			t.Fatalf("MulCSCInto: %v", err)
 		}
 		for i := 0; i < n; i++ {
 			for j := 0; j < n; j++ {
@@ -175,7 +175,7 @@ func TestUniformizedCSRMatchesDense(t *testing.T) {
 	for rep := 0; rep < 15; rep++ {
 		n := 1 + rng.Intn(40)
 		q := randomGenerator(rng, n)
-		c := CSRFromDense(q)
+		ct := CSRFromDenseT(q)
 		pi := make([]float64, n)
 		pi[rng.Intn(n)] = 1
 		for _, horizon := range []float64{0, 0.7, 13} {
@@ -183,7 +183,7 @@ func TestUniformizedCSRMatchesDense(t *testing.T) {
 			if err != nil {
 				t.Fatalf("dense power: %v", err)
 			}
-			gotP, err := ws.UniformizedPowerCSR(c, pi, horizon, 0, 1e-12, nil)
+			gotP, err := ws.UniformizedPowerCSR(ct, pi, horizon, 0, 1e-12, nil)
 			if err != nil {
 				t.Fatalf("csr power: %v", err)
 			}
@@ -191,7 +191,7 @@ func TestUniformizedCSRMatchesDense(t *testing.T) {
 			if err != nil {
 				t.Fatalf("dense integral: %v", err)
 			}
-			gotU, err := ws.UniformizedIntegralCSR(c, pi, horizon, 0, 1e-12, nil)
+			gotU, err := ws.UniformizedIntegralCSR(ct, pi, horizon, 0, 1e-12, nil)
 			if err != nil {
 				t.Fatalf("csr integral: %v", err)
 			}

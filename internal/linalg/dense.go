@@ -141,6 +141,16 @@ func (m *Dense) Mul(other *Dense) (*Dense, error) {
 // MulInto computes out = a * b into the receiver, which must be sized
 // a.rows x b.cols and must not alias a or b. Existing contents are
 // overwritten.
+//
+// The kernel fills 2x4 output blocks held in registers, i-j-k within a
+// block: per k it loads two elements of a and four of b's row k for eight
+// multiply-adds, where a row-scatter loop loads and stores the output
+// element on every one. Blocks sweep down a four-column panel of b before
+// moving right, so the panel stays in cache. Each out[i][j] is still the
+// sum of a[i][k]*b[k][j] in ascending k from +0, so the bits equal the
+// scatter form's whenever the operands are finite (a zero a[i][k] the
+// scatter skipped adds a signed zero here, which leaves any sum
+// unchanged).
 func (out *Dense) MulInto(a, b *Dense) error {
 	if a.cols != b.rows || out.rows != a.rows || out.cols != b.cols {
 		return ErrDimensionMismatch
@@ -148,18 +158,49 @@ func (out *Dense) MulInto(a, b *Dense) error {
 	if out == a || out == b {
 		return ErrDimensionMismatch
 	}
-	out.Zero()
+	inner, cols := a.cols, b.cols
+	rows := a.rows &^ 1
+	j := 0
+	for ; j+3 < cols; j += 4 {
+		for i := 0; i < rows; i += 2 {
+			a0 := a.data[i*inner : (i+1)*inner]
+			a1 := a.data[(i+1)*inner : (i+2)*inner]
+			a1 = a1[:len(a0)]
+			var s00, s01, s02, s03, s10, s11, s12, s13 float64
+			off := j
+			for k, x0 := range a0 {
+				x1 := a1[k]
+				bk := b.data[off : off+4 : off+4]
+				s00 += x0 * bk[0]
+				s01 += x0 * bk[1]
+				s02 += x0 * bk[2]
+				s03 += x0 * bk[3]
+				s10 += x1 * bk[0]
+				s11 += x1 * bk[1]
+				s12 += x1 * bk[2]
+				s13 += x1 * bk[3]
+				off += cols
+			}
+			o0 := out.data[i*cols+j : i*cols+j+4 : i*cols+j+4]
+			o1 := out.data[(i+1)*cols+j : (i+1)*cols+j+4 : (i+1)*cols+j+4]
+			o0[0], o0[1], o0[2], o0[3] = s00, s01, s02, s03
+			o1[0], o1[1], o1[2], o1[3] = s10, s11, s12, s13
+		}
+	}
+	// The column tail right of the panels, and an odd last row across
+	// all columns, one element at a time.
 	for i := 0; i < a.rows; i++ {
-		for k := 0; k < a.cols; k++ {
-			v := a.data[i*a.cols+k]
-			if v == 0 {
-				continue
+		from := j
+		if i == rows {
+			from = 0
+		}
+		a0 := a.data[i*inner : (i+1)*inner]
+		for jj := from; jj < cols; jj++ {
+			var s float64
+			for k, x0 := range a0 {
+				s += x0 * b.data[k*cols+jj]
 			}
-			rowK := b.data[k*b.cols : (k+1)*b.cols]
-			outRow := out.data[i*out.cols : (i+1)*out.cols]
-			for j, w := range rowK {
-				outRow[j] += v * w
-			}
+			out.data[i*cols+jj] = s
 		}
 	}
 	return nil

@@ -91,8 +91,8 @@ func (ws *Workspace) UniformizedPower(q *Dense, pi []float64, t, rate, epsilon f
 		copy(dst, pi)
 		return dst, nil
 	}
-	p := ws.uniformizedDTMC(q, rate)
-	defer ws.PutCSR(p)
+	pt := ws.uniformizedDTMCT(q, rate)
+	defer ws.PutCSR(pt)
 	weights, right := ws.Poisson(rate*t, epsilon)
 
 	cur := ws.Vec(n)
@@ -107,7 +107,7 @@ func (ws *Workspace) UniformizedPower(q *Dense, pi []float64, t, rate, epsilon f
 		if k == right {
 			break
 		}
-		if err := p.VecMulInto(next, cur); err != nil {
+		if err := pt.MulVecInto(next, cur); err != nil {
 			return nil, err
 		}
 		cur, next = next, cur
@@ -159,8 +159,8 @@ func (ws *Workspace) UniformizedIntegral(q *Dense, pi []float64, t, rate, epsilo
 		}
 		return dst, nil
 	}
-	p := ws.uniformizedDTMC(q, rate)
-	defer ws.PutCSR(p)
+	pt := ws.uniformizedDTMCT(q, rate)
+	defer ws.PutCSR(pt)
 	weights, right := ws.Poisson(rate*t, epsilon)
 	// tail[k] = P[K > k] = 1 - sum_{j<=k} w[j]
 	tail := ws.Vec(right + 1)
@@ -183,7 +183,7 @@ func (ws *Workspace) UniformizedIntegral(q *Dense, pi []float64, t, rate, epsilo
 		if k == right {
 			break
 		}
-		if err := p.VecMulInto(next, cur); err != nil {
+		if err := pt.MulVecInto(next, cur); err != nil {
 			return nil, err
 		}
 		cur, next = next, cur
@@ -223,12 +223,12 @@ func uniformizationRate(q *Dense) float64 {
 	return max * 1.02
 }
 
-// uniformizedDTMC returns P = I + Q/rate as a workspace CSR; release it
-// with ws.PutCSR. P has the generator's sparsity, so each series term
-// costs O(nnz) instead of the dense vector product's O(n^2), with the same
-// sums in the same order (the dense product's zero entries of P only ever
-// add +0).
-func (ws *Workspace) uniformizedDTMC(q *Dense, rate float64) *CSR {
+// uniformizedDTMCT returns the transpose of P = I + Q/rate as a workspace
+// CSR; release it with ws.PutCSR. P has the generator's sparsity, so each
+// series term cur * P costs O(nnz) as a gather over Pᵀ instead of the
+// dense vector product's O(n^2), with the same sums in the same order (the
+// dense product's zero entries of P only ever add +0).
+func (ws *Workspace) uniformizedDTMCT(q *Dense, rate float64) *CSR {
 	n, _ := q.Dims()
 	p := ws.Mat(n, n)
 	defer ws.PutMat(p)
@@ -237,5 +237,5 @@ func (ws *Workspace) uniformizedDTMC(q *Dense, rate float64) *CSR {
 	for i := 0; i < n; i++ {
 		p.Add(i, i, 1)
 	}
-	return ws.CSRFromDense(p)
+	return ws.CSRFromDenseT(p)
 }

@@ -76,6 +76,9 @@ func (ws *Workspace) SteadyStatePower(ctx context.Context, q *CSR, dst, seed []f
 		}
 	}
 	invRate := 1 / rate
+	// pi * Q is a gather over the transpose (see CSR.MulVecInto).
+	qt := ws.TransposeCSR(q)
+	defer ws.PutCSR(qt)
 	if !ApplySeed(dst, seed) {
 		for i := range dst {
 			dst[i] = 1 / float64(n)
@@ -97,7 +100,7 @@ func (ws *Workspace) SteadyStatePower(ctx context.Context, q *CSR, dst, seed []f
 		if faultinject.Enabled() {
 			fiKernelPanic.Panic()
 		}
-		if err := q.VecMulInto(tmp, dst); err != nil {
+		if err := qt.MulVecInto(tmp, dst); err != nil {
 			return iter, warm, err
 		}
 		var delta, norm float64

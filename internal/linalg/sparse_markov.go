@@ -208,13 +208,16 @@ func driftGS(dst []float64) {
 //
 //	cur <- cur + (cur * Q) / rate
 //
-// which is algebraically cur * (I + Q/rate). rate must be >=
-// max_i |Q[i,i]|; pass 0 to derive it from the (materialized) diagonal.
+// which is algebraically cur * (I + Q/rate). qt is the TRANSPOSE of Q in
+// CSR form (petri.Graph.GeneratorCSRTranspose, CSRFromDenseT or
+// TransposeCSR), so cur * Q is the register gather qt.MulVecInto. rate
+// must be >= max_i |Q[i,i]|; pass 0 to derive it from the (materialized)
+// diagonal, which the transpose shares.
 // The result is written into dst when non-nil (length n). All scratch
 // comes from the workspace, so repeated calls at a stamped size run
 // allocation-free.
-func (ws *Workspace) UniformizedPowerCSR(q *CSR, pi []float64, t, rate, epsilon float64, dst []float64) ([]float64, error) {
-	rows, cols := q.Dims()
+func (ws *Workspace) UniformizedPowerCSR(qt *CSR, pi []float64, t, rate, epsilon float64, dst []float64) ([]float64, error) {
+	rows, cols := qt.Dims()
 	if rows != cols || len(pi) != rows {
 		return nil, ErrDimensionMismatch
 	}
@@ -228,7 +231,7 @@ func (ws *Workspace) UniformizedPowerCSR(q *CSR, pi []float64, t, rate, epsilon 
 		return nil, ErrDimensionMismatch
 	}
 	if rate <= 0 {
-		rate = q.MaxAbsDiag() * 1.02
+		rate = qt.MaxAbsDiag() * 1.02
 	}
 	if rate == 0 || t == 0 {
 		copy(dst, pi)
@@ -251,7 +254,7 @@ func (ws *Workspace) UniformizedPowerCSR(q *CSR, pi []float64, t, rate, epsilon 
 		if k == right {
 			break
 		}
-		if err := q.VecMulInto(tmp, cur); err != nil {
+		if err := qt.MulVecInto(tmp, cur); err != nil {
 			return nil, err
 		}
 		for i := range cur {
@@ -265,9 +268,10 @@ func (ws *Workspace) UniformizedPowerCSR(q *CSR, pi []float64, t, rate, epsilon 
 
 // UniformizedIntegralCSR computes pi * Integral_0^t e^{Q s} ds with the
 // same matrix-free series as UniformizedPowerCSR, using the tail-weight
-// identity of UniformizedIntegral.
-func (ws *Workspace) UniformizedIntegralCSR(q *CSR, pi []float64, t, rate, epsilon float64, dst []float64) ([]float64, error) {
-	rows, cols := q.Dims()
+// identity of UniformizedIntegral. qt is the transpose of Q, as for
+// UniformizedPowerCSR.
+func (ws *Workspace) UniformizedIntegralCSR(qt *CSR, pi []float64, t, rate, epsilon float64, dst []float64) ([]float64, error) {
+	rows, cols := qt.Dims()
 	if rows != cols || len(pi) != rows {
 		return nil, ErrDimensionMismatch
 	}
@@ -285,7 +289,7 @@ func (ws *Workspace) UniformizedIntegralCSR(q *CSR, pi []float64, t, rate, epsil
 		return dst, nil
 	}
 	if rate <= 0 {
-		rate = q.MaxAbsDiag() * 1.02
+		rate = qt.MaxAbsDiag() * 1.02
 	}
 	if rate == 0 {
 		for i := range dst {
@@ -317,7 +321,7 @@ func (ws *Workspace) UniformizedIntegralCSR(q *CSR, pi []float64, t, rate, epsil
 		if k == right {
 			break
 		}
-		if err := q.VecMulInto(tmp, cur); err != nil {
+		if err := qt.MulVecInto(tmp, cur); err != nil {
 			return nil, err
 		}
 		for i := range cur {

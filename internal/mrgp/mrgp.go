@@ -247,21 +247,22 @@ func solveDense(ws *linalg.Workspace, g *petri.Graph) (*Solution, error) {
 	// T = e^{Q tau} via uniformization with scaling and doubling (see
 	// transient.go). The occupancy needs only sigma * U(tau), which the
 	// retained squarings give without forming U, and its base-step series
-	// needs only Q's CSR form, so the dense generator is released early.
+	// needs only Q's transpose in CSR form, so the dense generator is
+	// released early.
 	q, err := g.GeneratorWS(ws)
 	if err != nil {
 		return nil, err
 	}
 	sq, err := newSquarings(ws, q, delay, false)
-	qc := ws.CSRFromDense(q)
+	qt := ws.CSRFromDenseT(q)
 	ws.PutMat(q)
-	defer ws.PutCSR(qc)
+	defer ws.PutCSR(qt)
 	if err != nil {
 		return nil, fmt.Errorf("transient pair: %w", err)
 	}
 	defer sq.release(ws)
 
-	// D: branching matrix applied at clock firings, multiplied in CSR form
+	// D: branching matrix applied at clock firings, multiplied in CSC form
 	// (the same sums in the same order as the dense product).
 	d := ws.Mat(n, n)
 	for i, sched := range g.Det {
@@ -269,13 +270,13 @@ func solveDense(ws *linalg.Workspace, g *petri.Graph) (*Solution, error) {
 			d.Add(i, pe.To, pe.Prob)
 		}
 	}
-	dc := ws.CSRFromDense(d)
+	dt := ws.CSRFromDenseT(d)
 	ws.PutMat(d)
-	defer ws.PutCSR(dc)
+	defer ws.PutCSR(dt)
 
 	p := ws.Mat(n, n)
 	defer ws.PutMat(p)
-	if err := p.MulCSRInto(sq.T(), dc); err != nil {
+	if err := p.MulCSCInto(sq.T(), dt); err != nil {
 		return nil, err
 	}
 	sigma, err := embeddedStationary(ws, p)
@@ -284,7 +285,7 @@ func solveDense(ws *linalg.Workspace, g *petri.Graph) (*Solution, error) {
 	}
 
 	occupancy := make([]float64, n)
-	if err := sq.occupancy(ws, qc, sigma, occupancy); err != nil {
+	if err := sq.occupancy(ws, qt, sigma, occupancy); err != nil {
 		return nil, err
 	}
 	linalg.Normalize(occupancy)

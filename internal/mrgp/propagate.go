@@ -18,7 +18,7 @@ type Propagator struct {
 	n     int
 	delay float64
 	q     *linalg.Dense
-	qc    *linalg.CSR   // sparse generator for large state spaces, else nil
+	qt    *linalg.CSR   // transposed sparse generator for large state spaces, else nil
 	tTau  *linalg.Dense // e^{Q tau}
 	uTau  *linalg.Dense // Integral_0^tau e^{Q t} dt
 	d     *linalg.Dense // tick branching
@@ -55,7 +55,7 @@ func NewPropagator(g *petri.Graph) (*Propagator, error) {
 	}
 	p := &Propagator{n: n, delay: delay, q: q, tTau: tTau, uTau: uTau, d: d}
 	if n >= linalg.SparseThreshold {
-		p.qc = linalg.CSRFromDense(q)
+		p.qt = linalg.CSRFromDenseT(q)
 	}
 	return p, nil
 }
@@ -86,9 +86,9 @@ func (p *Propagator) Distribution(pi0 []float64, t float64) ([]float64, error) {
 	if t == 0 {
 		return cur, nil
 	}
-	if p.qc != nil {
+	if p.qt != nil {
 		var ws *linalg.Workspace
-		return ws.UniformizedPowerCSR(p.qc, cur, t, 0, truncationEpsilon, nil)
+		return ws.UniformizedPowerCSR(p.qt, cur, t, 0, truncationEpsilon, nil)
 	}
 	return linalg.UniformizedPower(p.q, cur, t, 0, truncationEpsilon)
 }
@@ -126,9 +126,9 @@ func (p *Propagator) AccumulatedReward(pi0, reward []float64, t float64) (float6
 	if t > 0 {
 		var occ []float64
 		var err error
-		if p.qc != nil {
+		if p.qt != nil {
 			var ws *linalg.Workspace
-			occ, err = ws.UniformizedIntegralCSR(p.qc, cur, t, 0, truncationEpsilon, nil)
+			occ, err = ws.UniformizedIntegralCSR(p.qt, cur, t, 0, truncationEpsilon, nil)
 		} else {
 			occ, err = linalg.UniformizedIntegral(p.q, cur, t, 0, truncationEpsilon)
 		}

@@ -39,8 +39,8 @@ const (
 //	v -> (v * e^{Q tau}) * D
 //
 // is the matrix-free uniformization series (cur <- cur + (cur*Q)/rate per
-// Poisson term) followed by the CSR clock branching matrix cached on the
-// graph topology. The stationary vector is found in two stages on that
+// Poisson term, a gather over Q's plan-stamped transpose) followed by the
+// clock branching matrix, whose transpose is cached on the graph topology. The stationary vector is found in two stages on that
 // one operator:
 //
 //  1. a restarted GMRES solve of x(I - P) = 0 (embeddedOp.krylov), which
@@ -93,11 +93,11 @@ func solveSparse(ctx context.Context, ws *linalg.Workspace, g *petri.Graph, seed
 	}
 	metSolveSparse.Inc()
 
-	q, err := g.GeneratorCSR(ws)
+	qt, err := g.GeneratorCSRTranspose(ws)
 	if err != nil {
 		return nil, 0, false, err
 	}
-	defer ws.PutCSR(q)
+	defer ws.PutCSR(qt)
 
 	v := ws.Vec(n)
 	moved := ws.Vec(n)
@@ -105,7 +105,7 @@ func solveSparse(ctx context.Context, ws *linalg.Workspace, g *petri.Graph, seed
 	defer ws.PutVec(v)
 	defer ws.PutVec(moved)
 	defer ws.PutVec(next)
-	op := embeddedOp{ws: ws, q: q, d: g.DetBranchCSR(), delay: delay, rate: q.MaxAbsDiag() * 1.02, moved: moved}
+	op := embeddedOp{ws: ws, qt: qt, dt: g.DetBranchTranspose(), delay: delay, rate: qt.MaxAbsDiag() * 1.02, moved: moved}
 	warm = linalg.ApplySeed(v, seed)
 	if !warm {
 		for i := range v {
@@ -129,7 +129,7 @@ func solveSparse(ctx context.Context, ws *linalg.Workspace, g *petri.Graph, seed
 			return
 		}
 		kspEnded = true
-		ksp.Int("cycles", int64(cycles)).Int("krylov", int64(krylov)).Int("nnz", int64(q.NNZ())).Float("residual", lastDelta).Err(err)
+		ksp.Int("cycles", int64(cycles)).Int("krylov", int64(krylov)).Int("nnz", int64(qt.NNZ())).Float("residual", lastDelta).Err(err)
 		ksp.End()
 	}
 	defer endEmbedded(nil)
@@ -205,7 +205,7 @@ func solveSparse(ctx context.Context, ws *linalg.Workspace, g *petri.Graph, seed
 
 	occupancy := make([]float64, n)
 	_, osp := obs.StartSpan(ctx, "mrgp.kernel.occupancy")
-	_, oerr := ws.UniformizedIntegralCSR(q, sigma, delay, op.rate, truncationEpsilon, occupancy)
+	_, oerr := ws.UniformizedIntegralCSR(qt, sigma, delay, op.rate, truncationEpsilon, occupancy)
 	osp.Err(oerr)
 	osp.End()
 	if oerr != nil {
@@ -219,11 +219,12 @@ func solveSparse(ctx context.Context, ws *linalg.Workspace, g *petri.Graph, seed
 // embeddedOp is the matrix-free embedded-chain operator x -> xP with
 // P = e^{Q tau} D: one uniformization series into moved, then the clock
 // branching matrix. Krylov and power stages apply the same operator, so
-// each application costs exactly one series whichever stage asks.
+// each application costs exactly one series whichever stage asks. Both
+// matrices are held transposed, the layout of the gather products.
 type embeddedOp struct {
 	ws    *linalg.Workspace
-	q     *linalg.CSR
-	d     *linalg.CSR
+	qt    *linalg.CSR
+	dt    *linalg.CSR
 	delay float64
 	rate  float64
 	moved []float64
@@ -231,10 +232,10 @@ type embeddedOp struct {
 
 // apply writes src*P into dst.
 func (op *embeddedOp) apply(dst, src []float64) error {
-	if _, err := op.ws.UniformizedPowerCSR(op.q, src, op.delay, op.rate, truncationEpsilon, op.moved); err != nil {
+	if _, err := op.ws.UniformizedPowerCSR(op.qt, src, op.delay, op.rate, truncationEpsilon, op.moved); err != nil {
 		return err
 	}
-	return op.d.VecMulInto(dst, op.moved)
+	return op.dt.MulVecInto(dst, op.moved)
 }
 
 // krylov refines the distribution v towards the stationary vector of P

@@ -154,7 +154,7 @@ func TestTransientPairCSRMatchesDense(t *testing.T) {
 			if err != nil {
 				t.Fatalf("dense: %v", err)
 			}
-			tmS, umS, err := transientPairCSR(ws, linalg.CSRFromDense(q), horizon)
+			tmS, umS, err := transientPairCSR(ws, linalg.CSRFromDenseT(q), horizon)
 			if err != nil {
 				t.Fatalf("csr: %v", err)
 			}
@@ -182,7 +182,7 @@ func TestTransientPairCSRMatchesDense(t *testing.T) {
 func TestKrylovStartNoAllocAfterWarmup(t *testing.T) {
 	g := explore(t, buildClockedPopulation(t, 9, 30))
 	ws := linalg.NewWorkspace()
-	q, err := g.GeneratorCSR(ws)
+	qt, err := g.GeneratorCSRTranspose(ws)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +191,7 @@ func TestKrylovStartNoAllocAfterWarmup(t *testing.T) {
 		t.Fatal(err)
 	}
 	n := g.NumStates()
-	op := embeddedOp{ws: ws, q: q, d: g.DetBranchCSR(), delay: delay, rate: q.MaxAbsDiag() * 1.02, moved: make([]float64, n)}
+	op := embeddedOp{ws: ws, qt: qt, dt: g.DetBranchTranspose(), delay: delay, rate: qt.MaxAbsDiag() * 1.02, moved: make([]float64, n)}
 	v := make([]float64, n)
 	start := func() {
 		for i := range v {

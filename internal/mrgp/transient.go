@@ -15,8 +15,9 @@ const transientTarget = 32
 // products); smaller ones use the dense scaling-and-doubling path.
 func transientPair(ws *linalg.Workspace, q *linalg.Dense, t float64) (tm, um *linalg.Dense, err error) {
 	if n, _ := q.Dims(); n >= linalg.SparseThreshold {
-		qc := linalg.CSRFromDense(q)
-		return transientPairCSR(ws, qc, t)
+		qt := ws.CSRFromDenseT(q)
+		defer ws.PutCSR(qt)
+		return transientPairCSR(ws, qt, t)
 	}
 	return transientPairDense(ws, q, t)
 }
@@ -142,8 +143,9 @@ func (sq *squarings) integral(ws *linalg.Workspace) (*linalg.Dense, error) {
 // occupancy writes dst = x U(t) without forming U(t): x is carried
 // through the factors (I + pow[i]) from the largest square down, and the
 // base-step integral is applied as a vector uniformization series over
-// qc, the generator the squarings were built from in CSR form.
-func (sq *squarings) occupancy(ws *linalg.Workspace, qc *linalg.CSR, x, dst []float64) error {
+// qt, the transpose of the generator the squarings were built from in CSR
+// form.
+func (sq *squarings) occupancy(ws *linalg.Workspace, qt *linalg.CSR, x, dst []float64) error {
 	if sq.frozen() {
 		for j, v := range x {
 			dst[j] = sq.t * v
@@ -163,7 +165,7 @@ func (sq *squarings) occupancy(ws *linalg.Workspace, qc *linalg.CSR, x, dst []fl
 			v[j] += w
 		}
 	}
-	_, err := ws.UniformizedIntegralCSR(qc, v, sq.base, sq.rate, truncationEpsilon, dst)
+	_, err := ws.UniformizedIntegralCSR(qt, v, sq.base, sq.rate, truncationEpsilon, dst)
 	return err
 }
 
@@ -187,12 +189,12 @@ func uniformizedPair(ws *linalg.Workspace, q *linalg.Dense, rate, t float64, wit
 	for i := 0; i < n; i++ {
 		p.Add(i, i, 1)
 	}
-	// P has the generator's sparsity, so each term multiplies by it in CSR
+	// P has the generator's sparsity, so each term multiplies by it in CSC
 	// form: O(n*nnz) instead of O(n^3), and the same sums in the same order
 	// (the dense product's zero entries of P only ever add +0).
-	pc := ws.CSRFromDense(p)
+	pt := ws.CSRFromDenseT(p)
 	ws.PutMat(p)
-	defer ws.PutCSR(pc)
+	defer ws.PutCSR(pt)
 	weights, right := ws.Poisson(rate*t, truncationEpsilon)
 	var tail []float64
 	if withU {
@@ -225,7 +227,7 @@ func uniformizedPair(ws *linalg.Workspace, q *linalg.Dense, rate, t float64, wit
 		if k == right {
 			break
 		}
-		if err := next.MulCSRInto(power, pc); err != nil {
+		if err := next.MulCSCInto(power, pt); err != nil {
 			return nil, nil, err
 		}
 		power, next = next, power
@@ -234,13 +236,16 @@ func uniformizedPair(ws *linalg.Workspace, q *linalg.Dense, rate, t float64, wit
 }
 
 // transientPairCSR evaluates both series at the full horizon with the
-// matrix powers subordinated through the CSR kernel: each term costs
+// matrix powers subordinated through the sparse kernel: each term costs
 // O(n*nnz) instead of the dense product's O(n^3), so skipping the doubling
 // shortcut (whose squarings are dense-dense) is a net win once the
-// generator is sparse. tm and um come from ws; release them with ws.PutMat.
-func transientPairCSR(ws *linalg.Workspace, q *linalg.CSR, t float64) (tm, um *linalg.Dense, err error) {
-	n, _ := q.Dims()
-	rate := q.MaxAbsDiag() * 1.02
+// generator is sparse. qt is the transpose of the generator in CSR form;
+// P = I + Q/rate is formed on the same pattern, as Pᵀ, which is what
+// Dense.MulCSCInto gathers over. tm and um come from ws; release them with
+// ws.PutMat.
+func transientPairCSR(ws *linalg.Workspace, qt *linalg.CSR, t float64) (tm, um *linalg.Dense, err error) {
+	n, _ := qt.Dims()
+	rate := qt.MaxAbsDiag() * 1.02
 	if rate == 0 || t == 0 {
 		tm = ws.Mat(n, n)
 		um = ws.Mat(n, n)
@@ -251,18 +256,18 @@ func transientPairCSR(ws *linalg.Workspace, q *linalg.CSR, t float64) (tm, um *l
 		return tm, um, nil
 	}
 
-	// P = I + Q/rate, kept in CSR form (same pattern as Q).
-	p := ws.CSR(n, n, q.NNZ())
-	defer ws.PutCSR(p)
-	copy(p.RowPtr, q.RowPtr)
-	copy(p.ColIdx, q.ColIdx)
+	// Pᵀ = I + Qᵀ/rate, kept in CSR form (same pattern as Qᵀ).
+	pt := ws.CSR(n, n, qt.NNZ())
+	defer ws.PutCSR(pt)
+	copy(pt.RowPtr, qt.RowPtr)
+	copy(pt.ColIdx, qt.ColIdx)
 	for i := 0; i < n; i++ {
-		for k := q.RowPtr[i]; k < q.RowPtr[i+1]; k++ {
-			v := q.Vals[k] / rate
-			if q.ColIdx[k] == i {
+		for k := qt.RowPtr[i]; k < qt.RowPtr[i+1]; k++ {
+			v := qt.Vals[k] / rate
+			if qt.ColIdx[k] == i {
 				v++
 			}
-			p.Vals[k] = v
+			pt.Vals[k] = v
 		}
 	}
 
@@ -290,7 +295,7 @@ func transientPairCSR(ws *linalg.Workspace, q *linalg.CSR, t float64) (tm, um *l
 		if k == right {
 			break
 		}
-		if err := next.MulCSRInto(power, p); err != nil {
+		if err := next.MulCSCInto(power, pt); err != nil {
 			return nil, nil, err
 		}
 		power, next = next, power

@@ -153,7 +153,7 @@ func TestSquaringsOccupancy(t *testing.T) {
 			t.Fatalf("%s: %v", c.name, err)
 		}
 		got := make([]float64, n)
-		err = sq.occupancy(ws, linalg.CSRFromDense(c.q), x, got)
+		err = sq.occupancy(ws, linalg.CSRFromDenseT(c.q), x, got)
 		sq.release(ws)
 		if err != nil {
 			t.Fatalf("%s occupancy: %v", c.name, err)

@@ -489,7 +489,7 @@ func (m *Model) ExpectedReliability(rf reliability.StateFn) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	return m.expectedFrom(pi, rf)
+	return m.ExpectedReliabilityFrom(pi, rf)
 }
 
 // PaperReliability returns the paper's verbatim reliability function when
@@ -530,11 +530,13 @@ func (m *Model) ExpectedPaperReliabilityFrom(pi []float64) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	return m.expectedFrom(pi, rf)
+	return m.ExpectedReliabilityFrom(pi, rf)
 }
 
-// expectedFrom is the reward summation sum_s pi[s] R(class(s)).
-func (m *Model) expectedFrom(pi []float64, rf reliability.StateFn) (float64, error) {
+// ExpectedReliabilityFrom is the reward summation sum_s pi[s] R(class(s))
+// over an already-solved distribution pi; ExpectedReliability is Solve
+// followed by it.
+func (m *Model) ExpectedReliabilityFrom(pi []float64, rf reliability.StateFn) (float64, error) {
 	if len(pi) != len(m.Graph.Markings) {
 		return 0, fmt.Errorf("nvp: distribution has %d states, graph has %d", len(pi), len(m.Graph.Markings))
 	}

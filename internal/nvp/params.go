@@ -159,6 +159,20 @@ func (p Params) Reliability() reliability.Params {
 	return reliability.Params{P: p.P, PPrime: p.PPrime, Alpha: p.Alpha}
 }
 
+// GeneratorKey returns p with the reward-only fields F, Alpha, P and
+// PPrime cleared. Those fields enter only the reliability function (see
+// Reliability and Scheme), never the DSPN: two parameter sets with the
+// same key build the same net, stamp the same rates and delays, and solve
+// to the same distribution under one architecture. Together with the
+// architecture it keys a memo of solved distributions, the same split
+// ModelCache's structural key relies on. It does not cover
+// attacker-modified builds, whose transitions the parameters do not
+// determine.
+func (p Params) GeneratorKey() Params {
+	p.F, p.Alpha, p.P, p.PPrime = 0, 0, 0, 0
+	return p
+}
+
 // Scheme returns the BFT voting scheme implied by N, F, R.
 func (p Params) Scheme() reliability.Scheme {
 	return reliability.Scheme{N: p.N, F: p.F, R: p.R}

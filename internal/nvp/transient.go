@@ -31,12 +31,12 @@ func (m *Model) TransientReliability(rf reliability.StateFn, times []float64) ([
 		// small ones keep the dense kernel and its bit-exact seed behavior.
 		var (
 			q   *linalg.Dense
-			qc  *linalg.CSR
+			qt  *linalg.CSR
 			ws  *linalg.Workspace
 			err error
 		)
 		if m.Graph.NumStates() >= linalg.SparseThreshold {
-			qc, err = m.Graph.GeneratorCSR(nil)
+			qt, err = m.Graph.GeneratorCSRTranspose(nil)
 		} else {
 			q, err = m.Graph.Generator()
 		}
@@ -48,8 +48,8 @@ func (m *Model) TransientReliability(rf reliability.StateFn, times []float64) ([
 				return nil, fmt.Errorf("nvp: negative time %g", t)
 			}
 			var pi []float64
-			if qc != nil {
-				pi, err = ws.UniformizedPowerCSR(qc, init, t, 0, 1e-12, nil)
+			if qt != nil {
+				pi, err = ws.UniformizedPowerCSR(qt, init, t, 0, 1e-12, nil)
 			} else {
 				pi, err = linalg.UniformizedPower(q, init, t, 0, 1e-12)
 			}
@@ -94,12 +94,12 @@ func (m *Model) MissionReliability(rf reliability.StateFn, t float64) (float64, 
 	if m.Arch != WithRejuvenation {
 		var occ []float64
 		if m.Graph.NumStates() >= linalg.SparseThreshold {
-			qc, err := m.Graph.GeneratorCSR(nil)
+			qt, err := m.Graph.GeneratorCSRTranspose(nil)
 			if err != nil {
 				return 0, err
 			}
 			var ws *linalg.Workspace
-			if occ, err = ws.UniformizedIntegralCSR(qc, init, t, 0, 1e-12, nil); err != nil {
+			if occ, err = ws.UniformizedIntegralCSR(qt, init, t, 0, 1e-12, nil); err != nil {
 				return 0, err
 			}
 		} else {

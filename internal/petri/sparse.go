@@ -45,7 +45,7 @@ type topology struct {
 	plan     *GeneratorPlan
 
 	detOnce sync.Once
-	det     *linalg.CSR // clock branching probabilities (rate-independent)
+	det     *linalg.CSR // transposed clock branching probabilities (rate-independent)
 }
 
 // NewGeneratorPlan derives the CSR assembly plan of g's generator. Prefer
@@ -197,17 +197,25 @@ func (g *Graph) GeneratorCSRTranspose(ws *linalg.Workspace) (*linalg.CSR, error)
 	return g.SparsePlan().StampTranspose(g, ws)
 }
 
-// DetBranchCSR returns the clock branching matrix D (D[i][j] = probability
-// that the deterministic firing in state i lands in tangible state j,
-// zero rows for states without a deterministic transition). The
-// probabilities are rate-independent, so the matrix is built once per
-// topology and shared read-only across Restamp siblings.
-func (g *Graph) DetBranchCSR() *linalg.CSR {
+// DetBranchTranspose returns the transpose of the clock branching matrix
+// D (D[i][j] = probability that the deterministic firing in state i lands
+// in tangible state j, zero rows for states without a deterministic
+// transition) in CSR form, the operand of the gather x * D (see
+// linalg.CSR.MulVecInto). The probabilities are rate-independent, so the
+// matrix is built once per topology and shared read-only across Restamp
+// siblings.
+func (g *Graph) DetBranchTranspose() *linalg.CSR {
 	if g.topo == nil {
-		return buildDetCSR(g)
+		return buildDetTranspose(g)
 	}
-	g.topo.detOnce.Do(func() { g.topo.det = buildDetCSR(g) })
+	g.topo.detOnce.Do(func() { g.topo.det = buildDetTranspose(g) })
 	return g.topo.det
+}
+
+// buildDetTranspose lists each state's successors in schedule order and
+// transposes stably, so a repeated successor adds in that order too.
+func buildDetTranspose(g *Graph) *linalg.CSR {
+	return (*linalg.Workspace)(nil).TransposeCSR(buildDetCSR(g))
 }
 
 func buildDetCSR(g *Graph) *linalg.CSR {

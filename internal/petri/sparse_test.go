@@ -105,9 +105,9 @@ func TestUniformizationSparseMatchesDense(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Generator: %v", err)
 		}
-		c, err := g.GeneratorCSR(ws)
+		ct, err := g.GeneratorCSRTranspose(ws)
 		if err != nil {
-			t.Fatalf("GeneratorCSR: %v", err)
+			t.Fatalf("GeneratorCSRTranspose: %v", err)
 		}
 		pi := make([]float64, n)
 		pi[rng.Intn(n)] = 1
@@ -116,7 +116,7 @@ func TestUniformizationSparseMatchesDense(t *testing.T) {
 			if err != nil {
 				t.Fatalf("dense: %v", err)
 			}
-			got, err := ws.UniformizedPowerCSR(c, pi, horizon, 0, 1e-12, nil)
+			got, err := ws.UniformizedPowerCSR(ct, pi, horizon, 0, 1e-12, nil)
 			if err != nil {
 				t.Fatalf("sparse: %v", err)
 			}
@@ -126,7 +126,7 @@ func TestUniformizationSparseMatchesDense(t *testing.T) {
 				}
 			}
 		}
-		ws.PutCSR(c)
+		ws.PutCSR(ct)
 	}
 }
 
