@@ -18,7 +18,8 @@ import (
 // `nvrel audit` replays a run's numerics evidence — a -event-log JSONL
 // stream and/or a /debug/flight dump — into one post-hoc report:
 // cross-path divergence rate, worst accepted residuals, fallback
-// frequency, and the per-path latency split. The same thresholds that
+// frequency, and the per-path latency split. Both inputs hold the same
+// obs.Event records, so one tally reads either. The same thresholds that
 // gate a live daemon gate CI here: any -max-* flag violation makes the
 // command exit non-zero, so a chaos or loadgen run whose numerics
 // drifted fails the pipeline even though every request returned 200.
@@ -33,7 +34,11 @@ type auditConfig struct {
 	maxFallbackRate float64 // fallback solves / solves (negative = no gate)
 }
 
-// auditPath is one solver path's share of the run.
+// maxAuditLine bounds one JSONL record.
+const maxAuditLine = 1 << 20
+
+// auditPath is one solver path's share of the run: its compute records,
+// plus the verdicts on solves that took it.
 type auditPath struct {
 	Count           int     `json:"count"`
 	MeanLatency     float64 `json:"mean_latency_seconds"`
@@ -46,44 +51,40 @@ type auditPath struct {
 	totalLatencySum float64
 }
 
-type auditEvents struct {
-	Total          int `json:"total"`
-	Solves         int `json:"solves"`
-	Errors         int `json:"errors"`
-	CacheHits      int `json:"cache_hits"`
-	ShadowDiverged int `json:"shadow_diverged"`
-	ShadowErrors   int `json:"shadow_errors"`
-}
-
-type auditFlight struct {
-	Records       int     `json:"records"`
-	Comparisons   int     `json:"comparisons"` // shadow agree + diverge
-	Agree         int     `json:"agree"`
-	Diverge       int     `json:"diverge"`
-	Skipped       int     `json:"skipped"`
-	Errors        int     `json:"errors"`
-	Fallbacks     int     `json:"fallbacks"`
-	WorstResidual float64 `json:"worst_residual"`
-	WorstPiDelta  float64 `json:"worst_pi_delta"`
+// auditTally is everything the records say, whichever input they came
+// from.
+type auditTally struct {
+	Records       int                   `json:"records"`
+	Requests      int                   `json:"requests"` // solve + batch records
+	RequestErrors int                   `json:"request_errors"`
+	CacheHits     int                   `json:"cache_hits"`
+	Solves        int                   `json:"solves"` // compute records
+	Fallbacks     int                   `json:"fallbacks"`
+	WorstResidual float64               `json:"worst_residual"`
+	Comparisons   int                   `json:"comparisons"` // shadow agree + diverge
+	Agree         int                   `json:"agree"`
+	Diverge       int                   `json:"diverge"`
+	Skipped       int                   `json:"skipped"`
+	ShadowErrors  int                   `json:"shadow_errors"`
+	WorstPiDelta  float64               `json:"worst_pi_delta"`
+	Paths         map[string]*auditPath `json:"paths,omitempty"`
+	DivergeRate   float64               `json:"diverge_rate"`
+	FallbackRate  float64               `json:"fallback_rate"`
 }
 
 type auditReport struct {
-	Manifest     obs.Manifest          `json:"manifest"`
-	EventLog     string                `json:"event_log,omitempty"`
-	FlightDump   string                `json:"flight_dump,omitempty"`
-	Events       *auditEvents          `json:"events,omitempty"`
-	Flight       *auditFlight          `json:"flight,omitempty"`
-	Paths        map[string]*auditPath `json:"paths,omitempty"`
-	DivergeRate  float64               `json:"diverge_rate"`
-	FallbackRate float64               `json:"fallback_rate"`
-	Violations   []string              `json:"gate_violations,omitempty"`
+	Manifest   obs.Manifest `json:"manifest"`
+	EventLog   string       `json:"event_log,omitempty"`
+	FlightDump string       `json:"flight_dump,omitempty"`
+	auditTally
+	Violations []string `json:"gate_violations,omitempty"`
 }
 
 func cmdAudit(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("audit", flag.ContinueOnError)
 	fs.SetOutput(out)
 	var cfg auditConfig
-	fs.StringVar(&cfg.eventLog, "event-log", "", "replay this JSON-lines request-event stream (serve -event-log output)")
+	fs.StringVar(&cfg.eventLog, "event-log", "", "replay this JSON-lines event stream (serve -event-log output)")
 	fs.StringVar(&cfg.flight, "flight", "", "replay this /debug/flight dump (JSON)")
 	fs.StringVar(&cfg.output, "o", "", "write the audit report as JSON to this file")
 	fs.Float64Var(&cfg.maxDivergeRate, "max-diverge-rate", -1, "fail if cross-path divergences exceed this fraction of comparisons (negative = off)")
@@ -101,30 +102,27 @@ func cmdAudit(args []string, out io.Writer) error {
 		Manifest:   obs.NewManifest(),
 		EventLog:   cfg.eventLog,
 		FlightDump: cfg.flight,
-		Paths:      map[string]*auditPath{},
 	}
 	rep.Manifest.Command = "audit"
-
-	if cfg.eventLog != "" {
-		ev, err := auditEventLog(cfg.eventLog, &rep)
+	var recs []obs.Event
+	for _, in := range []struct {
+		path   string
+		flight bool
+	}{{cfg.eventLog, false}, {cfg.flight, true}} {
+		if in.path == "" {
+			continue
+		}
+		got, err := readAuditFile(in.path, in.flight)
 		if err != nil {
 			return fmt.Errorf("audit: %w", err)
 		}
-		rep.Events = ev
+		recs = append(recs, got...)
 	}
-	if cfg.flight != "" {
-		fl, err := auditFlightDump(cfg.flight, &rep)
-		if err != nil {
-			return fmt.Errorf("audit: %w", err)
-		}
-		rep.Flight = fl
-	}
-	finishPaths(rep.Paths)
-	rep.DivergeRate, rep.FallbackRate = auditRates(&rep)
-	rep.Violations = auditGates(cfg, &rep)
+	rep.auditTally = tallyAudit(recs)
+	rep.Violations = auditGates(cfg, &rep.auditTally)
 	rep.Manifest.WallSeconds = time.Since(start).Seconds()
 
-	writeAuditSummary(out, &rep)
+	writeAuditSummary(out, &rep.auditTally)
 	if cfg.output != "" {
 		data, err := json.MarshalIndent(rep, "", "  ")
 		if err != nil {
@@ -141,201 +139,189 @@ func cmdAudit(args []string, out io.Writer) error {
 	return nil
 }
 
-func (r *auditReport) pathFor(name string) *auditPath {
-	if name == "" {
-		name = "unknown"
-	}
-	p := r.Paths[name]
-	if p == nil {
-		p = &auditPath{}
-		r.Paths[name] = p
-	}
-	return p
-}
-
-// auditEventLog streams the JSONL event log: solve events feed the
-// per-path latency split, shadow events feed the divergence tally.
-func auditEventLog(path string, rep *auditReport) (*auditEvents, error) {
+func readAuditFile(path string, flight bool) ([]obs.Event, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	ev := &auditEvents{}
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 1<<16), 1<<20)
+	return decodeAuditRecords(f, path, flight)
+}
+
+// auditInputError locates an input that did not decode: its name and,
+// for a JSONL stream, the 1-based line.
+type auditInputError struct {
+	name string
+	line int
+	err  error
+}
+
+func (e *auditInputError) Error() string {
+	if e.line > 0 {
+		return fmt.Sprintf("%s:%d: %v", e.name, e.line, e.err)
+	}
+	return fmt.Sprintf("%s: %v", e.name, e.err)
+}
+
+func (e *auditInputError) Unwrap() error { return e.err }
+
+// decodeAuditRecords reads one audit input: a JSONL event stream (one
+// record per line, blank lines skipped, each line at most maxAuditLine
+// bytes) or, with flight set, a {"flight": [...]} document. Any failure
+// is an *auditInputError.
+func decodeAuditRecords(r io.Reader, name string, flight bool) ([]obs.Event, error) {
+	if flight {
+		var doc struct {
+			Flight []obs.Event `json:"flight"`
+		}
+		data, err := io.ReadAll(r)
+		if err == nil {
+			err = json.Unmarshal(data, &doc)
+		}
+		if err != nil {
+			return nil, &auditInputError{name: name, err: err}
+		}
+		return doc.Flight, nil
+	}
+	var recs []obs.Event
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 0, 1<<16), maxAuditLine)
 	line := 0
 	for sc.Scan() {
 		line++
-		if len(strings.TrimSpace(string(sc.Bytes()))) == 0 {
+		if len(strings.TrimSpace(sc.Text())) == 0 {
 			continue
 		}
 		var e obs.Event
 		if err := json.Unmarshal(sc.Bytes(), &e); err != nil {
-			return nil, fmt.Errorf("%s:%d: %w", path, line, err)
+			return nil, &auditInputError{name: name, line: line, err: err}
 		}
-		ev.Total++
-		switch e.Method {
-		case "shadow":
-			if strings.Contains(e.Error, "diverged") {
-				ev.ShadowDiverged++
-			} else {
-				ev.ShadowErrors++
-			}
-		case "solve", "batch":
-			ev.Solves++
-			if e.Error != "" || e.Status >= 400 {
-				ev.Errors++
-			}
-			if e.Cache == "hit" {
-				ev.CacheHits++
-			}
-			if e.Path != "" {
-				p := rep.pathFor(e.Path)
-				p.Count++
-				p.totalLatencySum += e.LatencySeconds
-				if e.LatencySeconds > p.MaxLatency {
-					p.MaxLatency = e.LatencySeconds
-				}
-			}
-		}
+		recs = append(recs, e)
 	}
-	return ev, sc.Err()
+	if err := sc.Err(); err != nil {
+		// The scanner stopped inside the line after the last one it
+		// returned.
+		return nil, &auditInputError{name: name, line: line + 1, err: err}
+	}
+	return recs, nil
 }
 
-// auditFlightDump replays a /debug/flight JSON dump (or the bare
-// {"flight": [...]} subset) into residual, fallback, and shadow-verdict
-// tallies.
-func auditFlightDump(path string, rep *auditReport) (*auditFlight, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var doc struct {
-		Flight []shadow.FlightRecord `json:"flight"`
-	}
-	if err := json.Unmarshal(data, &doc); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	fl := &auditFlight{}
-	for _, r := range doc.Flight {
-		fl.Records++
-		if r.Fallback != "" || strings.Contains(r.Path, "fallback") {
-			fl.Fallbacks++
-		}
-		if r.Residual > fl.WorstResidual {
-			fl.WorstResidual = r.Residual
-		}
-		// General-MRGP solves carry no solve path; bucket them by solver.
-		label := r.Path
-		if label == "" {
-			label = r.Solver
-		}
-		p := rep.pathFor(label)
-		p.Count++
-		p.totalLatencySum += r.ElapsedSeconds
-		if r.ElapsedSeconds > p.MaxLatency {
-			p.MaxLatency = r.ElapsedSeconds
-		}
-		if r.Residual > p.WorstResidual {
-			p.WorstResidual = r.Residual
-		}
-		if r.Shadow == nil {
+// tallyAudit folds the records into one report body. A record present
+// in both inputs (a run's event log and its /debug/flight dump) counts
+// once. Request records feed the request totals, compute records the
+// per-path split, residual and fallback tallies, and verdict records the
+// shadow tallies of their primary path.
+func tallyAudit(recs []obs.Event) auditTally {
+	t := auditTally{Paths: map[string]*auditPath{}}
+	seen := make(map[obs.Event]bool, len(recs))
+	for _, e := range recs {
+		key := e
+		key.Time = e.Time.UTC()
+		if seen[key] {
 			continue
 		}
-		switch r.Shadow.Verdict {
-		case shadow.VerdictAgree:
-			fl.Agree++
-			p.ShadowAgree++
-		case shadow.VerdictDiverge:
-			fl.Diverge++
-			p.ShadowDiverge++
-			if r.Shadow.PiDelta > fl.WorstPiDelta {
-				fl.WorstPiDelta = r.Shadow.PiDelta
+		seen[key] = true
+		t.Records++
+		switch e.Method {
+		case "solve", "batch":
+			t.Requests++
+			if e.Error != "" || e.Status >= 400 {
+				t.RequestErrors++
 			}
-		case shadow.VerdictSkipped:
-			fl.Skipped++
-			p.ShadowSkipped++
-		case shadow.VerdictError:
-			fl.Errors++
-			p.ShadowErrors++
+			if e.Cache == "hit" {
+				t.CacheHits++
+			}
+		case "compute":
+			t.Solves++
+			if e.Fallback != "" || strings.Contains(e.Path, "fallback") {
+				t.Fallbacks++
+			}
+			t.WorstResidual = max(t.WorstResidual, e.Residual)
+			p := t.pathFor(e)
+			p.Count++
+			p.totalLatencySum += e.LatencySeconds
+			p.MaxLatency = max(p.MaxLatency, e.LatencySeconds)
+			p.WorstResidual = max(p.WorstResidual, e.Residual)
+		case "shadow":
+			p := t.pathFor(e)
+			switch e.Verdict {
+			case shadow.VerdictAgree:
+				t.Agree++
+				p.ShadowAgree++
+			case shadow.VerdictDiverge:
+				t.Diverge++
+				p.ShadowDiverge++
+				t.WorstPiDelta = max(t.WorstPiDelta, e.PiDelta)
+			case shadow.VerdictSkipped:
+				t.Skipped++
+				p.ShadowSkipped++
+			case shadow.VerdictError:
+				t.ShadowErrors++
+				p.ShadowErrors++
+			}
 		}
 	}
-	fl.Comparisons = fl.Agree + fl.Diverge
-	return fl, nil
-}
-
-func finishPaths(paths map[string]*auditPath) {
-	for _, p := range paths {
+	for _, p := range t.Paths {
 		if p.Count > 0 {
 			p.MeanLatency = p.totalLatencySum / float64(p.Count)
 		}
 	}
+	t.Comparisons = t.Agree + t.Diverge
+	if t.Comparisons > 0 {
+		t.DivergeRate = float64(t.Diverge) / float64(t.Comparisons)
+	}
+	if t.Solves > 0 {
+		t.FallbackRate = float64(t.Fallbacks) / float64(t.Solves)
+	}
+	return t
 }
 
-// auditRates derives the gated ratios, preferring flight evidence (which
-// counts every comparison) over the event log (which only records the
-// divergences): diverge-per-comparison and fallback-per-solve.
-func auditRates(rep *auditReport) (diverge, fallback float64) {
-	switch {
-	case rep.Flight != nil && rep.Flight.Comparisons > 0:
-		diverge = float64(rep.Flight.Diverge) / float64(rep.Flight.Comparisons)
-	case rep.Events != nil && rep.Events.Solves > 0:
-		diverge = float64(rep.Events.ShadowDiverged) / float64(rep.Events.Solves)
-	case rep.Events != nil && rep.Events.ShadowDiverged > 0:
-		diverge = 1
+// pathFor buckets a compute or verdict record by its solve path; the
+// general MRGP solver reports none and is bucketed by solver.
+func (t *auditTally) pathFor(e obs.Event) *auditPath {
+	name := e.Path
+	if name == "" {
+		name = e.Solver
 	}
-	if rep.Flight != nil && rep.Flight.Records > 0 {
-		fallback = float64(rep.Flight.Fallbacks) / float64(rep.Flight.Records)
-	} else {
-		var solves, fb int
-		for name, p := range rep.Paths {
-			solves += p.Count
-			if strings.Contains(name, "fallback") {
-				fb += p.Count
-			}
-		}
-		if solves > 0 {
-			fallback = float64(fb) / float64(solves)
-		}
+	if name == "" {
+		name = "unknown"
 	}
-	return diverge, fallback
+	p := t.Paths[name]
+	if p == nil {
+		p = &auditPath{}
+		t.Paths[name] = p
+	}
+	return p
 }
 
-func auditGates(cfg auditConfig, rep *auditReport) []string {
+func auditGates(cfg auditConfig, t *auditTally) []string {
 	var v []string
-	if cfg.maxDivergeRate >= 0 && rep.DivergeRate > cfg.maxDivergeRate {
-		v = append(v, fmt.Sprintf("diverge rate %.4g > max %.4g", rep.DivergeRate, cfg.maxDivergeRate))
+	if cfg.maxDivergeRate >= 0 && t.DivergeRate > cfg.maxDivergeRate {
+		v = append(v, fmt.Sprintf("diverge rate %.4g > max %.4g", t.DivergeRate, cfg.maxDivergeRate))
 	}
-	if cfg.maxResidual >= 0 && rep.Flight != nil && rep.Flight.WorstResidual > cfg.maxResidual {
-		v = append(v, fmt.Sprintf("worst residual %.3g > max %.3g", rep.Flight.WorstResidual, cfg.maxResidual))
+	if cfg.maxResidual >= 0 && t.WorstResidual > cfg.maxResidual {
+		v = append(v, fmt.Sprintf("worst residual %.3g > max %.3g", t.WorstResidual, cfg.maxResidual))
 	}
-	if cfg.maxFallbackRate >= 0 && rep.FallbackRate > cfg.maxFallbackRate {
-		v = append(v, fmt.Sprintf("fallback rate %.4g > max %.4g", rep.FallbackRate, cfg.maxFallbackRate))
+	if cfg.maxFallbackRate >= 0 && t.FallbackRate > cfg.maxFallbackRate {
+		v = append(v, fmt.Sprintf("fallback rate %.4g > max %.4g", t.FallbackRate, cfg.maxFallbackRate))
 	}
 	return v
 }
 
-func writeAuditSummary(out io.Writer, rep *auditReport) {
-	if rep.Events != nil {
-		fmt.Fprintf(out, "audit: events: %d total, %d solves (%d errors, %d cache hits), %d shadow divergences, %d shadow errors\n",
-			rep.Events.Total, rep.Events.Solves, rep.Events.Errors, rep.Events.CacheHits,
-			rep.Events.ShadowDiverged, rep.Events.ShadowErrors)
-	}
-	if rep.Flight != nil {
-		fmt.Fprintf(out, "audit: flight: %d solves, %d shadow comparisons (%d agree, %d diverge, %d skipped, %d errors), %d fallbacks, worst residual %.3g\n",
-			rep.Flight.Records, rep.Flight.Comparisons, rep.Flight.Agree, rep.Flight.Diverge,
-			rep.Flight.Skipped, rep.Flight.Errors, rep.Flight.Fallbacks, rep.Flight.WorstResidual)
-	}
-	names := make([]string, 0, len(rep.Paths))
-	for name := range rep.Paths {
+func writeAuditSummary(out io.Writer, t *auditTally) {
+	fmt.Fprintf(out, "audit: %d records: %d requests (%d errors, %d cache hits), %d solves (%d fallbacks, worst residual %.3g)\n",
+		t.Records, t.Requests, t.RequestErrors, t.CacheHits, t.Solves, t.Fallbacks, t.WorstResidual)
+	fmt.Fprintf(out, "audit: shadow: %d comparisons (%d agree, %d diverge), %d skipped, %d errors, worst |dpi| %.3g\n",
+		t.Comparisons, t.Agree, t.Diverge, t.Skipped, t.ShadowErrors, t.WorstPiDelta)
+	names := make([]string, 0, len(t.Paths))
+	for name := range t.Paths {
 		names = append(names, name)
 	}
 	sort.Strings(names)
 	for _, name := range names {
-		p := rep.Paths[name]
+		p := t.Paths[name]
 		fmt.Fprintf(out, "audit: path %-22s %5d solves  mean %.4fs  max %.4fs\n",
 			name, p.Count, p.MeanLatency, p.MaxLatency)
 	}
-	fmt.Fprintf(out, "audit: diverge rate %.4g, fallback rate %.4g\n", rep.DivergeRate, rep.FallbackRate)
+	fmt.Fprintf(out, "audit: diverge rate %.4g, fallback rate %.4g\n", t.DivergeRate, t.FallbackRate)
 }

@@ -54,8 +54,8 @@ type loadgenConfig struct {
 
 	// Shadow verification of the self-served daemon (DESIGN.md §14):
 	// -shadow-rate samples solves for independent-path cross-checking,
-	// -flight-out dumps the flight ring for `nvrel audit`, and the two
-	// shadow gates let CI demand both coverage and agreement.
+	// -flight-out dumps the /debug/flight records for `nvrel audit`, and
+	// the two shadow gates let CI demand both coverage and agreement.
 	shadowRate       float64
 	flightOut        string
 	minShadowSampled int // gate: fail with fewer sampled shadow solves (0 = off)
@@ -210,7 +210,7 @@ func cmdLoadgen(args []string, out io.Writer) error {
 	fs.Float64Var(&cfg.sloAvailability, "slo-availability", 0, "SLO gate: fail when the availability error budget burns at >= 1x (e.g. 0.999; 0 = off)")
 	fs.DurationVar(&cfg.sloP99, "slo-p99", 0, "SLO gate: fail when more than 1% of requests exceed this latency (0 = off)")
 	fs.Float64Var(&cfg.shadowRate, "shadow-rate", 0, "self-serve only: shadow-verify this fraction of solves on an independent solver path")
-	fs.StringVar(&cfg.flightOut, "flight-out", "", "self-serve only: dump the numerics flight ring (JSON, /debug/flight shape) here for nvrel audit")
+	fs.StringVar(&cfg.flightOut, "flight-out", "", "self-serve only: dump the compute and shadow records (JSON, /debug/flight shape) here for nvrel audit")
 	fs.IntVar(&cfg.minShadowSampled, "min-shadow-sampled", 0, "gate: fail when fewer solves were shadow-sampled (0 = off)")
 	fs.IntVar(&cfg.maxShadowDiverge, "max-shadow-diverge", -1, "gate: fail when shadow divergences exceed this (negative = off)")
 	if err := fs.Parse(args); err != nil {
@@ -260,7 +260,7 @@ func cmdLoadgen(args []string, out io.Writer) error {
 		report.Shadow = &st
 	}
 	if cfg.flightOut != "" {
-		data, err := json.MarshalIndent(flightDoc{Flight: shadow.FlightSnapshot(), Shadow: srv.shadow.Stats()}, "", "  ")
+		data, err := json.MarshalIndent(newFlightDoc(srv.shadow), "", "  ")
 		if err != nil {
 			return fmt.Errorf("loadgen: %w", err)
 		}

@@ -105,11 +105,11 @@ commands:
                              rate, and cache-hit rate (gates: -max-p99,
                              -max-error-rate, -min-hit-rate, -min-p50-speedup,
                              -slo-availability, -slo-p99)
-  audit                      replay a run's numerics evidence (-event-log JSONL
-                             and/or a /debug/flight dump) into a report:
-                             divergence rate, worst residuals, fallback
-                             frequency, per-path latency split; exits non-zero
-                             on -max-diverge-rate / -max-residual /
+  audit                      replay a run's event records (-event-log JSONL
+                             and/or a /debug/flight dump; one schema) into a
+                             report: divergence rate, worst residuals,
+                             fallback frequency, per-path latency split; exits
+                             non-zero on -max-diverge-rate / -max-residual /
                              -max-fallback-rate violations
   help                       show this message
 

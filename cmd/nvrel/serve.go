@@ -89,12 +89,11 @@ type serveConfig struct {
 	rejuvenateRequests int           // drain + exit after this many solve requests (0 = off)
 	chaosPlan          string        // faultinject plan JSON armed at boot ("" = off)
 
-	// Shadow verification & flight recorder (DESIGN.md §14).
+	// Shadow verification (DESIGN.md §14).
 	shadowRate    float64 // sampled fraction of solves re-solved on an independent rung (0 = off)
 	shadowWorkers int     // shadow verification pool size (0 = 1)
 	shadowQueue   int     // pending shadow jobs before shedding (0 = 64)
 	shadowTol     float64 // agreement band on pi (L-inf) and E[R] (0 = shadow.DefaultPiTol)
-	flightCap     int     // flight-recorder ring capacity (0 = keep current)
 }
 
 // server is the daemon state: the model cache shared by every request
@@ -133,12 +132,9 @@ func newServer(cfg serveConfig) *server {
 	if cfg.maxConcurrent < 1 {
 		cfg.maxConcurrent = 1
 	}
-	// Every daemon keeps the numerics flight recorder rolling; it is
-	// one mutexed record per solve, far off any hot path.
-	shadow.FlightEnable()
-	if cfg.flightCap > 0 {
-		shadow.SetFlightCapacity(cfg.flightCap)
-	}
+	// Every daemon records events: the request, compute and verdict
+	// records behind /events, /debug/flight and the event log.
+	obs.EventsEnable()
 	s := &server{
 		cfg:     cfg,
 		cache:   nvrel.NewModelCache(),
@@ -260,14 +256,10 @@ func (s *server) handler() http.Handler {
 		}{obs.EventsSnapshot()})
 	})
 	mux.HandleFunc("GET /debug/flight", func(w http.ResponseWriter, r *http.Request) {
-		// Drain pending shadow verifications first so the dump carries
-		// verdicts, not in-flight blanks; the queue is bounded, so this
-		// waits at most a few background solves.
-		s.shadow.Flush()
 		w.Header().Set("Content-Type", "application/json")
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
-		enc.Encode(flightDoc{Flight: shadow.FlightSnapshot(), Shadow: s.shadow.Stats()})
+		enc.Encode(newFlightDoc(s.shadow))
 	})
 	mux.HandleFunc("GET /slo", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
@@ -383,7 +375,6 @@ type solveDiagJSON struct {
 	GSSweeps   int           `json:"gs_sweeps,omitempty"`
 	PowerIters int           `json:"power_iters,omitempty"`
 	Seeded     bool          `json:"seeded,omitempty"`
-	SeedSource string        `json:"seed_source,omitempty"`
 	Fallback   string        `json:"fallback,omitempty"`
 	Attempts   []attemptJSON `json:"attempts,omitempty"`
 }
@@ -487,7 +478,7 @@ func (s *server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	resp.TraceID = traceID
 	ev.Cache = resp.Cache
 	if resp.Diag != nil {
-		ev.Path, ev.Seeded, ev.SeedSource = resp.Diag.Path, resp.Diag.Seeded, resp.Diag.SeedSource
+		ev.Path, ev.Seeded = resp.Diag.Path, resp.Diag.Seeded
 	}
 	w.Header().Set("Content-Type", "application/json")
 	enc := json.NewEncoder(w)
@@ -582,51 +573,64 @@ func (s *server) solveUncached(ctx context.Context, arch string, p nvrel.Params,
 	return res, trace, nil
 }
 
-// flightDoc is the GET /debug/flight payload: the numerics flight ring
-// oldest-first plus the shadow verifier's outcome counts.
+// flightDoc is the GET /debug/flight payload: the compute and verdict
+// records of the event ring, oldest first, plus the shadow verifier's
+// outcome counts.
 type flightDoc struct {
-	Flight []shadow.FlightRecord `json:"flight"`
-	Shadow shadow.Stats          `json:"shadow"`
+	Flight []obs.Event  `json:"flight"`
+	Shadow shadow.Stats `json:"shadow"`
 }
 
-// noteSolved files one completed primary solve with the numerics flight
-// recorder and, when shadow verification is enabled, offers it to the
-// deterministic sampler. Both are strictly off the request path: one
-// mutexed ring write plus a non-blocking channel send.
+// newFlightDoc drains pending shadow verifications first, so the dump
+// carries every verdict; the queue is bounded, so this waits at most a
+// few background solves.
+func newFlightDoc(ver *shadow.Verifier) flightDoc {
+	ver.Flush()
+	doc := flightDoc{Shadow: ver.Stats()}
+	for _, ev := range obs.EventsSnapshot() {
+		if ev.Method == "compute" || ev.Method == "shadow" {
+			doc.Flight = append(doc.Flight, ev)
+		}
+	}
+	return doc
+}
+
+// noteSolved files one completed primary solve's compute record and,
+// when shadow verification is enabled, offers it to the deterministic
+// sampler. Both are strictly off the request path: one ring write plus a
+// non-blocking channel send.
 func (s *server) noteSolved(ctx context.Context, arch string, model *nvrel.Model, pi []float64, rel float64, diag petri.SolveDiag, elapsed time.Duration) {
 	noteShadowSolve(ctx, "serve", arch, model, pi, rel, diag, elapsed, s.shadow)
 }
 
 // noteShadowSolve is the driver-agnostic half of noteSolved, shared by
-// serve, sweep, and chaos: one flight-ring write plus an optional
-// sampler offer (ver nil = flight record only).
+// serve, sweep, and chaos: one "compute" record plus an optional sampler
+// offer (ver nil = record only).
 func noteShadowSolve(ctx context.Context, source, arch string, model *nvrel.Model, pi []float64, rel float64, diag petri.SolveDiag, elapsed time.Duration, ver *shadow.Verifier) {
-	kh := keyHash(solveKey(arch, model.Params))
 	trid := obs.SpanFromContext(ctx).TraceID()
-	rec := shadow.FlightRecord{
-		Time:           time.Now().UTC(),
+	ev := obs.Event{
+		Method:         "compute",
 		Source:         source,
 		Arch:           arch,
-		KeyHash:        kh,
+		Key:            keyHash(solveKey(arch, model.Params)),
+		LatencySeconds: elapsed.Seconds(),
 		States:         diag.States,
 		Solver:         model.SolverKind(),
 		GSSweeps:       diag.GSSweeps,
 		PowerIters:     diag.PowerIters,
 		Residual:       diag.Residual,
 		Seeded:         diag.Seeded,
-		SeedSource:     diag.SeedSource,
-		ElapsedSeconds: elapsed.Seconds(),
 	}
 	if trid != 0 {
-		rec.TraceID = obs.FormatTraceID(trid)
+		ev.TraceID = obs.FormatTraceID(trid)
 	}
 	if reportsPath(model) {
-		rec.Path = diag.Path.String()
+		ev.Path = diag.Path.String()
 		if diag.Fallback != nil {
-			rec.Fallback = diag.Fallback.Error()
+			ev.Fallback = diag.Fallback.Error()
 		}
 	}
-	shadow.RecordFlight(rec)
+	obs.RecordEvent(ev)
 	if ver != nil {
 		// The verifier keeps the distribution past this solve's
 		// lifetime; hand it a copy, the solve buffer goes back to its
@@ -636,8 +640,9 @@ func noteShadowSolve(ctx context.Context, source, arch string, model *nvrel.Mode
 		ver.Offer(shadow.Job{
 			Arch:    arch,
 			Params:  model.Params,
-			KeyHash: kh,
+			KeyHash: ev.Key,
 			TraceID: trid,
+			Path:    ev.Path,
 			Pi:      cp,
 			Rel:     rel,
 			Diag:    diag,
@@ -694,7 +699,7 @@ func (s *server) solveBuilt(ctx context.Context, arch string, model *nvrel.Model
 		states:      diag.States,
 		reliability: rel,
 	}
-	d := &solveDiagJSON{States: diag.States, Seeded: diag.Seeded, SeedSource: diag.SeedSource, PowerIters: diag.PowerIters}
+	d := &solveDiagJSON{States: diag.States, Seeded: diag.Seeded, PowerIters: diag.PowerIters}
 	if reportsPath(model) {
 		d.Path = diag.Path.String()
 		if diag.Fallback != nil {
@@ -837,20 +842,18 @@ func cmdServe(args []string, out io.Writer) error {
 	fs.IntVar(&cfg.shadowWorkers, "shadow-workers", 1, "shadow verification worker pool size")
 	fs.IntVar(&cfg.shadowQueue, "shadow-queue", 64, "pending shadow verifications before shedding (skipped, never blocking)")
 	fs.Float64Var(&cfg.shadowTol, "shadow-tol", shadow.DefaultPiTol, "cross-path agreement band on the distribution (L-inf) and E[R]")
-	fs.IntVar(&cfg.flightCap, "flight-ring", 0, "numerics flight-recorder capacity in solves (0 = default 256)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 
 	// A telemetry daemon with dark telemetry would be pointless: serve
-	// always collects metrics, spans, and request events, whatever the
-	// global flags say.
+	// always collects metrics, spans, and events (newServer turns events
+	// on), whatever the global flags say.
 	obs.Enable()
 	if cfg.traceRing > 0 && cfg.traceRing != obs.DefaultTraceCapacity {
 		obs.SetTraceCapacity(cfg.traceRing)
 	}
 	obs.TraceEnable()
-	obs.EventsEnable()
 	if cfg.eventLog != "" {
 		f, err := os.OpenFile(cfg.eventLog, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 		if err != nil {

@@ -77,6 +77,19 @@ func getFlight(t *testing.T, ts string) flightDoc {
 	return doc
 }
 
+// lastRecord returns the newest record of the given method, and with
+// key != "" the newest for that params_key_hash.
+func lastRecord(t *testing.T, recs []obs.Event, method, key string) obs.Event {
+	t.Helper()
+	for i := len(recs) - 1; i >= 0; i-- {
+		if recs[i].Method == method && (key == "" || recs[i].Key == key) {
+			return recs[i]
+		}
+	}
+	t.Fatalf("no %q record for key %q in %+v", method, key, recs)
+	return obs.Event{}
+}
+
 func getHealth(t *testing.T, ts string) healthDoc {
 	t.Helper()
 	resp, err := http.Get(ts + "/healthz")
@@ -93,8 +106,8 @@ func getHealth(t *testing.T, ts string) healthDoc {
 
 // TestServeShadowAgreesOnCleanSolves drives a sparse-path solve through
 // the daemon at shadow-rate 1 and expects the independent GTH re-solve
-// to agree: numerics ok, the flight ring annotated with the verdict,
-// and the record carrying the request's trace id.
+// to agree: numerics ok, and /debug/flight holding the solve's compute
+// record and its agree verdict, both carrying the request's trace id.
 func TestServeShadowAgreesOnCleanSolves(t *testing.T) {
 	s, ts := newTestServerCfg(t, serveConfig{
 		maxConcurrent: 2, solveTimeout: 30 * time.Second, shadowRate: 1,
@@ -105,20 +118,21 @@ func TestServeShadowAgreesOnCleanSolves(t *testing.T) {
 		t.Fatalf("shadow stats = %+v, want >=1 sampled+agree, 0 diverge", doc.Shadow)
 	}
 	if len(doc.Flight) == 0 {
-		t.Fatal("flight ring empty after solve")
+		t.Fatal("/debug/flight empty after solve")
 	}
-	rec := doc.Flight[len(doc.Flight)-1]
+	rec := lastRecord(t, doc.Flight, "compute", "")
 	if rec.Source != "serve" || rec.Arch != "4v" || rec.Path != "sparse" {
-		t.Fatalf("flight record = %+v", rec)
+		t.Fatalf("compute record = %+v", rec)
 	}
 	if rec.TraceID == "" {
-		t.Fatal("flight record has no trace id")
+		t.Fatal("compute record has no trace id")
 	}
 	if rec.Residual <= 0 || rec.Residual > 1e-12 {
 		t.Fatalf("GS acceptance residual = %g, want (0, 1e-12]", rec.Residual)
 	}
-	if rec.Shadow == nil || rec.Shadow.Verdict != shadow.VerdictAgree || rec.Shadow.Rung != "gth" {
-		t.Fatalf("flight shadow outcome = %+v", rec.Shadow)
+	v := lastRecord(t, doc.Flight, "shadow", rec.Key)
+	if v.Verdict != shadow.VerdictAgree || v.Rung != "gth" || v.TraceID != rec.TraceID || v.Path != rec.Path {
+		t.Fatalf("verdict record = %+v for compute record %+v", v, rec)
 	}
 	h := getHealth(t, ts.URL)
 	if h.Status != "ok" || h.Numerics.Status != "ok" || h.Numerics.Agree < 1 {
@@ -154,9 +168,9 @@ func TestServeShadowDetectsDrift(t *testing.T) {
 	if got := obs.CounterFor("shadow.diverge").Value() - divergeBase; got != 1 {
 		t.Fatalf("shadow.diverge counter delta = %d, want 1", got)
 	}
-	rec := doc.Flight[len(doc.Flight)-1]
-	if rec.Shadow == nil || rec.Shadow.Verdict != shadow.VerdictDiverge {
-		t.Fatalf("flight shadow outcome = %+v", rec.Shadow)
+	rec := lastRecord(t, doc.Flight, "compute", "")
+	if v := lastRecord(t, doc.Flight, "shadow", rec.Key); v.Verdict != shadow.VerdictDiverge {
+		t.Fatalf("verdict record = %+v", v)
 	}
 	h := getHealth(t, ts.URL)
 	if h.Status != "diverging" || h.Numerics.Status != "diverging" {
@@ -164,21 +178,21 @@ func TestServeShadowDetectsDrift(t *testing.T) {
 	}
 	var found bool
 	for _, ev := range obs.EventsSnapshot() {
-		if ev.Method == "shadow" && strings.Contains(ev.Error, "diverged") {
+		if ev.Method == "shadow" && ev.Verdict == shadow.VerdictDiverge {
 			found = true
 			if ev.TraceID == "" {
-				t.Error("divergence event missing trace id")
+				t.Error("divergence record missing trace id")
 			}
 		}
 	}
 	if !found {
-		t.Fatal("no shadow divergence event recorded")
+		t.Fatal("no shadow divergence record in /events")
 	}
 	_ = s
 }
 
 // TestServeShadowOffByDefault: without -shadow-rate the daemon reports
-// numerics off and samples nothing, but the flight recorder still runs.
+// numerics off and samples nothing, but compute records still land.
 func TestServeShadowOffByDefault(t *testing.T) {
 	s, ts := newTestServer(t)
 	if s.shadow != nil {
@@ -190,13 +204,13 @@ func TestServeShadowOffByDefault(t *testing.T) {
 		t.Fatalf("numerics = %+v, want off", h.Numerics)
 	}
 	if doc := getFlight(t, ts.URL); len(doc.Flight) == 0 {
-		t.Fatal("flight recorder idle without shadowing")
+		t.Fatal("no compute records without shadowing")
 	}
 }
 
 // TestServeMRGPFallbackPathReported: a sparse MRGP solve that stalls and
 // is recovered on the dense rung must say so everywhere the evidence
-// goes — the reply's diag, the flight record, and the audit report.
+// goes — the reply's diag, the compute record, and the audit report.
 func TestServeMRGPFallbackPathReported(t *testing.T) {
 	_, ts := newTestServer(t)
 	faultinject.Reset()
@@ -225,11 +239,11 @@ func TestServeMRGPFallbackPathReported(t *testing.T) {
 
 	doc := getFlight(t, ts.URL)
 	if len(doc.Flight) != 1 {
-		t.Fatalf("flight ring has %d records, want 1", len(doc.Flight))
+		t.Fatalf("/debug/flight has %d records, want 1", len(doc.Flight))
 	}
 	rec := doc.Flight[0]
 	if rec.Path != "sparse-fallback-dense" || rec.Fallback == "" {
-		t.Fatalf("flight record path=%q fallback=%q", rec.Path, rec.Fallback)
+		t.Fatalf("compute record path=%q fallback=%q", rec.Path, rec.Fallback)
 	}
 
 	dir := t.TempDir()
@@ -253,5 +267,109 @@ func TestServeMRGPFallbackPathReported(t *testing.T) {
 	}
 	if rep.FallbackRate <= 0 {
 		t.Fatalf("audit fallback_rate = %g, want > 0", rep.FallbackRate)
+	}
+}
+
+// TestServeSolveLeavesThreeRecords: at shadow-rate 1 each /solve miss
+// leaves a request, a compute and a verdict record, in /events and in
+// the event log alike, joined by params_key_hash and trace_id. One solve
+// drifts and one does not, so nvrel audit must read a diverge rate of
+// 1/2 from the event log alone and from the /debug/flight dump alone.
+func TestServeSolveLeavesThreeRecords(t *testing.T) {
+	dir := t.TempDir()
+	logPath := filepath.Join(dir, "events.jsonl")
+	logFile, err := os.Create(logPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, ts := newTestServerCfg(t, serveConfig{
+		maxConcurrent: 2, solveTimeout: 30 * time.Second, shadowRate: 1,
+	})
+	obs.SetEventSink(logFile)
+	t.Cleanup(func() {
+		obs.SetEventSink(nil)
+		logFile.Close()
+	})
+	faultinject.Enable()
+	t.Cleanup(func() {
+		faultinject.Disable()
+		faultinject.Reset()
+	})
+	if err := faultinject.Arm(faultinject.Fault{Site: "linalg.gs.drift", Count: 1}, 1); err != nil {
+		t.Fatal(err)
+	}
+	solveN24(t, ts.URL) // drifted: the GTH shadow diverges
+	faultinject.Disable()
+	resp, err := http.Post(ts.URL+"/solve", "application/json", strings.NewReader(`{"arch":"4v","n":25}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	flight := getFlight(t, ts.URL) // flushes the verifier
+	obs.SetEventSink(nil)
+
+	resp, err = http.Get(ts.URL + "/events")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ring struct {
+		Events []obs.Event `json:"events"`
+	}
+	err = json.NewDecoder(resp.Body).Decode(&ring)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	logged, err := readAuditFile(logPath, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, recs := range map[string][]obs.Event{"/events": ring.Events, "event log": logged} {
+		byKey := map[string][]obs.Event{}
+		for _, ev := range recs {
+			byKey[ev.Key] = append(byKey[ev.Key], ev)
+		}
+		if len(byKey) != 2 || len(recs) != 6 {
+			t.Fatalf("%s: %d records over %d keys, want 6 over 2: %+v", name, len(recs), len(byKey), recs)
+		}
+		for key, group := range byKey {
+			methods := map[string]int{}
+			for _, ev := range group {
+				methods[ev.Method]++
+				if ev.TraceID == "" || ev.TraceID != group[0].TraceID {
+					t.Errorf("%s: key %s: trace ids differ: %+v", name, key, group)
+				}
+			}
+			if len(group) != 3 || methods["solve"] != 1 || methods["compute"] != 1 || methods["shadow"] != 1 {
+				t.Errorf("%s: key %s: records %+v, want one solve, compute and shadow", name, key, group)
+			}
+		}
+	}
+
+	dump := filepath.Join(dir, "flight.json")
+	data, err := json.Marshal(flight)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(dump, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, args := range [][]string{{"-event-log", logPath}, {"-flight", dump}} {
+		out := filepath.Join(dir, "audit.json")
+		if err := cmdAudit(append(args, "-o", out), io.Discard); err != nil {
+			t.Fatal(err)
+		}
+		var rep auditReport
+		if data, err = os.ReadFile(out); err != nil {
+			t.Fatal(err)
+		}
+		if err := json.Unmarshal(data, &rep); err != nil {
+			t.Fatal(err)
+		}
+		if rep.DivergeRate != 0.5 || rep.Comparisons != 2 || rep.Solves != 2 {
+			t.Errorf("audit %v: diverge rate %g over %d comparisons, %d solves; want 0.5 over 2, 2 solves",
+				args, rep.DivergeRate, rep.Comparisons, rep.Solves)
+		}
 	}
 }

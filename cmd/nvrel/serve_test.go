@@ -13,7 +13,6 @@ import (
 
 	"nvrel"
 	"nvrel/internal/obs"
-	"nvrel/internal/shadow"
 )
 
 // newTestServer builds a daemon with telemetry forced on (restored at
@@ -29,12 +28,10 @@ func newTestServerCfg(t *testing.T, cfg serveConfig) (*server, *httptest.Server)
 	obs.TraceReset()
 	prevEvents := obs.EventsEnable()
 	obs.EventsReset()
-	shadow.FlightReset() // newServer re-enables a fresh ring
 	t.Cleanup(func() {
 		obs.SetEnabled(prevObs)
 		obs.SetTraceEnabled(prevTrace)
 		obs.SetEventsEnabled(prevEvents)
-		shadow.FlightReset()
 	})
 	s := newServer(cfg)
 	t.Cleanup(s.shadow.Close)
@@ -397,12 +394,34 @@ func TestServeEventsEndpoint(t *testing.T) {
 	if err != nil {
 		t.Fatalf("/events: %v", err)
 	}
-	if len(doc.Events) != 2 {
-		t.Fatalf("/events has %d events, want 2", len(doc.Events))
+	// Each request is a miss: one request record plus one compute record.
+	var reqs, computes []obs.Event
+	for _, ev := range doc.Events {
+		if ev.Method == "compute" {
+			computes = append(computes, ev)
+		} else {
+			reqs = append(reqs, ev)
+		}
 	}
-	solveEv, batchEv := doc.Events[0], doc.Events[1]
+	if len(reqs) != 2 || len(computes) != 2 {
+		t.Fatalf("/events has %d request and %d compute records, want 2 and 2: %+v", len(reqs), len(computes), doc.Events)
+	}
+	solveEv, batchEv := reqs[0], reqs[1]
 	if solveEv.Method != "solve" || batchEv.Method != "batch" {
 		t.Fatalf("event methods = %q,%q", solveEv.Method, batchEv.Method)
+	}
+	for i, want := range []struct {
+		req    obs.Event
+		solver string
+	}{{solveEv, "ctmc"}, {batchEv, "mrgp"}} {
+		c := computes[i]
+		if c.Source != "serve" || c.Solver != want.solver || c.States <= 0 || c.Key == "" || c.TraceID != want.req.TraceID {
+			t.Errorf("compute record %d = %+v, want source serve, solver %s, states, key and trace %s",
+				i, c, want.solver, want.req.TraceID)
+		}
+	}
+	if c := computes[0]; c.Key != solveEv.Key || c.Path != solveEv.Path || c.Status != 0 {
+		t.Errorf("solve compute record = %+v, want key %s and path %s of %+v", c, solveEv.Key, solveEv.Path, solveEv)
 	}
 	if solveEv.Cache != "miss" || solveEv.Key == "" || solveEv.TraceID == "" {
 		t.Errorf("solve event = %+v, want cache=miss with key hash and trace", solveEv)

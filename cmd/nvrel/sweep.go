@@ -176,8 +176,8 @@ func cmdSweep(args []string, out io.Writer) error {
 	return nil
 }
 
-// solveShadowed solves one grid point with full diagnostics, files the
-// flight record, and offers the result to the sweep's shadow sampler.
+// solveShadowed solves one grid point with full diagnostics, files its
+// compute record, and offers the result to the sweep's shadow sampler.
 func solveShadowed(ctx context.Context, source, arch string, m *nvrel.Model, ver *shadow.Verifier) (float64, error) {
 	start := time.Now()
 	pi, diag, err := m.SolveWith(ctx, nil, nvp.Opts{})

@@ -5,11 +5,12 @@ import "math"
 // ApplySeed installs a warm-start initial guess into an iterative solver's
 // iterate vector. A seed is usable only when it is plausibly a point near
 // the probability simplex the iteration converges on: the right length,
-// every entry finite and non-negative, and positive total mass. A usable
-// seed is copied into dst and normalized; anything else leaves dst
-// untouched and reports false, so the caller falls back to the uniform
-// vector — a corrupted or mismatched seed can cost the warm-start benefit
-// but can never change what the iteration converges to.
+// every entry finite and non-negative, and a positive total mass whose
+// reciprocal is finite. A usable seed is copied into dst and normalized;
+// anything else leaves dst untouched and reports false, so the caller
+// falls back to the uniform vector — a corrupted or mismatched seed can
+// cost the warm-start benefit but can never change what the iteration
+// converges to.
 //
 // A nil seed means "cold by design" and is not counted by the seed
 // metrics; a non-nil seed increments linalg.seed.warm when accepted and
@@ -31,11 +32,13 @@ func ApplySeed(dst, seed []float64) bool {
 		}
 		sum += v
 	}
-	if sum <= 0 || math.IsInf(sum, 0) {
+	// The mass must be positive, finite and invertible: a total below
+	// ~5.6e-309 overflows 1/sum and would write Inf and NaN into dst.
+	inv := 1 / sum
+	if sum <= 0 || math.IsInf(sum, 0) || math.IsInf(inv, 0) {
 		metSeedRejected.Inc()
 		return false
 	}
-	inv := 1 / sum
 	for i, v := range seed {
 		dst[i] = v * inv
 	}

@@ -18,6 +18,7 @@ func TestApplySeedValidation(t *testing.T) {
 		{1, -0.5, 1},
 		{0, 0, 0},                             // zero mass
 		{math.MaxFloat64, math.MaxFloat64, 1}, // mass overflows to +Inf
+		{5e-324, 0, 0},                        // 1/mass overflows to +Inf
 	}
 	for i, seed := range bad {
 		if ApplySeed(dst, seed) {

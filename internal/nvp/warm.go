@@ -40,7 +40,7 @@ func NewWarmRegistry() *WarmRegistry {
 // SolveDiagCtxWS solves m like Model.SolveWith with zero Opts, seeded
 // from and feeding the registry. The returned diag carries the seed
 // provenance: Seeded is true when the producing kernel actually started
-// from the registry's vector, and SeedSource names the registry policy.
+// from the registry's vector.
 func (w *WarmRegistry) SolveDiagCtxWS(ctx context.Context, m *Model, ws *linalg.Workspace) ([]float64, petri.SolveDiag, error) {
 	if w == nil || m.Graph.NumStates() < linalg.SparseThreshold || m.Params.Clock == ClockWaitsForWave {
 		return m.SolveWith(ctx, ws, Opts{})
@@ -54,9 +54,6 @@ func (w *WarmRegistry) SolveDiagCtxWS(ctx context.Context, m *Model, ws *linalg.
 	pi, iterate, diag, err := m.solve(ctx, ws, Opts{Seed: seed})
 	if err != nil {
 		return nil, diag, err
-	}
-	if diag.Seeded {
-		diag.SeedSource = "topology-neighbor"
 	}
 	w.reg.Insert(key, sig, iterate)
 	return pi, diag, nil

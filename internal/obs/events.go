@@ -9,22 +9,42 @@ import (
 	"time"
 )
 
-// Event is one structured per-request record: enough to answer "what
-// happened to this request" without grepping logs — how it was served
-// (cache hit, miss, or coalesced wait), how long it took, and which
-// trace to pull for the full span tree. Field names are stable JSON contract for /events consumers.
+// Event is the one structured record of the serving stack. Three
+// producers append it, and none mutates a record once written:
+//
+//   - "solve" | "batch": one per request — how it was served (cache hit,
+//     miss, or coalesced wait), its HTTP status and latency;
+//   - "compute": one per primary solve — the solver's diagnostics
+//     (states, path, iterations, accepted residual, fallback);
+//   - "shadow": one per shadow verdict — agree, diverge, skipped or
+//     error, with the rung and the measured disagreement.
+//
+// Records of one parameter point share params_key_hash, and records of
+// one request share trace_id, so the three join without a second schema.
+// Field names are stable JSON contract for /events consumers.
 type Event struct {
 	Time           time.Time `json:"time"`
-	Method         string    `json:"method"`                    // "solve" | "batch"
+	Method         string    `json:"method"`                    // solve | batch | compute | shadow
+	Source         string    `json:"source,omitempty"`          // compute/shadow: serve | sweep | chaos
+	Arch           string    `json:"arch,omitempty"`            // compute/shadow: 4v | 6v
 	Key            string    `json:"params_key_hash,omitempty"` // FNV-64a of the cache key
 	Cache          string    `json:"cache,omitempty"`           // hit | miss | coalesced
-	Status         int       `json:"status"`                    // HTTP status
-	LatencySeconds float64   `json:"latency_seconds"`
-	Path           string    `json:"solve_path,omitempty"`  // SolveDiag path (sparse/dense/...)
-	Seeded         bool      `json:"seeded,omitempty"`      // warm-start provenance
-	SeedSource     string    `json:"seed_source,omitempty"` //
-	TraceID        string    `json:"trace_id,omitempty"`    // hex, correlates with /traces
-	Items          int       `json:"items,omitempty"`       // batch size (method=batch)
+	Status         int       `json:"status,omitempty"`          // HTTP status (requests)
+	LatencySeconds float64   `json:"latency_seconds"`           // request, solve or shadow time
+	States         int       `json:"states,omitempty"`
+	Solver         string    `json:"solver,omitempty"`     // ctmc | mrgp | mrgp-general
+	Path           string    `json:"solve_path,omitempty"` // SolveDiag path (sparse/dense/...)
+	GSSweeps       int       `json:"gs_sweeps,omitempty"`
+	PowerIters     int       `json:"power_iters,omitempty"`
+	Residual       float64   `json:"residual,omitempty"` // accepted GS residual
+	Seeded         bool      `json:"seeded,omitempty"`   // warm-start provenance
+	Fallback       string    `json:"fallback,omitempty"` // why the first rung failed
+	Verdict        string    `json:"verdict,omitempty"`  // shadow: agree | diverge | skipped | error
+	Rung           string    `json:"rung,omitempty"`     // shadow: the independent rung
+	PiDelta        float64   `json:"pi_delta,omitempty"` // shadow: L-inf |dpi|
+	RelDelta       float64   `json:"rel_delta,omitempty"`
+	TraceID        string    `json:"trace_id,omitempty"` // hex, correlates with /traces
+	Items          int       `json:"items,omitempty"`    // batch size (method=batch)
 	Error          string    `json:"error,omitempty"`
 }
 
@@ -74,18 +94,18 @@ func newEventRing(capacity int) *eventRing {
 	return &eventRing{slots: make([]eventSlot, capacity)}
 }
 
-// EventsEnable turns request-event recording on, returning the previous
+// EventsEnable turns event recording on, returning the previous
 // state.
 func EventsEnable() bool { return defEvents.Load().enabled.Swap(true) }
 
-// EventsDisable turns request-event recording off, returning the
+// EventsDisable turns event recording off, returning the
 // previous state.
 func EventsDisable() bool { return defEvents.Load().enabled.Swap(false) }
 
 // SetEventsEnabled restores a previous enabled state.
 func SetEventsEnabled(on bool) { defEvents.Load().enabled.Store(on) }
 
-// EventsEnabled reports whether request events are being recorded.
+// EventsEnabled reports whether events are being recorded.
 func EventsEnabled() bool { return defEvents.Load().enabled.Load() }
 
 // SetEventCapacity replaces the ring with an empty one of the given
@@ -120,7 +140,7 @@ func SetEventSink(w io.Writer) {
 	}
 }
 
-// RecordEvent appends one request event to the ring (and the sink, if
+// RecordEvent appends one event to the ring (and the sink, if
 // set). No-op while disabled; the disabled path takes no locks and
 // allocates nothing.
 func RecordEvent(ev Event) {

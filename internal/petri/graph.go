@@ -139,16 +139,12 @@ type SolveDiag struct {
 	// from uniform.
 	Seeded bool
 
-	// SeedSource describes where an accepted seed came from (set by the
-	// warm-start registry layer; empty for cold solves).
-	SeedSource string
-
 	// Residual is the final relative L1 residual of the accepting
 	// Gauss-Seidel sweep when the sparse rung produced the result (zero
 	// for the direct dense path, which has no iteration residual, and for
-	// fallback rungs). It feeds the numerics flight recorder: a residual
-	// creeping toward the stall band is the early signal of a chain the
-	// iterative solver is barely holding.
+	// fallback rungs). Serve files it in each solve's compute record: a
+	// residual creeping toward the stall band is the early signal of a
+	// chain the iterative solver is barely holding.
 	Residual float64
 }
 

@@ -5,10 +5,11 @@
 // distributions against tight agreement bands. The fallback chain and
 // the distribution guards catch solves that fail loudly; the shadow
 // layer exists for the one class they cannot catch — a solve that
-// converges to a plausible but wrong answer. Divergences increment
-// shadow.diverge, land as structured events in the obs event ring, and
-// flip the /healthz numerics field, so a silent numerical regression
-// becomes a paging signal instead of a quietly wrong reliability curve.
+// converges to a plausible but wrong answer. Every verdict lands as one
+// "shadow" record in the obs event ring, and divergences also increment
+// shadow.diverge and flip the /healthz numerics field, so a silent
+// numerical regression becomes a paging signal instead of a quietly wrong
+// reliability curve.
 //
 // Verification runs on its own worker pool with its own model cache and
 // workspace arena, strictly off the request path: the caller hands over
@@ -92,7 +93,7 @@ type Config struct {
 	Queue int
 	// Timeout bounds one shadow solve (default 30s).
 	Timeout time.Duration
-	// Source tags flight records and events ("serve", "sweep", ...).
+	// Source tags the verdict records ("serve", "sweep", ...).
 	Source string
 }
 
@@ -103,6 +104,7 @@ type Job struct {
 	Params  nvp.Params
 	KeyHash string
 	TraceID uint64
+	Path    string // primary solve path as its compute record reports it
 	Pi      []float64
 	Rel     float64
 	Diag    petri.SolveDiag
@@ -205,8 +207,7 @@ func (v *Verifier) Offer(job Job) bool {
 	v.mu.RLock()
 	defer v.mu.RUnlock()
 	if v.closed {
-		v.skipped.Add(1)
-		metSkipped.Inc()
+		v.shed(job, "verifier closed")
 		return false
 	}
 	v.pending.Add(1)
@@ -215,14 +216,32 @@ func (v *Verifier) Offer(job Job) bool {
 		return true
 	default:
 		v.pending.Done()
-		v.skipped.Add(1)
-		metSkipped.Inc()
+		v.shed(job, "shadow queue full")
 		return false
 	}
 }
 
-// Flush blocks until every enqueued job has been verified. Drivers call
-// it before reading counters or dumping flight state.
+// shed records a sampled job the verifier could not take.
+func (v *Verifier) shed(job Job, reason string) {
+	v.skipped.Add(1)
+	metSkipped.Inc()
+	ev := v.verdictRecord(job)
+	ev.Verdict, ev.Error = VerdictSkipped, reason
+	obs.RecordEvent(ev)
+}
+
+// verdictRecord starts job's "shadow" record: the primary's key hash,
+// trace and path, so it joins the job's request and compute records.
+func (v *Verifier) verdictRecord(job Job) obs.Event {
+	ev := obs.Event{Method: "shadow", Source: v.cfg.Source, Arch: job.Arch, Key: job.KeyHash, Path: job.Path}
+	if job.TraceID != 0 {
+		ev.TraceID = obs.FormatTraceID(job.TraceID)
+	}
+	return ev
+}
+
+// Flush blocks until every enqueued job has been verified and its verdict
+// recorded. Callers flush before reading counters or records.
 func (v *Verifier) Flush() {
 	if v == nil {
 		return
@@ -264,15 +283,16 @@ func (v *Verifier) Stats() Stats {
 // Healthy reports whether no divergence has been observed.
 func (v *Verifier) Healthy() bool { return v == nil || v.diverge.Load() == 0 }
 
-// verify runs one shadow comparison on a worker goroutine.
+// verify runs one shadow comparison on a worker goroutine and records
+// its verdict.
 func (v *Verifier) verify(job Job) {
 	defer v.pending.Done()
 	start := time.Now()
-	oc := &Outcome{}
-	finish := func() {
-		oc.ElapsedSeconds = time.Since(start).Seconds()
-		AttachOutcome(job.KeyHash, oc)
-	}
+	ev := v.verdictRecord(job)
+	defer func() {
+		ev.LatencySeconds = time.Since(start).Seconds()
+		obs.RecordEvent(ev)
+	}()
 
 	var (
 		model *nvp.Model
@@ -284,19 +304,18 @@ func (v *Verifier) verify(job Job) {
 		model, err = v.cache.BuildWithRejuvenation(job.Params)
 	}
 	if err != nil {
-		v.fail(job, oc, "", fmt.Errorf("rebuild model: %w", err))
-		finish()
+		v.fail(&ev, fmt.Errorf("rebuild model: %w", err))
 		return
 	}
+	ev.Solver = model.SolverKind()
 	rung := model.ShadowRung(job.Diag)
-	oc.Rung = rung
+	ev.Rung = rung
 	if rung == "" {
 		// The primary already exhausted the chain (or the architecture
 		// has a single formulation); nothing independent to compare.
 		v.skipped.Add(1)
 		metSkipped.Inc()
-		oc.Verdict = VerdictSkipped
-		finish()
+		ev.Verdict = VerdictSkipped
 		return
 	}
 
@@ -306,69 +325,38 @@ func (v *Verifier) verify(job Job) {
 	v.arena.Put(ws)
 	cancel()
 	if err != nil {
-		v.fail(job, oc, rung, fmt.Errorf("shadow rung %s: %w", rung, err))
-		finish()
+		v.fail(&ev, fmt.Errorf("shadow rung %s: %w", rung, err))
 		return
 	}
 	rel, err := model.ExpectedPaperReliabilityFrom(pi)
 	if err != nil {
-		v.fail(job, oc, rung, fmt.Errorf("shadow rung %s reward: %w", rung, err))
-		finish()
+		v.fail(&ev, fmt.Errorf("shadow rung %s reward: %w", rung, err))
 		return
 	}
 
 	primary := primaryLabel(model, job.Diag)
-	piDelta := linfDelta(job.Pi, pi)
-	relDelta := math.Abs(job.Rel - rel)
-	oc.PiDelta, oc.RelDelta = piDelta, relDelta
-	obs.HistogramFor("shadow.agreement."+primary+"_vs_"+rung, agreementBounds).Observe(piDelta)
+	ev.PiDelta = linfDelta(job.Pi, pi)
+	ev.RelDelta = math.Abs(job.Rel - rel)
+	obs.HistogramFor("shadow.agreement."+primary+"_vs_"+rung, agreementBounds).Observe(ev.PiDelta)
 
-	if piDelta > v.cfg.PiTol || relDelta > v.cfg.RelTol {
+	if ev.PiDelta > v.cfg.PiTol || ev.RelDelta > v.cfg.RelTol {
 		v.diverge.Add(1)
 		metDiverge.Inc()
-		oc.Verdict = VerdictDiverge
-		ev := obs.Event{
-			Time:           time.Now().UTC(),
-			Method:         "shadow",
-			Key:            job.KeyHash,
-			Path:           primary,
-			LatencySeconds: time.Since(start).Seconds(),
-			Error: fmt.Sprintf("shadow diverged on rung %s: |dpi|=%.3g (tol %.3g) |dR|=%.3g (tol %.3g)",
-				rung, piDelta, v.cfg.PiTol, relDelta, v.cfg.RelTol),
-		}
-		if job.TraceID != 0 {
-			ev.TraceID = obs.FormatTraceID(job.TraceID)
-		}
-		obs.RecordEvent(ev)
+		ev.Verdict = VerdictDiverge
 	} else {
 		v.agree.Add(1)
 		metAgree.Inc()
-		oc.Verdict = VerdictAgree
+		ev.Verdict = VerdictAgree
 	}
-	finish()
 }
 
-// fail records a shadow solve that itself errored. A broken shadow path
-// is evidence too — it shows up in metrics and the flight ring rather
+// fail marks a shadow solve that itself errored. A broken shadow path is
+// evidence too — it shows up in metrics and its verdict record rather
 // than vanishing.
-func (v *Verifier) fail(job Job, oc *Outcome, rung string, err error) {
+func (v *Verifier) fail(ev *obs.Event, err error) {
 	v.errs.Add(1)
 	metError.Inc()
-	oc.Verdict = VerdictError
-	oc.Error = err.Error()
-	ev := obs.Event{
-		Time:   time.Now().UTC(),
-		Method: "shadow",
-		Key:    job.KeyHash,
-		Error:  err.Error(),
-	}
-	if rung != "" {
-		ev.Path = rung
-	}
-	if job.TraceID != 0 {
-		ev.TraceID = obs.FormatTraceID(job.TraceID)
-	}
-	obs.RecordEvent(ev)
+	ev.Verdict, ev.Error = VerdictError, err.Error()
 }
 
 // primaryLabel names the path that produced the primary result, for the

@@ -2,7 +2,6 @@ package shadow
 
 import (
 	"context"
-	"strings"
 	"testing"
 	"time"
 
@@ -80,8 +79,6 @@ func TestShadowDetectsGSDrift(t *testing.T) {
 	obs.EventsEnable()
 	obs.EventsReset()
 	t.Cleanup(obs.EventsReset)
-	FlightEnable()
-	t.Cleanup(FlightReset)
 
 	faultinject.Enable()
 	t.Cleanup(func() {
@@ -93,8 +90,6 @@ func TestShadowDetectsGSDrift(t *testing.T) {
 	}
 	job, _ := solvePrimary(t, 24) // primary GS solve drifts once
 	faultinject.Disable()         // shadow solves run clean
-
-	RecordFlight(FlightRecord{Time: time.Now(), Source: "test", Arch: "4v", KeyHash: job.KeyHash, Path: job.Diag.Path.String()})
 
 	v := newTestVerifier(t, Config{})
 	v.Offer(job)
@@ -108,25 +103,11 @@ func TestShadowDetectsGSDrift(t *testing.T) {
 	}
 
 	evs := obs.EventsSnapshot()
-	var found bool
-	for _, ev := range evs {
-		if ev.Method == "shadow" && strings.Contains(ev.Error, "diverged") {
-			found = true
-			if ev.Key != job.KeyHash {
-				t.Fatalf("divergence event key = %q, want %q", ev.Key, job.KeyHash)
-			}
-		}
+	if len(evs) != 1 || evs[0].Method != "shadow" {
+		t.Fatalf("want exactly one shadow verdict record, got %+v", evs)
 	}
-	if !found {
-		t.Fatalf("no divergence event in ring: %+v", evs)
-	}
-
-	recs := FlightSnapshot()
-	if len(recs) != 1 || recs[0].Shadow == nil {
-		t.Fatalf("flight record missing shadow outcome: %+v", recs)
-	}
-	if oc := recs[0].Shadow; oc.Verdict != VerdictDiverge || oc.Rung != "gth" || oc.PiDelta <= DefaultPiTol {
-		t.Fatalf("bad outcome %+v", oc)
+	if ev := evs[0]; ev.Key != job.KeyHash || ev.Verdict != VerdictDiverge || ev.Rung != "gth" || ev.PiDelta <= DefaultPiTol {
+		t.Fatalf("bad verdict record %+v", ev)
 	}
 }
 
@@ -170,6 +151,12 @@ func TestShadowSamplingDeterministic(t *testing.T) {
 }
 
 func TestShadowQueueOverflowSkips(t *testing.T) {
+	prev := obs.EventsEnable()
+	obs.EventsReset()
+	t.Cleanup(func() {
+		obs.SetEventsEnabled(prev)
+		obs.EventsReset()
+	})
 	job, _ := solvePrimary(t, 24)
 	// Workers can't drain: close over a blocked verifier by filling the
 	// queue faster than one worker solves. Use a tiny queue and many
@@ -191,6 +178,17 @@ func TestShadowQueueOverflowSkips(t *testing.T) {
 	st := v.Stats()
 	if st.Sampled != 32 || st.Agree+st.Diverge+st.Skipped+st.Errors != 32 {
 		t.Fatalf("outcome counts don't partition sampled: %+v", st)
+	}
+	// Shed jobs included, each sampled job leaves one verdict record.
+	verdicts := map[string]int64{}
+	for _, ev := range obs.EventsSnapshot() {
+		if ev.Method != "shadow" || ev.Key != job.KeyHash {
+			t.Fatalf("unexpected record %+v", ev)
+		}
+		verdicts[ev.Verdict]++
+	}
+	if verdicts[VerdictAgree] != st.Agree || verdicts[VerdictSkipped] != st.Skipped || len(verdicts) > 2 {
+		t.Fatalf("verdict records %v, want the counts of %+v", verdicts, st)
 	}
 }
 
@@ -281,39 +279,5 @@ func TestShadowSkipsRecoveredMRGP(t *testing.T) {
 	v.Flush()
 	if st := v.Stats(); st.Skipped != 1 || st.Agree+st.Diverge+st.Errors != 0 {
 		t.Fatalf("want 1 skipped, got %+v", st)
-	}
-}
-
-func TestFlightRingWrapAndSnapshot(t *testing.T) {
-	FlightEnable()
-	t.Cleanup(FlightReset)
-	SetFlightCapacity(4)
-	base := time.Now()
-	for i := 0; i < 6; i++ {
-		RecordFlight(FlightRecord{Time: base.Add(time.Duration(i) * time.Second), KeyHash: string(rune('a' + i))})
-	}
-	recs := FlightSnapshot()
-	if len(recs) != 4 {
-		t.Fatalf("want 4 records after wrap, got %d", len(recs))
-	}
-	if recs[0].KeyHash != "c" || recs[3].KeyHash != "f" {
-		t.Fatalf("ring order wrong: %+v", recs)
-	}
-	// Attach lands on the newest matching record.
-	RecordFlight(FlightRecord{Time: base.Add(10 * time.Second), KeyHash: "dup"})
-	RecordFlight(FlightRecord{Time: base.Add(11 * time.Second), KeyHash: "dup"})
-	AttachOutcome("dup", &Outcome{Verdict: VerdictAgree})
-	recs = FlightSnapshot()
-	last := recs[len(recs)-1]
-	prev := recs[len(recs)-2]
-	if last.Shadow == nil || prev.Shadow != nil {
-		t.Fatalf("outcome attached to wrong record: prev=%+v last=%+v", prev, last)
-	}
-	// Disabled recorder drops records and attaches silently.
-	FlightReset()
-	RecordFlight(FlightRecord{Time: base})
-	AttachOutcome("x", &Outcome{Verdict: VerdictAgree})
-	if FlightSnapshot() != nil {
-		t.Fatal("disabled recorder retained records")
 	}
 }

@@ -25,6 +25,19 @@ fi
 echo "== go test -race ./..."
 go test -race ./...
 
+echo "== fuzz smoke: every Fuzz target for 5 s"
+# The suite above only replays each target's seed corpus; this runs the
+# fuzzer itself briefly on each. go test -fuzz takes one target per run.
+fuzz_targets=$(grep -rH --include='*_test.go' --exclude-dir=perfbench -o '^func Fuzz[A-Za-z0-9_]*' . |
+    sed 's|^\(.*\)/[^/]*_test.go:func \(.*\)$|\1 \2|')
+if [[ -z "$fuzz_targets" ]]; then
+    echo "fuzz smoke: no Fuzz targets found" >&2
+    exit 1
+fi
+while read -r pkg name; do
+    go test -run '^$' -fuzz "^${name}\$" -fuzztime 5s "$pkg" </dev/null
+done <<<"$fuzz_targets"
+
 echo "== no-alloc benchmark guards (-benchtime=1x)"
 # Every benchmark named *NoAlloc must report 0 allocs/op, among them the
 # event simulator's steady state: BenchmarkRearmChurnNoAlloc (des) and

@@ -80,7 +80,7 @@ if [[ "$(grep -c '"cache": "hit"' artifacts/solve_batch2.json)" -lt 3 ]]; then
 fi
 
 echo "== serve smoke: /debug/flight carries the solve's trace"
-# A fresh (uncached) solve must land in the numerics flight recorder
+# A fresh (uncached) solve's compute record must reach /debug/flight
 # under the same trace_id the client saw in its response.
 curl -fsS -X POST -d '{"arch":"4v","n":9}' "$base_url/solve" >artifacts/solve_flight.json
 flight_trace=$(grep -o '"trace_id": "[0-9a-f]*"' artifacts/solve_flight.json | head -1 | grep -o '[0-9a-f]\{16\}')
@@ -91,11 +91,11 @@ if [[ -z "$flight_trace" ]]; then
 fi
 curl -fsS "$base_url/debug/flight" >artifacts/flight_ring.json
 if ! grep -q "$flight_trace" artifacts/flight_ring.json; then
-    echo "serve smoke: trace $flight_trace missing from /debug/flight ring" >&2
+    echo "serve smoke: trace $flight_trace missing from /debug/flight" >&2
     cat artifacts/flight_ring.json >&2
     exit 1
 fi
-echo "   trace $flight_trace present in the flight ring"
+echo "   trace $flight_trace present in /debug/flight"
 
 echo "== serve smoke: scrape /metrics"
 curl -fsS "$base_url/metrics" >artifacts/metrics.prom
