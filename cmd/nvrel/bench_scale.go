@@ -88,11 +88,6 @@ func mrgpRung(rung string) func(*petri.Graph) ([]float64, error) {
 	}
 }
 
-// transientHorizon is the propagation horizon of the transient family,
-// long enough for several failure/repair cycles without dwarfing the
-// per-term cost differences.
-const transientHorizon = 600.0
-
 func scaleFamilies() []scaleFamily {
 	noRejuv := func(n int) (*petri.Graph, error) {
 		p := nvp.DefaultFourVersion()
@@ -130,28 +125,6 @@ func scaleFamilies() []scaleFamily {
 			build:  withRejuv,
 			dense:  mrgpRung("mrgp-dense"),
 			sparse: mrgpRung("mrgp-sparse"),
-		},
-		{
-			// Transient distribution at a fixed horizon: dense
-			// uniformization vs the matrix-free CSR series.
-			name:  "transient-norejuv",
-			sizes: []int{6, 10, 16, 24, 40, 60, 90, 130, 180},
-			build: noRejuv,
-			dense: func(g *petri.Graph) ([]float64, error) {
-				q, err := g.Generator()
-				if err != nil {
-					return nil, err
-				}
-				return linalg.UniformizedPower(q, g.Initial, transientHorizon, 0, 1e-12)
-			},
-			sparse: func(g *petri.Graph) ([]float64, error) {
-				qt, err := g.GeneratorCSRTranspose(nil)
-				if err != nil {
-					return nil, err
-				}
-				var ws *linalg.Workspace
-				return ws.UniformizedPowerCSR(qt, g.Initial, transientHorizon, 0, 1e-12, nil)
-			},
 		},
 	}
 }

@@ -63,28 +63,28 @@ func run() error {
 
 		// 1. Mission-averaged reliability for a two-hour drive.
 		const mission = 2 * 3600.0
-		avg, err := a.model.MissionReliability(rf, mission)
+		avg, err := a.model.MissionReliability(rf, []float64{mission})
 		if err != nil {
 			return err
 		}
-		fmt.Printf("  mean output reliability over 2 h:   %.5f\n", avg)
+		fmt.Printf("  mean output reliability over 2 h:   %.5f\n", avg[0])
 
 		// 2. Error-free probability for the same mission.
-		surv, err := a.model.SurvivalProbability(gen, 1/requestInterval, mission)
+		surv, err := a.model.SurvivalProbability(gen, 1/requestInterval, []float64{mission})
 		if err != nil {
 			return err
 		}
-		fmt.Printf("  P(zero erroneous outputs in 2 h):   %.5f\n", surv)
+		fmt.Printf("  P(zero erroneous outputs in 2 h):   %.5f\n", surv[0])
 
 		// 3. Longest mission meeting the survival target, by bisection.
 		lo, hi := 0.0, 48*3600.0
 		for iter := 0; iter < 50; iter++ {
 			mid := (lo + hi) / 2
-			p, err := a.model.SurvivalProbability(gen, 1/requestInterval, mid)
+			p, err := a.model.SurvivalProbability(gen, 1/requestInterval, []float64{mid})
 			if err != nil {
 				return err
 			}
-			if p >= survivalTarget {
+			if p[0] >= survivalTarget {
 				lo = mid
 			} else {
 				hi = mid

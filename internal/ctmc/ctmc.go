@@ -1,8 +1,10 @@
-// Package ctmc provides continuous-time Markov chain analysis on top of the
-// linalg kernel: steady-state and transient solutions, expected accumulated
-// rewards, and validation. The perception-system models in this repository
-// reduce to small CTMCs (the architecture without rejuvenation) or to CTMCs
-// subordinated to a deterministic clock (see package mrgp).
+// Package ctmc provides continuous-time Markov chain construction and
+// analysis on top of the linalg kernel: generator validation, the steady
+// state and first-passage times. The perception-system models in this
+// repository reduce to small CTMCs (the architecture without rejuvenation)
+// or to CTMCs subordinated to a deterministic clock (see package mrgp);
+// transient distributions and accumulated rewards of both come from
+// mrgp.Propagator.
 package ctmc
 
 import (
@@ -77,48 +79,6 @@ func (c *Chain) Generator() *linalg.Dense { return c.generator.Clone() }
 // be irreducible.
 func (c *Chain) SteadyState() ([]float64, error) {
 	return linalg.SteadyStateGTH(c.generator)
-}
-
-// Transient returns the state distribution at time t starting from pi0.
-func (c *Chain) Transient(pi0 []float64, t float64) ([]float64, error) {
-	if len(pi0) != c.n {
-		return nil, ErrRewardMismatch
-	}
-	return linalg.UniformizedPower(c.generator, pi0, t, 0, 1e-12)
-}
-
-// OccupancyIntegral returns, per state, the expected time spent in that
-// state over [0, t] starting from pi0.
-func (c *Chain) OccupancyIntegral(pi0 []float64, t float64) ([]float64, error) {
-	if len(pi0) != c.n {
-		return nil, ErrRewardMismatch
-	}
-	return linalg.UniformizedIntegral(c.generator, pi0, t, 0, 1e-12)
-}
-
-// ExpectedReward returns the steady-state expected reward sum_i pi_i * r_i.
-func (c *Chain) ExpectedReward(reward []float64) (float64, error) {
-	if len(reward) != c.n {
-		return 0, ErrRewardMismatch
-	}
-	pi, err := c.SteadyState()
-	if err != nil {
-		return 0, err
-	}
-	return linalg.Dot(pi, reward)
-}
-
-// AccumulatedReward returns the expected reward accumulated over [0, t]
-// starting from pi0, for a rate-reward vector r.
-func (c *Chain) AccumulatedReward(pi0, reward []float64, t float64) (float64, error) {
-	if len(reward) != c.n {
-		return 0, ErrRewardMismatch
-	}
-	occ, err := c.OccupancyIntegral(pi0, t)
-	if err != nil {
-		return 0, err
-	}
-	return linalg.Dot(occ, reward)
 }
 
 func scaleOf(q *linalg.Dense) float64 {

@@ -118,6 +118,20 @@ func TestFromGeneratorRejectsInvalid(t *testing.T) {
 	}
 }
 
+// transient returns pi0 e^{Qt} for the chain's generator through the CSR
+// uniformization series, the vector kernel every propagator runs on.
+func transient(c *Chain, pi0 []float64, t float64) ([]float64, error) {
+	var ws *linalg.Workspace
+	return ws.UniformizedPowerCSR(linalg.CSRFromDenseT(c.Generator()), pi0, t, 0, 1e-12, nil)
+}
+
+// occupancy returns, per state, the expected time spent there over [0, t]
+// starting from pi0.
+func occupancy(c *Chain, pi0 []float64, t float64) ([]float64, error) {
+	var ws *linalg.Workspace
+	return ws.UniformizedIntegralCSR(linalg.CSRFromDenseT(c.Generator()), pi0, t, 0, 1e-12, nil)
+}
+
 func TestTransientMatchesClosedForm(t *testing.T) {
 	const (
 		lam = 0.4
@@ -125,28 +139,14 @@ func TestTransientMatchesClosedForm(t *testing.T) {
 	)
 	c := buildTwoState(t, lam, mu)
 	for _, tt := range []float64{0, 0.25, 1, 4} {
-		got, err := c.Transient([]float64{1, 0}, tt)
+		got, err := transient(c, []float64{1, 0}, tt)
 		if err != nil {
-			t.Fatalf("Transient: %v", err)
+			t.Fatalf("transient: %v", err)
 		}
 		want := lam / (lam + mu) * (1 - math.Exp(-(lam+mu)*tt))
 		if math.Abs(got[1]-want) > 1e-10 {
 			t.Errorf("t=%g: got %g, want %g", tt, got[1], want)
 		}
-	}
-}
-
-func TestExpectedReward(t *testing.T) {
-	c := buildTwoState(t, 2, 8) // pi = [0.8, 0.2]
-	r, err := c.ExpectedReward([]float64{1, 0})
-	if err != nil {
-		t.Fatalf("ExpectedReward: %v", err)
-	}
-	if math.Abs(r-0.8) > 1e-12 {
-		t.Errorf("reward = %g, want 0.8", r)
-	}
-	if _, err := c.ExpectedReward([]float64{1}); !errors.Is(err, ErrRewardMismatch) {
-		t.Errorf("err = %v, want ErrRewardMismatch", err)
 	}
 }
 
@@ -157,27 +157,31 @@ func TestAccumulatedReward(t *testing.T) {
 	if err := c.AddRate(1, 0, 1); err != nil {
 		t.Fatal(err)
 	}
-	got, err := c.AccumulatedReward([]float64{1, 0}, []float64{1, 0}, 7)
+	occ, err := occupancy(c, []float64{1, 0}, 7)
 	if err != nil {
-		t.Fatalf("AccumulatedReward: %v", err)
+		t.Fatalf("occupancy: %v", err)
+	}
+	got, err := linalg.Dot(occ, []float64{1, 0})
+	if err != nil {
+		t.Fatalf("Dot: %v", err)
 	}
 	if math.Abs(got-7) > 1e-9 {
 		t.Errorf("reward = %g, want 7", got)
 	}
-	if _, err := c.AccumulatedReward([]float64{1, 0}, []float64{1}, 7); err == nil {
+	if _, err := linalg.Dot(occ, []float64{1}); err == nil {
 		t.Error("expected reward mismatch error")
 	}
-	if _, err := c.AccumulatedReward([]float64{1}, []float64{1, 0}, 7); err == nil {
+	if _, err := occupancy(c, []float64{1}, 7); err == nil {
 		t.Error("expected initial distribution mismatch error")
 	}
 }
 
 func TestTransientDimensionValidation(t *testing.T) {
 	c := buildTwoState(t, 1, 1)
-	if _, err := c.Transient([]float64{1}, 1); err == nil {
+	if _, err := transient(c, []float64{1}, 1); err == nil {
 		t.Error("expected error for wrong pi0 length")
 	}
-	if _, err := c.OccupancyIntegral([]float64{1}, 1); err == nil {
+	if _, err := occupancy(c, []float64{1}, 1); err == nil {
 		t.Error("expected error for wrong pi0 length")
 	}
 }
@@ -195,7 +199,7 @@ func TestTransientIsDistributionProperty(t *testing.T) {
 		_ = c.AddRate(0, 1, lam)
 		_ = c.AddRate(1, 2, mu)
 		_ = c.AddRate(2, 0, lam+mu)
-		got, err := c.Transient([]float64{1, 0, 0}, tm)
+		got, err := transient(c, []float64{1, 0, 0}, tm)
 		if err != nil {
 			return false
 		}
@@ -230,7 +234,7 @@ func TestSteadyStateFixedPointProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		moved, err := c.Transient(pi, 3.7)
+		moved, err := transient(c, pi, 3.7)
 		if err != nil {
 			return false
 		}

@@ -46,17 +46,17 @@ func RunSurvival(requestInterval float64, windows []float64) ([]SurvivalRow, err
 		return nil, err
 	}
 	rate := 1 / requestInterval
-	out := make([]SurvivalRow, 0, len(windows))
-	for _, w := range windows {
-		p4, err := m4.SurvivalProbability(rf4, rate, w)
-		if err != nil {
-			return nil, fmt.Errorf("four-version window %g: %w", w, err)
-		}
-		p6, err := m6.SurvivalProbability(rf6, rate, w)
-		if err != nil {
-			return nil, fmt.Errorf("six-version window %g: %w", w, err)
-		}
-		out = append(out, SurvivalRow{Window: w, FourVersion: p4, SixVersion: p6})
+	p4, err := m4.SurvivalProbability(rf4, rate, windows)
+	if err != nil {
+		return nil, fmt.Errorf("four-version survival: %w", err)
+	}
+	p6, err := m6.SurvivalProbability(rf6, rate, windows)
+	if err != nil {
+		return nil, fmt.Errorf("six-version survival: %w", err)
+	}
+	out := make([]SurvivalRow, len(windows))
+	for i, w := range windows {
+		out[i] = SurvivalRow{Window: w, FourVersion: p4[i], SixVersion: p6[i]}
 	}
 	return out, nil
 }

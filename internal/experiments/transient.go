@@ -107,17 +107,17 @@ func RunMissions(windows []float64) ([]MissionRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := make([]MissionRow, 0, len(windows))
-	for _, w := range windows {
-		e4, err := m4.MissionReliability(rf4, w)
-		if err != nil {
-			return nil, fmt.Errorf("four-version mission %g: %w", w, err)
-		}
-		e6, err := m6.MissionReliability(rf6, w)
-		if err != nil {
-			return nil, fmt.Errorf("six-version mission %g: %w", w, err)
-		}
-		out = append(out, MissionRow{Mission: w, FourVersion: e4, SixVersion: e6})
+	e4, err := m4.MissionReliability(rf4, windows)
+	if err != nil {
+		return nil, fmt.Errorf("four-version missions: %w", err)
+	}
+	e6, err := m6.MissionReliability(rf6, windows)
+	if err != nil {
+		return nil, fmt.Errorf("six-version missions: %w", err)
+	}
+	out := make([]MissionRow, len(windows))
+	for i, w := range windows {
+		out[i] = MissionRow{Mission: w, FourVersion: e4[i], SixVersion: e6[i]}
 	}
 	return out, nil
 }

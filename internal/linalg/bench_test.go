@@ -55,12 +55,13 @@ func BenchmarkLUSolve(b *testing.B) {
 }
 
 func BenchmarkUniformizedPower(b *testing.B) {
-	q := benchGenerator(70)
+	qt := CSRFromDenseT(benchGenerator(70))
 	pi := make([]float64, 70)
 	pi[0] = 1
+	var ws *Workspace
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := UniformizedPower(q, pi, 1.5, 0, 1e-12); err != nil {
+		if _, err := ws.UniformizedPowerCSR(qt, pi, 1.5, 0, 1e-12, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

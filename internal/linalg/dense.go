@@ -273,6 +273,18 @@ func (m *Dense) MaxAbs() float64 {
 	return max
 }
 
+// MaxAbsDiag returns max_i |A[i,i]| of a square matrix, the exit-rate
+// bound UniformizationRate takes (see CSR.MaxAbsDiag for the sparse form).
+func (m *Dense) MaxAbsDiag() float64 {
+	var max float64
+	for i := 0; i < m.rows && i < m.cols; i++ {
+		if a := math.Abs(m.At(i, i)); a > max {
+			max = a
+		}
+	}
+	return max
+}
+
 // String renders the matrix for debugging.
 func (m *Dense) String() string {
 	var b strings.Builder

@@ -51,6 +51,16 @@ func TestPoissonWeightsPanicsOnNegative(t *testing.T) {
 	PoissonWeights(-1, 1e-12)
 }
 
+// powerCSR and integralCSR run the uniformization series of a dense
+// generator through the CSR kernels with an allocating workspace.
+func powerCSR(q *Dense, pi []float64, t, epsilon float64) ([]float64, error) {
+	return (*Workspace)(nil).UniformizedPowerCSR(CSRFromDenseT(q), pi, t, 0, epsilon, nil)
+}
+
+func integralCSR(q *Dense, pi []float64, t, epsilon float64) ([]float64, error) {
+	return (*Workspace)(nil).UniformizedIntegralCSR(CSRFromDenseT(q), pi, t, 0, epsilon, nil)
+}
+
 func TestUniformizedPowerTwoState(t *testing.T) {
 	// Two-state chain with known transient solution:
 	// p01(t) = lam/(lam+mu) * (1 - e^{-(lam+mu)t}).
@@ -63,7 +73,7 @@ func TestUniformizedPowerTwoState(t *testing.T) {
 		{mu, -mu},
 	})
 	for _, tt := range []float64{0, 0.1, 0.5, 1, 5, 50} {
-		got, err := UniformizedPower(q, []float64{1, 0}, tt, 0, 1e-13)
+		got, err := powerCSR(q, []float64{1, 0}, tt, 1e-13)
 		if err != nil {
 			t.Fatalf("t=%g: %v", tt, err)
 		}
@@ -80,9 +90,9 @@ func TestUniformizedPowerTwoState(t *testing.T) {
 func TestUniformizedPowerZeroGenerator(t *testing.T) {
 	q := NewDense(3, 3)
 	pi := []float64{0.2, 0.3, 0.5}
-	got, err := UniformizedPower(q, pi, 10, 0, 1e-12)
+	got, err := powerCSR(q, pi, 10, 1e-12)
 	if err != nil {
-		t.Fatalf("UniformizedPower: %v", err)
+		t.Fatalf("UniformizedPowerCSR: %v", err)
 	}
 	if !vecAlmostEqual(got, pi, 1e-15) {
 		t.Errorf("got %v, want %v", got, pi)
@@ -92,9 +102,9 @@ func TestUniformizedPowerZeroGenerator(t *testing.T) {
 func TestUniformizedPowerConvergesToSteadyState(t *testing.T) {
 	q := birthDeathGenerator(4, 1, 2)
 	pi0 := []float64{1, 0, 0, 0}
-	long, err := UniformizedPower(q, pi0, 200, 0, 1e-13)
+	long, err := powerCSR(q, pi0, 200, 1e-13)
 	if err != nil {
-		t.Fatalf("UniformizedPower: %v", err)
+		t.Fatalf("UniformizedPowerCSR: %v", err)
 	}
 	ss, err := SteadyStateGTH(q)
 	if err != nil {
@@ -118,7 +128,7 @@ func TestUniformizedIntegralTwoState(t *testing.T) {
 		{mu, -mu},
 	})
 	for _, tt := range []float64{0.5, 1, 10} {
-		got, err := UniformizedIntegral(q, []float64{1, 0}, tt, 0, 1e-13)
+		got, err := integralCSR(q, []float64{1, 0}, tt, 1e-13)
 		if err != nil {
 			t.Fatalf("t=%g: %v", tt, err)
 		}
@@ -136,18 +146,18 @@ func TestUniformizedIntegralTwoState(t *testing.T) {
 
 func TestUniformizedIntegralZeroCases(t *testing.T) {
 	q := birthDeathGenerator(3, 1, 1)
-	got, err := UniformizedIntegral(q, []float64{1, 0, 0}, 0, 0, 1e-12)
+	got, err := integralCSR(q, []float64{1, 0, 0}, 0, 1e-12)
 	if err != nil {
-		t.Fatalf("UniformizedIntegral: %v", err)
+		t.Fatalf("UniformizedIntegralCSR: %v", err)
 	}
 	if Sum(got) != 0 {
 		t.Errorf("integral over [0,0] = %v", got)
 	}
 	// Zero generator: occupancy is t * pi.
 	z := NewDense(2, 2)
-	got, err = UniformizedIntegral(z, []float64{0.5, 0.5}, 4, 0, 1e-12)
+	got, err = integralCSR(z, []float64{0.5, 0.5}, 4, 1e-12)
 	if err != nil {
-		t.Fatalf("UniformizedIntegral: %v", err)
+		t.Fatalf("UniformizedIntegralCSR: %v", err)
 	}
 	if !vecAlmostEqual(got, []float64{2, 2}, 1e-12) {
 		t.Errorf("got %v, want [2 2]", got)
@@ -155,14 +165,18 @@ func TestUniformizedIntegralZeroCases(t *testing.T) {
 }
 
 func TestUniformizedDimensionErrors(t *testing.T) {
-	q := birthDeathGenerator(3, 1, 1)
-	if _, err := UniformizedPower(q, []float64{1, 0}, 1, 0, 1e-12); err == nil {
+	qt := CSRFromDenseT(birthDeathGenerator(3, 1, 1))
+	var ws *Workspace
+	if _, err := ws.UniformizedPowerCSR(qt, []float64{1, 0}, 1, 0, 1e-12, nil); err == nil {
 		t.Error("expected dimension error")
 	}
-	if _, err := UniformizedIntegral(q, []float64{1, 0}, 1, 0, 1e-12); err == nil {
+	if _, err := ws.UniformizedIntegralCSR(qt, []float64{1, 0}, 1, 0, 1e-12, nil); err == nil {
 		t.Error("expected dimension error")
 	}
-	if _, err := UniformizedPower(q, []float64{1, 0, 0}, -1, 0, 1e-12); err == nil {
+	if _, err := ws.UniformizedPowerCSR(qt, []float64{1, 0, 0}, 1, 0, 1e-12, make([]float64, 2)); err == nil {
+		t.Error("expected dimension error for a short destination")
+	}
+	if _, err := ws.UniformizedPowerCSR(qt, []float64{1, 0, 0}, -1, 0, 1e-12, nil); err == nil {
 		t.Error("expected error for negative time")
 	}
 }

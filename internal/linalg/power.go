@@ -54,7 +54,7 @@ func (ws *Workspace) SteadyStatePower(ctx context.Context, q *CSR, dst, seed []f
 		dst[0] = 1
 		return 0, false, nil
 	}
-	rate := q.MaxAbsDiag() * 1.02
+	rate := UniformizationRate(q.MaxAbsDiag())
 	if rate == 0 {
 		return 0, false, &SolveError{Site: "linalg.power", Kind: FailGenerator, Index: -1,
 			Err: fmt.Errorf("linalg: generator has no rates (frozen chain)")}

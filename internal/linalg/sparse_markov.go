@@ -14,13 +14,14 @@ import (
 // Callers fall back to the dense direct solvers (the GTH backstop).
 var ErrNotConverged = errors.New("linalg: iterative solver did not converge")
 
-// SparseThreshold is the state count at and above which the solver routing
-// prefers the CSR kernels over the dense ones. Below it the dense direct
-// methods (GTH, dense uniformization) win on constant factors; above it the
-// sparse kernels' O(nnz) matvecs and O(n) memory dominate. The default was
-// chosen from the BENCH_scale.json curves: the CTMC steady state crosses
-// over at ~153 states and the transient series wins from the smallest
-// models — so 160 sits in the tie band where no family loses measurably.
+// SparseThreshold is the state count at and above which the steady-state
+// routing prefers the CSR kernels over the dense ones. Below it the dense
+// direct methods (GTH, the dense MRGP embedded chain) win on constant
+// factors; above it the sparse kernels' O(nnz) matvecs and O(n) memory
+// dominate. The default was chosen from the BENCH_scale.json curves: the
+// CTMC steady state crosses over at ~153 states, so 160 sits in the tie
+// band where no family loses measurably. Transient vector series take no
+// route: they always run the CSR kernels, which win at every size.
 // The MRGP crossover depends on rate*tau rather than on the state count:
 // at 70 states the sparse route is 2x faster at tau = 100 s but 1.2x
 // slower at 600 s and 20x slower at 3000 s, where the dense route's
@@ -231,7 +232,7 @@ func (ws *Workspace) UniformizedPowerCSR(qt *CSR, pi []float64, t, rate, epsilon
 		return nil, ErrDimensionMismatch
 	}
 	if rate <= 0 {
-		rate = qt.MaxAbsDiag() * 1.02
+		rate = UniformizationRate(qt.MaxAbsDiag())
 	}
 	if rate == 0 || t == 0 {
 		copy(dst, pi)
@@ -268,7 +269,13 @@ func (ws *Workspace) UniformizedPowerCSR(qt *CSR, pi []float64, t, rate, epsilon
 
 // UniformizedIntegralCSR computes pi * Integral_0^t e^{Q s} ds with the
 // same matrix-free series as UniformizedPowerCSR, using the tail-weight
-// identity of UniformizedIntegral. qt is the transpose of Q, as for
+// identity
+//
+//	Integral_0^t e^{Qs} ds = (1/rate) * sum_{k>=0} tailP(k) * P^k,
+//
+// where tailP(k) = P[K > k] for K ~ Poisson(rate*t). The result, dotted
+// with a reward vector, is the expected reward accumulated over [0, t]
+// from distribution pi. qt is the transpose of Q, as for
 // UniformizedPowerCSR.
 func (ws *Workspace) UniformizedIntegralCSR(qt *CSR, pi []float64, t, rate, epsilon float64, dst []float64) ([]float64, error) {
 	rows, cols := qt.Dims()
@@ -289,7 +296,7 @@ func (ws *Workspace) UniformizedIntegralCSR(qt *CSR, pi []float64, t, rate, epsi
 		return dst, nil
 	}
 	if rate <= 0 {
-		rate = qt.MaxAbsDiag() * 1.02
+		rate = UniformizationRate(qt.MaxAbsDiag())
 	}
 	if rate == 0 {
 		for i := range dst {
@@ -331,9 +338,10 @@ func (ws *Workspace) UniformizedIntegralCSR(qt *CSR, pi []float64, t, rate, epsi
 	ws.PutVec(cur)
 	ws.PutVec(tmp)
 	ws.PutVec(tail)
-	// Same truncation-mass rescale as the dense kernel: analytically the
-	// integral masses sum to t; restore that when the discrepancy is pure
-	// truncation noise.
+	// The truncated series omits sum_{k>right} tail(k)/rate ~= 0 by choice
+	// of right, and analytically the integral masses sum to t: restore that
+	// when the discrepancy is pure truncation noise (a larger scale factor
+	// would hide a real problem).
 	var total float64
 	for _, v := range dst {
 		total += v

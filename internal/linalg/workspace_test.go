@@ -23,19 +23,21 @@ func testGenerator() *Dense {
 	return q
 }
 
-// TestWorkspaceUniformizedPowerMatchesPlain: the pooled kernel must be
-// float-for-float identical to the allocating one, including on reuse.
+// TestWorkspaceUniformizedPowerMatchesPlain: the pooled CSR kernel must
+// be float-for-float identical to the allocating one (nil workspace),
+// including on reuse.
 func TestWorkspaceUniformizedPowerMatchesPlain(t *testing.T) {
-	q := testGenerator()
+	qt := CSRFromDenseT(testGenerator())
 	pi := []float64{1, 0, 0, 0}
 	ws := NewWorkspace()
+	var plain *Workspace
 	for rep := 0; rep < 3; rep++ {
 		for _, tt := range []float64{0, 0.3, 1.7, 12} {
-			want, err := UniformizedPower(q, pi, tt, 0, 1e-12)
+			want, err := plain.UniformizedPowerCSR(qt, pi, tt, 0, 1e-12, nil)
 			if err != nil {
 				t.Fatalf("plain t=%g: %v", tt, err)
 			}
-			got, err := ws.UniformizedPower(q, pi, tt, 0, 1e-12, nil)
+			got, err := ws.UniformizedPowerCSR(qt, pi, tt, 0, 1e-12, nil)
 			if err != nil {
 				t.Fatalf("ws t=%g: %v", tt, err)
 			}
@@ -51,16 +53,17 @@ func TestWorkspaceUniformizedPowerMatchesPlain(t *testing.T) {
 // TestWorkspaceUniformizedIntegralMatchesPlain: same contract for the
 // accumulated-occupancy kernel.
 func TestWorkspaceUniformizedIntegralMatchesPlain(t *testing.T) {
-	q := testGenerator()
+	qt := CSRFromDenseT(testGenerator())
 	pi := []float64{0.25, 0.25, 0.25, 0.25}
 	ws := NewWorkspace()
+	var plain *Workspace
 	for rep := 0; rep < 3; rep++ {
 		for _, tt := range []float64{0, 0.5, 4} {
-			want, err := UniformizedIntegral(q, pi, tt, 0, 1e-12)
+			want, err := plain.UniformizedIntegralCSR(qt, pi, tt, 0, 1e-12, nil)
 			if err != nil {
 				t.Fatalf("plain t=%g: %v", tt, err)
 			}
-			got, err := ws.UniformizedIntegral(q, pi, tt, 0, 1e-12, nil)
+			got, err := ws.UniformizedIntegralCSR(qt, pi, tt, 0, 1e-12, nil)
 			if err != nil {
 				t.Fatalf("ws t=%g: %v", tt, err)
 			}
@@ -153,20 +156,20 @@ func TestWorkspaceMatPoolBounded(t *testing.T) {
 	}
 }
 
-// TestUniformizedPowerNoAlloc: after warm-up, the workspace kernel with a
+// TestUniformizedPowerNoAlloc: after warm-up, the CSR series kernel with a
 // caller-provided destination must run allocation-free — the point of the
 // whole workspace layer.
 func TestUniformizedPowerNoAlloc(t *testing.T) {
-	q := testGenerator()
+	qt := CSRFromDenseT(testGenerator())
 	pi := []float64{1, 0, 0, 0}
 	dst := make([]float64, 4)
 	ws := NewWorkspace()
-	if _, err := ws.UniformizedPower(q, pi, 1.7, 0, 1e-12, dst); err != nil {
+	if _, err := ws.UniformizedPowerCSR(qt, pi, 1.7, 0, 1e-12, dst); err != nil {
 		t.Fatalf("warm-up: %v", err)
 	}
 	allocs := testing.AllocsPerRun(100, func() {
-		if _, err := ws.UniformizedPower(q, pi, 1.7, 0, 1e-12, dst); err != nil {
-			t.Fatalf("UniformizedPower: %v", err)
+		if _, err := ws.UniformizedPowerCSR(qt, pi, 1.7, 0, 1e-12, dst); err != nil {
+			t.Fatalf("UniformizedPowerCSR: %v", err)
 		}
 	})
 	if allocs != 0 {
@@ -177,36 +180,36 @@ func TestUniformizedPowerNoAlloc(t *testing.T) {
 // BenchmarkUniformizedPowerNoAlloc guards the allocation-free property in
 // benchmark form; -benchmem must report 0 allocs/op after warm-up.
 func BenchmarkUniformizedPowerNoAlloc(b *testing.B) {
-	q := testGenerator()
+	qt := CSRFromDenseT(testGenerator())
 	pi := []float64{1, 0, 0, 0}
 	dst := make([]float64, 4)
 	ws := NewWorkspace()
-	if _, err := ws.UniformizedPower(q, pi, 1.7, 0, 1e-12, dst); err != nil {
+	if _, err := ws.UniformizedPowerCSR(qt, pi, 1.7, 0, 1e-12, dst); err != nil {
 		b.Fatalf("warm-up: %v", err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ws.UniformizedPower(q, pi, 1.7, 0, 1e-12, dst); err != nil {
+		if _, err := ws.UniformizedPowerCSR(qt, pi, 1.7, 0, 1e-12, dst); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-// TestUniformizedIntegralNoAlloc: the integral kernel takes P's CSR form,
-// the tail weights and both series vectors from the workspace, so with a
+// TestUniformizedIntegralNoAlloc: the CSR integral kernel takes the tail
+// weights and both series vectors from the workspace, so with a
 // caller-provided destination it too runs allocation-free after warm-up.
 func TestUniformizedIntegralNoAlloc(t *testing.T) {
-	q := testGenerator()
+	qt := CSRFromDenseT(testGenerator())
 	pi := []float64{1, 0, 0, 0}
 	dst := make([]float64, 4)
 	ws := NewWorkspace()
-	if _, err := ws.UniformizedIntegral(q, pi, 1.7, 0, 1e-12, dst); err != nil {
+	if _, err := ws.UniformizedIntegralCSR(qt, pi, 1.7, 0, 1e-12, dst); err != nil {
 		t.Fatalf("warm-up: %v", err)
 	}
 	allocs := testing.AllocsPerRun(100, func() {
-		if _, err := ws.UniformizedIntegral(q, pi, 1.7, 0, 1e-12, dst); err != nil {
-			t.Fatalf("UniformizedIntegral: %v", err)
+		if _, err := ws.UniformizedIntegralCSR(qt, pi, 1.7, 0, 1e-12, dst); err != nil {
+			t.Fatalf("UniformizedIntegralCSR: %v", err)
 		}
 	})
 	if allocs != 0 {
@@ -217,17 +220,17 @@ func TestUniformizedIntegralNoAlloc(t *testing.T) {
 // BenchmarkUniformizedIntegralNoAlloc guards the same property in
 // benchmark form; -benchmem must report 0 allocs/op after warm-up.
 func BenchmarkUniformizedIntegralNoAlloc(b *testing.B) {
-	q := testGenerator()
+	qt := CSRFromDenseT(testGenerator())
 	pi := []float64{1, 0, 0, 0}
 	dst := make([]float64, 4)
 	ws := NewWorkspace()
-	if _, err := ws.UniformizedIntegral(q, pi, 1.7, 0, 1e-12, dst); err != nil {
+	if _, err := ws.UniformizedIntegralCSR(qt, pi, 1.7, 0, 1e-12, dst); err != nil {
 		b.Fatalf("warm-up: %v", err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ws.UniformizedIntegral(q, pi, 1.7, 0, 1e-12, dst); err != nil {
+		if _, err := ws.UniformizedIntegralCSR(qt, pi, 1.7, 0, 1e-12, dst); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -12,7 +12,7 @@ import (
 // buildRejuvenationToy builds the classic single-component rejuvenation
 // model: the component degrades at rate lambda; a clock fires every tau and
 // restores it to fresh. P(fresh) = (1 - e^{-lambda tau}) / (lambda tau).
-func buildRejuvenationToy(t *testing.T, lambda, tau float64) *petri.Net {
+func buildRejuvenationToy(t testing.TB, lambda, tau float64) *petri.Net {
 	t.Helper()
 	b := petri.NewBuilder("rejuvenation-toy")
 	fresh := b.AddPlace("fresh", 1)
@@ -46,7 +46,7 @@ func buildRejuvenationToy(t *testing.T, lambda, tau float64) *petri.Net {
 	return n
 }
 
-func explore(t *testing.T, n *petri.Net) *petri.Graph {
+func explore(t testing.TB, n *petri.Net) *petri.Graph {
 	t.Helper()
 	g, err := petri.Explore(n, petri.ExploreOptions{})
 	if err != nil {

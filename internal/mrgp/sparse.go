@@ -105,7 +105,7 @@ func solveSparse(ctx context.Context, ws *linalg.Workspace, g *petri.Graph, seed
 	defer ws.PutVec(v)
 	defer ws.PutVec(moved)
 	defer ws.PutVec(next)
-	op := embeddedOp{ws: ws, qt: qt, dt: g.DetBranchTranspose(), delay: delay, rate: qt.MaxAbsDiag() * 1.02, moved: moved}
+	op := embeddedOp{ws: ws, qt: qt, dt: g.DetBranchTranspose(), delay: delay, rate: linalg.UniformizationRate(qt.MaxAbsDiag()), moved: moved}
 	warm = linalg.ApplySeed(v, seed)
 	if !warm {
 		for i := range v {

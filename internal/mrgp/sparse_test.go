@@ -191,7 +191,7 @@ func TestKrylovStartNoAllocAfterWarmup(t *testing.T) {
 		t.Fatal(err)
 	}
 	n := g.NumStates()
-	op := embeddedOp{ws: ws, qt: qt, dt: g.DetBranchTranspose(), delay: delay, rate: qt.MaxAbsDiag() * 1.02, moved: make([]float64, n)}
+	op := embeddedOp{ws: ws, qt: qt, dt: g.DetBranchTranspose(), delay: delay, rate: linalg.UniformizationRate(qt.MaxAbsDiag()), moved: make([]float64, n)}
 	v := make([]float64, n)
 	start := func() {
 		for i := range v {

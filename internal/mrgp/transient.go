@@ -70,7 +70,7 @@ type squarings struct {
 // the base-step integral matrix, which squarings.integral consumes.
 func newSquarings(ws *linalg.Workspace, q *linalg.Dense, t float64, withU bool) (*squarings, error) {
 	n, _ := q.Dims()
-	sq := &squarings{rate: maxExitRate(q), t: t, base: t}
+	sq := &squarings{rate: linalg.UniformizationRate(q.MaxAbsDiag()), t: t, base: t}
 	if sq.frozen() {
 		// Frozen chain: T = I, U = t*I.
 		tm := ws.Mat(n, n)
@@ -245,7 +245,7 @@ func uniformizedPair(ws *linalg.Workspace, q *linalg.Dense, rate, t float64, wit
 // ws.PutMat.
 func transientPairCSR(ws *linalg.Workspace, qt *linalg.CSR, t float64) (tm, um *linalg.Dense, err error) {
 	n, _ := qt.Dims()
-	rate := qt.MaxAbsDiag() * 1.02
+	rate := linalg.UniformizationRate(qt.MaxAbsDiag())
 	if rate == 0 || t == 0 {
 		tm = ws.Mat(n, n)
 		um = ws.Mat(n, n)
@@ -304,21 +304,4 @@ func transientPairCSR(ws *linalg.Workspace, qt *linalg.CSR, t float64) (tm, um *
 	ws.PutMat(next)
 	ws.PutVec(tail)
 	return tm, um, nil
-}
-
-// maxExitRate returns the uniformization rate max_i |Q[i,i]| with a small
-// safety margin.
-func maxExitRate(q *linalg.Dense) float64 {
-	n, _ := q.Dims()
-	var max float64
-	for i := 0; i < n; i++ {
-		d := q.At(i, i)
-		if d < 0 {
-			d = -d
-		}
-		if d > max {
-			max = d
-		}
-	}
-	return max * 1.02
 }

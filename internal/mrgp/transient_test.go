@@ -33,11 +33,13 @@ func randomGenerator(n int, seed uint64) *linalg.Dense {
 }
 
 // TestTransientPairMatchesRowUniformization compares the doubled matrices
-// against the direct row-by-row uniformization for horizons long enough to
-// force several doublings.
+// against the direct row-by-row uniformization (the CSR vector series) for
+// horizons long enough to force several doublings.
 func TestTransientPairMatchesRowUniformization(t *testing.T) {
+	var ws *linalg.Workspace
 	for _, horizon := range []float64{0.5, 3, 40, 300} {
 		q := randomGenerator(5, 7)
+		qt := linalg.CSRFromDenseT(q)
 		tm, um, err := transientPair(nil, q, horizon)
 		if err != nil {
 			t.Fatalf("transientPair(%g): %v", horizon, err)
@@ -45,11 +47,11 @@ func TestTransientPairMatchesRowUniformization(t *testing.T) {
 		for i := 0; i < 5; i++ {
 			basis := make([]float64, 5)
 			basis[i] = 1
-			tRow, err := linalg.UniformizedPower(q, basis, horizon, 0, 1e-13)
+			tRow, err := ws.UniformizedPowerCSR(qt, basis, horizon, 0, 1e-13, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			uRow, err := linalg.UniformizedIntegral(q, basis, horizon, 0, 1e-13)
+			uRow, err := ws.UniformizedIntegralCSR(qt, basis, horizon, 0, 1e-13, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

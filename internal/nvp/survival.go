@@ -2,8 +2,10 @@ package nvp
 
 import (
 	"fmt"
+	"math"
 
 	"nvrel/internal/linalg"
+	"nvrel/internal/mrgp"
 	"nvrel/internal/reliability"
 )
 
@@ -23,71 +25,39 @@ func (m *Model) ErrorProbability(rf reliability.StateFn) func(i, j, k int) float
 	}
 }
 
-// SurvivalProbability returns P(no erroneous voted output during [0, t]):
-// perception requests arrive as a Poisson process with the given rate,
-// each request is erroneous with the state-dependent probability
-// ErrorProbability, and the system starts all-healthy with a freshly
-// armed clock.
+// SurvivalProbability returns, for each window [0, t], P(no erroneous
+// voted output during [0, t]): perception requests arrive as a Poisson
+// process with the given rate, each request is erroneous with the
+// state-dependent probability ErrorProbability, and the system starts
+// all-healthy with a freshly armed clock. A negative or non-finite rate or
+// window fails with mrgp.ErrInvalidInput.
 //
 // Mathematically this is the Feynman-Kac functional
 // E[exp(-Integral_0^t requestRate * perr(X_s) ds)], computed by
 // propagating through the defective generator Q' = Q - diag(requestRate *
-// perr): the row mass lost under e^{Q' t} is exactly the probability an
-// error event occurred. For the clocked architecture the propagation
-// alternates e^{Q' tau} with the tick branching matrix.
-func (m *Model) SurvivalProbability(rf reliability.StateFn, requestRate, t float64) (float64, error) {
-	if requestRate < 0 {
-		return 0, fmt.Errorf("nvp: request rate %g must be non-negative", requestRate)
+// perr): the mass lost under the killed propagation is exactly the
+// probability an error event occurred. For the clocked architecture the
+// propagation alternates e^{Q' tau} with the tick branching matrix.
+func (m *Model) SurvivalProbability(rf reliability.StateFn, requestRate float64, windows []float64) ([]float64, error) {
+	if !(requestRate >= 0) || math.IsInf(requestRate, 1) {
+		return nil, fmt.Errorf("%w: request rate %g must be finite and non-negative", mrgp.ErrInvalidInput, requestRate)
 	}
-	if t < 0 {
-		return 0, fmt.Errorf("nvp: window %g must be non-negative", t)
-	}
-	if m.Arch == WithRejuvenation && m.Params.Clock == ClockWaitsForWave {
-		return 0, ErrTransientUnsupported
-	}
-
 	perr := m.ErrorProbability(rf)
-	q, err := m.Graph.Generator()
-	if err != nil {
-		return 0, err
-	}
-	// Defective generator: subtract the error-event intensity on the
-	// diagonal. Off-diagonals stay non-negative, so uniformization applies
-	// unchanged; the lost row mass is the absorbed (error) probability.
-	n := m.Graph.NumStates()
+	kill := make([]float64, m.Graph.NumStates())
 	for s, mk := range m.Graph.Markings {
-		i, j, k := m.classify(mk)
-		q.Add(s, s, -requestRate*perr(i, j, k))
+		kill[s] = requestRate * perr(m.classify(mk))
 	}
-
-	cur := append([]float64(nil), m.Graph.Initial...)
-	if m.Arch == WithRejuvenation {
-		// Tick branching matrix.
-		d := linalg.NewDense(n, n)
-		for s, sched := range m.Graph.Det {
-			if sched == nil {
-				return 0, fmt.Errorf("nvp: state %d lacks a clock schedule", s)
-			}
-			for _, pe := range sched.Successors {
-				d.Add(s, pe.To, pe.Prob)
-			}
-		}
-		tau := m.Params.RejuvenationInterval
-		for t >= tau {
-			moved, err := linalg.UniformizedPower(q, cur, tau, 0, 1e-12)
-			if err != nil {
-				return 0, err
-			}
-			if cur, err = d.VecMul(moved); err != nil {
-				return 0, err
-			}
-			t -= tau
-		}
+	prop, err := m.propagator(kill)
+	if err != nil {
+		return nil, err
 	}
-	if t > 0 {
-		if cur, err = linalg.UniformizedPower(q, cur, t, 0, 1e-12); err != nil {
-			return 0, err
+	out := make([]float64, len(windows))
+	for i, t := range windows {
+		pi, err := prop.Distribution(m.Graph.Initial, t)
+		if err != nil {
+			return nil, err
 		}
+		out[i] = linalg.Sum(pi)
 	}
-	return linalg.Sum(cur), nil
+	return out, nil
 }

@@ -15,12 +15,14 @@ func TestSurvivalProbabilityBounds(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		windows := []float64{0, 600, 3600, 24 * 3600}
+		ps, err := m.SurvivalProbability(rf, 1.0/120, windows)
+		if err != nil {
+			t.Fatalf("rejuv=%v: %v", rejuv, err)
+		}
 		prev := 1.0
-		for _, window := range []float64{0, 600, 3600, 24 * 3600} {
-			p, err := m.SurvivalProbability(rf, 1.0/120, window)
-			if err != nil {
-				t.Fatalf("rejuv=%v window=%g: %v", rejuv, window, err)
-			}
+		for i, window := range windows {
+			p := ps[i]
 			if p < 0 || p > 1+1e-12 {
 				t.Errorf("rejuv=%v: P(survive %g) = %g outside [0,1]", rejuv, window, p)
 			}
@@ -38,12 +40,12 @@ func TestSurvivalAtZeroWindowIsOne(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := m.SurvivalProbability(rf, 0.01, 0)
+	p, err := m.SurvivalProbability(rf, 0.01, []float64{0})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(p-1) > 1e-12 {
-		t.Errorf("P(survive 0) = %g", p)
+	if math.Abs(p[0]-1) > 1e-12 {
+		t.Errorf("P(survive 0) = %g", p[0])
 	}
 }
 
@@ -53,12 +55,12 @@ func TestSurvivalZeroRequestRateIsOne(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := m.SurvivalProbability(rf, 0, 5e4)
+	p, err := m.SurvivalProbability(rf, 0, []float64{5e4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(p-1) > 1e-9 {
-		t.Errorf("P(survive with no requests) = %g", p)
+	if math.Abs(p[0]-1) > 1e-9 {
+		t.Errorf("P(survive with no requests) = %g", p[0])
 	}
 }
 
@@ -77,16 +79,16 @@ func TestSurvivalRejuvenationHelps(t *testing.T) {
 		rate   = 1.0 / 300
 		window = 24 * 3600.0
 	)
-	p4, err := m4.SurvivalProbability(rf4, rate, window)
+	p4, err := m4.SurvivalProbability(rf4, rate, []float64{window})
 	if err != nil {
 		t.Fatal(err)
 	}
-	p6, err := m6.SurvivalProbability(rf6, rate, window)
+	p6, err := m6.SurvivalProbability(rf6, rate, []float64{window})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p6 <= p4 {
-		t.Errorf("six-version survival %g should beat four-version %g", p6, p4)
+	if p6[0] <= p4[0] {
+		t.Errorf("six-version survival %g should beat four-version %g", p6[0], p4[0])
 	}
 }
 
@@ -96,10 +98,10 @@ func TestSurvivalValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.SurvivalProbability(rf, -1, 10); err == nil {
+	if _, err := m.SurvivalProbability(rf, -1, []float64{10}); err == nil {
 		t.Error("negative rate accepted")
 	}
-	if _, err := m.SurvivalProbability(rf, 1, -10); err == nil {
+	if _, err := m.SurvivalProbability(rf, 1, []float64{-10}); err == nil {
 		t.Error("negative window accepted")
 	}
 	p := DefaultSixVersion()
@@ -112,7 +114,7 @@ func TestSurvivalValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := waits.SurvivalProbability(rf6, 1, 10); !errors.Is(err, ErrTransientUnsupported) {
+	if _, err := waits.SurvivalProbability(rf6, 1, []float64{10}); !errors.Is(err, ErrTransientUnsupported) {
 		t.Errorf("err = %v", err)
 	}
 }
@@ -150,13 +152,13 @@ func TestSurvivalShortWindowClosedForm(t *testing.T) {
 		rate   = 0.5
 		window = 10.0
 	)
-	got, err := m.SurvivalProbability(rf, rate, window)
+	got, err := m.SurvivalProbability(rf, rate, []float64{window})
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := math.Exp(-rate * 0.05 * window)
-	if math.Abs(got-want) > 1e-3 {
-		t.Errorf("short-window survival = %.6f, want ~%.6f", got, want)
+	if math.Abs(got[0]-want) > 1e-3 {
+		t.Errorf("short-window survival = %.6f, want ~%.6f", got[0], want)
 	}
 }
 

@@ -16,116 +16,60 @@ var ErrTransientUnsupported = errors.New("nvp: transient analysis unsupported fo
 // TransientReliability returns E[R(t)] at each requested time, starting
 // from the all-healthy initial marking with a freshly armed clock. It
 // shows how output reliability degrades from a pristine deployment toward
-// the steady state the paper reports.
+// the steady state the paper reports. A negative or non-finite time
+// fails with mrgp.ErrInvalidInput.
 func (m *Model) TransientReliability(rf reliability.StateFn, times []float64) ([]float64, error) {
-	if m.Arch == WithRejuvenation && m.Params.Clock == ClockWaitsForWave {
-		return nil, ErrTransientUnsupported
+	prop, err := m.propagator(nil)
+	if err != nil {
+		return nil, err
 	}
 	reward := m.rewardVector(rf)
-	init := m.Graph.Initial
-
 	out := make([]float64, len(times))
-	switch {
-	case m.Arch != WithRejuvenation:
-		// Large state spaces propagate through the matrix-free CSR series;
-		// small ones keep the dense kernel and its bit-exact seed behavior.
-		var (
-			q   *linalg.Dense
-			qt  *linalg.CSR
-			ws  *linalg.Workspace
-			err error
-		)
-		if m.Graph.NumStates() >= linalg.SparseThreshold {
-			qt, err = m.Graph.GeneratorCSRTranspose(nil)
-		} else {
-			q, err = m.Graph.Generator()
-		}
+	for i, t := range times {
+		pi, err := prop.Distribution(m.Graph.Initial, t)
 		if err != nil {
 			return nil, err
 		}
-		for i, t := range times {
-			if t < 0 {
-				return nil, fmt.Errorf("nvp: negative time %g", t)
-			}
-			var pi []float64
-			if qt != nil {
-				pi, err = ws.UniformizedPowerCSR(qt, init, t, 0, 1e-12, nil)
-			} else {
-				pi, err = linalg.UniformizedPower(q, init, t, 0, 1e-12)
-			}
-			if err != nil {
-				return nil, err
-			}
-			if out[i], err = linalg.Dot(pi, reward); err != nil {
-				return nil, err
-			}
-		}
-	default:
-		prop, err := mrgp.NewPropagator(m.Graph)
-		if err != nil {
+		if out[i], err = linalg.Dot(pi, reward); err != nil {
 			return nil, err
-		}
-		for i, t := range times {
-			pi, err := prop.Distribution(init, t)
-			if err != nil {
-				return nil, err
-			}
-			if out[i], err = linalg.Dot(pi, reward); err != nil {
-				return nil, err
-			}
 		}
 	}
 	return out, nil
 }
 
-// MissionReliability returns the time-averaged expected reliability over a
-// mission window [0, t]: (1/t) Integral_0^t E[R(s)] ds. For short missions
-// it exceeds the steady-state value because the system starts all-healthy.
-func (m *Model) MissionReliability(rf reliability.StateFn, t float64) (float64, error) {
-	if t <= 0 {
-		return 0, fmt.Errorf("nvp: mission length %g must be positive", t)
-	}
-	if m.Arch == WithRejuvenation && m.Params.Clock == ClockWaitsForWave {
-		return 0, ErrTransientUnsupported
+// MissionReliability returns, for each mission window [0, t], the
+// time-averaged expected reliability (1/t) Integral_0^t E[R(s)] ds. For
+// short missions it exceeds the steady-state value because the system
+// starts all-healthy. A window that is not positive and finite fails with
+// mrgp.ErrInvalidInput.
+func (m *Model) MissionReliability(rf reliability.StateFn, windows []float64) ([]float64, error) {
+	prop, err := m.propagator(nil)
+	if err != nil {
+		return nil, err
 	}
 	reward := m.rewardVector(rf)
-	init := m.Graph.Initial
-
-	if m.Arch != WithRejuvenation {
-		var occ []float64
-		if m.Graph.NumStates() >= linalg.SparseThreshold {
-			qt, err := m.Graph.GeneratorCSRTranspose(nil)
-			if err != nil {
-				return 0, err
-			}
-			var ws *linalg.Workspace
-			if occ, err = ws.UniformizedIntegralCSR(qt, init, t, 0, 1e-12, nil); err != nil {
-				return 0, err
-			}
-		} else {
-			q, err := m.Graph.Generator()
-			if err != nil {
-				return 0, err
-			}
-			if occ, err = linalg.UniformizedIntegral(q, init, t, 0, 1e-12); err != nil {
-				return 0, err
-			}
+	out := make([]float64, len(windows))
+	for i, t := range windows {
+		if !(t > 0) {
+			return nil, fmt.Errorf("%w: mission length %g must be positive", mrgp.ErrInvalidInput, t)
 		}
-		acc, err := linalg.Dot(occ, reward)
+		acc, err := prop.AccumulatedReward(m.Graph.Initial, reward, t)
 		if err != nil {
-			return 0, err
+			return nil, err
 		}
-		return acc / t, nil
+		out[i] = acc / t
 	}
-	prop, err := mrgp.NewPropagator(m.Graph)
-	if err != nil {
-		return 0, err
+	return out, nil
+}
+
+// propagator returns the transient propagator of m's process with the
+// given killing rates: the clocked MRGP with rejuvenation, the plain CTMC
+// without.
+func (m *Model) propagator(kill []float64) (*mrgp.Propagator, error) {
+	if m.Arch == WithRejuvenation && m.Params.Clock == ClockWaitsForWave {
+		return nil, ErrTransientUnsupported
 	}
-	acc, err := prop.AccumulatedReward(init, reward, t)
-	if err != nil {
-		return 0, err
-	}
-	return acc / t, nil
+	return mrgp.NewPropagator(m.Graph, kill)
 }
 
 // rewardVector evaluates rf over the tangible states.

@@ -2,8 +2,11 @@ package nvp
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"testing"
+
+	"nvrel/internal/mrgp"
 )
 
 func TestTransientReliabilityFourVersion(t *testing.T) {
@@ -107,7 +110,7 @@ func TestTransientReliabilityValidation(t *testing.T) {
 	if _, err := waits.TransientReliability(rf6, []float64{1}); !errors.Is(err, ErrTransientUnsupported) {
 		t.Errorf("err = %v, want ErrTransientUnsupported", err)
 	}
-	if _, err := waits.MissionReliability(rf6, 10); !errors.Is(err, ErrTransientUnsupported) {
+	if _, err := waits.MissionReliability(rf6, []float64{10}); !errors.Is(err, ErrTransientUnsupported) {
 		t.Errorf("err = %v, want ErrTransientUnsupported", err)
 	}
 }
@@ -130,14 +133,11 @@ func TestMissionReliability(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		short, err := m.MissionReliability(rf, 60)
+		avgs, err := m.MissionReliability(rf, []float64{60, 5e5})
 		if err != nil {
-			t.Fatalf("MissionReliability(60): %v", err)
+			t.Fatalf("MissionReliability: %v", err)
 		}
-		long, err := m.MissionReliability(rf, 5e5)
-		if err != nil {
-			t.Fatalf("MissionReliability(5e5): %v", err)
-		}
+		short, long := avgs[0], avgs[1]
 		ss, err := m.ExpectedPaperReliability()
 		if err != nil {
 			t.Fatal(err)
@@ -150,7 +150,7 @@ func TestMissionReliability(t *testing.T) {
 		if math.Abs(long-ss) > 5e-3 {
 			t.Errorf("rejuv=%v: long mission %.8f should approach steady state %.8f", rejuv, long, ss)
 		}
-		if _, err := m.MissionReliability(rf, 0); err == nil {
+		if _, err := m.MissionReliability(rf, []float64{0}); err == nil {
 			t.Error("zero mission length accepted")
 		}
 	}
@@ -184,14 +184,56 @@ func TestMissionMatchesTransientTrapezoid(t *testing.T) {
 		integral += (rs[i] + rs[i-1]) / 2 * (times[i] - times[i-1])
 	}
 	want := integral / horizon
-	got, err := m.MissionReliability(rf, horizon)
+	avg, err := m.MissionReliability(rf, []float64{horizon})
 	if err != nil {
 		t.Fatal(err)
 	}
+	got := avg[0]
 	// R(t) is discontinuous at clock ticks (the branching matrix applies
 	// instantaneously), so the trapezoid rule carries O(step) error around
 	// each tick; the tolerance accounts for the four ticks in the window.
 	if math.Abs(got-want) > 5e-4 {
 		t.Errorf("mission = %.8f, trapezoid %.8f", got, want)
+	}
+}
+
+// TestTransientRejectsBadNumbers: a NaN, infinite or negative time,
+// mission window, request rate or survival window is a typed error on
+// both architectures — never a panic, a hang or a silent answer.
+func TestTransientRejectsBadNumbers(t *testing.T) {
+	bad := []float64{math.NaN(), math.Inf(1), math.Inf(-1), -1}
+	for _, rejuv := range []bool{false, true} {
+		m := buildArch(t, rejuv)
+		rf, err := m.PaperReliability()
+		if err != nil {
+			t.Fatal(err)
+		}
+		calls := map[string]func(x float64) error{
+			"TransientReliability(t)": func(x float64) error {
+				_, err := m.TransientReliability(rf, []float64{0, x})
+				return err
+			},
+			"MissionReliability(window)": func(x float64) error {
+				_, err := m.MissionReliability(rf, []float64{600, x})
+				return err
+			},
+			"SurvivalProbability(rate)": func(x float64) error {
+				_, err := m.SurvivalProbability(rf, x, []float64{600})
+				return err
+			},
+			"SurvivalProbability(window)": func(x float64) error {
+				_, err := m.SurvivalProbability(rf, 1.0/120, []float64{600, x})
+				return err
+			},
+		}
+		for name, call := range calls {
+			for _, x := range bad {
+				t.Run(fmt.Sprintf("rejuv=%v/%s=%g", rejuv, name, x), func(t *testing.T) {
+					if err := call(x); !errors.Is(err, mrgp.ErrInvalidInput) {
+						t.Errorf("err = %v, want mrgp.ErrInvalidInput", err)
+					}
+				})
+			}
+		}
 	}
 }

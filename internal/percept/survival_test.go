@@ -40,10 +40,11 @@ func TestSurvivalMatchesAnalyticFourVersion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := model.SurvivalProbability(rf, 1/interval, window)
+	ps, err := model.SurvivalProbability(rf, 1/interval, []float64{window})
 	if err != nil {
 		t.Fatal(err)
 	}
+	want := ps[0]
 	est, err := EstimateSurvival(Config{
 		Params:          nvp.DefaultFourVersion(),
 		Horizon:         window,
@@ -73,10 +74,11 @@ func TestSurvivalMatchesAnalyticSixVersion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := model.SurvivalProbability(rf, 1/interval, window)
+	ps, err := model.SurvivalProbability(rf, 1/interval, []float64{window})
 	if err != nil {
 		t.Fatal(err)
 	}
+	want := ps[0]
 	est, err := EstimateSurvival(Config{
 		Params:          nvp.DefaultSixVersion(),
 		Rejuvenation:    true,

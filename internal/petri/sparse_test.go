@@ -94,7 +94,8 @@ func TestSteadyStateSparseMatchesDense(t *testing.T) {
 }
 
 // TestUniformizationSparseMatchesDense: transient propagation through the
-// stamped CSR agrees with the dense kernel on random graphs.
+// stamped CSR agrees with propagation through the dense generator (taken
+// to CSR form directly) on random graphs.
 func TestUniformizationSparseMatchesDense(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	ws := linalg.NewWorkspace()
@@ -112,7 +113,7 @@ func TestUniformizationSparseMatchesDense(t *testing.T) {
 		pi := make([]float64, n)
 		pi[rng.Intn(n)] = 1
 		for _, horizon := range []float64{0.4, 9} {
-			want, err := linalg.UniformizedPower(q, pi, horizon, 0, 1e-12)
+			want, err := ws.UniformizedPowerCSR(linalg.CSRFromDenseT(q), pi, horizon, 0, 1e-12, nil)
 			if err != nil {
 				t.Fatalf("dense: %v", err)
 			}
