@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"os"
@@ -278,7 +279,9 @@ func (s *server) beginDrain() { s.draining.Store(true) }
 // solveRequest is the POST /solve body. Pointer fields distinguish
 // "absent" from zero so the defaults mirror the solve subcommand exactly:
 // parameters start from the 6v defaults, and -arch 4v resets N to 4 and R
-// to 0 unless the request pins them.
+// to 0 unless the request pins them. timeout_seconds can only shorten the
+// server's -solve-timeout (0 keeps it, a larger value is capped to it);
+// batch items are validated but always run under -solve-timeout.
 type solveRequest struct {
 	Arch           string   `json:"arch"` // "4v" or "6v" (default "6v")
 	N              *int     `json:"n,omitempty"`
@@ -296,8 +299,14 @@ type solveRequest struct {
 }
 
 // params resolves the request into a full parameter vector plus the
-// architecture, mirroring cmdSolve's defaulting.
+// architecture, mirroring cmdSolve's defaulting, and rejects a
+// timeout_seconds no time.Duration of at least 1ns can hold.
 func (req *solveRequest) params() (nvrel.Params, string, error) {
+	if t := req.TimeoutSeconds; t != 0 {
+		if d := t * float64(time.Second); !(d >= 1 && d < math.MaxInt64) {
+			return nvrel.Params{}, "", fmt.Errorf("timeout_seconds %g out of range: want 0 (server default) or 1e-9 to 9.2e9", t)
+		}
+	}
 	arch := req.Arch
 	if arch == "" {
 		arch = "6v"
@@ -337,6 +346,16 @@ func (req *solveRequest) params() (nvrel.Params, string, error) {
 	setF(&p.MeanTimeToRejuvenate, req.MTRJ)
 	setF(&p.RejuvenationInterval, req.Interval)
 	return p, arch, nil
+}
+
+// timeout is the request's solve deadline: the server's limit
+// (-solve-timeout), or the request's own when params() accepted it and it
+// is shorter. A request can only tighten the deadline, never lift it.
+func (req *solveRequest) timeout(limit time.Duration) time.Duration {
+	if d := time.Duration(req.TimeoutSeconds * float64(time.Second)); d > 0 && d < limit {
+		return d
+	}
+	return limit
 }
 
 // solveSignature is the normalized parameter signature of a resolved
@@ -463,11 +482,7 @@ func (s *server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	}
 	key := solveKey(arch, p)
 	ev.Key = keyHash(key)
-	timeout := s.cfg.solveTimeout
-	if req.TimeoutSeconds > 0 {
-		timeout = time.Duration(req.TimeoutSeconds * float64(time.Second))
-	}
-	resp, code, err := s.solveCached(ctx, key, arch, p, timeout)
+	resp, code, err := s.solveCached(ctx, key, arch, p, req.timeout(s.cfg.solveTimeout))
 	if err != nil {
 		srvMetSolveErrors.Inc()
 		ev.Status, ev.Error = code, err.Error()

@@ -5,25 +5,33 @@ import (
 	"encoding/json"
 	"io"
 	"testing"
+	"time"
 )
 
+// fuzzSolveTimeout is the server -solve-timeout the fuzzer resolves
+// request deadlines against.
+const fuzzSolveTimeout = 30 * time.Second
+
 // checkSolveRequest runs one decoded request through the same resolution
-// the /solve handler applies. An arch error is the handler's 400; a
-// resolved point either passes Params.Validate or fails it (model
-// construction then answers 422). Either way the cache key must survive
-// a JSON round trip of the request, since it is the point's identity in
-// the cache.
+// the /solve handler applies. An arch or timeout_seconds error is the
+// handler's 400; a resolved point either passes Params.Validate or fails
+// it (model construction then answers 422), and its deadline lies in
+// (0, -solve-timeout]. Either way the cache key must survive a JSON round
+// trip of the request, since it is the point's identity in the cache.
 func checkSolveRequest(t *testing.T, req *solveRequest) {
 	t.Helper()
 	p, arch, err := req.params()
 	if err != nil {
-		if req.Arch == "" || req.Arch == "4v" || req.Arch == "6v" {
+		if (req.Arch == "" || req.Arch == "4v" || req.Arch == "6v") && req.TimeoutSeconds == 0 {
 			t.Fatalf("arch %q rejected: %v", req.Arch, err)
 		}
 		return
 	}
 	if arch != "4v" && arch != "6v" {
 		t.Fatalf("params() resolved arch %q", arch)
+	}
+	if d := req.timeout(fuzzSolveTimeout); d <= 0 || d > fuzzSolveTimeout {
+		t.Fatalf("timeout_seconds %g resolves to %v, outside (0, %v]", req.TimeoutSeconds, d, fuzzSolveTimeout)
 	}
 	_ = p.Validate(arch == "6v")
 	data, err := json.Marshal(req)
@@ -48,6 +56,8 @@ func FuzzSolveRequest(f *testing.F) {
 	f.Add([]byte(`{"arch":"4v","n":24}`))
 	f.Add([]byte(`{"arch":"6v","n":10,"mttc":1200,"interval":400,"timeout_seconds":2}`))
 	f.Add([]byte(`{"arch":"4v","n":-3,"f":9,"r":-1,"alpha":2,"p":-0.5}`))
+	f.Add([]byte(`{"arch":"6v","timeout_seconds":1e10}`))
+	f.Add([]byte(`{"arch":"4v","timeout_seconds":-2}`))
 	f.Add([]byte(`{"arch":"42v"}`))
 	f.Add([]byte(`{"mttc":0,"mttf":-1,"mtrj":1e308}`))
 	f.Add([]byte(`{"requests":[{"arch":"4v"},{"arch":"42v"},{"arch":"4v","n":-1}]}`))

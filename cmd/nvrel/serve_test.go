@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -139,6 +140,47 @@ func TestServeSolveDefaultsMirrorSolveCommand(t *testing.T) {
 	req = solveRequest{Arch: "9v"}
 	if _, _, err = req.params(); err == nil {
 		t.Error("unknown arch accepted")
+	}
+}
+
+// TestServeSolveTimeoutBounds: timeout_seconds can only shorten the
+// server's deadline. Negative, sub-nanosecond and time.Duration-overflowing
+// values are rejected (the old conversion wrapped 1e10 s to a negative
+// duration, which ran the solve with no deadline at all).
+func TestServeSolveTimeoutBounds(t *testing.T) {
+	const limit = 30 * time.Second
+	cases := []struct {
+		seconds float64
+		want    time.Duration // 0: params() must reject the request
+	}{
+		{0, limit},
+		{2, 2 * time.Second},
+		{0.25, 250 * time.Millisecond},
+		{1e-9, time.Nanosecond},
+		{30, limit},
+		{3600, limit},
+		{9e9, limit},
+		{-1, 0},
+		{-1e-300, 0},
+		{1e-12, 0},
+		{9.3e9, 0},
+		{1e10, 0},
+		{math.MaxFloat64, 0},
+	}
+	for _, c := range cases {
+		req := solveRequest{TimeoutSeconds: c.seconds}
+		_, _, err := req.params()
+		if c.want == 0 {
+			if err == nil {
+				t.Errorf("timeout_seconds %g accepted", c.seconds)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("timeout_seconds %g rejected: %v", c.seconds, err)
+		} else if got := req.timeout(limit); got != c.want {
+			t.Errorf("timeout_seconds %g resolves to %v, want %v", c.seconds, got, c.want)
+		}
 	}
 }
 
@@ -285,6 +327,8 @@ func TestServeSolveBadRequests(t *testing.T) {
 		{`{"arch":"42v"}`, http.StatusBadRequest},
 		{`not json`, http.StatusBadRequest},
 		{`{"arch":"4v","n":-3}`, http.StatusUnprocessableEntity},
+		{`{"timeout_seconds":-1}`, http.StatusBadRequest},
+		{`{"timeout_seconds":1e10}`, http.StatusBadRequest},
 	}
 	for _, c := range cases {
 		resp, err := http.Post(ts.URL+"/solve", "application/json", strings.NewReader(c.body))

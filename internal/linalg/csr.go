@@ -155,20 +155,6 @@ func (c *CSR) Dense() *Dense {
 	return d
 }
 
-// DenseInto writes the CSR into dst, which must match the CSR's shape.
-func (c *CSR) DenseInto(dst *Dense) error {
-	if dst.rows != c.rows || dst.cols != c.cols {
-		return ErrDimensionMismatch
-	}
-	dst.Zero()
-	for i := 0; i < c.rows; i++ {
-		for k := c.RowPtr[i]; k < c.RowPtr[i+1]; k++ {
-			dst.Set(i, c.ColIdx[k], c.Vals[k])
-		}
-	}
-	return nil
-}
-
 // MulVecInto computes dst = A * x. dst must have length rows and must not
 // alias x.
 //

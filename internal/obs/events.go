@@ -105,9 +105,6 @@ func EventsDisable() bool { return defEvents.Load().enabled.Swap(false) }
 // SetEventsEnabled restores a previous enabled state.
 func SetEventsEnabled(on bool) { defEvents.Load().enabled.Store(on) }
 
-// EventsEnabled reports whether events are being recorded.
-func EventsEnabled() bool { return defEvents.Load().enabled.Load() }
-
 // SetEventCapacity replaces the ring with an empty one of the given
 // capacity, preserving the enabled state and sink.
 func SetEventCapacity(capacity int) {

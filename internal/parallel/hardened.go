@@ -2,300 +2,50 @@ package parallel
 
 import (
 	"context"
-	"errors"
-	"fmt"
-	"sync"
-	"sync/atomic"
 	"time"
-
-	"nvrel/internal/faultinject"
-	"nvrel/internal/obs"
 )
-
-// Fault-injection sites of the hardened pool, exercised by the chaos
-// harness: an injected panic inside a worker's item and an injected stall
-// that pushes an item past its per-attempt deadline.
-var (
-	fiWorkerPanic = faultinject.SiteFor("parallel.worker.panic")
-	fiWorkerStall = faultinject.SiteFor("parallel.worker.stall")
-)
-
-// PanicError is the typed failure recorded for an item whose function
-// panicked. The panic is recovered inside the pool — a worker panic must
-// never abort the whole sweep — and the worker that observed it is retired
-// and replaced by a fresh goroutine.
-type PanicError struct {
-	// Index is the work item whose function panicked.
-	Index int
-	// Value is the recovered panic payload.
-	Value any
-}
-
-func (e *PanicError) Error() string {
-	return fmt.Sprintf("parallel: item %d panicked: %v", e.Index, e.Value)
-}
-
-// ForEachCtx runs fn(0..n-1) on EffectiveWorkers(n) goroutines, passing a
-// context that is cancelled as soon as any item fails or the parent
-// context dies. Context-aware in-flight items therefore drain promptly on
-// the first hard error instead of running to completion against a result
-// nobody will read — and items blocked on ctx.Done() cannot hang the pool
-// forever. Like ForEachN, the returned error is the one of the lowest
-// failing index.
-func ForEachCtx(ctx context.Context, n int, fn func(ctx context.Context, i int) error) error {
-	if n <= 0 {
-		return nil
-	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	child, cancel := context.WithCancel(ctx)
-	defer cancel()
-	workers := EffectiveWorkers(n)
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			if err := child.Err(); err != nil {
-				return err
-			}
-			ictx, sp := obs.StartSpan(child, "parallel.item")
-			sp.Int("index", int64(i)).Int("worker", 0)
-			err := fn(ictx, i)
-			sp.Err(err)
-			sp.End()
-			if err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	var (
-		next     atomic.Int64
-		wg       sync.WaitGroup
-		errMu    sync.Mutex
-		firstIdx = n
-		firstErr error
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(worker int) {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1) - 1)
-				if i >= n || child.Err() != nil {
-					return
-				}
-				ictx, sp := obs.StartSpan(child, "parallel.item")
-				sp.Int("index", int64(i)).Int("worker", int64(worker))
-				err := fn(ictx, i)
-				sp.Err(err)
-				sp.End()
-				if err != nil {
-					errMu.Lock()
-					if i < firstIdx {
-						firstIdx, firstErr = i, err
-					}
-					errMu.Unlock()
-					cancel()
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	if firstErr == nil {
-		// No item reported an error but the parent context may have died
-		// mid-run, leaving later indices unclaimed.
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-	}
-	return firstErr
-}
 
 // HardenedOptions tunes ForEachHardened. The zero value is usable.
 type HardenedOptions struct {
 	// Workers is the pool size; 0 means EffectiveWorkers(n).
 	Workers int
-	// MaxAttempts is the per-item attempt budget; 0 means 2 (one retry on
-	// a fresh worker after a panic or per-attempt timeout).
+	// MaxAttempts is the per-item attempt budget; 0 means 2 (one retry
+	// after a panic, on the fresh worker, or after a per-attempt timeout).
 	MaxAttempts int
-	// Backoff is the delay before an item's first retry, doubling per
-	// subsequent attempt; 0 means 1ms.
-	Backoff time.Duration
 	// ItemTimeout bounds each attempt with a child context deadline; 0
 	// means no per-attempt deadline.
 	ItemTimeout time.Duration
 }
 
-// ForEachHardened runs fn(0..n-1) with worker rejuvenation and per-item
-// fault containment, returning one error slot per item (nil on success)
-// instead of aborting on the first failure:
+// ForEachHardened runs fn(0..n-1) with per-item fault containment,
+// returning one error slot per item (nil on success) instead of aborting
+// on the first failure:
 //
-//   - a panic in fn is recovered and recorded as a typed *PanicError; the
-//     worker goroutine that observed it is retired and replaced by a fresh
-//     one, in case the panic left goroutine-associated state poisoned;
+//   - a panic in fn is recovered as a typed *PanicError, and the worker
+//     that observed it is retired and replaced by a fresh goroutine;
 //   - an attempt that blows its ItemTimeout deadline is cut off via its
 //     child context (fn must honor ctx for this to bound wall-clock);
-//   - panicked and timed-out items are retried on a fresh attempt with
-//     exponential backoff until MaxAttempts is exhausted; deterministic
+//   - panicked and timed-out items are retried inline — after a 1 ms
+//     backoff doubling per attempt, before the worker claims anything
+//     else — until MaxAttempts is exhausted, so a retry runs in the same
+//     place of the claim order as the attempt it replaces; deterministic
 //     failures (typed solver errors) are recorded immediately, because
 //     rerunning the same solve yields the same rejection;
 //   - cancellation of the parent context records a context error for every
-//     item not yet completed and stops promptly.
+//     item not yet claimed and stops promptly.
 //
 // Sweep drivers use this to turn "one bad point kills the run" into
 // "every point reports its own outcome".
 func ForEachHardened(ctx context.Context, n int, fn func(ctx context.Context, i int) error, opts HardenedOptions) []error {
-	errs := make([]error, n)
-	if n <= 0 {
-		return errs
-	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	workers := opts.Workers
 	if workers <= 0 {
 		workers = EffectiveWorkers(n)
 	}
-	if workers > n {
-		workers = n
+	attempts := opts.MaxAttempts
+	if attempts <= 0 {
+		attempts = 2
 	}
-	maxAttempts := opts.MaxAttempts
-	if maxAttempts <= 0 {
-		maxAttempts = 2
-	}
-	backoff := opts.Backoff
-	if backoff <= 0 {
-		backoff = time.Millisecond
-	}
-
-	type task struct {
-		idx     int
-		attempt int // 0-based
-	}
-	// Buffered to n: at most n tasks are outstanding at any moment (each
-	// item has one live task until it completes), so enqueues never block.
-	tasks := make(chan task, n)
-	var (
-		pending  atomic.Int64
-		errMu    sync.Mutex
-		wg       sync.WaitGroup
-		closeOne sync.Once
-	)
-	pending.Store(int64(n))
-	for i := 0; i < n; i++ {
-		tasks <- task{idx: i}
-	}
-
-	// complete records an item's final outcome and closes the queue when
-	// the last item settles.
-	complete := func(idx int, err error) {
-		if err != nil {
-			metItemFailed.Inc()
-			errMu.Lock()
-			errs[idx] = err
-			errMu.Unlock()
-		}
-		if pending.Add(-1) == 0 {
-			closeOne.Do(func() { close(tasks) })
-		}
-	}
-
-	// finish routes one attempt's outcome: success or deterministic
-	// failure settles the item; a recoverable failure with budget left
-	// re-enqueues it after backoff.
-	finish := func(t task, err error) {
-		if err == nil || !retryableError(ctx, err) || t.attempt+1 >= maxAttempts {
-			complete(t.idx, err)
-			return
-		}
-		metItemRetries.Inc()
-		delay := backoff << t.attempt
-		retry := task{idx: t.idx, attempt: t.attempt + 1}
-		time.AfterFunc(delay, func() { tasks <- retry })
-	}
-
-	// runItem executes one attempt with panic recovery and the optional
-	// per-attempt deadline. It reports whether fn panicked, so the calling
-	// worker can retire itself. The item span carries worker attribution —
-	// which goroutine incarnation ran which item on which attempt — so a
-	// trace shows retries landing on fresh workers after a rejuvenation.
-	runItem := func(t task, worker int64) (panicked bool) {
-		sctx, sp := obs.StartSpan(ctx, "parallel.item")
-		sp.Int("index", int64(t.idx)).Int("attempt", int64(t.attempt)).Int("worker", worker)
-		defer func() {
-			if r := recover(); r != nil {
-				panicked = true
-				metWorkerPanics.Inc()
-				perr := &PanicError{Index: t.idx, Value: r}
-				sp.Err(perr)
-				sp.End()
-				finish(t, perr)
-			}
-		}()
-		if err := ctx.Err(); err != nil {
-			sp.Err(err)
-			sp.End()
-			complete(t.idx, err)
-			return false
-		}
-		ictx := sctx
-		if opts.ItemTimeout > 0 {
-			var cancel context.CancelFunc
-			ictx, cancel = context.WithTimeout(sctx, opts.ItemTimeout)
-			defer cancel()
-		}
-		if faultinject.Enabled() {
-			fiWorkerPanic.Panic()
-			fiWorkerStall.Stall(ictx)
-		}
-		err := fn(ictx, t.idx)
-		sp.Err(err)
-		sp.End()
-		finish(t, err)
-		return false
-	}
-
-	// workerIDs hands every worker incarnation — initial or respawned — a
-	// distinct id for span attribution.
-	var workerIDs atomic.Int64
-	var worker func()
-	worker = func() {
-		defer wg.Done()
-		id := workerIDs.Add(1) - 1
-		for t := range tasks {
-			if runItem(t, id) {
-				// This goroutine just observed a panic in user code.
-				// Retire it and hand its slot to a fresh worker
-				// (rejuvenation): the item bookkeeping is already done,
-				// but any state associated with this goroutine is suspect.
-				metWorkerRespawns.Inc()
-				wg.Add(1)
-				go worker()
-				return
-			}
-		}
-	}
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go worker()
-	}
-	wg.Wait()
+	errs, _ := run(ctx, workers, n, policy{perItem: true, maxAttempts: attempts, itemTimeout: opts.ItemTimeout},
+		noRes, dropRes, func(ctx context.Context, _ struct{}, i int) error { return fn(ctx, i) })
 	return errs
-}
-
-// retryableError reports whether a failed attempt is worth a fresh try: a
-// recovered panic or a per-attempt deadline blow while the parent context
-// is still alive. Deterministic failures are not retried.
-func retryableError(parent context.Context, err error) bool {
-	if parent.Err() != nil {
-		return false
-	}
-	var pe *PanicError
-	if errors.As(err, &pe) {
-		return true
-	}
-	return errors.Is(err, context.DeadlineExceeded)
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -197,5 +198,71 @@ func TestHardenedInjectedWorkerPanic(t *testing.T) {
 	}
 	if got := faultinject.SiteFor("parallel.worker.panic").Fired(); got != 1 {
 		t.Fatalf("site fired %d times, want 1", got)
+	}
+}
+
+// TestFailFastFrontEndsContainPanics: a panic inside a ForEach, ForEachRes
+// or ForEachCtx item is recovered into that index's *PanicError instead of
+// crashing the process, and every resource a worker acquired — the
+// panicking worker's included — is released.
+func TestFailFastFrontEndsContainPanics(t *testing.T) {
+	prev := SetWorkers(2)
+	defer SetWorkers(prev)
+	const n, bad = 16, 5
+	item := func(i int) error {
+		if i == bad {
+			panic("corrupted item")
+		}
+		return nil
+	}
+	var acquires, releases atomic.Int64
+	for name, call := range map[string]func() error{
+		"ForEach": func() error { return ForEach(n, item) },
+		"ForEachCtx": func() error {
+			return ForEachCtx(context.Background(), n, func(_ context.Context, i int) error { return item(i) })
+		},
+		"ForEachRes": func() error {
+			return ForEachRes(n,
+				func() int { return int(acquires.Add(1)) },
+				func(int) { releases.Add(1) },
+				func(_ int, i int) error { return item(i) })
+		},
+	} {
+		var pe *PanicError
+		if err := call(); !errors.As(err, &pe) || pe.Index != bad {
+			t.Fatalf("%s = %v, want *PanicError for index %d", name, err, bad)
+		}
+	}
+	if a, r := acquires.Load(), releases.Load(); a == 0 || a != r {
+		t.Fatalf("ForEachRes acquired %d resources and released %d", a, r)
+	}
+}
+
+// TestHardenedRetriesPanicBeforeNextItem: on one worker, a panicked item's
+// retry runs on the respawned worker before index i+1 is claimed, so the
+// retry sees the same predecessors (and warm-start state) as the attempt
+// it replaces.
+func TestHardenedRetriesPanicBeforeNextItem(t *testing.T) {
+	var (
+		mu    sync.Mutex
+		order []int
+	)
+	var panicked atomic.Bool
+	errs := ForEachHardened(context.Background(), 5, func(ctx context.Context, i int) error {
+		mu.Lock()
+		order = append(order, i)
+		mu.Unlock()
+		if i == 2 && !panicked.Swap(true) {
+			panic("transient corruption")
+		}
+		return nil
+	}, HardenedOptions{Workers: 1})
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("item %d: %v", i, err)
+		}
+	}
+	if want := []int{0, 1, 2, 2, 3, 4}; fmt.Sprint(order) != fmt.Sprint(want) {
+		t.Fatalf("attempt order %v, want %v", order, want)
 	}
 }

@@ -1,16 +1,14 @@
 package parallel
 
 import (
-	"sync/atomic"
 	"time"
 
 	"nvrel/internal/obs"
 )
 
 // Metric handles for the worker pool. All updates are no-ops while obs is
-// disabled (the default); ForEachN only takes the instrumented path — and
-// only then allocates the timing closure — when obs.Enabled() reports true,
-// so the hot path stays allocation-free.
+// disabled (the default); the claim loop samples the clock for busy-time
+// accounting only when obs.Enabled() reports true.
 var (
 	metPoolRuns  = obs.CounterFor("parallel.pool.runs")
 	metPoolTasks = obs.CounterFor("parallel.pool.tasks")
@@ -28,10 +26,10 @@ var (
 	metPoolUtilization = obs.GaugeFor("parallel.pool.utilization")
 	metPoolWorkers     = obs.GaugeFor("parallel.pool.workers")
 
-	// Hardened-pool resilience: panics recovered from user code, workers
-	// retired and respawned after observing a panic (rejuvenation), item
-	// retry attempts, and items whose retry budget ran out (their typed
-	// error reached the caller's per-item slice).
+	// Pool resilience: panics recovered from user code, workers retired
+	// and respawned after observing a panic (rejuvenation), item retry
+	// attempts, and per-item failures that reached the caller's slice
+	// (ForEachHardened).
 	metWorkerPanics   = obs.CounterFor("parallel.worker.panic")
 	metWorkerRespawns = obs.CounterFor("parallel.worker.respawn")
 	metItemRetries    = obs.CounterFor("parallel.item.retry")
@@ -45,8 +43,7 @@ var poolEpoch = time.Now()
 
 // beginPoolRun records the start of one pool run and returns the closure
 // that books its wall/busy/idle split once the run's summed busy
-// nanoseconds are known. Shared by every instrumented pool front-end
-// (ForEachN, ForEachRes).
+// nanoseconds are known.
 func beginPoolRun(workers, n int) (finish func(busyNS int64)) {
 	metPoolRuns.Inc()
 	metPoolTasks.Add(int64(n))
@@ -64,18 +61,4 @@ func beginPoolRun(workers, n int) (finish func(busyNS int64)) {
 		}
 		metPoolUtilization.Set(float64(busyNS) / (float64(wall) * float64(workers)))
 	}
-}
-
-// forEachNObserved wraps the core pool loop with busy/wall accounting.
-func forEachNObserved(workers, n int, fn func(i int) error) error {
-	finish := beginPoolRun(workers, n)
-	var busy atomic.Int64
-	err := forEachN(workers, n, func(i int) error {
-		t0 := nowNS()
-		e := fn(i)
-		busy.Add(nowNS() - t0)
-		return e
-	})
-	finish(busy.Load())
-	return err
 }

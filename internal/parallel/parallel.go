@@ -1,9 +1,13 @@
 // Package parallel provides the bounded worker pool used by the sweep and
-// replication engines. Work items are claimed in index order, results are
-// written by index (so output ordering never depends on scheduling), and the
-// first error — by index, not by wall-clock — cancels the remaining work.
-// Every construct degenerates to a plain loop when one worker is configured,
-// and the contract is that a parallel run is bit-identical to that loop.
+// replication engines. Every front-end runs the same claim loop: work
+// items are claimed in index order, results are written by index (so
+// output ordering never depends on scheduling), a panic in an item is
+// recovered into a typed *PanicError on a freshly respawned worker, and
+// the outcome policy decides what a failure does — the fail-fast
+// front-ends (ForEach, ForEachCtx, ForEachRes) stop at the first error and
+// report the one of the lowest failing index, ForEachHardened gives every
+// item its own outcome. One worker claims the indices in order, and the
+// contract is that a parallel run is bit-identical to that serial loop.
 //
 // The default worker count is runtime.NumCPU; it can be overridden
 // process-wide with SetWorkers (the CLI's -workers flag) or the
@@ -11,13 +15,11 @@
 package parallel
 
 import (
+	"context"
 	"os"
 	"runtime"
 	"strconv"
 	"sync"
-	"sync/atomic"
-
-	"nvrel/internal/obs"
 )
 
 var (
@@ -57,21 +59,20 @@ func Workers() int {
 	return runtime.NumCPU()
 }
 
-// MinItemsPerWorker is the work floor below which ForEach and Map shed
+// MinItemsPerWorker is the work floor below which the pool sheds
 // workers: spinning up a goroutine for fewer items than this costs more in
 // scheduling than the fan-out recovers on the solver workloads the pool
 // exists for.
 const MinItemsPerWorker = 4
 
-// EffectiveWorkers returns the worker count ForEach and Map will actually
-// use for n items: Workers() clamped to runtime.NumCPU — the solves are
-// pure CPU work, so goroutines beyond the core count only add scheduling
+// EffectiveWorkers returns the worker count the pool will actually use
+// for n items: Workers() clamped to runtime.NumCPU — the solves are pure
+// CPU work, so goroutines beyond the core count only add scheduling
 // overhead — and shed further so every worker has at least
-// MinItemsPerWorker items. Small sweeps therefore run inline instead of
-// paying pool overhead, and a 2-worker request on a 1-CPU machine
-// degenerates to the serial loop it would have fought the scheduler to
-// imitate. ForEachN and MapN take the caller's count verbatim and are not
-// clamped.
+// MinItemsPerWorker items. Small sweeps therefore run on one worker
+// instead of paying fan-out overhead, and a 2-worker request on a 1-CPU
+// machine degenerates to the serial loop it would have fought the
+// scheduler to imitate. Only HardenedOptions.Workers bypasses the clamp.
 func EffectiveWorkers(n int) int {
 	w := Workers()
 	if cpus := runtime.NumCPU(); w > cpus {
@@ -88,174 +89,38 @@ func EffectiveWorkers(n int) int {
 	return w
 }
 
-// ForEach runs fn(0..n-1) on EffectiveWorkers(n) goroutines. See ForEachN.
+// ForEach runs fn(0..n-1) on EffectiveWorkers(n) goroutines. When some
+// call fails, the pool stops claiming new indices, waits for in-flight
+// calls, and returns the error of the lowest failing index — the same
+// error a serial loop would have returned, because every index below the
+// lowest failure completes. A panic in fn is that index's *PanicError.
 func ForEach(n int, fn func(i int) error) error {
-	return ForEachN(EffectiveWorkers(n), n, fn)
+	return ForEachCtx(context.Background(), n, func(_ context.Context, i int) error { return fn(i) })
 }
 
-// ForEachN runs fn(0..n-1) on at most workers goroutines. Indices are
-// claimed in increasing order. When some call fails, the pool stops
-// claiming new indices, waits for in-flight calls, and returns the error
-// of the lowest failing index — the same error a serial loop would have
-// returned, because every index below the lowest failure completes.
-func ForEachN(workers, n int, fn func(i int) error) error {
-	if n <= 0 {
-		return nil
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	if obs.Enabled() {
-		return forEachNObserved(workers, n, fn)
-	}
-	return forEachN(workers, n, fn)
-}
-
-// forEachN is the uninstrumented pool core; workers is already clamped to
-// [1, n] and n is positive.
-func forEachN(workers, n int, fn func(i int) error) error {
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			if err := fn(i); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	var (
-		next     atomic.Int64
-		stopped  atomic.Bool
-		wg       sync.WaitGroup
-		errMu    sync.Mutex
-		firstIdx = n
-		firstErr error
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1) - 1)
-				if i >= n || stopped.Load() {
-					return
-				}
-				if err := fn(i); err != nil {
-					errMu.Lock()
-					if i < firstIdx {
-						firstIdx, firstErr = i, err
-					}
-					errMu.Unlock()
-					stopped.Store(true)
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	return firstErr
-}
-
-// ForEachRes runs fn(res, 0..n-1) on EffectiveWorkers(n) goroutines,
-// handing each worker one resource for its entire run: acquire is called
-// once per worker on that worker's goroutine and release once when it
-// exits. Use it to share a workspace arena across the pool — one
-// checkout per worker instead of one per item. Ordering and error
-// semantics match ForEach: indices are claimed in increasing order and
-// the error of the lowest failing index is returned. One configured
-// worker degenerates to a plain loop over a single resource, and a
-// parallel run is bit-identical to that loop whenever fn is.
-func ForEachRes[R any](n int, acquire func() R, release func(R), fn func(res R, i int) error) error {
-	if n <= 0 {
-		return nil
-	}
-	workers := EffectiveWorkers(n)
-	if workers > n {
-		workers = n
-	}
-	if !obs.Enabled() {
-		return forEachResN(workers, n, acquire, release, fn)
-	}
-	finish := beginPoolRun(workers, n)
-	var busy atomic.Int64
-	err := forEachResN(workers, n, acquire, release, func(res R, i int) error {
-		t0 := nowNS()
-		e := fn(res, i)
-		busy.Add(nowNS() - t0)
-		return e
-	})
-	finish(busy.Load())
+// ForEachCtx is ForEach with a context that is cancelled as soon as any
+// item fails or the parent context dies. Context-aware in-flight items
+// therefore drain promptly on the first hard error instead of running to
+// completion against a result nobody will read. When no item failed but
+// the parent died mid-run, the parent's error is returned.
+func ForEachCtx(ctx context.Context, n int, fn func(ctx context.Context, i int) error) error {
+	_, err := run(ctx, EffectiveWorkers(n), n, policy{}, noRes, dropRes,
+		func(ctx context.Context, _ struct{}, i int) error { return fn(ctx, i) })
 	return err
 }
 
-// forEachResN is the worker-scoped-resource pool core; workers is already
-// clamped to [1, n] and n is positive.
-func forEachResN[R any](workers, n int, acquire func() R, release func(R), fn func(res R, i int) error) error {
-	if workers <= 1 {
-		res := acquire()
-		defer release(res)
-		for i := 0; i < n; i++ {
-			if err := fn(res, i); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	var (
-		next     atomic.Int64
-		stopped  atomic.Bool
-		wg       sync.WaitGroup
-		errMu    sync.Mutex
-		firstIdx = n
-		firstErr error
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			res := acquire()
-			defer release(res)
-			for {
-				i := int(next.Add(1) - 1)
-				if i >= n || stopped.Load() {
-					return
-				}
-				if err := fn(res, i); err != nil {
-					errMu.Lock()
-					if i < firstIdx {
-						firstIdx, firstErr = i, err
-					}
-					errMu.Unlock()
-					stopped.Store(true)
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	return firstErr
+// ForEachRes is ForEach handing each worker one resource for its entire
+// run: acquire is called once per worker on that worker's goroutine and
+// release once when it exits (also when it retires after a panic). Use it
+// to share a workspace arena across the pool — one checkout per worker
+// instead of one per item.
+func ForEachRes[R any](n int, acquire func() R, release func(R), fn func(res R, i int) error) error {
+	_, err := run(context.Background(), EffectiveWorkers(n), n, policy{}, acquire, release,
+		func(_ context.Context, res R, i int) error { return fn(res, i) })
+	return err
 }
 
-// Map evaluates fn over 0..n-1 on EffectiveWorkers(n) goroutines and
-// returns the results in index order. On error the slice is nil and the
-// error is the one of the lowest failing index.
-func Map[T any](n int, fn func(i int) (T, error)) ([]T, error) {
-	return MapN[T](EffectiveWorkers(n), n, fn)
-}
-
-// MapN is Map with an explicit worker count.
-func MapN[T any](workers, n int, fn func(i int) (T, error)) ([]T, error) {
-	out := make([]T, n)
-	err := ForEachN(workers, n, func(i int) error {
-		v, err := fn(i)
-		if err != nil {
-			return err
-		}
-		out[i] = v
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
+// noRes and dropRes are the resource hooks of the front-ends that hand
+// their workers nothing.
+func noRes() (none struct{}) { return }
+func dropRes(struct{})       {}

@@ -1,6 +1,7 @@
 package parallel
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"runtime"
@@ -8,11 +9,34 @@ import (
 	"testing"
 )
 
+// forEachWorkers runs the fail-fast loop behind ForEach on exactly workers
+// goroutines (clamped to the item count), bypassing EffectiveWorkers'
+// CPU and work clamps.
+func forEachWorkers(workers, n int, fn func(i int) error) error {
+	_, err := run(context.Background(), workers, n, policy{}, noRes, dropRes,
+		func(_ context.Context, _ struct{}, i int) error { return fn(i) })
+	return err
+}
+
+// mapWorkers evaluates fn over 0..n-1 on forEachWorkers and returns the
+// results in index order, or nil and the lowest failing index's error.
+func mapWorkers[T any](workers, n int, fn func(i int) (T, error)) ([]T, error) {
+	out := make([]T, n)
+	if err := forEachWorkers(workers, n, func(i int) error {
+		v, err := fn(i)
+		out[i] = v
+		return err
+	}); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
 func TestForEachNVisitsEveryIndexOnce(t *testing.T) {
 	for _, workers := range []int{1, 2, 3, 8, 100} {
 		n := 57
 		counts := make([]atomic.Int32, n)
-		if err := ForEachN(workers, n, func(i int) error {
+		if err := forEachWorkers(workers, n, func(i int) error {
 			counts[i].Add(1)
 			return nil
 		}); err != nil {
@@ -28,10 +52,10 @@ func TestForEachNVisitsEveryIndexOnce(t *testing.T) {
 
 func TestForEachNZeroAndNegative(t *testing.T) {
 	called := false
-	if err := ForEachN(4, 0, func(int) error { called = true; return nil }); err != nil {
+	if err := forEachWorkers(4, 0, func(int) error { called = true; return nil }); err != nil {
 		t.Fatal(err)
 	}
-	if err := ForEachN(4, -3, func(int) error { called = true; return nil }); err != nil {
+	if err := forEachWorkers(4, -3, func(int) error { called = true; return nil }); err != nil {
 		t.Fatal(err)
 	}
 	if called {
@@ -43,7 +67,7 @@ func TestForEachNReturnsLowestIndexError(t *testing.T) {
 	// Indices 9 and 23 fail; the serial loop would report index 9. The
 	// pool must report the same error regardless of worker count.
 	for _, workers := range []int{1, 2, 4, 16} {
-		err := ForEachN(workers, 40, func(i int) error {
+		err := forEachWorkers(workers, 40, func(i int) error {
 			if i == 9 || i == 23 {
 				return fmt.Errorf("boom at %d", i)
 			}
@@ -58,7 +82,7 @@ func TestForEachNReturnsLowestIndexError(t *testing.T) {
 func TestForEachNCancelsAfterError(t *testing.T) {
 	var ran atomic.Int64
 	sentinel := errors.New("stop")
-	err := ForEachN(2, 100000, func(i int) error {
+	err := forEachWorkers(2, 100000, func(i int) error {
 		ran.Add(1)
 		if i == 0 {
 			return sentinel
@@ -75,7 +99,7 @@ func TestForEachNCancelsAfterError(t *testing.T) {
 
 func TestMapOrdersResultsByIndex(t *testing.T) {
 	for _, workers := range []int{1, 3, 9} {
-		out, err := MapN(workers, 25, func(i int) (int, error) { return i * i, nil })
+		out, err := mapWorkers(workers, 25, func(i int) (int, error) { return i * i, nil })
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -88,7 +112,7 @@ func TestMapOrdersResultsByIndex(t *testing.T) {
 }
 
 func TestMapErrorDropsResults(t *testing.T) {
-	out, err := MapN(3, 10, func(i int) (int, error) {
+	out, err := mapWorkers(3, 10, func(i int) (int, error) {
 		if i == 4 {
 			return 0, errors.New("bad point")
 		}

@@ -25,6 +25,11 @@ fi
 echo "== go test -race ./..."
 go test -race ./...
 
+echo "== worker-pool stress: -race -count=20 ./internal/parallel"
+# The pool's panic-respawn and inline-retry paths depend on goroutine
+# interleaving; one pass can miss a race that twenty catch.
+go test -race -count=20 ./internal/parallel
+
 echo "== fuzz smoke: every Fuzz target for 5 s"
 # The suite above only replays each target's seed corpus; this runs the
 # fuzzer itself briefly on each. go test -fuzz takes one target per run.
