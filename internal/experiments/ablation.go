@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 
@@ -30,6 +31,7 @@ type AblationRow struct {
 //     waits-for-wave.
 func RunAblations() ([]AblationRow, error) {
 	var rows []AblationRow
+	ctx := context.Background()
 	memo := newSolveMemo()
 	ws := getWS()
 	defer putWS(ws)
@@ -65,7 +67,7 @@ func RunAblations() ([]AblationRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		e4, err := expectedVia(memo, ws, m4, rf4)
+		e4, err := expectedVia(ctx, memo, ws, m4, rf4)
 		if err != nil {
 			return nil, err
 		}
@@ -77,7 +79,7 @@ func RunAblations() ([]AblationRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		e6, err := expectedVia(memo, ws, m6, rf6)
+		e6, err := expectedVia(ctx, memo, ws, m6, rf6)
 		if err != nil {
 			return nil, err
 		}
@@ -91,13 +93,13 @@ func RunAblations() ([]AblationRow, error) {
 	for _, sem := range []nvp.ServerSemantics{nvp.SingleServer, nvp.PerToken} {
 		p4 := nvp.DefaultFourVersion()
 		p4.Semantics = sem
-		e4, err := evalFourWS(memo, ws, p4)
+		e4, err := evalFourWS(ctx, memo, ws, p4)
 		if err != nil {
 			return nil, err
 		}
 		p6 := nvp.DefaultSixVersion()
 		p6.Semantics = sem
-		e6, err := evalSixWS(memo, ws, p6)
+		e6, err := evalSixWS(ctx, memo, ws, p6)
 		if err != nil {
 			return nil, err
 		}
@@ -115,11 +117,11 @@ func RunAblations() ([]AblationRow, error) {
 	for _, clock := range []nvp.ClockPolicy{nvp.ClockFreeRunning, nvp.ClockWaitsForWave} {
 		p6 := nvp.DefaultSixVersion()
 		p6.Clock = clock
-		e6, err := evalSixWS(memo, ws, p6)
+		e6, err := evalSixWS(ctx, memo, ws, p6)
 		if err != nil {
 			return nil, err
 		}
-		e4, err := evalFourWS(memo, ws, nvp.DefaultFourVersion())
+		e4, err := evalFourWS(ctx, memo, ws, nvp.DefaultFourVersion())
 		if err != nil {
 			return nil, err
 		}
@@ -136,8 +138,8 @@ func RunAblations() ([]AblationRow, error) {
 }
 
 // expectedVia weighs m's memoized distribution with rf.
-func expectedVia(memo *solveMemo, ws *linalg.Workspace, m *nvp.Model, rf reliability.StateFn) (float64, error) {
-	pi, err := memo.solve(ws, m)
+func expectedVia(ctx context.Context, memo *solveMemo, ws *linalg.Workspace, m *nvp.Model, rf reliability.StateFn) (float64, error) {
+	pi, err := memo.solve(ctx, ws, m)
 	if err != nil {
 		return 0, err
 	}
@@ -188,12 +190,12 @@ func RunArchitectures(maxN int) ([]ArchitectureRow, error) {
 	// Designs that differ only in f share a generator and one solve.
 	memo := newSolveMemo()
 	rows := make([]ArchitectureRow, len(combos))
-	err := parallel.ForEach(len(combos), func(i int) error {
+	err := parallel.ForEachCtx(context.Background(), len(combos), func(ctx context.Context, i int) error {
 		c := combos[i]
 		if c.r == 0 {
 			p := nvp.DefaultFourVersion()
 			p.N, p.F, p.R = c.n, c.f, 0
-			e, err := evalFour(memo, p)
+			e, err := evalFour(ctx, memo, p)
 			if err != nil {
 				return fmt.Errorf("n=%d f=%d: %w", c.n, c.f, err)
 			}
@@ -202,7 +204,7 @@ func RunArchitectures(maxN int) ([]ArchitectureRow, error) {
 		}
 		p := nvp.DefaultSixVersion()
 		p.N, p.F, p.R = c.n, c.f, c.r
-		e, err := evalSix(memo, p)
+		e, err := evalSix(ctx, memo, p)
 		if err != nil {
 			return fmt.Errorf("n=%d f=%d r=%d: %w", c.n, c.f, c.r, err)
 		}

@@ -7,6 +7,7 @@
 package experiments
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -44,38 +45,38 @@ type Series struct {
 // evalFour solves the four-version system for params through memo, reusing
 // the cached reachability graph, an arena workspace, and the warm-start
 // registry.
-func evalFour(memo *solveMemo, p nvp.Params) (float64, error) {
+func evalFour(ctx context.Context, memo *solveMemo, p nvp.Params) (float64, error) {
 	ws := getWS()
 	defer putWS(ws)
-	return evalFourWS(memo, ws, p)
+	return evalFourWS(ctx, memo, ws, p)
 }
 
 // evalFourWS is evalFour on a caller-held workspace (sweep drivers hold
 // one workspace per pool worker; see forEachWS).
-func evalFourWS(memo *solveMemo, ws *linalg.Workspace, p nvp.Params) (float64, error) {
+func evalFourWS(ctx context.Context, memo *solveMemo, ws *linalg.Workspace, p nvp.Params) (float64, error) {
 	m, err := solveCache.BuildNoRejuvenation(p)
 	if err != nil {
 		return 0, err
 	}
-	return evalModel(memo, ws, m)
+	return evalModel(ctx, memo, ws, m)
 }
 
 // evalSix solves the six-version system for params through memo, reusing
 // the cached reachability graph, an arena workspace, and the warm-start
 // registry.
-func evalSix(memo *solveMemo, p nvp.Params) (float64, error) {
+func evalSix(ctx context.Context, memo *solveMemo, p nvp.Params) (float64, error) {
 	ws := getWS()
 	defer putWS(ws)
-	return evalSixWS(memo, ws, p)
+	return evalSixWS(ctx, memo, ws, p)
 }
 
 // evalSixWS is evalSix on a caller-held workspace.
-func evalSixWS(memo *solveMemo, ws *linalg.Workspace, p nvp.Params) (float64, error) {
+func evalSixWS(ctx context.Context, memo *solveMemo, ws *linalg.Workspace, p nvp.Params) (float64, error) {
 	m, err := solveCache.BuildWithRejuvenation(p)
 	if err != nil {
 		return 0, err
 	}
-	return evalModel(memo, ws, m)
+	return evalModel(ctx, memo, ws, m)
 }
 
 // evalModel is the shared solve-and-weigh step of every experiment in this
@@ -83,8 +84,8 @@ func evalSixWS(memo *solveMemo, ws *linalg.Workspace, p nvp.Params) (float64, er
 // models) followed by the paper reliability summation for m's own
 // parameters over the solved distribution — bit-identical to the one-call
 // ExpectedPaperReliability path (see ExpectedPaperReliabilityFrom).
-func evalModel(memo *solveMemo, ws *linalg.Workspace, m *nvp.Model) (float64, error) {
-	pi, err := memo.solve(ws, m)
+func evalModel(ctx context.Context, memo *solveMemo, ws *linalg.Workspace, m *nvp.Model) (float64, error) {
+	pi, err := memo.solve(ctx, ws, m)
 	if err != nil {
 		return 0, err
 	}
@@ -103,15 +104,15 @@ type Headline struct {
 func RunHeadline() (Headline, error) {
 	memo := newSolveMemo()
 	var e4, e6 float64
-	err := parallel.ForEach(2, func(i int) error {
+	err := parallel.ForEachCtx(context.Background(), 2, func(ctx context.Context, i int) error {
 		var err error
 		if i == 0 {
-			if e4, err = evalFour(memo, nvp.DefaultFourVersion()); err != nil {
+			if e4, err = evalFour(ctx, memo, nvp.DefaultFourVersion()); err != nil {
 				return fmt.Errorf("four-version: %w", err)
 			}
 			return nil
 		}
-		if e6, err = evalSix(memo, nvp.DefaultSixVersion()); err != nil {
+		if e6, err = evalSix(ctx, memo, nvp.DefaultSixVersion()); err != nil {
 			return fmt.Errorf("six-version: %w", err)
 		}
 		return nil
@@ -149,11 +150,11 @@ func RunFig3(grid []float64) (Series, error) {
 	}
 	memo := newSolveMemo()
 	points := make([]Point, len(grid))
-	err := forEachWS(len(grid), func(ws *linalg.Workspace, i int) error {
+	err := forEachWS(len(grid), func(ctx context.Context, ws *linalg.Workspace, i int) error {
 		tau := grid[i]
 		p := nvp.DefaultSixVersion()
 		p.RejuvenationInterval = tau
-		e6, err := evalSixWS(memo, ws, p)
+		e6, err := evalSixWS(ctx, memo, ws, p)
 		if err != nil {
 			return fmt.Errorf("tau=%g: %w", tau, err)
 		}
@@ -261,17 +262,17 @@ func RunFig4d(grid []float64) (Series, error) {
 func sweepBoth(s *Series, grid []float64, set func(*nvp.Params, float64)) error {
 	memo := newSolveMemo()
 	points := make([]Point, len(grid))
-	err := forEachWS(len(grid), func(ws *linalg.Workspace, i int) error {
+	err := forEachWS(len(grid), func(ctx context.Context, ws *linalg.Workspace, i int) error {
 		v := grid[i]
 		p4 := nvp.DefaultFourVersion()
 		set(&p4, v)
-		e4, err := evalFourWS(memo, ws, p4)
+		e4, err := evalFourWS(ctx, memo, ws, p4)
 		if err != nil {
 			return fmt.Errorf("%s: four-version at %g: %w", s.ID, v, err)
 		}
 		p6 := nvp.DefaultSixVersion()
 		set(&p6, v)
-		e6, err := evalSixWS(memo, ws, p6)
+		e6, err := evalSixWS(ctx, memo, ws, p6)
 		if err != nil {
 			return fmt.Errorf("%s: six-version at %g: %w", s.ID, v, err)
 		}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"errors"
 	"fmt"
 
@@ -31,10 +32,10 @@ func RunOptimize(lo, hi, tol float64) (OptimalInterval, error) {
 		tol = 1
 	}
 	memo := newSolveMemo()
-	eval := func(tau float64) (float64, error) {
+	eval := func(ctx context.Context, tau float64) (float64, error) {
 		p := nvp.DefaultSixVersion()
 		p.RejuvenationInterval = tau
-		return evalSix(memo, p)
+		return evalSix(ctx, memo, p)
 	}
 	const phi = 0.6180339887498949
 	a, b := lo, hi
@@ -45,8 +46,8 @@ func RunOptimize(lo, hi, tol float64) (OptimalInterval, error) {
 	var f1, f2 float64
 	probes := [2]float64{x1, x2}
 	results := [2]float64{}
-	err := parallel.ForEach(2, func(i int) error {
-		v, err := eval(probes[i])
+	err := parallel.ForEachCtx(context.Background(), 2, func(ctx context.Context, i int) error {
+		v, err := eval(ctx, probes[i])
 		results[i] = v
 		return err
 	})
@@ -58,13 +59,13 @@ func RunOptimize(lo, hi, tol float64) (OptimalInterval, error) {
 		if f1 < f2 {
 			a, x1, f1 = x1, x2, f2
 			x2 = a + phi*(b-a)
-			if f2, err = eval(x2); err != nil {
+			if f2, err = eval(context.Background(), x2); err != nil {
 				return OptimalInterval{}, err
 			}
 		} else {
 			b, x2, f2 = x2, x1, f1
 			x1 = b - phi*(b-a)
-			if f1, err = eval(x1); err != nil {
+			if f1, err = eval(context.Background(), x1); err != nil {
 				return OptimalInterval{}, err
 			}
 		}
@@ -75,8 +76,8 @@ func RunOptimize(lo, hi, tol float64) (OptimalInterval, error) {
 	// candidate and both endpoints concurrently, then compare in order.
 	finals := [3]float64{best.Interval, lo, hi}
 	vals := [3]float64{}
-	if err := parallel.ForEach(3, func(i int) error {
-		v, err := eval(finals[i])
+	if err := parallel.ForEachCtx(context.Background(), 3, func(ctx context.Context, i int) error {
+		v, err := eval(ctx, finals[i])
 		vals[i] = v
 		return err
 	}); err != nil {
@@ -114,7 +115,7 @@ func RunSimulationCheck(replications int, horizon float64, seed uint64) ([]Simul
 	var out []SimulationCheck
 	memo := newSolveMemo()
 
-	a4, err := evalFour(memo, nvp.DefaultFourVersion())
+	a4, err := evalFour(context.Background(), memo, nvp.DefaultFourVersion())
 	if err != nil {
 		return nil, err
 	}
@@ -133,7 +134,7 @@ func RunSimulationCheck(replications int, horizon float64, seed uint64) ([]Simul
 		Covered:      est4.AnalyticReward.Contains(a4),
 	})
 
-	a6, err := evalSix(memo, nvp.DefaultSixVersion())
+	a6, err := evalSix(context.Background(), memo, nvp.DefaultSixVersion())
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"math"
@@ -66,10 +67,10 @@ func RunSensitivity() ([]Elasticity, error) {
 	// Perturbing alpha, p or p' leaves the generator alone, so with the
 	// memo those elasticities cost no solve beyond the shared base point.
 	memo := newSolveMemo()
-	solveFour := func(p nvp.Params) (float64, error) { return evalFour(memo, p) }
-	solveSix := func(p nvp.Params) (float64, error) { return evalSix(memo, p) }
 	out := make([]Elasticity, len(params))
-	err := parallel.ForEach(len(params), func(i int) error {
+	err := parallel.ForEachCtx(context.Background(), len(params), func(ctx context.Context, i int) error {
+		solveFour := func(p nvp.Params) (float64, error) { return evalFour(ctx, memo, p) }
+		solveSix := func(p nvp.Params) (float64, error) { return evalSix(ctx, memo, p) }
 		pm := params[i]
 		e := Elasticity{Parameter: pm.name, FourVersion: math.NaN()}
 		if !pm.only6v {

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"sync"
 
 	"nvrel/internal/linalg"
@@ -38,8 +39,9 @@ func putWS(ws *linalg.Workspace) { wsArena.Put(ws) }
 
 // forEachWS is the sweep-driver pool front-end: fn runs over 0..n-1 with
 // each pool worker holding one arena workspace for its entire run (one
-// checkout per worker, not one per point).
-func forEachWS(n int, fn func(ws *linalg.Workspace, i int) error) error {
+// checkout per worker, not one per point). ctx is the item's context,
+// which carries its parallel.item span.
+func forEachWS(n int, fn func(ctx context.Context, ws *linalg.Workspace, i int) error) error {
 	return parallel.ForEachRes(n, wsArena.Get, wsArena.Put, fn)
 }
 
@@ -82,7 +84,13 @@ func newSolveMemo() *solveMemo {
 // solve returns m's stationary distribution, solving it through warmReg
 // on ws only for the first model with its generator key. The returned
 // slice is shared between callers and must not be modified.
-func (s *solveMemo) solve(ws *linalg.Workspace, m *nvp.Model) ([]float64, error) {
+//
+// The solve runs under ctx's values but not its cancellation: its spans
+// nest under the caller's (a pool item's) span, while a fail-fast pool
+// cancelling its items cannot turn an in-flight solve at a lower index
+// into a context.Canceled that would replace the lowest real failure, or
+// leave that error memoized for every later point with the key.
+func (s *solveMemo) solve(ctx context.Context, ws *linalg.Workspace, m *nvp.Model) ([]float64, error) {
 	key := memoKey{arch: m.Arch, params: m.Params.GeneratorKey()}
 	s.mu.Lock()
 	e, ok := s.entries[key]
@@ -92,7 +100,7 @@ func (s *solveMemo) solve(ws *linalg.Workspace, m *nvp.Model) ([]float64, error)
 	}
 	s.mu.Unlock()
 	e.once.Do(func() {
-		e.pi, _, e.err = warmReg.SolveDiagCtxWS(nil, m, ws)
+		e.pi, _, e.err = warmReg.SolveDiagCtxWS(context.WithoutCancel(ctx), m, ws)
 	})
 	return e.pi, e.err
 }

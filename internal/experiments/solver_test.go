@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -100,12 +101,48 @@ func TestSolveMemoKeysOnArchitecture(t *testing.T) {
 	ws := getWS()
 	defer putWS(ws)
 	for _, m := range []*nvp.Model{m4, m6} {
-		pi, err := memo.solve(ws, m)
+		pi, err := memo.solve(context.Background(), ws, m)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if len(pi) != m.Graph.NumStates() {
 			t.Errorf("%v: memo returned %d probabilities for %d states", m.Arch, len(pi), m.Graph.NumStates())
 		}
+	}
+}
+
+// TestFig3SolveSpansNestUnderPoolItems: in a traced RunFig3 every
+// nvp.solve span is the child of the parallel.item span whose point it
+// solves and shares that span's trace ID, so an experiment trace
+// attributes solver time to pool items instead of recording each solve
+// as a root of its own.
+func TestFig3SolveSpansNestUnderPoolItems(t *testing.T) {
+	prev := obs.TraceEnable()
+	obs.TraceReset()
+	defer obs.SetTraceEnabled(prev)
+	if _, err := RunFig3(nil); err != nil {
+		t.Fatal(err)
+	}
+	spans := obs.TraceSnapshot()
+	byID := make(map[uint64]obs.SpanRecord, len(spans))
+	for _, r := range spans {
+		byID[r.ID] = r
+	}
+	solves := 0
+	for _, r := range spans {
+		if r.Name != "nvp.solve" {
+			continue
+		}
+		solves++
+		parent, ok := byID[r.Parent]
+		if !ok || parent.Name != "parallel.item" {
+			t.Fatalf("nvp.solve span %d has parent %d (%q), want a parallel.item span", r.ID, r.Parent, parent.Name)
+		}
+		if r.Trace != parent.Trace {
+			t.Errorf("nvp.solve span %d: trace %x, its parallel.item parent's %x", r.ID, r.Trace, parent.Trace)
+		}
+	}
+	if want := len(Fig3Grid()); solves != want {
+		t.Errorf("traced %d nvp.solve spans, want one per grid point (%d)", solves, want)
 	}
 }

@@ -272,3 +272,171 @@ func BenchmarkMulCSCNoAlloc(b *testing.B) {
 		})
 	}
 }
+
+// threePassSeries is the loop both uniformization series ran before the
+// fused fixed-width step, kept verbatim as its bit reference: per term an
+// axpy into dst, a CSR.MulVecInto into tmp and an in-place update of cur.
+// It adds sum_k coef[k] * pi * (I + Q/rate)^k into dst.
+func threePassSeries(qt *CSR, pi, coef []float64, invRate float64, dst []float64) error {
+	n := len(pi)
+	cur := make([]float64, n)
+	tmp := make([]float64, n)
+	copy(cur, pi)
+	right := len(coef) - 1
+	for k := 0; k <= right; k++ {
+		w := coef[k]
+		for i := range dst {
+			dst[i] += w * cur[i]
+		}
+		if k == right {
+			break
+		}
+		if err := qt.MulVecInto(tmp, cur); err != nil {
+			return err
+		}
+		for i := range cur {
+			cur[i] += tmp[i] * invRate
+		}
+	}
+	return nil
+}
+
+// randomWidthCSR returns the transpose of a random generator in CSR form
+// whose rows hold 1..maxWidth entries, at least one row exactly maxWidth:
+// the diagonal plus distinct columns in ascending order, every fourth
+// diagonal a stored zero. With hub set, row 0 holds all n columns.
+func randomWidthCSR(rng *rand.Rand, n, maxWidth int, hub bool) *CSR {
+	var colIdx []int
+	var vals []float64
+	rowPtr := make([]int, n+1)
+	for i := 0; i < n; i++ {
+		width := 1 + rng.Intn(maxWidth)
+		if i == n/2 {
+			width = maxWidth
+		}
+		cols := []int{i}
+		for _, j := range rng.Perm(n) {
+			if j != i && (len(cols) < width || hub && i == 0) {
+				cols = append(cols, j)
+			}
+		}
+		slices.Sort(cols)
+		for _, j := range cols {
+			v := math.Pow(10, -3+4*rng.Float64())
+			if j == i {
+				v = -3 * v
+				if i%4 == 0 {
+					v = 0
+				}
+			}
+			colIdx = append(colIdx, j)
+			vals = append(vals, v)
+		}
+		rowPtr[i+1] = len(colIdx)
+	}
+	c := NewCSR(n, n, len(colIdx))
+	copy(c.RowPtr, rowPtr)
+	copy(c.ColIdx, colIdx)
+	copy(c.Vals, vals)
+	return c
+}
+
+// signedVector is an Arnoldi-like start vector: signed entries over
+// several magnitudes, with exact zeros of both signs.
+func signedVector(rng *rand.Rand, n int) []float64 {
+	x := make([]float64, n)
+	for i := range x {
+		switch i % 7 {
+		case 3:
+			x[i] = 0
+		case 5:
+			x[i] = math.Copysign(0, -1)
+		default:
+			x[i] = rng.NormFloat64() * math.Pow(10, float64(rng.Intn(7)-3))
+		}
+	}
+	return x
+}
+
+// TestFusedSeriesMatchesThreePassBits: the fused fixed-width step
+// reproduces the three-pass series bit for bit. The generators cover
+// every row width 1..7 — the unrolled widths 4 and 5, the loop for the
+// others, padded rows in all of them, stored zero diagonals — plus a hub
+// row wide enough to be gathered from the CSR. Start vectors are signed,
+// and the series stop at P^0, P^1, P^3 and P^40; both public kernels are
+// then checked against the reference at full Poisson length.
+func TestFusedSeriesMatchesThreePassBits(t *testing.T) {
+	rng := rand.New(rand.NewSource(25))
+	type tc struct {
+		n, maxWidth int
+		hub         bool
+	}
+	var cases []tc
+	for w := 1; w <= 7; w++ {
+		cases = append(cases, tc{7, w, false}, tc{50, w, false}, tc{71, w, false})
+	}
+	cases = append(cases, tc{40, 3, true})
+	for _, c := range cases {
+		qt := randomWidthCSR(rng, c.n, c.maxWidth, c.hub)
+		ws := NewWorkspace()
+		l := ws.fixedRows(qt)
+		if c.hub {
+			if len(l.wide) == 0 || l.width >= c.n {
+				t.Fatalf("hub n=%d: width %d with %d wide rows, want the hub row gathered from the CSR", c.n, l.width, len(l.wide))
+			}
+		} else if l.width != c.maxWidth || len(l.wide) != 0 {
+			t.Fatalf("n=%d: layout width %d with %d wide rows, want %d and none", c.n, l.width, len(l.wide), c.maxWidth)
+		}
+		rate := 1.05 * UniformizationRate(qt.MaxAbsDiag())
+		pi := signedVector(rng, c.n)
+		for _, terms := range []int{1, 2, 4, 41} {
+			name := fmt.Sprintf("n=%d width=%d hub=%v P^%d", c.n, c.maxWidth, c.hub, terms-1)
+			coef := make([]float64, terms)
+			for k := range coef {
+				coef[k] = rng.Float64()
+			}
+			want, got := make([]float64, c.n), make([]float64, c.n)
+			if err := threePassSeries(qt, pi, coef, 1/rate, want); err != nil {
+				t.Fatal(err)
+			}
+			ws.series(qt, pi, coef, 1/rate, got)
+			sameBits(t, name, got, want)
+		}
+
+		const tau = 4.0
+		weights, right := PoissonWeights(rate*tau, 1e-12)
+		want := make([]float64, c.n)
+		if err := threePassSeries(qt, pi, weights[:right+1], 1/rate, want); err != nil {
+			t.Fatal(err)
+		}
+		got, err := ws.UniformizedPowerCSR(qt, pi, tau, rate, 1e-12, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameBits(t, fmt.Sprintf("n=%d width=%d hub=%v UniformizedPowerCSR", c.n, c.maxWidth, c.hub), got, want)
+
+		invRate := 1 / rate
+		tail := make([]float64, right+1)
+		acc := 0.0
+		for k := 0; k <= right; k++ {
+			acc += weights[k]
+			tail[k] = 1 - acc
+			if tail[k] < 0 {
+				tail[k] = 0
+			}
+			tail[k] *= invRate
+		}
+		clear(want)
+		if err := threePassSeries(qt, pi, tail, invRate, want); err != nil {
+			t.Fatal(err)
+		}
+		// A signed start vector has no unit mass, so the kernel's
+		// truncation rescale (applied only within 1e-6 of the exact
+		// mass t) leaves both results as the series produced them.
+		got, err = ws.UniformizedIntegralCSR(qt, pi, tau, rate, 1e-12, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameBits(t, fmt.Sprintf("n=%d width=%d hub=%v UniformizedIntegralCSR", c.n, c.maxWidth, c.hub), got, want)
+	}
+}

@@ -1,8 +1,8 @@
 package linalg
 
 // Workspace recycles the scratch storage of the iterative kernels —
-// uniformization vectors and matrices, GTH elimination copies — and
-// memoizes Poisson weight vectors keyed on (lambda, epsilon). Solving the
+// uniformization vectors and matrices, the series' fixed-width copy of
+// the generator, GTH elimination copies — and memoizes Poisson weight vectors keyed on (lambda, epsilon). Solving the
 // same-sized model repeatedly (every sweep in the evaluation is exactly
 // that) then runs allocation-free after the first solve.
 //
@@ -14,6 +14,7 @@ type Workspace struct {
 	mats    map[matDim][]*Dense
 	csrs    map[csrDim][]*CSR
 	poisson map[poissonKey]poissonMemo
+	rows    fixedRows
 }
 
 type matDim struct{ rows, cols int }

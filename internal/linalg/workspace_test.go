@@ -1,6 +1,7 @@
 package linalg
 
 import (
+	"math/rand"
 	"testing"
 
 	"nvrel/internal/obs"
@@ -183,6 +184,58 @@ func BenchmarkUniformizedPowerNoAlloc(b *testing.B) {
 	qt := CSRFromDenseT(testGenerator())
 	pi := []float64{1, 0, 0, 0}
 	dst := make([]float64, 4)
+	ws := NewWorkspace()
+	if _, err := ws.UniformizedPowerCSR(qt, pi, 1.7, 0, 1e-12, dst); err != nil {
+		b.Fatalf("warm-up: %v", err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := ws.UniformizedPowerCSR(qt, pi, 1.7, 0, 1e-12, dst); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// width5Generator is a transposed generator whose widest row holds five
+// entries, the six-version models' layout width; the 4x4 generator of
+// the guards above runs the width-4 body.
+func width5Generator(tb testing.TB) *CSR {
+	qt := randomWidthCSR(rand.New(rand.NewSource(5)), 24, 5, false)
+	if w := NewWorkspace().fixedRows(qt).width; w != 5 {
+		tb.Fatalf("width-5 generator lays out at width %d", w)
+	}
+	return qt
+}
+
+// TestUniformizedPowerWidth5NoAlloc: the width-5 series body runs
+// allocation-free after warm-up, like the width-4 one.
+func TestUniformizedPowerWidth5NoAlloc(t *testing.T) {
+	qt := width5Generator(t)
+	pi := make([]float64, 24)
+	pi[0] = 1
+	dst := make([]float64, 24)
+	ws := NewWorkspace()
+	if _, err := ws.UniformizedPowerCSR(qt, pi, 1.7, 0, 1e-12, dst); err != nil {
+		t.Fatalf("warm-up: %v", err)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := ws.UniformizedPowerCSR(qt, pi, 1.7, 0, 1e-12, dst); err != nil {
+			t.Fatalf("UniformizedPowerCSR: %v", err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("steady-state allocations = %v, want 0", allocs)
+	}
+}
+
+// BenchmarkUniformizedPowerWidth5NoAlloc guards the same property in
+// benchmark form; -benchmem must report 0 allocs/op after warm-up.
+func BenchmarkUniformizedPowerWidth5NoAlloc(b *testing.B) {
+	qt := width5Generator(b)
+	pi := make([]float64, 24)
+	pi[0] = 1
+	dst := make([]float64, 24)
 	ws := NewWorkspace()
 	if _, err := ws.UniformizedPowerCSR(qt, pi, 1.7, 0, 1e-12, dst); err != nil {
 		b.Fatalf("warm-up: %v", err)

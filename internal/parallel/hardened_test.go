@@ -49,9 +49,16 @@ func TestForEachCtxParentCancellation(t *testing.T) {
 	defer SetWorkers(prev)
 	ctx, cancel := context.WithCancel(context.Background())
 	var ran atomic.Int64
+	// Items after the second wait until its cancel() has returned, so the
+	// other worker cannot run the rest while the canceller is descheduled.
+	cancelled := make(chan struct{})
 	err := ForEachCtx(ctx, 64, func(ctx context.Context, i int) error {
-		if ran.Add(1) == 2 {
+		switch n := ran.Add(1); {
+		case n == 2:
 			cancel()
+			close(cancelled)
+		case n > 2:
+			<-cancelled
 		}
 		return nil
 	})
@@ -225,7 +232,7 @@ func TestFailFastFrontEndsContainPanics(t *testing.T) {
 			return ForEachRes(n,
 				func() int { return int(acquires.Add(1)) },
 				func(int) { releases.Add(1) },
-				func(_ int, i int) error { return item(i) })
+				func(_ context.Context, _ int, i int) error { return item(i) })
 		},
 	} {
 		var pe *PanicError

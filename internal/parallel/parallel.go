@@ -113,10 +113,11 @@ func ForEachCtx(ctx context.Context, n int, fn func(ctx context.Context, i int) 
 // run: acquire is called once per worker on that worker's goroutine and
 // release once when it exits (also when it retires after a panic). Use it
 // to share a workspace arena across the pool — one checkout per worker
-// instead of one per item.
-func ForEachRes[R any](n int, acquire func() R, release func(R), fn func(res R, i int) error) error {
-	_, err := run(context.Background(), EffectiveWorkers(n), n, policy{}, acquire, release,
-		func(_ context.Context, res R, i int) error { return fn(res, i) })
+// instead of one per item. fn gets the item's context as ForEachCtx
+// items do: it carries the parallel.item span and is cancelled when an
+// item fails.
+func ForEachRes[R any](n int, acquire func() R, release func(R), fn func(ctx context.Context, res R, i int) error) error {
+	_, err := run(context.Background(), EffectiveWorkers(n), n, policy{}, acquire, release, fn)
 	return err
 }
 

@@ -1,6 +1,7 @@
 package parallel
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -16,7 +17,7 @@ func TestForEachResVisitsEveryIndexOnce(t *testing.T) {
 	err := ForEachRes(n,
 		func() int { return 0 },
 		func(int) {},
-		func(_ int, i int) error {
+		func(_ context.Context, _ int, i int) error {
 			hits[i].Add(1)
 			return nil
 		})
@@ -38,7 +39,7 @@ func TestForEachResAcquiresPerWorkerNotPerItem(t *testing.T) {
 	err := ForEachRes(n,
 		func() int { return int(acquires.Add(1)) },
 		func(int) { releases.Add(1) },
-		func(res int, i int) error {
+		func(_ context.Context, res int, i int) error {
 			if res == 0 {
 				return errors.New("zero resource")
 			}
@@ -64,7 +65,7 @@ func TestForEachResReturnsLowestIndexError(t *testing.T) {
 	err := ForEachRes(200,
 		func() struct{} { return struct{}{} },
 		func(struct{}) {},
-		func(_ struct{}, i int) error {
+		func(_ context.Context, _ struct{}, i int) error {
 			if i == 17 || i == 3 || i == 150 {
 				return fmt.Errorf("fail %d", i)
 			}
@@ -83,7 +84,7 @@ func TestForEachResSingleWorkerIsSerialLoop(t *testing.T) {
 	err := ForEachRes(10,
 		func() int { acquires++; return acquires },
 		func(int) {},
-		func(res int, i int) error {
+		func(_ context.Context, res int, i int) error {
 			if res != 1 {
 				return fmt.Errorf("worker resource %d", res)
 			}
@@ -108,7 +109,7 @@ func TestForEachResZeroItems(t *testing.T) {
 	err := ForEachRes(0,
 		func() int { called = true; return 0 },
 		func(int) { called = true },
-		func(int, int) error { called = true; return nil })
+		func(context.Context, int, int) error { called = true; return nil })
 	if err != nil || called {
 		t.Fatalf("n=0: err=%v called=%v", err, called)
 	}
@@ -138,7 +139,7 @@ func TestForEachResSharesArena(t *testing.T) {
 		mu.Unlock()
 	}
 	for round := 0; round < 3; round++ {
-		if err := ForEachRes(30, acquire, release, func(int, int) error { return nil }); err != nil {
+		if err := ForEachRes(30, acquire, release, func(context.Context, int, int) error { return nil }); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -19,6 +19,8 @@ kernels=(
     'nvrel/internal/linalg.(*Dense).MulCSCInto'
     'nvrel/internal/linalg.(*Dense).MulInto'
     'nvrel/internal/linalg.(*Workspace).UniformizedPowerCSR'
+    'nvrel/internal/linalg.(*Workspace).UniformizedIntegralCSR'
+    'nvrel/internal/linalg.(*fixedRows).step'
     'nvrel/internal/parallel.ForEachHardened'
 )
 
