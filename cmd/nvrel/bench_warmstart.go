@@ -95,9 +95,10 @@ func refineSchedule(base, width, shrink float64, points int) []float64 {
 	return out
 }
 
-// warmstartProbes returns the probe set. The paper-scale sweeps all route
-// dense and would measure nothing, so each probe widens a model family
-// past linalg.SparseThreshold, mirroring the chaos workloads.
+// warmstartProbes returns the probe set. The paper-scale sweeps stay
+// below linalg.SparseThreshold, where solves are never seeded, and would
+// measure nothing, so each probe widens a model family past it,
+// mirroring the chaos workloads.
 func warmstartProbes() []warmProbe {
 	return []warmProbe{
 		{

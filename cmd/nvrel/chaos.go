@@ -72,8 +72,10 @@ func defaultChaosPlan(seed int64) *faultinject.Plan {
 // chaosWorkloadNames label the two standard sweep workloads: a 24-module
 // no-rejuvenation CTMC (325 states, sparse Gauss-Seidel route through
 // internal/petri) and a 10-module rejuvenation DSPN (176 states, sparse
-// Markov-regenerative route through internal/mrgp). Both sit past
-// linalg.SparseThreshold so every fallback rung is reachable.
+// Markov-regenerative route through internal/mrgp). The CTMC sits past
+// linalg.SparseThreshold and the MRGP cost model routes the DSPN's 600 s
+// interval sparse (TestMRGPRouteTable), so every fallback rung is
+// reachable.
 var chaosWorkloadNames = []string{"4v-n24-ctmc-sparse", "6v-n10-mrgp-sparse"}
 
 // ChaosFaultResult is the verdict for one fault of the plan.

@@ -63,7 +63,7 @@ func TestCmdChaos(t *testing.T) {
 		t.Errorf("baseline shadow divergences = %d", report.Shadow.Diverge)
 	}
 	// The aggregate snapshot proves the recovery counters are the ones that
-	// certified the fallbacks: the mrgp workload routes sparse by size and
+	// certified the fallbacks: the mrgp workload routes sparse by cost and
 	// recovers on the dense path only after an injected failure.
 	for _, name := range []string{
 		"mrgp.solve.routed_sparse",

@@ -38,14 +38,14 @@ func TestGlobalMetricsFlag(t *testing.T) {
 }
 
 // TestCmdSolveMetricsMrgpRouting pins the routing/recovery distinction of
-// the Markov-regenerative counters: the default six-version model sits
-// under linalg.SparseThreshold, so a clean solve routes dense *by size*
-// and the failure-recovery counters stay at zero. The chaos test asserts
-// the complementary case (routed_sparse plus recovered_dense after an
-// injected failure).
+// the Markov-regenerative counters: at a 3000 s rejuvenation interval the
+// default six-version model's series would run ~2300 terms, so the cost
+// model routes a clean solve dense *by cost* and the failure-recovery
+// counters stay at zero. The chaos test asserts the complementary case
+// (routed_sparse plus recovered_dense after an injected failure).
 func TestCmdSolveMetricsMrgpRouting(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "m.json")
-	if _, err := capture(t, "-metrics", path, "solve", "-arch", "6v"); err != nil {
+	if _, err := capture(t, "-metrics", path, "solve", "-arch", "6v", "-interval", "3000"); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(path)
@@ -58,10 +58,10 @@ func TestCmdSolveMetricsMrgpRouting(t *testing.T) {
 	}
 	c := doc.Metrics.Counters
 	if c["mrgp.solve.routed_dense"] == 0 {
-		t.Errorf("clean small solve left mrgp.solve.routed_dense at zero: %v", c)
+		t.Errorf("clean long-interval solve left mrgp.solve.routed_dense at zero: %v", c)
 	}
 	if c["mrgp.solve.routed_sparse"] != 0 {
-		t.Errorf("small model routed sparse: %v", c)
+		t.Errorf("long-interval solve routed sparse: %v", c)
 	}
 	if c["mrgp.solve.recovered_dense"] != 0 || c["mrgp.solve.fallback_dense"] != 0 {
 		t.Errorf("clean solve reported a failure recovery: %v", c)

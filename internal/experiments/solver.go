@@ -23,15 +23,17 @@ var solveCache = nvp.NewModelCache()
 // lifetime.
 var wsArena = linalg.NewArena()
 
-// warmReg seeds every iterative solve in this package with the nearest
+// warmReg seeds iterative solves in this package with the nearest
 // already-solved neighbor on the same topology (see nvp.WarmRegistry).
 // Models below linalg.SparseThreshold states (every paper-figure model)
-// route to the dense direct solvers and pass through unseeded, so the
-// published figures remain bit-identical to cold solves. Larger models
-// take the seeded iterative route: the N = 8 and 9 rejuvenation designs
-// of the architecture enumeration (E12) and scaled-up sweeps get the
-// iteration reduction, at the price of last-bit dependence on which
-// neighbor finished first.
+// pass through unseeded, whichever route the MRGP cost model gives them,
+// so the published figures remain bit-identical to cold solves at any
+// worker count. Larger models are seeded: the r >= 2 designs at N = 8
+// and 9 of the architecture enumeration (E12) and scaled-up sweeps get
+// the iteration reduction on the sparse route, at the price of last-bit
+// dependence on which neighbor finished first. The registry is
+// process-wide, so a second E12 run in one process starts those designs
+// from their own answers.
 var warmReg = nvp.NewWarmRegistry()
 
 func getWS() *linalg.Workspace   { return wsArena.Get() }

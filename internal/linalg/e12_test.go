@@ -1,0 +1,41 @@
+package linalg_test
+
+import (
+	"fmt"
+	"math/rand"
+	"testing"
+
+	"nvrel/internal/linalg"
+	"nvrel/internal/nvp"
+)
+
+// TestFusedSeriesMatchesThreePassBitsE12 runs the fused-series bit check
+// of TestFusedSeriesMatchesThreePassBits on the real generators of the
+// architecture enumeration (E12): every six-version design with r >= 1 up
+// to N = 9. The r >= 2 designs are the ones renumbered into exact-width
+// classes, with up to 395 states and rows up to 12 entries wide.
+func TestFusedSeriesMatchesThreePassBitsE12(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	maxStates, maxWidth := 0, 0
+	for n := 3; n <= 9; n++ {
+		for r := 1; 2*r+1 <= n; r++ {
+			p := nvp.DefaultSixVersion()
+			p.N, p.F, p.R = n, 0, r
+			m, err := nvp.BuildWithRejuvenation(p)
+			if err != nil {
+				t.Fatalf("N=%d r=%d: %v", n, r, err)
+			}
+			qt, err := m.Graph.GeneratorCSRTranspose(nil)
+			if err != nil {
+				t.Fatalf("N=%d r=%d: %v", n, r, err)
+			}
+			states, _ := qt.Dims()
+			maxStates = max(maxStates, states)
+			maxWidth = max(maxWidth, linalg.CheckRowClassLayout(t, qt))
+			linalg.CheckFusedMatchesThreePass(t, rng, fmt.Sprintf("E12 N=%d r=%d (%d states)", n, r, states), qt)
+		}
+	}
+	if maxStates != 395 || maxWidth != 12 {
+		t.Errorf("E12 generators reach %d states and width %d, want 395 and 12", maxStates, maxWidth)
+	}
+}

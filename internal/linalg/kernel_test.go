@@ -358,13 +358,15 @@ func signedVector(rng *rand.Rand, n int) []float64 {
 	return x
 }
 
-// TestFusedSeriesMatchesThreePassBits: the fused fixed-width step
+// TestFusedSeriesMatchesThreePassBits: the fused row-class step
 // reproduces the three-pass series bit for bit. The generators cover
-// every row width 1..7 — the unrolled widths 4 and 5, the loop for the
-// others, padded rows in all of them, stored zero diagonals — plus a hub
-// row wide enough to be gathered from the CSR. Start vectors are signed,
-// and the series stop at P^0, P^1, P^3 and P^40; both public kernels are
-// then checked against the reference at full Poisson length.
+// every row width 1..7 — one padded class for the narrow ones, exact-width
+// classes with the unrolled bodies and renumbered states for the rest,
+// stored zero diagonals in all of them — plus a hub row wide enough for
+// the loop body. Start vectors are signed, and the series stop at P^0,
+// P^1, P^3 and P^40; both public kernels are then checked against the
+// reference at full Poisson length. The six-version E12 generators get
+// the same check in TestFusedSeriesMatchesThreePassBitsE12.
 func TestFusedSeriesMatchesThreePassBits(t *testing.T) {
 	rng := rand.New(rand.NewSource(25))
 	type tc struct {
@@ -378,65 +380,122 @@ func TestFusedSeriesMatchesThreePassBits(t *testing.T) {
 	cases = append(cases, tc{40, 3, true})
 	for _, c := range cases {
 		qt := randomWidthCSR(rng, c.n, c.maxWidth, c.hub)
-		ws := NewWorkspace()
-		l := ws.fixedRows(qt)
-		if c.hub {
-			if len(l.wide) == 0 || l.width >= c.n {
-				t.Fatalf("hub n=%d: width %d with %d wide rows, want the hub row gathered from the CSR", c.n, l.width, len(l.wide))
-			}
-		} else if l.width != c.maxWidth || len(l.wide) != 0 {
-			t.Fatalf("n=%d: layout width %d with %d wide rows, want %d and none", c.n, l.width, len(l.wide), c.maxWidth)
+		l := checkRowClasses(t, qt)
+		if last := l.classes[len(l.classes)-1]; c.hub && (len(l.perm) == 0 || last.end-last.off != c.n) {
+			t.Fatalf("hub n=%d: classes %+v, want the hub row in a class of its own", c.n, l.classes)
 		}
-		rate := 1.05 * UniformizationRate(qt.MaxAbsDiag())
-		pi := signedVector(rng, c.n)
-		for _, terms := range []int{1, 2, 4, 41} {
-			name := fmt.Sprintf("n=%d width=%d hub=%v P^%d", c.n, c.maxWidth, c.hub, terms-1)
-			coef := make([]float64, terms)
-			for k := range coef {
-				coef[k] = rng.Float64()
-			}
-			want, got := make([]float64, c.n), make([]float64, c.n)
-			if err := threePassSeries(qt, pi, coef, 1/rate, want); err != nil {
-				t.Fatal(err)
-			}
-			ws.series(qt, pi, coef, 1/rate, got)
-			sameBits(t, name, got, want)
-		}
-
-		const tau = 4.0
-		weights, right := PoissonWeights(rate*tau, 1e-12)
-		want := make([]float64, c.n)
-		if err := threePassSeries(qt, pi, weights[:right+1], 1/rate, want); err != nil {
-			t.Fatal(err)
-		}
-		got, err := ws.UniformizedPowerCSR(qt, pi, tau, rate, 1e-12, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sameBits(t, fmt.Sprintf("n=%d width=%d hub=%v UniformizedPowerCSR", c.n, c.maxWidth, c.hub), got, want)
-
-		invRate := 1 / rate
-		tail := make([]float64, right+1)
-		acc := 0.0
-		for k := 0; k <= right; k++ {
-			acc += weights[k]
-			tail[k] = 1 - acc
-			if tail[k] < 0 {
-				tail[k] = 0
-			}
-			tail[k] *= invRate
-		}
-		clear(want)
-		if err := threePassSeries(qt, pi, tail, invRate, want); err != nil {
-			t.Fatal(err)
-		}
-		// A signed start vector has no unit mass, so the kernel's
-		// truncation rescale (applied only within 1e-6 of the exact
-		// mass t) leaves both results as the series produced them.
-		got, err = ws.UniformizedIntegralCSR(qt, pi, tau, rate, 1e-12, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sameBits(t, fmt.Sprintf("n=%d width=%d hub=%v UniformizedIntegralCSR", c.n, c.maxWidth, c.hub), got, want)
+		checkFusedMatchesThreePass(t, rng, fmt.Sprintf("n=%d width=%d hub=%v", c.n, c.maxWidth, c.hub), qt)
 	}
+}
+
+// checkRowClasses lays qt out and checks the class layout: either one
+// padded class in state order, allowed only while padding adds at most
+// half the stored entries, or exact-width classes in ascending width
+// over a stable renumbering, with no padding. It returns the layout.
+func checkRowClasses(t *testing.T, qt *CSR) *fixedRows {
+	t.Helper()
+	n, _ := qt.Dims()
+	nnz := qt.NNZ()
+	width := func(i int) int { return qt.RowPtr[i+1] - qt.RowPtr[i] }
+	widest := 0
+	for i := 0; i < n; i++ {
+		widest = max(widest, width(i))
+	}
+	l := NewWorkspace().fixedRows(qt)
+	if len(l.perm) == 0 {
+		if 2*n*widest > 3*nnz {
+			t.Fatalf("n=%d: one padded class of %d slots over %d entries", n, n*widest, nnz)
+		}
+		if c := l.classes; len(c) != 1 || c[0].lo != 0 || c[0].hi != n || c[0].end != n*widest {
+			t.Fatalf("n=%d: padded layout classes %+v, want one of %d rows x %d", n, c, n, widest)
+		}
+		return l
+	}
+	if 2*n*widest <= 3*nnz {
+		t.Fatalf("n=%d: renumbered although padding to width %d fits", n, widest)
+	}
+	if len(l.idx) != nnz {
+		t.Fatalf("n=%d: %d slots for %d entries, want no padding", n, len(l.idx), nnz)
+	}
+	seen := make([]bool, n)
+	lo, off, prev := 0, 0, -1
+	for _, c := range l.classes {
+		if c.lo != lo || c.off != off || c.hi <= c.lo || (c.end-c.off)%(c.hi-c.lo) != 0 {
+			t.Fatalf("n=%d: class %+v does not continue at row %d slot %d", n, c, lo, off)
+		}
+		w := (c.end - c.off) / (c.hi - c.lo)
+		if w <= prev {
+			t.Fatalf("n=%d: class width %d after %d", n, w, prev)
+		}
+		for p := c.lo; p < c.hi; p++ {
+			i := int(l.perm[p])
+			if seen[i] || width(i) != w || (p > c.lo && i < int(l.perm[p-1])) {
+				t.Fatalf("n=%d: series row %d is state %d of width %d in the width-%d class", n, p, i, width(i), w)
+			}
+			seen[i] = true
+		}
+		lo, off, prev = c.hi, c.end, w
+	}
+	if lo != n {
+		t.Fatalf("n=%d: classes cover %d rows", n, lo)
+	}
+	return l
+}
+
+// checkFusedMatchesThreePass checks ws.series and both public kernels on
+// qt against threePassSeries bit for bit, from a signed start vector.
+func checkFusedMatchesThreePass(t *testing.T, rng *rand.Rand, name string, qt *CSR) {
+	t.Helper()
+	n, _ := qt.Dims()
+	ws := NewWorkspace()
+	rate := 1.05 * UniformizationRate(qt.MaxAbsDiag())
+	pi := signedVector(rng, n)
+	for _, terms := range []int{1, 2, 4, 41} {
+		coef := make([]float64, terms)
+		for k := range coef {
+			coef[k] = rng.Float64()
+		}
+		want, got := make([]float64, n), make([]float64, n)
+		if err := threePassSeries(qt, pi, coef, 1/rate, want); err != nil {
+			t.Fatal(err)
+		}
+		ws.series(qt, pi, coef, 1/rate, got)
+		sameBits(t, fmt.Sprintf("%s P^%d", name, terms-1), got, want)
+	}
+
+	const tau = 4.0
+	weights, right := PoissonWeights(rate*tau, 1e-12)
+	want := make([]float64, n)
+	if err := threePassSeries(qt, pi, weights[:right+1], 1/rate, want); err != nil {
+		t.Fatal(err)
+	}
+	got, err := ws.UniformizedPowerCSR(qt, pi, tau, rate, 1e-12, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameBits(t, name+" UniformizedPowerCSR", got, want)
+
+	invRate := 1 / rate
+	tail := make([]float64, right+1)
+	acc := 0.0
+	for k := 0; k <= right; k++ {
+		acc += weights[k]
+		tail[k] = 1 - acc
+		if tail[k] < 0 {
+			tail[k] = 0
+		}
+		tail[k] *= invRate
+	}
+	clear(want)
+	if err := threePassSeries(qt, pi, tail, invRate, want); err != nil {
+		t.Fatal(err)
+	}
+	// A signed start vector has no unit mass, so the kernel's
+	// truncation rescale (applied only within 1e-6 of the exact
+	// mass t) leaves both results as the series produced them.
+	got, err = ws.UniformizedIntegralCSR(qt, pi, tau, rate, 1e-12, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameBits(t, name+" UniformizedIntegralCSR", got, want)
 }

@@ -55,10 +55,12 @@ var (
 	metArenaMiss = obs.CounterFor("linalg.arena.miss")
 
 	// Uniformization: matrix-free series evaluated, series terms run, the
-	// distribution of truncation depths K, and the analytic tail mass left
-	// beyond the most recent truncation point.
-	metUnifSeries = obs.CounterFor("linalg.unif.series")
-	metUnifTerms  = obs.CounterFor("linalg.unif.terms")
-	metUnifK      = obs.HistogramFor("linalg.unif.truncation_k", []float64{8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096})
-	metUnifTail   = obs.GaugeFor("linalg.unif.tail_mass")
+	// row-layout slots (stored plus padding entries) the terms gathered,
+	// the distribution of truncation depths K, and the analytic tail mass
+	// left beyond the most recent truncation point.
+	metUnifSeries  = obs.CounterFor("linalg.unif.series")
+	metUnifTerms   = obs.CounterFor("linalg.unif.terms")
+	metUnifEntries = obs.CounterFor("linalg.unif.entries")
+	metUnifK       = obs.HistogramFor("linalg.unif.truncation_k", []float64{8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096})
+	metUnifTail    = obs.GaugeFor("linalg.unif.tail_mass")
 )

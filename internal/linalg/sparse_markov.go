@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"slices"
 
 	"nvrel/internal/faultinject"
 )
@@ -15,19 +14,20 @@ import (
 // Callers fall back to the dense direct solvers (the GTH backstop).
 var ErrNotConverged = errors.New("linalg: iterative solver did not converge")
 
-// SparseThreshold is the state count at and above which the steady-state
-// routing prefers the CSR kernels over the dense ones. Below it the dense
-// direct methods (GTH, the dense MRGP embedded chain) win on constant
-// factors; above it the sparse kernels' O(nnz) matvecs and O(n) memory
-// dominate. The default was chosen from the BENCH_scale.json curves: the
-// CTMC steady state crosses over at ~153 states, so 160 sits in the tie
-// band where no family loses measurably. Transient vector series take no
-// route: they always run the CSR kernels, which win at every size.
-// The MRGP crossover depends on rate*tau rather than on the state count:
-// at 70 states the sparse route is 4x faster at tau = 100 s and 1.4x
-// faster at 600 s but ~24x slower at 3000 s, where the dense route's
-// doubling pays (DESIGN.md section 7). A lower MRGP threshold would slow
-// the long-interval sweep points, so the family shares this one.
+// SparseThreshold is the state count at and above which the CTMC
+// steady-state routing prefers sparse Gauss-Seidel over dense GTH. Below
+// it the dense direct method wins on constant factors; above it the
+// sparse kernels' O(nnz) sweeps and O(n) memory dominate. The default was
+// chosen from the BENCH_scale.json curves: the CTMC steady state crosses
+// over at ~153 states, so 160 sits in the tie band where no family loses
+// measurably. The same count gates warm-start seeding (nvp.WarmRegistry)
+// and picks the matrix form of the MRGP transient pair. Transient vector
+// series take no route: they always run the CSR kernels, which win at
+// every size. The clock-synchronous MRGP solve does not read it: its
+// crossover depends on rate*tau rather than on the state count (at 70
+// states the sparse route is ~4x faster at tau = 100 s and ~20x slower at
+// 3000 s), so mrgp.Solve routes each solve by estimated cost (DESIGN.md
+// section 7).
 var SparseThreshold = 160
 
 // GS iteration limits. The tolerance is on the L1 change of the iterate per
@@ -213,7 +213,7 @@ func driftGS(dst []float64) {
 // which is algebraically cur * (I + Q/rate). qt is the TRANSPOSE of Q in
 // CSR form (petri.Graph.GeneratorCSRTranspose, CSRFromDenseT or
 // TransposeCSR), so cur * Q is a register gather over qt's rows, run as
-// the fused fixed-width step of Workspace.series. rate must be >=
+// the fused row-class pass of Workspace.series. rate must be >=
 // max_i |Q[i,i]|; pass 0 to derive it from the (materialized) diagonal,
 // which the transpose shares.
 // The result is written into dst when non-nil (length n). All scratch
@@ -319,145 +319,4 @@ func (ws *Workspace) UniformizedIntegralCSR(qt *CSR, pi []float64, t, rate, epsi
 		}
 	}
 	return dst, nil
-}
-
-// series adds sum_k coef[k] * pi * P^k, k = 0..len(coef)-1, into dst for
-// P = I + Q/rate (invRate = 1/rate), the series both uniformization
-// kernels share; only their per-term coefficients differ. Each term but
-// the last is one fixedRows.step; the last needs no next vector.
-func (ws *Workspace) series(qt *CSR, pi, coef []float64, invRate float64, dst []float64) {
-	l := ws.fixedRows(qt)
-	n := len(pi)
-	cur := ws.Vec(n)
-	next := ws.Vec(n)
-	copy(cur, pi)
-	last := len(coef) - 1
-	for k := 0; k < last; k++ {
-		l.step(qt, cur, next, dst, coef[k], invRate)
-		cur, next = next, cur
-	}
-	w := coef[last]
-	for i := range dst {
-		dst[i] += w * cur[i]
-	}
-	ws.PutVec(cur)
-	ws.PutVec(next)
-}
-
-// fixedRows is a transposed generator laid out for the series step: row
-// i's stored entries, in qt's order, at idx/vals[i*width : (i+1)*width],
-// padded with (column i, value 0). A row gathers its terms in ascending
-// storage order from +0 as CSR.MulVecInto does; a padding term adds +0 or
-// -0 to a sum that is never -0, so for finite operands the bits are the
-// CSR gather's. width is the widest row unless padding to it would more
-// than double the stored entries (a hub state with many incoming
-// transitions); rows wider than width are then listed in wide, hold only
-// padding, and are gathered from qt after the pass.
-type fixedRows struct {
-	width int
-	idx   []int32
-	vals  []float64
-	wide  []int32
-}
-
-// fixedRows copies qt into the workspace's layout; a nil workspace
-// allocates one.
-func (ws *Workspace) fixedRows(qt *CSR) *fixedRows {
-	var l *fixedRows
-	if ws != nil {
-		l = &ws.rows
-	} else {
-		l = new(fixedRows)
-	}
-	n := qt.rows
-	width := 0
-	for i := 0; i < n; i++ {
-		width = max(width, qt.RowPtr[i+1]-qt.RowPtr[i])
-	}
-	if n*width > 2*qt.NNZ() {
-		width = 2 * qt.NNZ() / n
-	}
-	l.width = width
-	l.idx = slices.Grow(l.idx[:0], n*width)[:n*width]
-	l.vals = slices.Grow(l.vals[:0], n*width)[:n*width]
-	l.wide = l.wide[:0]
-	for i := 0; i < n; i++ {
-		idx, vals := l.idx[i*width:(i+1)*width], l.vals[i*width:(i+1)*width]
-		lo, hi := qt.RowPtr[i], qt.RowPtr[i+1]
-		if hi-lo > width {
-			l.wide = append(l.wide, int32(i))
-			hi = lo
-		}
-		k := 0
-		for p := lo; p < hi; p++ {
-			idx[k], vals[k] = int32(qt.ColIdx[p]), qt.Vals[p]
-			k++
-		}
-		for ; k < width; k++ {
-			idx[k], vals[k] = int32(i), 0
-		}
-	}
-	return l
-}
-
-// step runs one series term over every row in a single pass:
-//
-//	dst[i] += w * cur[i]
-//	next[i] = cur[i] + (cur * Q)[i] / rate
-//
-// which are the operations, and so the bits, of an axpy into dst, a
-// CSR.MulVecInto into a scratch vector and an in-place update of cur.
-// The six- and four-version generators pad to widths 5 and 4, whose
-// straight-line bodies need no inner loop and, on fixed-length row
-// slices, no bounds checks; any other width runs the loop.
-func (l *fixedRows) step(qt *CSR, cur, next, dst []float64, w, invRate float64) {
-	n := len(cur)
-	next, dst = next[:n], dst[:n]
-	switch width := l.width; width {
-	case 4:
-		idx, vals := l.idx[:4*n], l.vals[:4*n]
-		for i, c := range cur {
-			r, v := idx[4*i:4*i+4:4*i+4], vals[4*i:4*i+4:4*i+4]
-			s := 0.0
-			s += v[0] * cur[r[0]]
-			s += v[1] * cur[r[1]]
-			s += v[2] * cur[r[2]]
-			s += v[3] * cur[r[3]]
-			dst[i] += w * c
-			next[i] = c + s*invRate
-		}
-	case 5:
-		idx, vals := l.idx[:5*n], l.vals[:5*n]
-		for i, c := range cur {
-			r, v := idx[5*i:5*i+5:5*i+5], vals[5*i:5*i+5:5*i+5]
-			s := 0.0
-			s += v[0] * cur[r[0]]
-			s += v[1] * cur[r[1]]
-			s += v[2] * cur[r[2]]
-			s += v[3] * cur[r[3]]
-			s += v[4] * cur[r[4]]
-			dst[i] += w * c
-			next[i] = c + s*invRate
-		}
-	default:
-		idx, vals := l.idx[:width*n], l.vals[:width*n]
-		for i, c := range cur {
-			r, v := idx[width*i:width*(i+1)], vals[width*i:width*(i+1)]
-			v = v[:len(r)]
-			s := 0.0
-			for k, j := range r {
-				s += v[k] * cur[j]
-			}
-			dst[i] += w * c
-			next[i] = c + s*invRate
-		}
-	}
-	for _, i := range l.wide {
-		lo, hi := qt.RowPtr[i], qt.RowPtr[i+1]
-		s := 0.0
-		for k := lo; k < hi; k++ {
-			s += qt.Vals[k] * cur[qt.ColIdx[k]]
-		}
-		next[i] = cur[i] + s*invRate
-	}
 }

@@ -1,7 +1,7 @@
 package linalg
 
 // Workspace recycles the scratch storage of the iterative kernels —
-// uniformization vectors and matrices, the series' fixed-width copy of
+// uniformization vectors and matrices, the series' row-class copy of
 // the generator, GTH elimination copies — and memoizes Poisson weight vectors keyed on (lambda, epsilon). Solving the
 // same-sized model repeatedly (every sweep in the evaluation is exactly
 // that) then runs allocation-free after the first solve.

@@ -198,23 +198,34 @@ func BenchmarkUniformizedPowerNoAlloc(b *testing.B) {
 }
 
 // width5Generator is a transposed generator whose widest row holds five
-// entries, the six-version models' layout width; the 4x4 generator of
-// the guards above runs the width-4 body.
+// entries, the six-version models' width; the 4x4 generator of the
+// guards above runs the width-4 body.
 func width5Generator(tb testing.TB) *CSR {
-	qt := randomWidthCSR(rand.New(rand.NewSource(5)), 24, 5, false)
-	if w := NewWorkspace().fixedRows(qt).width; w != 5 {
-		tb.Fatalf("width-5 generator lays out at width %d", w)
+	return classGenerator(tb, 24, 5)
+}
+
+// classGenerator returns a random transposed generator of n states with
+// rows 1..widest entries wide, and checks that its layout has a class of
+// the widest rows, so the series runs that width's body.
+func classGenerator(tb testing.TB, n, widest int) *CSR {
+	qt := randomWidthCSR(rand.New(rand.NewSource(int64(widest))), n, widest, false)
+	got := make(map[int]bool)
+	for _, c := range NewWorkspace().fixedRows(qt).classes {
+		got[(c.end-c.off)/(c.hi-c.lo)] = true
+	}
+	if !got[widest] {
+		tb.Fatalf("generator of widest row %d lays out classes of widths %v", widest, got)
 	}
 	return qt
 }
 
-// TestUniformizedPowerWidth5NoAlloc: the width-5 series body runs
-// allocation-free after warm-up, like the width-4 one.
-func TestUniformizedPowerWidth5NoAlloc(t *testing.T) {
-	qt := width5Generator(t)
-	pi := make([]float64, 24)
+// seriesNoAlloc checks that UniformizedPowerCSR on qt runs
+// allocation-free after warm-up.
+func seriesNoAlloc(t *testing.T, qt *CSR) {
+	n, _ := qt.Dims()
+	pi := make([]float64, n)
 	pi[0] = 1
-	dst := make([]float64, 24)
+	dst := make([]float64, n)
 	ws := NewWorkspace()
 	if _, err := ws.UniformizedPowerCSR(qt, pi, 1.7, 0, 1e-12, dst); err != nil {
 		t.Fatalf("warm-up: %v", err)
@@ -229,13 +240,13 @@ func TestUniformizedPowerWidth5NoAlloc(t *testing.T) {
 	}
 }
 
-// BenchmarkUniformizedPowerWidth5NoAlloc guards the same property in
-// benchmark form; -benchmem must report 0 allocs/op after warm-up.
-func BenchmarkUniformizedPowerWidth5NoAlloc(b *testing.B) {
-	qt := width5Generator(b)
-	pi := make([]float64, 24)
+// benchSeriesNoAlloc is seriesNoAlloc in benchmark form; -benchmem must
+// report 0 allocs/op after warm-up.
+func benchSeriesNoAlloc(b *testing.B, qt *CSR) {
+	n, _ := qt.Dims()
+	pi := make([]float64, n)
 	pi[0] = 1
-	dst := make([]float64, 24)
+	dst := make([]float64, n)
 	ws := NewWorkspace()
 	if _, err := ws.UniformizedPowerCSR(qt, pi, 1.7, 0, 1e-12, dst); err != nil {
 		b.Fatalf("warm-up: %v", err)
@@ -245,6 +256,64 @@ func BenchmarkUniformizedPowerWidth5NoAlloc(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := ws.UniformizedPowerCSR(qt, pi, 1.7, 0, 1e-12, dst); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// TestUniformizedPowerWidth5NoAlloc: the width-5 series body runs
+// allocation-free after warm-up, like the width-4 one.
+func TestUniformizedPowerWidth5NoAlloc(t *testing.T) {
+	seriesNoAlloc(t, width5Generator(t))
+}
+
+// BenchmarkUniformizedPowerWidth5NoAlloc guards the same property in
+// benchmark form.
+func BenchmarkUniformizedPowerWidth5NoAlloc(b *testing.B) {
+	benchSeriesNoAlloc(b, width5Generator(b))
+}
+
+// TestUniformizedPowerWideNoAlloc: a generator with rows up to width 12,
+// the widest of E12's designs, is renumbered into exact-width classes
+// that run the bodies for widths 6-8 and the loop; the permutation in
+// and out of series numbering allocates nothing after warm-up either.
+func TestUniformizedPowerWideNoAlloc(t *testing.T) {
+	seriesNoAlloc(t, classGenerator(t, 60, 12))
+}
+
+// BenchmarkUniformizedPowerWideNoAlloc guards the same property in
+// benchmark form.
+func BenchmarkUniformizedPowerWideNoAlloc(b *testing.B) {
+	benchSeriesNoAlloc(b, classGenerator(b, 60, 12))
+}
+
+// TestUnifEntriesCountsLayoutSlots: linalg.unif.entries grows by the
+// layout's slots for every term but the last, so a padded layout counts
+// its padding and a renumbered one exactly the stored entries.
+func TestUnifEntriesCountsLayoutSlots(t *testing.T) {
+	prev := obs.Enable()
+	t.Cleanup(func() { obs.SetEnabled(prev) })
+	padded := classGenerator(t, 50, 2)
+	if padded.NNZ() >= 50*2 {
+		t.Fatalf("width-2 generator stores %d entries, want some rows padded", padded.NNZ())
+	}
+	for _, c := range []struct {
+		qt    *CSR
+		slots int
+	}{
+		{padded, 50 * 2},
+		{classGenerator(t, 60, 12), -1},
+	} {
+		if c.slots < 0 {
+			c.slots = c.qt.NNZ()
+		}
+		n, _ := c.qt.Dims()
+		pi := make([]float64, n)
+		pi[0] = 1
+		coef := []float64{0.5, 0.25, 0.125, 0.125}
+		before := metUnifEntries.Value()
+		NewWorkspace().series(c.qt, pi, coef, 0.5, make([]float64, n))
+		if got, want := metUnifEntries.Value()-before, int64(3*c.slots); got != want {
+			t.Errorf("n=%d: entries grew by %d, want %d", n, got, want)
 		}
 	}
 }

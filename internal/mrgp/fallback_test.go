@@ -26,14 +26,14 @@ func armMrgpFault(t *testing.T, f faultinject.Fault) {
 	})
 }
 
-// sparseRoutedGraph returns a clocked DSPN with the threshold dropped so
-// Solve routes it through the sparse solver, plus its dense reference.
+// sparseRoutedGraph returns a clocked DSPN whose short clock period the
+// cost model routes through the sparse solver, plus its dense reference.
 func sparseRoutedGraph(t *testing.T) (*petri.Graph, *Solution) {
 	t.Helper()
 	g := explore(t, buildClockedPopulation(t, 4, 15))
-	prev := linalg.SparseThreshold
-	linalg.SparseThreshold = 1
-	t.Cleanup(func() { linalg.SparseThreshold = prev })
+	if sparse, _ := routeSparse(nil, g); !sparse {
+		t.Fatal("cost model routes the short-period population dense")
+	}
 	dense, _, err := Solve(nil, nil, g, Opts{Rung: "mrgp-dense"})
 	if err != nil {
 		t.Fatalf("dense reference: %v", err)
@@ -56,7 +56,7 @@ func TestSparseFailsTypedUnderInjectedStall(t *testing.T) {
 // TestSolveRecoversFromInjectedPowerStall: Solve falls back to the dense
 // path after the injected sparse failure, the result matches the dense
 // reference, and the recovered_dense counter distinguishes the rescue
-// from plain size routing (the satellite-3 contract).
+// from plain cost routing.
 func TestSolveRecoversFromInjectedPowerStall(t *testing.T) {
 	g, dense := sparseRoutedGraph(t)
 	prevObs := obs.Enabled()

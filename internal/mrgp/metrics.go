@@ -13,7 +13,7 @@ var (
 	metSolveGeneral  = obs.CounterFor("mrgp.solve.general")
 	metSolveFallback = obs.CounterFor("mrgp.solve.fallback_dense")
 
-	// Routing vs recovery: routed_* counts which kernel family the size
+	// Routing vs recovery: routed_* counts which kernel family the cost
 	// routing picked; recovered_dense counts solves where the dense path
 	// succeeded AFTER the sparse path failed. fallback_dense above counts
 	// the fallback attempts themselves (recovered or not), so

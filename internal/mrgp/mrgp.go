@@ -87,17 +87,21 @@ func isDeadline(err error) bool {
 // same model solves allocation-light after the first point; the returned
 // Solution owns its vectors either way.
 //
-// With zero Opts it is the hardened routed entry point: state spaces of
-// linalg.SparseThreshold states or more run the matrix-free sparse
-// formulation, smaller ones the dense one; panic recovery wraps both
-// kernels, a distribution guard checks every candidate result, and any
-// recoverable typed sparse failure (not only non-convergence) falls back
-// to dense. The routed_dense/routed_sparse counters record the routing
-// decision and recovered_dense the dense successes that followed a sparse
-// failure, so observability can tell "small model, dense by design" apart
-// from "sparse path failed and was rescued". The returned diag says the
-// same: Path is PathDense, PathSparse or PathSparseFallbackDense, with the
-// sparse failure in Fallback.
+// With zero Opts it is the hardened routed entry point: each solve runs
+// the formulation the cost model (routeSparse) expects to be cheaper,
+// from the state count, the stored generator entries and the
+// uniformization mass rate*tau, so short clock periods take the
+// matrix-free sparse formulation at any size and long ones the dense
+// doubling below a few hundred states. The route is a pure function of
+// the model, so a solve's bits do not depend on timing or worker count.
+// Panic recovery wraps both kernels, a distribution guard checks every
+// candidate result, and any recoverable typed sparse failure (not only
+// non-convergence) falls back to dense. The routed_dense/routed_sparse
+// counters record the routing decision and recovered_dense the dense
+// successes that followed a sparse failure, so observability can tell
+// "dense by cost" apart from "sparse path failed and was rescued". The
+// returned diag says the same: Path is PathDense, PathSparse or
+// PathSparseFallbackDense, with the sparse failure in Fallback.
 //
 // Opts.Seed is a previous Solution's Embedded vector from a Restamp
 // sibling of g. Only the sparse formulation consumes it; the dense route
@@ -106,7 +110,7 @@ func isDeadline(err error) bool {
 // embedded-chain cycle count and diag.Seeded whether it started warm.
 //
 // Opts.Rung "mrgp-dense" or "mrgp-sparse" runs exactly that formulation
-// with no size routing and no fallback: a failing rung surfaces its typed
+// with no cost routing and no fallback: a failing rung surfaces its typed
 // error. Like petri.Opts.Rung it exists for shadow verification, where the
 // re-solve must stay on the path independent of the one that produced the
 // primary answer, and for tests and benchmarks that compare the two. Both
@@ -132,7 +136,9 @@ func Solve(ctx context.Context, ws *linalg.Workspace, g *petri.Graph, opts Opts)
 		sp.Err(err)
 		return nil, diag, err
 	}
-	if g.NumStates() < linalg.SparseThreshold {
+	sparse, ratio := routeSparse(ws, g)
+	sp.Float("sparse_dense_cost", ratio)
+	if !sparse {
 		metRoutedDense.Inc()
 		sp.Str("routed", "dense")
 		sol, err := solveDenseGuarded(ctx, ws, g)

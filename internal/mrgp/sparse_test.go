@@ -103,30 +103,37 @@ func TestSolveSparseMatchesDense(t *testing.T) {
 	}
 }
 
-// TestSolveRoutesThroughSparse: above the threshold Solve must produce
-// the sparse result; the two paths already agree to 1e-12, so just pin the
-// routing by lowering the threshold.
-func TestSolveRoutesThroughSparse(t *testing.T) {
-	g := explore(t, buildClockedPopulation(t, 4, 15))
-	prev := linalg.SparseThreshold
-	defer func() { linalg.SparseThreshold = prev }()
-
-	linalg.SparseThreshold = 1 << 30
-	dense, _, err := Solve(nil, nil, g, Opts{})
-	if err != nil {
-		t.Fatalf("dense route: %v", err)
-	}
-	linalg.SparseThreshold = 1
-	sparse, _, err := Solve(nil, nil, g, Opts{})
-	if err != nil {
-		t.Fatalf("sparse route: %v", err)
-	}
-	var diff float64
-	for i := range dense.Pi {
-		diff = math.Max(diff, math.Abs(dense.Pi[i]-sparse.Pi[i]))
-	}
-	if diff > 1e-12 {
-		t.Errorf("routes disagree by %g", diff)
+// TestSolveRoutesByCost: Solve takes the route the cost model picks —
+// sparse for a short clock period, dense for one whose series would run
+// thousands of terms — reports it in diag.Path, and agrees with the
+// dense rung within 1e-12 either way.
+func TestSolveRoutesByCost(t *testing.T) {
+	for _, c := range []struct {
+		tau    float64
+		sparse bool
+	}{{15, true}, {5000, false}} {
+		g := explore(t, buildClockedPopulation(t, 4, c.tau))
+		if got, _ := routeSparse(nil, g); got != c.sparse {
+			t.Fatalf("tau=%g: routeSparse = %v, want %v", c.tau, got, c.sparse)
+		}
+		dense, _, err := Solve(nil, nil, g, Opts{Rung: "mrgp-dense"})
+		if err != nil {
+			t.Fatalf("tau=%g dense rung: %v", c.tau, err)
+		}
+		routed, diag, err := Solve(nil, nil, g, Opts{})
+		if err != nil {
+			t.Fatalf("tau=%g routed: %v", c.tau, err)
+		}
+		if want := map[bool]petri.SolvePath{false: petri.PathDense, true: petri.PathSparse}[c.sparse]; diag.Path != want {
+			t.Errorf("tau=%g: path %v, want %v", c.tau, diag.Path, want)
+		}
+		var diff float64
+		for i := range dense.Pi {
+			diff = math.Max(diff, math.Abs(dense.Pi[i]-routed.Pi[i]))
+		}
+		if diff > 1e-12 {
+			t.Errorf("tau=%g: routed solve is %g from the dense rung", c.tau, diff)
+		}
 	}
 }
 

@@ -5,27 +5,31 @@ import (
 	"testing"
 
 	"nvrel/internal/faultinject"
-	"nvrel/internal/linalg"
 	"nvrel/internal/petri"
 )
 
 // Dense MRGP rung pins. denseDefaultBits is E[R] of the six-version
-// default (70 states, which the routing sends dense); denseN10Bits is E[R]
-// of six-version N=10, and the sparse route's pins below must stay within
-// 1e-12 of it.
+// default (70 states) and denseN10Bits of six-version N=10; the cost
+// model routes both sparse, and the sparse route's pins below must stay
+// within 1e-12 of them.
 const (
 	denseDefaultBits uint64 = 0x3fee19ca934d3a3b
 	denseN10Bits     uint64 = 0x3fead149e9b6cdbf
 )
 
-// goldenCase is one pinned solver route.
+// goldenCase is one pinned solver route. sparse is the route the solve
+// must report in diag.Path; rung, when set, pins the solver instead of
+// routing. dense, when set, is the dense rung's E[R] the result must
+// agree with within 1e-12.
 type goldenCase struct {
 	name   string
 	rejuv  bool
 	p      Params
 	warm   *Params // solved first through the same registry
+	rung   string
 	sparse bool
 	bits   uint64
+	dense  uint64
 }
 
 func sixVersion(n int, clock ClockPolicy) Params {
@@ -46,7 +50,8 @@ func sparseMRGPNeighbour() *Params {
 }
 
 // solveGolden solves c's model through a warm-start registry (seeded by
-// c.warm first when set) and returns E[R] with the solve's diag.
+// c.warm first when set), or on c.rung, and returns E[R] with the
+// solve's diag.
 func solveGolden(t *testing.T, c goldenCase) (float64, *Model, petri.SolveDiag) {
 	t.Helper()
 	build := func(cache *ModelCache, p Params) *Model {
@@ -74,12 +79,21 @@ func solveGolden(t *testing.T, c goldenCase) (float64, *Model, petri.SolveDiag) 
 		}
 	}
 	m := build(cache, c.p)
-	if got := m.Graph.NumStates() >= linalg.SparseThreshold; got != c.sparse {
-		t.Fatalf("%d states: sparse routing = %v, want %v", m.Graph.NumStates(), got, c.sparse)
+	var (
+		pi   []float64
+		diag petri.SolveDiag
+		err  error
+	)
+	if c.rung != "" {
+		pi, diag, err = m.SolveWith(nil, nil, Opts{Rung: c.rung})
+	} else {
+		pi, diag, err = reg.SolveDiagCtxWS(nil, m, nil)
 	}
-	pi, diag, err := reg.SolveDiagCtxWS(nil, m, nil)
 	if err != nil {
 		t.Fatalf("solve: %v", err)
+	}
+	if got := diag.Path == petri.PathSparse; got != c.sparse {
+		t.Fatalf("%d states: path %v, want sparse = %v", m.Graph.NumStates(), diag.Path, c.sparse)
 	}
 	if diag.Seeded != (c.warm != nil) {
 		t.Fatalf("Seeded = %v, want %v", diag.Seeded, c.warm != nil)
@@ -92,11 +106,12 @@ func solveGolden(t *testing.T, c goldenCase) (float64, *Model, petri.SolveDiag) 
 }
 
 // TestGoldenBitsPerRoute pins math.Float64bits of E[R] on every solver
-// route the models take: dense GTH, sparse Gauss-Seidel, dense and sparse
-// clock-synchronous MRGP, the general MRGP solver, and a warm-started
-// sparse MRGP solve seeded by a neighbouring point. The headline goldens
-// only check E[R] to 5e-7; these catch any change in floating-point
-// evaluation order along a route, however small.
+// route the models take: dense GTH, sparse Gauss-Seidel, the dense MRGP
+// rung, sparse clock-synchronous MRGP as routed at 70 and 176 states, the
+// general MRGP solver, and a warm-started sparse MRGP solve seeded by a
+// neighbouring point. The headline goldens only check E[R] to 5e-7; these
+// catch any change in floating-point evaluation order along a route,
+// however small.
 func TestGoldenBitsPerRoute(t *testing.T) {
 	four := func(n int) Params {
 		p := DefaultFourVersion()
@@ -104,12 +119,13 @@ func TestGoldenBitsPerRoute(t *testing.T) {
 		return p
 	}
 	cases := []goldenCase{
-		{"4v-N4-dense-gth", false, four(4), nil, false, 0x3fea50ae2ff60c60},
-		{"4v-N24-sparse-gs", false, four(24), nil, true, 0x3ef485d90ad15826},
-		{"6v-default-dense-mrgp", true, sixVersion(0, ClockFreeRunning), nil, false, denseDefaultBits},
-		{"6v-N10-sparse-mrgp", true, sixVersion(10, ClockFreeRunning), nil, true, 0x3fead149e9b6cdba},
-		{"6v-general-mrgp", true, sixVersion(0, ClockWaitsForWave), nil, false, 0x3fee19353cecf949},
-		{"6v-N10-warm-mrgp", true, sixVersion(10, ClockFreeRunning), sparseMRGPNeighbour(), true, 0x3fead149e9b6cdc1},
+		{"4v-N4-dense-gth", false, four(4), nil, "", false, 0x3fea50ae2ff60c60, 0},
+		{"4v-N24-sparse-gs", false, four(24), nil, "", true, 0x3ef485d90ad15826, 0},
+		{"6v-default-dense-mrgp", true, sixVersion(0, ClockFreeRunning), nil, "mrgp-dense", false, denseDefaultBits, 0},
+		{"6v-default-routed-mrgp", true, sixVersion(0, ClockFreeRunning), nil, "", true, 0x3fee19ca934d3a3a, denseDefaultBits},
+		{"6v-N10-sparse-mrgp", true, sixVersion(10, ClockFreeRunning), nil, "", true, 0x3fead149e9b6cdba, denseN10Bits},
+		{"6v-general-mrgp", true, sixVersion(0, ClockWaitsForWave), nil, "", false, 0x3fee19353cecf949, 0},
+		{"6v-N10-warm-mrgp", true, sixVersion(10, ClockFreeRunning), sparseMRGPNeighbour(), "", true, 0x3fead149e9b6cdc1, denseN10Bits},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -117,12 +133,12 @@ func TestGoldenBitsPerRoute(t *testing.T) {
 			if got := math.Float64bits(e); got != c.bits {
 				t.Errorf("E[R] = %.17g bits %#x, want %#x", e, got, c.bits)
 			}
-			if c.rejuv && c.sparse {
-				if d := math.Abs(e - math.Float64frombits(denseN10Bits)); d > 1e-12 {
+			if c.dense != 0 {
+				if d := math.Abs(e - math.Float64frombits(c.dense)); d > 1e-12 {
 					t.Errorf("E[R] = %.17g is %.3g from the dense rung", e, d)
 				}
 			}
-			if c.warm == nil {
+			if c.warm == nil && c.rung == "" {
 				one, err := m.ExpectedPaperReliability()
 				if err != nil {
 					t.Fatalf("one-call: %v", err)
@@ -142,8 +158,8 @@ func TestGoldenBitsPerRoute(t *testing.T) {
 // stage existed.
 func TestKrylovBreakdownKeepsPowerOnlyBits(t *testing.T) {
 	cases := []goldenCase{
-		{"6v-N10-sparse-mrgp", true, sixVersion(10, ClockFreeRunning), nil, true, 0x3fead149e9b6cdbf},
-		{"6v-N10-warm-mrgp", true, sixVersion(10, ClockFreeRunning), sparseMRGPNeighbour(), true, 0x3fead149e9b6cdc8},
+		{"6v-N10-sparse-mrgp", true, sixVersion(10, ClockFreeRunning), nil, "", true, 0x3fead149e9b6cdbf, 0},
+		{"6v-N10-warm-mrgp", true, sixVersion(10, ClockFreeRunning), sparseMRGPNeighbour(), "", true, 0x3fead149e9b6cdc8, 0},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -172,9 +188,8 @@ func TestKrylovBreakdownKeepsPowerOnlyBits(t *testing.T) {
 
 // TestDenseMRGPRungPins re-derives the dense MRGP rung's pins and checks
 // each against the sparse rung at the same point: the default point (70
-// states, routed dense, pinned in TestGoldenBitsPerRoute) and N=10, whose
-// denseN10Bits is the reference the sparse route's pins are measured
-// against.
+// states) and N=10, whose pins are the references the sparse route's
+// pins in TestGoldenBitsPerRoute are measured against.
 func TestDenseMRGPRungPins(t *testing.T) {
 	cases := []struct {
 		name string

@@ -16,12 +16,15 @@ import (
 // any accepted start — so results are within solver tolerance of the cold
 // path and bit-identical wherever seeding does not apply.
 //
-// Seeding applies only where an iterative kernel runs: models below
-// linalg.SparseThreshold route to the dense direct solvers and are passed
-// through untouched (bit-identical to the cold path), as is the general
-// waits-for-wave Markov-regenerative solver. A nil *WarmRegistry is inert
-// and solves cold, so callers can thread an optional registry without nil
-// checks.
+// Seeding applies only to models of linalg.SparseThreshold states or
+// more. Smaller ones are passed through untouched and solve cold,
+// bit-identical to the cold path, even where an iterative kernel runs
+// them: the MRGP cost model sends short-interval paper-scale models down
+// the sparse route, and solving those cold keeps published figures
+// independent of the order in which parallel sweep points finish. The
+// general waits-for-wave Markov-regenerative solver is passed through
+// too. A nil *WarmRegistry is inert and solves cold, so callers can
+// thread an optional registry without nil checks.
 //
 // The registry is safe for concurrent use by a worker pool, but note that
 // warm-start results then depend on solve completion order: a point may be
