@@ -2,11 +2,15 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
+	"time"
+
+	"nvrel/internal/des"
 )
 
 // capture runs the CLI against an in-memory buffer and returns what was
@@ -310,6 +314,35 @@ func TestCmdTraceAttacker(t *testing.T) {
 func TestCmdTraceValidation(t *testing.T) {
 	if _, err := capture(t, "trace", "-arch", "7v"); err == nil {
 		t.Error("unknown architecture accepted")
+	}
+}
+
+// TestCmdTraceNonFiniteHorizon: a NaN or infinite horizon used to run
+// forever; it must now fail at once with the typed error, before the
+// timeline starts.
+func TestCmdTraceNonFiniteHorizon(t *testing.T) {
+	for _, h := range []string{"NaN", "+Inf", "Inf", "-Inf"} {
+		type result struct {
+			out string
+			err error
+		}
+		done := make(chan result, 1)
+		go func() {
+			out, err := capture(t, "trace", "-horizon", h)
+			done <- result{out, err}
+		}()
+		select {
+		case r := <-done:
+			var nf *des.NonFiniteError
+			if !errors.As(r.err, &nf) || nf.Name != "horizon" {
+				t.Errorf("trace -horizon %s: err = %v, want a *des.NonFiniteError for the horizon", h, r.err)
+			}
+			if strings.Contains(r.out, "event timeline") {
+				t.Errorf("trace -horizon %s started a timeline:\n%s", h, r.out)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("trace -horizon %s did not return", h)
+		}
 	}
 }
 

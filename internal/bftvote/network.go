@@ -3,6 +3,7 @@ package bftvote
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"nvrel/internal/des"
 )
@@ -33,17 +34,68 @@ func (c NetworkConfig) Validate() error {
 	return nil
 }
 
-// network delivers votes between replicas over the simulation.
+// network delivers votes between replicas over the simulation. Every vote
+// in flight occupies a pooled slot whose timer is re-armed with des.Rearm
+// and whose delivery action is bound once, when the slot is made: a
+// delivered slot returns to the free list, so once the network owns as
+// many slots as its busiest moment needed, sending allocates nothing.
 type network struct {
 	cfg NetworkConfig
 	sim *des.Simulation
 	rng *des.RNG
 
 	sent, dropped int
+
+	slots []*inflight // every slot the network owns
+	free  []*inflight // the slots not in flight
+}
+
+// inflight is one vote on the wire.
+type inflight struct {
+	ev      des.Handle
+	vote    Vote
+	to      *replica
+	net     *network
+	deliver des.Action // onDeliver, bound when the slot is made
+}
+
+// onDeliver hands the vote to its receiver and frees the slot first, so
+// the receiver could send again through it.
+func (m *inflight) onDeliver() {
+	vote, to := m.vote, m.to
+	m.to = nil
+	m.net.free = append(m.net.free, m)
+	to.onVote(vote)
+}
+
+// netPool recycles networks, and with them their slots, across rounds.
+var netPool = sync.Pool{New: func() any { return new(network) }}
+
+// acquireNetwork returns a pooled network set up for one round.
+func acquireNetwork(cfg NetworkConfig, sim *des.Simulation, rng *des.RNG) *network {
+	n := netPool.Get().(*network)
+	n.cfg, n.sim, n.rng = cfg, sim, rng
+	n.sent, n.dropped = 0, 0
+	return n
+}
+
+// release cancels the votes still in flight when the round ended, frees
+// every slot and returns the network to the pool.
+func (n *network) release() {
+	n.free = n.free[:0]
+	for _, m := range n.slots {
+		m.ev.Cancel()
+		m.to = nil
+		n.free = append(n.free, m)
+	}
+	n.sim, n.rng = nil, nil
+	netPool.Put(n)
 }
 
 // send schedules delivery of v to the receiver, applying loss and delay.
-func (n *network) send(v Vote, deliver func(Vote)) {
+// Like des.Schedule, the re-armed slot takes the next sequence number, so
+// deliveries fire in the order fresh handles would.
+func (n *network) send(v Vote, to *replica) {
 	n.sent++
 	if n.cfg.DropProbability > 0 && n.rng.Bernoulli(n.cfg.DropProbability) {
 		n.dropped++
@@ -56,8 +108,23 @@ func (n *network) send(v Vote, deliver func(Vote)) {
 	case n.cfg.MeanDelay > 0:
 		delay = n.rng.Exp(n.cfg.MeanDelay)
 	}
-	if _, err := n.sim.Schedule(delay, func() { deliver(v) }); err != nil {
+	m := n.slot()
+	m.vote, m.to = v, to
+	if err := n.sim.Rearm(&m.ev, delay, m.deliver); err != nil {
 		// Delays are generated non-negative; scheduling cannot fail.
 		panic(fmt.Sprintf("bftvote: schedule: %v", err))
 	}
+}
+
+// slot takes a free slot, making one when none is free.
+func (n *network) slot() *inflight {
+	if k := len(n.free) - 1; k >= 0 {
+		m := n.free[k]
+		n.free = n.free[:k]
+		return m
+	}
+	m := &inflight{net: n}
+	m.deliver = m.onDeliver
+	n.slots = append(n.slots, m)
+	return m
 }

@@ -47,6 +47,9 @@ func (c RoundConfig) Validate() error {
 	if c.Timeout <= 0 {
 		return errors.New("bftvote: timeout must be positive")
 	}
+	if err := des.CheckFinite("timeout", c.Timeout); err != nil {
+		return fmt.Errorf("bftvote: %w", err)
+	}
 	return c.Network.Validate()
 }
 
@@ -145,7 +148,8 @@ func Run(cfg RoundConfig, rng *des.RNG) (*RoundResult, error) {
 	}
 	n := len(cfg.Behaviors)
 	var sim des.Simulation
-	net := &network{cfg: cfg.Network, sim: &sim, rng: rng}
+	net := acquireNetwork(cfg.Network, &sim, rng)
+	defer net.release()
 
 	res := &RoundResult{Decisions: make([]Decision, n)}
 	replicas := make([]*replica, n)
@@ -197,12 +201,13 @@ func Run(cfg RoundConfig, rng *des.RNG) (*RoundResult, error) {
 					label = cfg.WrongLabel
 				}
 			}
-			target := replicas[j]
-			net.send(Vote{From: from, Label: label}, target.onVote)
+			net.send(Vote{From: from, Label: label}, replicas[j])
 		}
 	}
 
-	sim.RunUntil(cfg.Timeout)
+	if err := sim.RunUntil(cfg.Timeout); err != nil {
+		return nil, err
+	}
 	res.MessagesSent = net.sent
 	res.MessagesDropped = net.dropped
 	return res, nil

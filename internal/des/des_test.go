@@ -396,7 +396,7 @@ func TestClockMonotoneProperty(t *testing.T) {
 				return false
 			}
 		}
-		s.RunUntil(math.Inf(1))
+		drain(&s)
 		return ok
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
@@ -431,7 +431,7 @@ func TestEventHeapPopOrderProperty(t *testing.T) {
 			}
 			return want[i].seq < want[j].seq
 		})
-		s.RunUntil(math.Inf(1))
+		drain(&s)
 		if len(fired) != len(want) {
 			t.Fatalf("seed %d: fired %d events, want %d", seed, len(fired), len(want))
 		}
@@ -469,7 +469,7 @@ func TestEventHeapNestedScheduleProperty(t *testing.T) {
 		for i := 0; i < 20; i++ {
 			schedule()
 		}
-		s.RunUntil(math.Inf(1))
+		drain(&s)
 		done := make(map[*Handle]bool, len(fired))
 		for i, h := range fired {
 			done[h] = true
@@ -554,7 +554,7 @@ func TestEventHeapRearmCancelProperty(t *testing.T) {
 		for i := 0; i < 10; i++ {
 			mutate()
 		}
-		s.RunUntil(math.Inf(1))
+		drain(&s)
 		if len(live) != 0 || s.Pending() != 0 {
 			t.Fatalf("seed %d: %d live events never fired (Pending %d)", seed, len(live), s.Pending())
 		}

@@ -5,14 +5,28 @@
 // solvers.
 package des
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // RNG is a deterministic pseudo-random generator (xoshiro256** seeded via
 // splitmix64). It is not cryptographically secure; it exists so simulation
 // runs are reproducible from a seed and allocation-free.
+//
+// The 32 bytes of state are padded to a whole 64-byte cache line. Streams
+// forked back to back (Replicate's per-replication streams) are then
+// allocated in Go's 64-byte size class, whose objects start on a line
+// boundary, so two replications running on different cores never write
+// the same line: unpadded, neighbouring forks shared one, and every
+// Uint64 made it bounce between the cores.
 type RNG struct {
 	s [4]uint64
+	_ [cacheLine - 32]byte
 }
+
+// cacheLine is the cache-line size, in bytes, that RNG is padded to.
+const cacheLine = 64
 
 // NewRNG returns a generator seeded from seed.
 func NewRNG(seed uint64) *RNG {
@@ -71,25 +85,11 @@ func (r *RNG) Intn(n int) int {
 	bound := uint64(n)
 	for {
 		x := r.Uint64()
-		hi, lo := mul64(x, bound)
+		hi, lo := bits.Mul64(x, bound)
 		if lo >= bound || lo >= (-bound)%bound {
 			return int(hi)
 		}
 	}
-}
-
-// mul64 returns the 128-bit product of a and b as (hi, lo).
-func mul64(a, b uint64) (hi, lo uint64) {
-	const mask = 1<<32 - 1
-	aLo, aHi := a&mask, a>>32
-	bLo, bHi := b&mask, b>>32
-	t := aHi*bLo + (aLo*bLo)>>32
-	w1 := t & mask
-	w2 := t >> 32
-	w1 += aLo * bHi
-	hi = aHi*bHi + w2 + (w1 >> 32)
-	lo = a * b
-	return hi, lo
 }
 
 // Bernoulli returns true with probability p.

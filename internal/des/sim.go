@@ -2,11 +2,32 @@ package des
 
 import (
 	"errors"
+	"fmt"
 	"math"
 )
 
 // ErrTimeTravel is returned when an event is scheduled in the past.
 var ErrTimeTravel = errors.New("des: cannot schedule event in the past")
+
+// NonFiniteError reports a simulated time that is NaN or infinite, such as
+// a horizon the clock could never reach.
+type NonFiniteError struct {
+	Name  string // what the time is, e.g. "horizon"
+	Value float64
+}
+
+func (e *NonFiniteError) Error() string {
+	return fmt.Sprintf("%s = %g must be finite", e.Name, e.Value)
+}
+
+// CheckFinite returns a *NonFiniteError naming v when v is NaN or
+// infinite, and nil otherwise.
+func CheckFinite(name string, v float64) error {
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		return &NonFiniteError{Name: name, Value: v}
+	}
+	return nil
+}
 
 // Action is invoked when its event fires.
 type Action func()
@@ -117,18 +138,24 @@ func (s *Simulation) Step() bool {
 
 // RunUntil fires events in order until the clock reaches horizon or no
 // events remain. Events scheduled exactly at the horizon still fire; the
-// clock never exceeds the horizon.
-func (s *Simulation) RunUntil(horizon float64) {
+// clock never exceeds the horizon. A NaN or infinite horizon is refused
+// with a *NonFiniteError before any event fires: a run towards it would
+// never end while events keep re-arming.
+func (s *Simulation) RunUntil(horizon float64) error {
+	if err := CheckFinite("horizon", horizon); err != nil {
+		return fmt.Errorf("des: %w", err)
+	}
 	for len(s.events) > 0 {
 		if s.events[0].time > horizon {
 			s.now = horizon
-			return
+			return nil
 		}
 		s.Step()
 	}
 	if s.now < horizon {
 		s.now = horizon
 	}
+	return nil
 }
 
 // eventHeap is a binary min-heap of pending events ordered by (time, seq).

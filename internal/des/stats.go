@@ -76,20 +76,30 @@ func (a *Accumulator) Summarize() Summary {
 	}
 }
 
-// Replicate runs f for n independent replications in parallel and
-// summarizes the results. Each replication receives its index and a forked
-// RNG stream. All substreams are forked from the master serially before
-// any replication starts and the samples are accumulated in replication
-// order, so the summary is bit-identical at every worker count.
-func Replicate(n int, seed uint64, f func(rep int, rng *RNG) (float64, error)) (Summary, error) {
-	if n <= 0 {
-		return Summary{}, errors.New("des: replication count must be positive")
-	}
+// Streams forks n per-replication streams from a master seeded with seed,
+// serially and in replication order, so stream i is the same whatever
+// runs the replications. Each stream is its own cache line (see RNG), so
+// replications drawing from neighbouring streams on different cores do
+// not contend.
+func Streams(seed uint64, n int) []*RNG {
 	master := NewRNG(seed)
 	rngs := make([]*RNG, n)
 	for rep := range rngs {
 		rngs[rep] = master.Fork()
 	}
+	return rngs
+}
+
+// Replicate runs f for n independent replications in parallel and
+// summarizes the results. Each replication receives its index and its
+// stream from Streams. All streams are forked before any replication
+// starts and the samples are accumulated in replication order, so the
+// summary is bit-identical at every worker count.
+func Replicate(n int, seed uint64, f func(rep int, rng *RNG) (float64, error)) (Summary, error) {
+	if n <= 0 {
+		return Summary{}, errors.New("des: replication count must be positive")
+	}
+	rngs := Streams(seed, n)
 	values := make([]float64, n)
 	err := parallel.ForEach(n, func(rep int) error {
 		v, err := f(rep, rngs[rep])

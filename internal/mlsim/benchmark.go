@@ -142,22 +142,50 @@ func (c *Classifier) Rejuvenate() { c.attackNoise = 0 }
 // noise.
 func (c *Classifier) Compromised() bool { return c.attackNoise > 0 }
 
+// classifyBlock is how many classes Classify scores per pass over x.
+const classifyBlock = 4
+
 // Classify returns the predicted label for input x.
+//
+// Classes are scored classifyBlock at a time (dot4), each into its own
+// accumulator, so a block's additions form independent chains instead of
+// one dependent chain. Every score is still the in-order sum from +0, and
+// attack noise is drawn in label order: the label and the RNG stream are
+// those of scoring one class at a time.
 func (c *Classifier) Classify(x []float64) int {
 	best, bestScore := 0, math.Inf(-1)
-	for label, w := range c.weights {
-		var score float64
-		for d := range w {
-			score += w[d] * x[d]
-		}
-		if c.attackNoise > 0 {
-			score += c.attackNoise * gaussian(c.rng)
-		}
-		if score > bestScore {
-			best, bestScore = label, score
+	var scores [classifyBlock]float64
+	for lo := 0; lo < len(c.weights); lo += classifyBlock {
+		// A short last block repeats its last row to fill the pass.
+		rows := c.weights[lo:min(lo+classifyBlock, len(c.weights))]
+		last := len(rows) - 1
+		scores[0], scores[1], scores[2], scores[3] = dot4(rows[0], rows[min(1, last)], rows[min(2, last)], rows[min(3, last)], x)
+		for k, score := range scores[:len(rows)] {
+			if c.attackNoise > 0 {
+				score += c.attackNoise * gaussian(c.rng)
+			}
+			if score > bestScore {
+				best, bestScore = lo+k, score
+			}
 		}
 	}
 	return best
+}
+
+// dot4 returns w0·x … w3·x in one pass over x, each summed over
+// d = 0…len(w0)-1 in order from +0, so each is bit for bit the scalar dot
+// product. The rows must have equal length.
+func dot4(w0, w1, w2, w3, x []float64) (s0, s1, s2, s3 float64) {
+	n := len(w0)
+	w1, w2, w3, x = w1[:n], w2[:n], w3[:n], x[:n]
+	for d, v := range w0 {
+		xd := x[d]
+		s0 += v * xd
+		s1 += w1[d] * xd
+		s2 += w2[d] * xd
+		s3 += w3[d] * xd
+	}
+	return s0, s1, s2, s3
 }
 
 // EstimateInaccuracy measures a classifier's error rate over n sampled

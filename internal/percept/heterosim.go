@@ -41,6 +41,7 @@ func (c HeteroConfig) Validate() error {
 			errs = append(errs, fmt.Errorf("percept: version %d error rate %g outside [0,1]", i, p))
 		}
 	}
+	errs = append(errs, finiteTimes(c.Horizon, c.WarmUp, c.RequestInterval)...)
 	if c.Horizon <= 0 || c.WarmUp < 0 || c.WarmUp >= c.Horizon {
 		errs = append(errs, fmt.Errorf("percept: bad window [%g, %g]", c.WarmUp, c.Horizon))
 	}
@@ -109,7 +110,9 @@ func RunHeterogeneous(cfg HeteroConfig, rng *des.RNG) (voter.Tally, error) {
 	if _, err := h.sim.Schedule(cfg.WarmUp, func() { h.measuring = true }); err != nil {
 		return voter.Tally{}, err
 	}
-	h.sim.RunUntil(cfg.Horizon)
+	if err := h.sim.RunUntil(cfg.Horizon); err != nil {
+		return voter.Tally{}, err
+	}
 	return h.tally, nil
 }
 

@@ -12,6 +12,9 @@ import (
 // maxHorizon elapses. It returns the outage time, or a negative value when
 // censored by the horizon. The system must be fresh (not yet Run).
 func (s *System) RunUntilOutage(maxHorizon float64) (float64, error) {
+	if err := des.CheckFinite("max horizon", maxHorizon); err != nil {
+		return 0, fmt.Errorf("percept: %w", err)
+	}
 	if maxHorizon <= 0 {
 		return 0, fmt.Errorf("percept: max horizon %g must be positive", maxHorizon)
 	}

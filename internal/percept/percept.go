@@ -19,7 +19,6 @@ package percept
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"nvrel/internal/des"
 	"nvrel/internal/mlsim"
@@ -81,6 +80,7 @@ func (c Config) Validate() error {
 	if err := c.Params.Validate(c.Rejuvenation); err != nil {
 		errs = append(errs, err)
 	}
+	errs = append(errs, finiteTimes(c.Horizon, c.WarmUp, c.RequestInterval)...)
 	if c.Horizon <= 0 {
 		errs = append(errs, fmt.Errorf("percept: horizon = %g must be positive", c.Horizon))
 	}
@@ -102,6 +102,23 @@ func (c Config) Validate() error {
 		}
 	}
 	return errors.Join(errs...)
+}
+
+// finiteTimes returns a *des.NonFiniteError for each of the run's times
+// that is NaN or infinite: the clock never reaches such a horizon, and a
+// NaN warm-up or request interval slips past every range check.
+func finiteTimes(horizon, warmUp, requestInterval float64) []error {
+	var errs []error
+	for _, err := range []error{
+		des.CheckFinite("horizon", horizon),
+		des.CheckFinite("warm-up", warmUp),
+		des.CheckFinite("request interval", requestInterval),
+	} {
+		if err != nil {
+			errs = append(errs, fmt.Errorf("percept: %w", err))
+		}
+	}
+	return errs
 }
 
 // wrongLabelPolicy resolves the configured policy default.
@@ -173,7 +190,11 @@ type System struct {
 	firstOutage float64
 	scheme      reliability.Scheme
 
-	occupancy  map[[3]int]float64
+	// Time accrued per population state while measuring, indexed by
+	// stateIndex(healthy, compromised); visited marks each state that
+	// accrued time (possibly zero): the keys of Result.Occupancy.
+	occupancy  []float64
+	visited    []bool
 	lastState  [3]int
 	lastObs    float64
 	measuring  bool
@@ -210,7 +231,8 @@ func New(cfg Config, rng *des.RNG) (*System, error) {
 		errModel:  em,
 		rule:      rule,
 		rf:        rf,
-		occupancy: make(map[[3]int]float64, numStates(n)),
+		occupancy: make([]float64, (n+1)*(n+1)),
+		visited:   make([]bool, (n+1)*(n+1)),
 		healthy:   n,
 		labels:    make([]int, 0, n),
 		correct:   make([]bool, 0, n),
@@ -238,8 +260,8 @@ func New(cfg Config, rng *des.RNG) (*System, error) {
 }
 
 // numStates is the number of population states (i, j, k) with
-// i+j+k = n: the most occupancy entries a run can create, so maps sized
-// with it never grow and a run's allocations do not depend on how many
+// i+j+k = n: the most entries Result.Occupancy can hold, so the map sized
+// with it never grows and a run's allocations do not depend on how many
 // states its horizon happens to visit.
 func numStates(n int) int { return (n + 1) * (n + 2) / 2 }
 
@@ -268,7 +290,9 @@ func (s *System) Run() (*Result, error) {
 	if _, err := s.sim.Schedule(s.cfg.WarmUp, s.startMeasuring); err != nil {
 		return nil, err
 	}
-	s.sim.RunUntil(s.cfg.Horizon)
+	if err := s.sim.RunUntil(s.cfg.Horizon); err != nil {
+		return nil, err
+	}
 	return s.finish()
 }
 
@@ -294,39 +318,44 @@ func (s *System) finish() (*Result, error) {
 		return nil, errors.New("percept: measurement window is empty")
 	}
 	// Close the occupancy window at the horizon.
-	s.occupancy[s.lastState] += s.cfg.Horizon - s.lastObs
+	s.accrue(s.cfg.Horizon - s.lastObs)
 	s.lastObs = s.cfg.Horizon
 
+	n := s.cfg.Params.N
 	res := &Result{
 		Tally:       s.tally,
 		LabelTally:  s.labelTally,
-		Occupancy:   make(map[[3]int]float64, numStates(s.cfg.Params.N)),
+		Occupancy:   make(map[[3]int]float64, numStates(n)),
 		Requests:    s.requests,
 		FirstOutage: s.firstOutage,
 	}
-	// Sum in sorted state order so results are bit-for-bit reproducible
-	// across runs (map iteration order would perturb the last ulp).
-	states := make([][3]int, 0, len(s.occupancy))
-	for state := range s.occupancy {
-		states = append(states, state)
-	}
-	sort.Slice(states, func(a, b int) bool {
-		if states[a][0] != states[b][0] {
-			return states[a][0] < states[b][0]
-		}
-		if states[a][1] != states[b][1] {
-			return states[a][1] < states[b][1]
-		}
-		return states[a][2] < states[b][2]
-	})
+	// Sum in ascending (i, j) order, which is ascending (i, j, k) order
+	// because k = n-i-j: the reward is bit-for-bit reproducible.
 	var reward float64
-	for _, state := range states {
-		frac := s.occupancy[state] / window
-		res.Occupancy[state] = frac
-		reward += frac * s.rf(state[0], state[1], state[2])
+	for i := 0; i <= n; i++ {
+		for j := 0; i+j <= n; j++ {
+			at := stateIndex(n, i, j)
+			if !s.visited[at] {
+				continue
+			}
+			frac := s.occupancy[at] / window
+			res.Occupancy[[3]int{i, j, n - i - j}] = frac
+			reward += frac * s.rf(i, j, n-i-j)
+		}
 	}
 	res.AnalyticReward = reward
 	return res, nil
+}
+
+// stateIndex is the position of population state (i, j, n-i-j) in the
+// occupancy arrays.
+func stateIndex(n, i, j int) int { return i*(n+1) + j }
+
+// accrue adds dt of occupancy to the state being left, lastState.
+func (s *System) accrue(dt float64) {
+	at := stateIndex(s.cfg.Params.N, s.lastState[0], s.lastState[1])
+	s.occupancy[at] += dt
+	s.visited[at] = true
 }
 
 // stateTriple returns (healthy, compromised, failed+rejuvenating).
@@ -345,7 +374,7 @@ func (s *System) noteStateChange() {
 		return
 	}
 	now := s.sim.Now()
-	s.occupancy[s.lastState] += now - s.lastObs
+	s.accrue(now - s.lastObs)
 	s.lastObs = now
 	s.lastState = s.stateTriple()
 }

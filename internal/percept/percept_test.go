@@ -297,7 +297,8 @@ func TestAtMostRRejuvenating(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sys.Run(); err != nil {
+	res, err := sys.Run()
+	if err != nil {
 		t.Fatal(err)
 	}
 	// The invariant is structural: rejuvenating+failed can exceed r only
@@ -305,7 +306,7 @@ func TestAtMostRRejuvenating(t *testing.T) {
 	// never exceeds r. Check through the occupancy states: k counts
 	// failed + rejuvenating, so bound it by r + N (sanity) and verify no
 	// state has more down modules than the module count.
-	for state := range sys.occupancy {
+	for state := range res.Occupancy {
 		if state[2] < 0 || state[2] > cfg.Params.N {
 			t.Errorf("impossible down count in state %v", state)
 		}

@@ -40,14 +40,10 @@ func Replicate(cfg Config, n int, seed uint64) (*Estimate, error) {
 	if n <= 0 {
 		return nil, errors.New("percept: replication count must be positive")
 	}
-	// Fork every replication's RNG substream from the master serially, run
-	// the replications in parallel, and accumulate in replication order:
-	// the estimate is bit-identical at every worker count.
-	master := des.NewRNG(seed)
-	rngs := make([]*des.RNG, n)
-	for rep := range rngs {
-		rngs[rep] = master.Fork()
-	}
+	// Fork every replication's stream before any runs, run the
+	// replications in parallel, and accumulate in replication order: the
+	// estimate is bit-identical at every worker count.
+	rngs := des.Streams(seed, n)
 	results := make([]*Result, n)
 	err := parallel.ForEach(n, func(rep int) error {
 		span := metReplicationTime.Start()

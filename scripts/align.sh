@@ -36,6 +36,11 @@ kernels=(
     'nvrel/internal/linalg.rows8'
     'nvrel/internal/linalg.rowsLoop'
     'nvrel/internal/parallel.ForEachHardened'
+    'nvrel/internal/des.(*RNG).Uint64'
+    'nvrel/internal/des.(*RNG).Exp'
+    'nvrel/internal/des.(*Simulation).Step'
+    'nvrel/internal/mlsim.(*Classifier).Classify'
+    'nvrel/internal/percept.(*System).onRequest'
 )
 
 syms=$(go tool nm "$1")
