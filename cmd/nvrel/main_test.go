@@ -204,6 +204,28 @@ func TestCmdSimulateSmall(t *testing.T) {
 	}
 }
 
+// TestCmdSimulateRejectsBadRunLength: a replication count below one or a
+// horizon that is not finite and positive is an error naming the value,
+// never a silent run at the defaults.
+func TestCmdSimulateRejectsBadRunLength(t *testing.T) {
+	for _, c := range []struct{ flag, value, want string }{
+		{"-reps", "0", "replications = 0"},
+		{"-reps", "-3", "replications = -3"},
+		{"-horizon", "-5", "horizon = -5"},
+		{"-horizon", "0", "horizon = 0"},
+		{"-horizon", "NaN", "horizon = NaN"},
+		{"-horizon", "+Inf", "horizon = +Inf"},
+	} {
+		out, err := capture(t, "simulate", c.flag, c.value)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("simulate %s %s: err = %v, want one naming %q", c.flag, c.value, err, c.want)
+		}
+		if strings.Contains(out, "four-version") {
+			t.Errorf("simulate %s %s ran:\n%s", c.flag, c.value, out)
+		}
+	}
+}
+
 func TestPaperNetFile(t *testing.T) {
 	// The checked-in sample net must stay parseable and solvable.
 	out, err := capture(t, "analyze", "-net", "../../testdata/rejuvenation-toy.net")

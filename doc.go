@@ -11,7 +11,8 @@
 // This package is the public facade over the implementation packages:
 //
 //   - internal/petri: DSPN formalism and tangible reachability graphs
-//   - internal/ctmc, internal/mrgp, internal/linalg: stochastic solvers
+//   - internal/mrgp, internal/linalg: stochastic solvers (a plain CTMC is
+//     the no-tick case of the mrgp propagator and first passage)
 //   - internal/reliability: the paper's R_f4/R_f6 functions and a general
 //     dependent-error model
 //   - internal/nvp: the perception-system models (Figure 2)

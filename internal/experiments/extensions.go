@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 
 	"nvrel/internal/nvp"
 	"nvrel/internal/parallel"
@@ -103,14 +104,24 @@ type SimulationCheck struct {
 	Covered bool
 }
 
-// RunSimulationCheck simulates both architectures at the defaults and
-// compares them against the exact solvers.
-func RunSimulationCheck(replications int, horizon float64, seed uint64) ([]SimulationCheck, error) {
-	if replications <= 0 {
-		replications = 16
+// checkRunLength rejects a replication count below one and a horizon that
+// is not finite and positive, naming the value.
+func checkRunLength(replications int, horizon float64) error {
+	if replications < 1 {
+		return fmt.Errorf("experiments: replications = %d, want at least 1", replications)
 	}
-	if horizon <= 0 {
-		horizon = 2e6
+	if !(horizon > 0) || math.IsInf(horizon, 1) {
+		return fmt.Errorf("experiments: horizon = %g, want a finite positive number of seconds", horizon)
+	}
+	return nil
+}
+
+// RunSimulationCheck simulates both architectures at the defaults and
+// compares them against the exact solvers. It needs at least one
+// replication and a finite, positive horizon.
+func RunSimulationCheck(replications int, horizon float64, seed uint64) ([]SimulationCheck, error) {
+	if err := checkRunLength(replications, horizon); err != nil {
+		return nil, err
 	}
 	var out []SimulationCheck
 	memo := newSolveMemo()

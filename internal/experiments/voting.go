@@ -26,13 +26,11 @@ type VotingRow struct {
 // A.2/A.3; this experiment quantifies what that abstraction hides: under
 // benign errors wrong outputs rarely agree, so threshold voters almost
 // never emit an erroneous output, while adversarially coordinated errors
-// realize the counting rule's worst case.
+// realize the counting rule's worst case. It needs at least one
+// replication and a finite, positive horizon.
 func RunVoting(replications int, horizon float64, seed uint64) ([]VotingRow, error) {
-	if replications <= 0 {
-		replications = 8
-	}
-	if horizon <= 0 {
-		horizon = 1e6
+	if err := checkRunLength(replications, horizon); err != nil {
+		return nil, err
 	}
 	schemes := []voter.LabelScheme{
 		voter.Threshold{K: 4}, // the paper's 2f+r+1 threshold

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -59,6 +60,23 @@ func TestReportVotingOutput(t *testing.T) {
 	for _, want := range []string{"4-out-of-n", "majority", "plurality", "unanimity"} {
 		if !strings.Contains(joined, want) {
 			t.Errorf("missing scheme %s in %s", want, joined)
+		}
+	}
+}
+
+// TestRunLengthValidation: both simulation experiments refuse a
+// replication count below one and a horizon that is not finite and
+// positive.
+func TestRunLengthValidation(t *testing.T) {
+	for _, c := range []struct {
+		reps    int
+		horizon float64
+	}{{0, 1e5}, {-1, 1e5}, {2, 0}, {2, -5}, {2, math.NaN()}, {2, math.Inf(1)}} {
+		if _, err := RunVoting(c.reps, c.horizon, 1); err == nil {
+			t.Errorf("RunVoting(%d, %g) accepted", c.reps, c.horizon)
+		}
+		if _, err := RunSimulationCheck(c.reps, c.horizon, 1); err == nil {
+			t.Errorf("RunSimulationCheck(%d, %g) accepted", c.reps, c.horizon)
 		}
 	}
 }

@@ -154,9 +154,13 @@ func SteadyStateLU(q *Dense) ([]float64, error) {
 	return pi, nil
 }
 
-// CheckGenerator validates that q is a CTMC generator: non-negative
-// off-diagonals and rows summing to zero within tol.
+// CheckGenerator validates that q is a CTMC generator: every entry
+// finite, non-negative off-diagonals and rows summing to zero within tol.
+// A violation comes back as a *SolveError at site "linalg.generator" whose
+// Index is the offending entry (row-major) or, for a row-sum defect, the
+// row.
 func CheckGenerator(q *Dense, tol float64) error {
+	const site = "linalg.generator"
 	rows, cols := q.Dims()
 	if rows != cols {
 		return ErrDimensionMismatch
@@ -165,13 +169,18 @@ func CheckGenerator(q *Dense, tol float64) error {
 		var s float64
 		for j := 0; j < cols; j++ {
 			v := q.At(i, j)
-			if i != j && v < 0 {
-				return fmt.Errorf("linalg: negative off-diagonal Q[%d,%d]=%g", i, j, v)
+			switch {
+			case math.IsNaN(v):
+				return &SolveError{Site: site, Kind: FailNaN, Index: i*cols + j, Value: v}
+			case math.IsInf(v, 0):
+				return &SolveError{Site: site, Kind: FailInf, Index: i*cols + j, Value: v}
+			case i != j && v < 0:
+				return &SolveError{Site: site, Kind: FailGenerator, Index: i*cols + j, Value: v}
 			}
 			s += v
 		}
 		if math.Abs(s) > tol {
-			return fmt.Errorf("linalg: generator row %d sums to %g (tol %g)", i, s, tol)
+			return &SolveError{Site: site, Kind: FailGenerator, Index: i, Value: s, Residual: math.Abs(s)}
 		}
 	}
 	return nil

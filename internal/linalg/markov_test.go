@@ -187,6 +187,32 @@ func TestCheckGenerator(t *testing.T) {
 	}
 }
 
+// TestCheckGeneratorTypedErrors: every violation is a *SolveError at the
+// generator site, classified, with the offending entry or row; a NaN rate
+// fails too, though it makes no row sum exceed the tolerance.
+func TestCheckGeneratorTypedErrors(t *testing.T) {
+	good := birthDeathGenerator(3, 1, 2)
+	for _, c := range []struct {
+		name  string
+		i, j  int
+		v     float64
+		kind  FailureKind
+		index int
+	}{
+		{"nan", 1, 2, math.NaN(), FailNaN, 5},
+		{"inf", 0, 1, math.Inf(1), FailInf, 1},
+		{"negative", 2, 1, -2, FailGenerator, 7},
+		{"row sum", 1, 1, -1, FailGenerator, 1},
+	} {
+		q := good.Clone()
+		q.Set(c.i, c.j, c.v)
+		se, ok := AsSolveError(CheckGenerator(q, 1e-12))
+		if !ok || se.Site != "linalg.generator" || se.Kind != c.kind || se.Index != c.index {
+			t.Errorf("%s: err = %v, want a %s error at index %d", c.name, se, c.kind, c.index)
+		}
+	}
+}
+
 func TestNormalizeAndSumAndDot(t *testing.T) {
 	v := []float64{1, 3}
 	Normalize(v)

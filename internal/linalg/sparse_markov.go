@@ -17,18 +17,18 @@ var ErrNotConverged = errors.New("linalg: iterative solver did not converge")
 // SparseThreshold is the state count at and above which the CTMC
 // steady-state routing prefers sparse Gauss-Seidel over dense GTH. Below
 // it the dense direct method wins on constant factors; above it the
-// sparse kernels' O(nnz) sweeps and O(n) memory dominate. The default was
+// sparse kernels' O(nnz) sweeps and O(n) memory dominate. The value was
 // chosen from the BENCH_scale.json curves: the CTMC steady state crosses
 // over at ~153 states, so 160 sits in the tie band where no family loses
-// measurably. The same count gates warm-start seeding (nvp.WarmRegistry)
-// and picks the matrix form of the MRGP transient pair. Transient vector
-// series take no route: they always run the CSR kernels, which win at
-// every size. The clock-synchronous MRGP solve does not read it: its
-// crossover depends on rate*tau rather than on the state count (at 70
-// states the sparse route is ~4x faster at tau = 100 s and ~20x slower at
-// 3000 s), so mrgp.Solve routes each solve by estimated cost (DESIGN.md
-// section 7).
-var SparseThreshold = 160
+// measurably. The same count gates warm-start seeding (nvp.WarmRegistry),
+// and nothing else reads it. Transient vector series take no route: they
+// always run the CSR kernels, which win at every size. The MRGP transient
+// matrix pair takes none either: it is dense scaling and doubling at every
+// size (DESIGN.md section 7). The clock-synchronous MRGP solve routes each
+// solve by estimated cost instead, because its crossover depends on
+// rate*tau rather than on the state count (at 70 states the sparse route
+// is ~4x faster at tau = 100 s and ~20x slower at 3000 s).
+const SparseThreshold = 160
 
 // GS iteration limits. The tolerance is on the L1 change of the iterate per
 // sweep relative to its L1 norm; the stall detection accepts the attainable

@@ -137,11 +137,19 @@ func TestSolveRoutesByCost(t *testing.T) {
 	}
 }
 
-// TestTransientPairCSRMatchesDense: the CSR-subordinated series must match
-// the dense scaling-and-doubling pair to 1e-12 entrywise.
-func TestTransientPairCSRMatchesDense(t *testing.T) {
+// TestTransientPairMatchesVectorSeries: row i of the doubled matrix pair
+// must match the CSR vector series started from the unit vector e_i, to
+// 1e-12 entrywise, on random sparse generators and on a clocked population
+// of 171 states, above linalg.SparseThreshold: the pair takes the same
+// dense form at every size.
+func TestTransientPairMatchesVectorSeries(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	ws := linalg.NewWorkspace()
+	type tcase struct {
+		q        *linalg.Dense
+		horizons []float64
+	}
+	var cases []tcase
 	for rep := 0; rep < 8; rep++ {
 		n := 2 + rng.Intn(25)
 		q := linalg.NewDense(n, n)
@@ -156,29 +164,49 @@ func TestTransientPairCSRMatchesDense(t *testing.T) {
 				add(j)
 			}
 		}
-		for _, horizon := range []float64{0.5, 20, 400} {
-			tmD, umD, err := transientPairDense(ws, q, horizon)
+		cases = append(cases, tcase{q, []float64{0.5, 20, 400}})
+	}
+	pop := explore(t, buildClockedPopulation(t, 17, 30))
+	if pop.NumStates() < linalg.SparseThreshold {
+		t.Fatalf("population has %d states, want at least %d", pop.NumStates(), linalg.SparseThreshold)
+	}
+	qp, err := pop.Generator()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases = append(cases, tcase{qp, []float64{30, 600}})
+
+	for c, tc := range cases {
+		n, _ := tc.q.Dims()
+		qt := linalg.CSRFromDenseT(tc.q)
+		unit := make([]float64, n)
+		for _, horizon := range tc.horizons {
+			tm, um, err := transientPair(ws, tc.q, horizon)
 			if err != nil {
-				t.Fatalf("dense: %v", err)
-			}
-			tmS, umS, err := transientPairCSR(ws, linalg.CSRFromDenseT(q), horizon)
-			if err != nil {
-				t.Fatalf("csr: %v", err)
+				t.Fatalf("case %d t=%g: %v", c, horizon, err)
 			}
 			for i := 0; i < n; i++ {
+				clear(unit)
+				unit[i] = 1
+				tRow, err := ws.UniformizedPowerCSR(qt, unit, horizon, 0, 1e-13, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				uRow, err := ws.UniformizedIntegralCSR(qt, unit, horizon, 0, 1e-13, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
 				for j := 0; j < n; j++ {
-					if d := math.Abs(tmS.At(i, j) - tmD.At(i, j)); d > 1e-12 {
-						t.Fatalf("rep %d t=%g: T[%d][%d] differs by %g", rep, horizon, i, j, d)
+					if d := math.Abs(tRow[j] - tm.At(i, j)); d > 1e-12 {
+						t.Fatalf("case %d (%d states) t=%g: T[%d][%d] differs by %g", c, n, horizon, i, j, d)
 					}
-					if d := math.Abs(umS.At(i, j) - umD.At(i, j)); d > 1e-12*(1+horizon) {
-						t.Fatalf("rep %d t=%g: U[%d][%d] differs by %g", rep, horizon, i, j, d)
+					if d := math.Abs(uRow[j] - um.At(i, j)); d > 1e-12*(1+horizon) {
+						t.Fatalf("case %d (%d states) t=%g: U[%d][%d] differs by %g", c, n, horizon, i, j, d)
 					}
 				}
 			}
-			ws.PutMat(tmD)
-			ws.PutMat(umD)
-			ws.PutMat(tmS)
-			ws.PutMat(umS)
+			ws.PutMat(tm)
+			ws.PutMat(um)
 		}
 	}
 }

@@ -9,22 +9,10 @@ import (
 const transientTarget = 32
 
 // transientPair computes T = e^{Q t} and U = Integral_0^t e^{Q s} ds as
-// matrices. Both come from ws (nil allocates); release them with ws.PutMat.
-// State spaces of linalg.SparseThreshold states or more subordinate the
-// series through the CSR kernels (O(n*nnz) per term with no dense-dense
-// products); smaller ones use the dense scaling-and-doubling path.
+// matrices by dense scaling and doubling: U(t) is derived from the
+// retained squarings (see squarings.integral). Both come from ws (nil
+// allocates); release them with ws.PutMat.
 func transientPair(ws *linalg.Workspace, q *linalg.Dense, t float64) (tm, um *linalg.Dense, err error) {
-	if n, _ := q.Dims(); n >= linalg.SparseThreshold {
-		qt := ws.CSRFromDenseT(q)
-		defer ws.PutCSR(qt)
-		return transientPairCSR(ws, qt, t)
-	}
-	return transientPairDense(ws, q, t)
-}
-
-// transientPairDense computes the pair with dense scaling and doubling:
-// U(t) is derived from the retained squarings (see squarings.integral).
-func transientPairDense(ws *linalg.Workspace, q *linalg.Dense, t float64) (tm, um *linalg.Dense, err error) {
 	sq, err := newSquarings(ws, q, t, true)
 	if err != nil {
 		return nil, nil, err
@@ -232,76 +220,5 @@ func uniformizedPair(ws *linalg.Workspace, q *linalg.Dense, rate, t float64, wit
 		}
 		power, next = next, power
 	}
-	return tm, um, nil
-}
-
-// transientPairCSR evaluates both series at the full horizon with the
-// matrix powers subordinated through the sparse kernel: each term costs
-// O(n*nnz) instead of the dense product's O(n^3), so skipping the doubling
-// shortcut (whose squarings are dense-dense) is a net win once the
-// generator is sparse. qt is the transpose of the generator in CSR form;
-// P = I + Q/rate is formed on the same pattern, as Pᵀ, which is what
-// Dense.MulCSCInto gathers over. tm and um come from ws; release them with
-// ws.PutMat.
-func transientPairCSR(ws *linalg.Workspace, qt *linalg.CSR, t float64) (tm, um *linalg.Dense, err error) {
-	n, _ := qt.Dims()
-	rate := linalg.UniformizationRate(qt.MaxAbsDiag())
-	if rate == 0 || t == 0 {
-		tm = ws.Mat(n, n)
-		um = ws.Mat(n, n)
-		for i := 0; i < n; i++ {
-			tm.Set(i, i, 1)
-			um.Set(i, i, t)
-		}
-		return tm, um, nil
-	}
-
-	// Pᵀ = I + Qᵀ/rate, kept in CSR form (same pattern as Qᵀ).
-	pt := ws.CSR(n, n, qt.NNZ())
-	defer ws.PutCSR(pt)
-	copy(pt.RowPtr, qt.RowPtr)
-	copy(pt.ColIdx, qt.ColIdx)
-	for i := 0; i < n; i++ {
-		for k := qt.RowPtr[i]; k < qt.RowPtr[i+1]; k++ {
-			v := qt.Vals[k] / rate
-			if qt.ColIdx[k] == i {
-				v++
-			}
-			pt.Vals[k] = v
-		}
-	}
-
-	weights, right := ws.Poisson(rate*t, truncationEpsilon)
-	tail := ws.Vec(right + 1)
-	acc := 0.0
-	for k := 0; k <= right; k++ {
-		acc += weights[k]
-		tail[k] = 1 - acc
-		if tail[k] < 0 {
-			tail[k] = 0
-		}
-	}
-
-	tm = ws.Mat(n, n)
-	um = ws.Mat(n, n)
-	power := ws.Mat(n, n) // P^k
-	next := ws.Mat(n, n)
-	for i := 0; i < n; i++ {
-		power.Set(i, i, 1)
-	}
-	for k := 0; k <= right; k++ {
-		tm.AddScaled(power, weights[k])
-		um.AddScaled(power, tail[k]/rate)
-		if k == right {
-			break
-		}
-		if err := next.MulCSCInto(power, pt); err != nil {
-			return nil, nil, err
-		}
-		power, next = next, power
-	}
-	ws.PutMat(power)
-	ws.PutMat(next)
-	ws.PutVec(tail)
 	return tm, um, nil
 }

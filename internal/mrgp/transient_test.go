@@ -160,7 +160,7 @@ func TestSquaringsOccupancy(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s occupancy: %v", c.name, err)
 		}
-		_, um, err := transientPairDense(ws, c.q, c.horizon)
+		_, um, err := transientPair(ws, c.q, c.horizon)
 		if err != nil {
 			t.Fatalf("%s pair: %v", c.name, err)
 		}

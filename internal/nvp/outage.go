@@ -3,7 +3,6 @@ package nvp
 import (
 	"errors"
 
-	"nvrel/internal/ctmc"
 	"nvrel/internal/mrgp"
 )
 
@@ -15,31 +14,16 @@ import (
 // correct, erroneous, or deliberately skipped; after it the voter is
 // structurally silent until a repair completes.
 //
-// The CTMC architecture is solved as a CTMC first passage, the clocked
-// one as an MRGP first passage over clock epochs (mrgp.MeanTimeToTarget).
-// The waits-for-wave clock is outside the MRGP class and returns
+// Both architectures go through mrgp.MeanTimeToTarget: the CTMC one as
+// its no-tick case, the clocked one over clock epochs. The waits-for-wave
+// clock is outside the MRGP class and returns
 // mrgp.ErrClockNotAlwaysEnabled.
 func (m *Model) MeanTimeToVoterOutage() (float64, error) {
 	target, err := m.outageTarget()
 	if err != nil {
 		return 0, err
 	}
-	if m.Arch == WithRejuvenation {
-		return mrgp.MeanTimeToTarget(nil, nil, m.Graph, target)
-	}
-	q, err := m.Graph.Generator()
-	if err != nil {
-		return 0, err
-	}
-	chain, err := ctmc.FromGenerator(q)
-	if err != nil {
-		return 0, err
-	}
-	fp, err := ctmc.NewFirstPassage(chain, target)
-	if err != nil {
-		return 0, err
-	}
-	return fp.MeanTimeFrom(m.Graph.Initial)
+	return mrgp.MeanTimeToTarget(nil, nil, m.Graph, target)
 }
 
 // outageTarget flags the markings in which the voter is structurally
