@@ -107,11 +107,19 @@ type SimulationCheck struct {
 // checkRunLength rejects a replication count below one and a horizon that
 // is not finite and positive, naming the value.
 func checkRunLength(replications int, horizon float64) error {
-	if replications < 1 {
-		return fmt.Errorf("experiments: replications = %d, want at least 1", replications)
+	if err := checkReplications(replications); err != nil {
+		return err
 	}
 	if !(horizon > 0) || math.IsInf(horizon, 1) {
 		return fmt.Errorf("experiments: horizon = %g, want a finite positive number of seconds", horizon)
+	}
+	return nil
+}
+
+// checkReplications rejects a replication count below one, naming it.
+func checkReplications(replications int) error {
+	if replications < 1 {
+		return fmt.Errorf("experiments: replications = %d, want at least 1", replications)
 	}
 	return nil
 }

@@ -35,10 +35,11 @@ type HeteroResult struct {
 }
 
 // RunHetero measures per-version accuracies on the synthetic benchmark
-// and evaluates the four-version system both ways.
+// and evaluates the four-version system both ways. The simulated check
+// needs at least one replication.
 func RunHetero(replications int, seed uint64) (*HeteroResult, error) {
-	if replications <= 0 {
-		replications = 16
+	if err := checkReplications(replications); err != nil {
+		return nil, err
 	}
 	bench, err := mlsim.NewSignBenchmark(mlsim.DefaultBenchmarkConfig())
 	if err != nil {

@@ -25,10 +25,11 @@ type OutageResult struct {
 	SixVersionExact float64
 }
 
-// RunOutage computes E14.
+// RunOutage computes E14. The four-version cross-check needs at least one
+// replication.
 func RunOutage(replications int, seed uint64) (*OutageResult, error) {
-	if replications <= 0 {
-		replications = 24
+	if err := checkReplications(replications); err != nil {
+		return nil, err
 	}
 	m4, err := nvp.BuildNoRejuvenation(nvp.DefaultFourVersion())
 	if err != nil {

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -77,6 +78,21 @@ func TestRunLengthValidation(t *testing.T) {
 		}
 		if _, err := RunSimulationCheck(c.reps, c.horizon, 1); err == nil {
 			t.Errorf("RunSimulationCheck(%d, %g) accepted", c.reps, c.horizon)
+		}
+	}
+}
+
+// TestReplicationCountValidation: the outage and heterogeneity
+// experiments refuse a replication count below one with the error that
+// names it, instead of substituting a default.
+func TestReplicationCountValidation(t *testing.T) {
+	for _, reps := range []int{0, -1} {
+		want := fmt.Sprintf("replications = %d", reps)
+		if _, err := RunOutage(reps, 1); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("RunOutage(%d): err = %v, want one naming %q", reps, err, want)
+		}
+		if _, err := RunHetero(reps, 1); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("RunHetero(%d): err = %v, want one naming %q", reps, err, want)
 		}
 	}
 }

@@ -164,7 +164,7 @@ func (c *CSR) Dense() *Dense {
 // the bits are the scatter's whenever the operands are finite (a zero
 // x[i] the scatter skipped adds a signed zero, which leaves the sum
 // unchanged). The uniformization series gather the same way over a
-// row-class copy of the rows (see fixedRows).
+// chunked copy of the rows (see sellRows).
 func (c *CSR) MulVecInto(dst, x []float64) error {
 	if len(x) != c.cols || len(dst) != c.rows {
 		return ErrDimensionMismatch

@@ -12,8 +12,7 @@ import (
 // TestFusedSeriesMatchesThreePassBitsE12 runs the fused-series bit check
 // of TestFusedSeriesMatchesThreePassBits on the real generators of the
 // architecture enumeration (E12): every six-version design with r >= 1 up
-// to N = 9. The r >= 2 designs are the ones renumbered into exact-width
-// classes, with up to 395 states and rows up to 12 entries wide.
+// to N = 9, with up to 395 states and rows up to 12 entries wide.
 func TestFusedSeriesMatchesThreePassBitsE12(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	maxStates, maxWidth := 0, 0
@@ -31,7 +30,7 @@ func TestFusedSeriesMatchesThreePassBitsE12(t *testing.T) {
 			}
 			states, _ := qt.Dims()
 			maxStates = max(maxStates, states)
-			maxWidth = max(maxWidth, linalg.CheckRowClassLayout(t, qt))
+			maxWidth = max(maxWidth, linalg.CheckChunkLayout(t, qt))
 			linalg.CheckFusedMatchesThreePass(t, rng, fmt.Sprintf("E12 N=%d r=%d (%d states)", n, r, states), qt)
 		}
 	}

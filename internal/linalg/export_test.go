@@ -2,22 +2,19 @@ package linalg
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
-// CheckFusedMatchesThreePass and CheckRowClassLayout give the external
+// CheckFusedMatchesThreePass and CheckChunkLayout give the external
 // tests, which build generators from the model packages, the series bit
-// check and the class-layout check of kernel_test.go.
+// check and the chunk-layout check of kernel_test.go.
 func CheckFusedMatchesThreePass(t *testing.T, rng *rand.Rand, name string, qt *CSR) {
 	checkFusedMatchesThreePass(t, rng, name, qt)
 }
 
-// CheckRowClassLayout checks qt's layout and returns its widest class
+// CheckChunkLayout checks qt's layout and returns its widest chunk
 // width.
-func CheckRowClassLayout(t *testing.T, qt *CSR) int {
-	widest := 0
-	for _, c := range checkRowClasses(t, qt).classes {
-		widest = max(widest, (c.end-c.off)/(c.hi-c.lo))
-	}
-	return widest
+func CheckChunkLayout(t *testing.T, qt *CSR) int {
+	return int(slices.Max(checkChunkLayout(t, qt).widths))
 }

@@ -358,15 +358,14 @@ func signedVector(rng *rand.Rand, n int) []float64 {
 	return x
 }
 
-// TestFusedSeriesMatchesThreePassBits: the fused row-class step
-// reproduces the three-pass series bit for bit. The generators cover
-// every row width 1..7 — one padded class for the narrow ones, exact-width
-// classes with the unrolled bodies and renumbered states for the rest,
-// stored zero diagonals in all of them — plus a hub row wide enough for
-// the loop body. Start vectors are signed, and the series stop at P^0,
-// P^1, P^3 and P^40; both public kernels are then checked against the
-// reference at full Poisson length. The six-version E12 generators get
-// the same check in TestFusedSeriesMatchesThreePassBitsE12.
+// TestFusedSeriesMatchesThreePassBits: the fused chunk step reproduces
+// the three-pass series bit for bit. The generators cover every row
+// width 1..7, renumbered into chunks of 8 rows padded to the chunk's
+// widest, with stored zero diagonals in all of them, plus a hub row as
+// wide as the model. Start vectors are signed, and the series stop at
+// P^0, P^1, P^3 and P^40; both public kernels are then checked against
+// the reference at full Poisson length. The six-version E12 generators
+// get the same check in TestFusedSeriesMatchesThreePassBitsE12.
 func TestFusedSeriesMatchesThreePassBits(t *testing.T) {
 	rng := rand.New(rand.NewSource(25))
 	type tc struct {
@@ -380,66 +379,131 @@ func TestFusedSeriesMatchesThreePassBits(t *testing.T) {
 	cases = append(cases, tc{40, 3, true})
 	for _, c := range cases {
 		qt := randomWidthCSR(rng, c.n, c.maxWidth, c.hub)
-		l := checkRowClasses(t, qt)
-		if last := l.classes[len(l.classes)-1]; c.hub && (len(l.perm) == 0 || last.end-last.off != c.n) {
-			t.Fatalf("hub n=%d: classes %+v, want the hub row in a class of its own", c.n, l.classes)
+		l := checkChunkLayout(t, qt)
+		if c.hub && (l.perm[c.n-1] != 0 || l.widths[len(l.widths)-1] != int32(c.n)) {
+			t.Fatalf("hub n=%d: last series row is state %d in a chunk %d wide, want the hub row 0 in a chunk %d wide",
+				c.n, l.perm[c.n-1], l.widths[len(l.widths)-1], c.n)
 		}
 		checkFusedMatchesThreePass(t, rng, fmt.Sprintf("n=%d width=%d hub=%v", c.n, c.maxWidth, c.hub), qt)
 	}
 }
 
-// checkRowClasses lays qt out and checks the class layout: either one
-// padded class in state order, allowed only while padding adds at most
-// half the stored entries, or exact-width classes in ascending width
-// over a stable renumbering, with no padding. It returns the layout.
-func checkRowClasses(t *testing.T, qt *CSR) *fixedRows {
+// checkChunkLayout lays qt out and checks the SELL-8 layout: the states
+// renumbered stably by stored width, one chunk per 8 series rows as wide
+// as its widest row (at least 1), each row's stored entries in storage
+// order with series-numbered columns, and every other slot a pad (its
+// own row, +0). It returns the layout.
+func checkChunkLayout(t *testing.T, qt *CSR) *sellRows {
 	t.Helper()
 	n, _ := qt.Dims()
-	nnz := qt.NNZ()
 	width := func(i int) int { return qt.RowPtr[i+1] - qt.RowPtr[i] }
-	widest := 0
-	for i := 0; i < n; i++ {
-		widest = max(widest, width(i))
+	l := NewWorkspace().sellRows(qt)
+	if len(l.perm) != n {
+		t.Fatalf("n=%d: %d series rows", n, len(l.perm))
 	}
-	l := NewWorkspace().fixedRows(qt)
-	if len(l.perm) == 0 {
-		if 2*n*widest > 3*nnz {
-			t.Fatalf("n=%d: one padded class of %d slots over %d entries", n, n*widest, nnz)
-		}
-		if c := l.classes; len(c) != 1 || c[0].lo != 0 || c[0].hi != n || c[0].end != n*widest {
-			t.Fatalf("n=%d: padded layout classes %+v, want one of %d rows x %d", n, c, n, widest)
-		}
-		return l
-	}
-	if 2*n*widest <= 3*nnz {
-		t.Fatalf("n=%d: renumbered although padding to width %d fits", n, widest)
-	}
-	if len(l.idx) != nnz {
-		t.Fatalf("n=%d: %d slots for %d entries, want no padding", n, len(l.idx), nnz)
-	}
+	series := make([]int32, n)
 	seen := make([]bool, n)
-	lo, off, prev := 0, 0, -1
-	for _, c := range l.classes {
-		if c.lo != lo || c.off != off || c.hi <= c.lo || (c.end-c.off)%(c.hi-c.lo) != 0 {
-			t.Fatalf("n=%d: class %+v does not continue at row %d slot %d", n, c, lo, off)
+	for p, s := range l.perm {
+		i := int(s)
+		if i < 0 || i >= n || seen[i] {
+			t.Fatalf("n=%d: series row %d is state %d, not a permutation", n, p, i)
 		}
-		w := (c.end - c.off) / (c.hi - c.lo)
-		if w <= prev {
-			t.Fatalf("n=%d: class width %d after %d", n, w, prev)
+		seen[i], series[i] = true, int32(p)
+		if p == 0 {
+			continue
 		}
-		for p := c.lo; p < c.hi; p++ {
-			i := int(l.perm[p])
-			if seen[i] || width(i) != w || (p > c.lo && i < int(l.perm[p-1])) {
-				t.Fatalf("n=%d: series row %d is state %d of width %d in the width-%d class", n, p, i, width(i), w)
-			}
-			seen[i] = true
+		if prev := int(l.perm[p-1]); width(prev) > width(i) || width(prev) == width(i) && prev > i {
+			t.Fatalf("n=%d: series rows %d, %d are states %d (width %d), %d (width %d): not stable by width",
+				n, p-1, p, prev, width(prev), i, width(i))
 		}
-		lo, off, prev = c.hi, c.end, w
 	}
-	if lo != n {
-		t.Fatalf("n=%d: classes cover %d rows", n, lo)
+	if want := (n + chunk - 1) / chunk; len(l.widths) != want {
+		t.Fatalf("n=%d: %d chunks, want %d", n, len(l.widths), want)
+	}
+	off := 0
+	for c, w := range l.widths {
+		widest := 1
+		for p := c * chunk; p < min(n, (c+1)*chunk); p++ {
+			widest = max(widest, width(int(l.perm[p])))
+		}
+		if int(w) != widest {
+			t.Fatalf("n=%d: chunk %d is %d wide, its widest row %d", n, c, w, widest)
+		}
+		for lane := 0; lane < chunk; lane++ {
+			p := c*chunk + lane
+			stored := 0
+			if p < n {
+				i := int(l.perm[p])
+				stored = width(i)
+				for k := 0; k < stored; k++ {
+					q, slot := qt.RowPtr[i]+k, off+k*chunk+lane
+					if l.idx[slot] != series[qt.ColIdx[q]] || math.Float64bits(l.vals[slot]) != math.Float64bits(qt.Vals[q]) {
+						t.Fatalf("n=%d: row %d slot %d holds (%d, %v), want (%d, %v)",
+							n, p, k, l.idx[slot], l.vals[slot], series[qt.ColIdx[q]], qt.Vals[q])
+					}
+				}
+			}
+			for k := stored; k < int(w); k++ {
+				slot := off + k*chunk + lane
+				if l.idx[slot] != int32(p) || math.Float64bits(l.vals[slot]) != 0 {
+					t.Fatalf("n=%d: pad slot %d of row %d holds (%d, %v), want (%d, +0)", n, k, p, l.idx[slot], l.vals[slot], p)
+				}
+			}
+		}
+		off += int(w) * chunk
+	}
+	if len(l.idx) != off || len(l.vals) != off {
+		t.Fatalf("n=%d: %d index and %d value slots, chunks hold %d", n, len(l.idx), len(l.vals), off)
 	}
 	return l
+}
+
+// TestSeriesBodiesMatchGoBits: every series body this host supports runs
+// a term bit for bit like the portable chunksGo, on layouts with chunk
+// widths 1-12, sizes with and without a partial last chunk, with and
+// without a hub row, stored values of +0, -0 and subnormal magnitude,
+// and start and accumulator vectors of mixed sign with subnormal entries.
+func TestSeriesBodiesMatchGoBits(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	bodies := hostBodies()
+	for _, b := range bodies {
+		t.Logf("host body %s", b.name)
+	}
+	sprinkle := func(v []float64) {
+		for k := range v {
+			switch rng.Intn(8) {
+			case 0:
+				v[k] = math.Copysign(0, -1)
+			case 1:
+				v[k] = 0
+			case 2:
+				v[k] = math.Copysign(rng.Float64()*0x1p-1022, rng.NormFloat64())
+			}
+		}
+	}
+	for _, n := range []int{1, 7, 9, 70, 71} {
+		for w := 1; w <= 12; w++ {
+			for _, hub := range []bool{false, true} {
+				qt := randomWidthCSR(rng, n, min(w, n), hub)
+				sprinkle(qt.Vals)
+				l := NewWorkspace().sellRows(qt)
+				size := len(l.widths) * chunk
+				x, dst0 := signedVector(rng, size), signedVector(rng, size)
+				sprinkle(x)
+				sprinkle(dst0)
+				weight, invRate := rng.Float64(), 1/(1+rng.Float64())
+				wantNext, wantDst := make([]float64, size), slices.Clone(dst0)
+				chunksGo(l.idx, l.vals, l.widths, x, wantNext, wantDst, weight, invRate)
+				for _, b := range bodies {
+					name := fmt.Sprintf("%s n=%d width=%d hub=%v", b.name, n, w, hub)
+					next, dst := make([]float64, size), slices.Clone(dst0)
+					b.run(l.idx, l.vals, l.widths, x, next, dst, weight, invRate)
+					sameBits(t, name+" next", next, wantNext)
+					sameBits(t, name+" dst", dst, wantDst)
+				}
+			}
+		}
+	}
 }
 
 // checkFusedMatchesThreePass checks ws.series and both public kernels on

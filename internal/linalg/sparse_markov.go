@@ -213,7 +213,7 @@ func driftGS(dst []float64) {
 // which is algebraically cur * (I + Q/rate). qt is the TRANSPOSE of Q in
 // CSR form (petri.Graph.GeneratorCSRTranspose, CSRFromDenseT or
 // TransposeCSR), so cur * Q is a register gather over qt's rows, run as
-// the fused row-class pass of Workspace.series. rate must be >=
+// the fused chunk pass of Workspace.series. rate must be >=
 // max_i |Q[i,i]|; pass 0 to derive it from the (materialized) diagonal,
 // which the transpose shares.
 // The result is written into dst when non-nil (length n). All scratch

@@ -1,7 +1,7 @@
 package linalg
 
 // Workspace recycles the scratch storage of the iterative kernels —
-// uniformization vectors and matrices, the series' row-class copy of
+// uniformization vectors and matrices, the series' chunked copy of
 // the generator, GTH elimination copies — and memoizes Poisson weight vectors keyed on (lambda, epsilon). Solving the
 // same-sized model repeatedly (every sweep in the evaluation is exactly
 // that) then runs allocation-free after the first solve.
@@ -14,7 +14,7 @@ type Workspace struct {
 	mats    map[matDim][]*Dense
 	csrs    map[csrDim][]*CSR
 	poisson map[poissonKey]poissonMemo
-	rows    fixedRows
+	rows    sellRows
 }
 
 type matDim struct{ rows, cols int }
@@ -39,6 +39,13 @@ const poissonMemoLimit = 8
 // many model sizes (the architecture comparison solves every (N, f, r))
 // would otherwise keep every n x n matrix it ever released.
 const matPoolDims = 4
+
+// vecPoolLens bounds how many distinct vector lengths the pool holds.
+// One solve works in a handful of lengths (the model size, its
+// chunk-padded size, the Krylov dimensions, one coefficient vector per
+// series length); a long-lived workspace that sweeps model sizes and
+// intervals would otherwise keep every length it ever released.
+const vecPoolLens = 16
 
 // NewWorkspace returns an empty workspace.
 func NewWorkspace() *Workspace {
@@ -68,10 +75,15 @@ func (ws *Workspace) Vec(n int) []float64 {
 	return v
 }
 
-// PutVec releases a vector obtained from Vec back to the workspace.
+// PutVec releases a vector obtained from Vec back to the workspace. A
+// length that would make more than vecPoolLens lengths pooled first
+// empties the pool.
 func (ws *Workspace) PutVec(v []float64) {
 	if ws == nil || v == nil {
 		return
+	}
+	if _, ok := ws.vecs[len(v)]; !ok && len(ws.vecs) >= vecPoolLens {
+		clear(ws.vecs)
 	}
 	ws.vecs[len(v)] = append(ws.vecs[len(v)], v)
 }

@@ -2,6 +2,7 @@ package linalg
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"nvrel/internal/obs"
@@ -128,6 +129,29 @@ func TestWorkspacePoissonMemo(t *testing.T) {
 	}
 }
 
+// TestWorkspaceVecPoolBounded: cycling through more than vecPoolLens
+// lengths leaves at most vecPoolLens pooled, and a released vector of a
+// pooled length is still handed back, zeroed, on the next request.
+func TestWorkspaceVecPoolBounded(t *testing.T) {
+	ws := NewWorkspace()
+	for n := 1; n <= 3*vecPoolLens; n++ {
+		ws.PutVec(ws.Vec(n))
+		if len(ws.vecs) > vecPoolLens {
+			t.Fatalf("after length %d: %d lengths pooled, want <= %d", n, len(ws.vecs), vecPoolLens)
+		}
+	}
+	v := ws.Vec(7)
+	v[0] = 3
+	ws.PutVec(v)
+	again := ws.Vec(7)
+	if &again[0] != &v[0] {
+		t.Error("same-length request after release did not reuse the pooled vector")
+	}
+	if again[0] != 0 {
+		t.Error("reused vector not zeroed")
+	}
+}
+
 // TestWorkspaceMatPoolBounded: cycling through more than matPoolDims
 // sizes leaves at most matPoolDims pooled, and a released matrix of a
 // pooled size is still handed back on the next request.
@@ -198,23 +222,19 @@ func BenchmarkUniformizedPowerNoAlloc(b *testing.B) {
 }
 
 // width5Generator is a transposed generator whose widest row holds five
-// entries, the six-version models' width; the 4x4 generator of the
-// guards above runs the width-4 body.
+// entries, the six-version models' width.
 func width5Generator(tb testing.TB) *CSR {
 	return classGenerator(tb, 24, 5)
 }
 
 // classGenerator returns a random transposed generator of n states with
-// rows 1..widest entries wide, and checks that its layout has a class of
-// the widest rows, so the series runs that width's body.
+// rows 1..widest entries wide, and checks that its layout's last chunk
+// is that wide, so the series gathers slots up to that width.
 func classGenerator(tb testing.TB, n, widest int) *CSR {
 	qt := randomWidthCSR(rand.New(rand.NewSource(int64(widest))), n, widest, false)
-	got := make(map[int]bool)
-	for _, c := range NewWorkspace().fixedRows(qt).classes {
-		got[(c.end-c.off)/(c.hi-c.lo)] = true
-	}
-	if !got[widest] {
-		tb.Fatalf("generator of widest row %d lays out classes of widths %v", widest, got)
+	l := NewWorkspace().sellRows(qt)
+	if got := l.widths[len(l.widths)-1]; got != int32(widest) {
+		tb.Fatalf("generator of widest row %d lays out chunks of widths %v", widest, l.widths)
 	}
 	return qt
 }
@@ -273,9 +293,9 @@ func BenchmarkUniformizedPowerWidth5NoAlloc(b *testing.B) {
 }
 
 // TestUniformizedPowerWideNoAlloc: a generator with rows up to width 12,
-// the widest of E12's designs, is renumbered into exact-width classes
-// that run the bodies for widths 6-8 and the loop; the permutation in
-// and out of series numbering allocates nothing after warm-up either.
+// the widest of E12's designs, lays out chunks up to 12 slots wide; the
+// permutation in and out of series numbering allocates nothing after
+// warm-up either.
 func TestUniformizedPowerWideNoAlloc(t *testing.T) {
 	seriesNoAlloc(t, classGenerator(t, 60, 12))
 }
@@ -287,32 +307,33 @@ func BenchmarkUniformizedPowerWideNoAlloc(b *testing.B) {
 }
 
 // TestUnifEntriesCountsLayoutSlots: linalg.unif.entries grows by the
-// layout's slots for every term but the last, so a padded layout counts
-// its padding and a renumbered one exactly the stored entries.
+// layout's slots for every term but the last: 8 per chunk and chunk
+// width, pads included. The expected counts come from the row widths
+// alone: sorted ascending, taken 8 at a time, each group as wide as its
+// widest row and at least 1.
 func TestUnifEntriesCountsLayoutSlots(t *testing.T) {
 	prev := obs.Enable()
 	t.Cleanup(func() { obs.SetEnabled(prev) })
-	padded := classGenerator(t, 50, 2)
-	if padded.NNZ() >= 50*2 {
-		t.Fatalf("width-2 generator stores %d entries, want some rows padded", padded.NNZ())
-	}
-	for _, c := range []struct {
-		qt    *CSR
-		slots int
-	}{
-		{padded, 50 * 2},
-		{classGenerator(t, 60, 12), -1},
-	} {
-		if c.slots < 0 {
-			c.slots = c.qt.NNZ()
+	for _, qt := range []*CSR{classGenerator(t, 50, 2), classGenerator(t, 60, 12), CSRFromDenseT(testGenerator())} {
+		n, _ := qt.Dims()
+		widths := make([]int, n)
+		for i := range widths {
+			widths[i] = qt.RowPtr[i+1] - qt.RowPtr[i]
 		}
-		n, _ := c.qt.Dims()
+		slices.Sort(widths)
+		slots := 0
+		for lo := 0; lo < n; lo += 8 {
+			slots += 8 * max(1, widths[min(n, lo+8)-1])
+		}
+		if slots <= qt.NNZ() {
+			t.Fatalf("n=%d: %d slots for %d entries, want some pads", n, slots, qt.NNZ())
+		}
 		pi := make([]float64, n)
 		pi[0] = 1
 		coef := []float64{0.5, 0.25, 0.125, 0.125}
 		before := metUnifEntries.Value()
-		NewWorkspace().series(c.qt, pi, coef, 0.5, make([]float64, n))
-		if got, want := metUnifEntries.Value()-before, int64(3*c.slots); got != want {
+		NewWorkspace().series(qt, pi, coef, 0.5, make([]float64, n))
+		if got, want := metUnifEntries.Value()-before, int64(3*slots); got != want {
 			t.Errorf("n=%d: entries grew by %d, want %d", n, got, want)
 		}
 	}

@@ -14,8 +14,10 @@ const (
 	// sparseNsPerEntry is one stored generator entry gathered in one
 	// term of a vector series. sparseApplications is the series a cold
 	// sparse solve runs: its Krylov and power applications (7-29
-	// measured, 13 typical) plus the occupancy integral.
-	sparseNsPerEntry   = 1.7
+	// measured, 13 typical) plus the occupancy integral. The value is
+	// the row-class kernel's 1.7 scaled by the SELL-8 kernel's measured
+	// time ratio, 0.31.
+	sparseNsPerEntry   = 0.53
 	sparseApplications = 15
 
 	// Past subnormalTerms terms the series vectors of the paper's

@@ -35,6 +35,8 @@ kernels=(
     'nvrel/internal/linalg.rows7'
     'nvrel/internal/linalg.rows8'
     'nvrel/internal/linalg.rowsLoop'
+    'nvrel/internal/linalg.chunksAVX512'
+    'nvrel/internal/linalg.chunksGo'
     'nvrel/internal/parallel.ForEachHardened'
     'nvrel/internal/des.(*RNG).Uint64'
     'nvrel/internal/des.(*RNG).Exp'

@@ -8,6 +8,13 @@ cd "$(dirname "$0")/.."
 echo "== go vet ./..."
 go vet ./...
 
+echo "== portable series body: GOARCH=386 tests, GOARCH=arm64 vet"
+# amd64 runs the series through a vector body chosen at init; these run
+# the portable Go body, which every other architecture uses, and keep
+# the non-amd64 build compiling. A 386 binary runs natively on amd64.
+GOARCH=386 go test ./internal/linalg ./internal/mrgp
+GOARCH=arm64 go vet ./...
+
 echo "== perfbench module: go vet + go test"
 # The benchmark is a separate Go module that imports this one; the
 # root ./... pattern does not build it, so an API change that breaks it
