@@ -3,7 +3,6 @@ package bftvote
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"nvrel/internal/des"
 )
@@ -68,19 +67,8 @@ func (m *inflight) onDeliver() {
 	to.onVote(vote)
 }
 
-// netPool recycles networks, and with them their slots, across rounds.
-var netPool = sync.Pool{New: func() any { return new(network) }}
-
-// acquireNetwork returns a pooled network set up for one round.
-func acquireNetwork(cfg NetworkConfig, sim *des.Simulation, rng *des.RNG) *network {
-	n := netPool.Get().(*network)
-	n.cfg, n.sim, n.rng = cfg, sim, rng
-	n.sent, n.dropped = 0, 0
-	return n
-}
-
 // release cancels the votes still in flight when the round ended, frees
-// every slot and returns the network to the pool.
+// every slot and zeroes the counters, ready for the next round.
 func (n *network) release() {
 	n.free = n.free[:0]
 	for _, m := range n.slots {
@@ -89,7 +77,7 @@ func (n *network) release() {
 		n.free = append(n.free, m)
 	}
 	n.sim, n.rng = nil, nil
-	netPool.Put(n)
+	n.sent, n.dropped = 0, 0
 }
 
 // send schedules delivery of v to the receiver, applying loss and delay.

@@ -246,3 +246,60 @@ func TestConcurrentRoundsMatchSerial(t *testing.T) {
 		}
 	}
 }
+
+// roundChurn runs rounds of the protocol experiment's shape (six replicas,
+// one wrong and one equivocating or silent, 5 ms mean delay) into one
+// reused result, alternating the behaviors so both slab paths run.
+func roundChurn(res *RoundResult, rng *des.RNG) func(i int) error {
+	cfgs := [2]RoundConfig{
+		defaultRound(behaviors(4, 1, 0, 1), 4),
+		defaultRound(behaviors(4, 1, 1, 0), 4),
+	}
+	for k := range cfgs {
+		cfgs[k].Network = NetworkConfig{MeanDelay: 0.005}
+		cfgs[k].Timeout = 1
+	}
+	return func(i int) error { return RunInto(cfgs[i%2], rng, res) }
+}
+
+// TestRunIntoMatchesRun: RunInto into a result reused from other rounds
+// gives Run's result.
+func TestRunIntoMatchesRun(t *testing.T) {
+	var res RoundResult
+	round := roundChurn(&res, des.NewRNG(3))
+	for i := 0; i < 10; i++ {
+		if err := round(i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cfg := defaultRound(behaviors(4, 1, 1, 0), 4)
+	want, err := Run(cfg, des.NewRNG(11))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := RunInto(cfg, des.NewRNG(11), &res); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(&res, want) {
+		t.Errorf("RunInto into a reused result = %+v, Run = %+v", res, *want)
+	}
+}
+
+// BenchmarkRoundNoAlloc runs one pooled voting round per iteration into a
+// reused result. check.sh fails on any allocation.
+func BenchmarkRoundNoAlloc(b *testing.B) {
+	var res RoundResult
+	round := roundChurn(&res, des.NewRNG(3))
+	for i := 0; i < 10; i++ {
+		if err := round(i); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := round(i); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

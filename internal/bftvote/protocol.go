@@ -3,6 +3,8 @@ package bftvote
 import (
 	"errors"
 	"fmt"
+	"slices"
+	"sync"
 
 	"nvrel/internal/des"
 )
@@ -137,36 +139,74 @@ func (r *replica) tally(label Label) int {
 	return 1
 }
 
+// round is the state one voting round runs on: its simulation, its
+// network with the network's vote slots, and its replicas with their
+// sender-flag and tally slabs. Rounds are pooled with everything they
+// own, so once the pool is warm a round allocates nothing.
+type round struct {
+	sim      des.Simulation
+	net      network
+	replicas []replica
+	voted    []bool
+	counts   []labelCount
+}
+
+// roundPool recycles round state across rounds and goroutines.
+var roundPool = sync.Pool{New: func() any { return new(round) }}
+
+// release rewinds the round's simulation, frees its network's slots and
+// drops its replicas' references to the caller's result before returning
+// it to the pool.
+func (r *round) release() {
+	r.net.release()
+	r.sim.Reset()
+	clear(r.replicas)
+	roundPool.Put(r)
+}
+
 // Run executes one voting round to completion (all deliveries processed or
 // timeout reached) and returns the outcome.
 func Run(cfg RoundConfig, rng *des.RNG) (*RoundResult, error) {
-	if err := cfg.Validate(); err != nil {
+	res := new(RoundResult)
+	if err := RunInto(cfg, rng, res); err != nil {
 		return nil, err
 	}
+	return res, nil
+}
+
+// RunInto is Run writing the outcome into res, whose Decisions storage it
+// reuses: with the round state pooled, a round then allocates nothing.
+func RunInto(cfg RoundConfig, rng *des.RNG, res *RoundResult) error {
+	if err := cfg.Validate(); err != nil {
+		return err
+	}
 	if rng == nil {
-		return nil, errors.New("bftvote: nil rng")
+		return errors.New("bftvote: nil rng")
 	}
 	n := len(cfg.Behaviors)
-	var sim des.Simulation
-	net := acquireNetwork(cfg.Network, &sim, rng)
-	defer net.release()
+	decisions := slices.Grow(res.Decisions[:0], n)[:n]
+	clear(decisions)
+	*res = RoundResult{Decisions: decisions}
 
-	res := &RoundResult{Decisions: make([]Decision, n)}
-	replicas := make([]*replica, n)
-	// One allocation each for all replicas: replica i's sender flags are
+	r := roundPool.Get().(*round)
+	defer r.release()
+	r.net.cfg, r.net.sim, r.net.rng = cfg.Network, &r.sim, rng
+	// One slab each for all replicas: replica i's sender flags are
 	// voted[i*n:(i+1)*n], and its tallies start in counts[2i:2i+2], room
 	// for the round's two labels.
-	voted := make([]bool, n*n)
-	counts := make([]labelCount, 2*n)
-	for i := 0; i < n; i++ {
-		replicas[i] = &replica{
+	r.replicas = slices.Grow(r.replicas[:0], n)[:n]
+	r.voted = slices.Grow(r.voted[:0], n*n)[:n*n]
+	clear(r.voted)
+	r.counts = slices.Grow(r.counts[:0], 2*n)[:2*n]
+	for i := range r.replicas {
+		r.replicas[i] = replica{
 			id:      ReplicaID(i),
 			quorum:  cfg.Quorum,
 			silent:  cfg.Behaviors[i] == Silent,
-			tallies: counts[2*i : 2*i : 2*i+2],
-			voted:   voted[i*n : (i+1)*n : (i+1)*n],
+			tallies: r.counts[2*i : 2*i : 2*i+2],
+			voted:   r.voted[i*n : (i+1)*n : (i+1)*n],
 			out:     &res.Decisions[i],
-			sim:     &sim,
+			sim:     &r.sim,
 		}
 	}
 
@@ -186,8 +226,8 @@ func Run(cfg RoundConfig, rng *des.RNG) (*RoundResult, error) {
 			// label for its own tally.
 			ownLabel = cfg.WrongLabel
 		}
-		replicas[i].onVote(Vote{From: from, Label: ownLabel})
-		for j := range replicas {
+		r.replicas[i].onVote(Vote{From: from, Label: ownLabel})
+		for j := range r.replicas {
 			if j == i {
 				continue
 			}
@@ -201,14 +241,14 @@ func Run(cfg RoundConfig, rng *des.RNG) (*RoundResult, error) {
 					label = cfg.WrongLabel
 				}
 			}
-			net.send(Vote{From: from, Label: label}, replicas[j])
+			r.net.send(Vote{From: from, Label: label}, &r.replicas[j])
 		}
 	}
 
-	if err := sim.RunUntil(cfg.Timeout); err != nil {
-		return nil, err
+	if err := r.sim.RunUntil(cfg.Timeout); err != nil {
+		return err
 	}
-	res.MessagesSent = net.sent
-	res.MessagesDropped = net.dropped
-	return res, nil
+	res.MessagesSent = r.net.sent
+	res.MessagesDropped = r.net.dropped
+	return nil
 }

@@ -16,6 +16,18 @@ func BenchmarkRNGExp(b *testing.B) {
 	}
 }
 
+// BenchmarkNormNoAlloc draws one ziggurat normal per iteration: the
+// rand.Rand wrapping the stream stays on the stack. check.sh fails on any
+// allocation.
+func BenchmarkNormNoAlloc(b *testing.B) {
+	r := NewRNG(1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_ = r.Norm()
+	}
+}
+
 func BenchmarkScheduleAndFire(b *testing.B) {
 	var s Simulation
 	action := func() {}

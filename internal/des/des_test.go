@@ -3,6 +3,7 @@ package des
 import (
 	"errors"
 	"math"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -118,6 +119,21 @@ func TestRNGForkIndependence(t *testing.T) {
 	}
 	if equal > 2 {
 		t.Errorf("forked streams collide on %d/64 draws", equal)
+	}
+}
+
+// TestRNGSeedMatchesNewRNG: re-seeding a used generator in place gives
+// NewRNG's stream, so Seed(r.Uint64()) continues as Fork would.
+func TestRNGSeedMatchesNewRNG(t *testing.T) {
+	r, master, twin := NewRNG(5), NewRNG(31), NewRNG(31)
+	for i := 0; i < 3; i++ {
+		r.Seed(master.Uint64())
+		f := twin.Fork()
+		for k := 0; k < 16; k++ {
+			if a, b := r.Uint64(), f.Uint64(); a != b {
+				t.Fatalf("fork %d draw %d: re-seeded %#x, Fork %#x", i, k, a, b)
+			}
+		}
 	}
 }
 
@@ -250,6 +266,35 @@ func TestStepReturnsFalseWhenEmpty(t *testing.T) {
 	}
 	if s.Pending() != 0 {
 		t.Errorf("Pending = %d after draining canceled", s.Pending())
+	}
+}
+
+// TestSimulationReset: a reset simulation cancels what was pending,
+// rewinds its clock and counters, and then runs as a fresh one does.
+func TestSimulationReset(t *testing.T) {
+	run := func(s *Simulation) []float64 {
+		var fired []float64
+		for _, d := range []float64{3, 1, 2, 1} {
+			if _, err := s.Schedule(d, func() { fired = append(fired, s.Now()) }); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := s.RunUntil(2.5); err != nil {
+			t.Fatal(err)
+		}
+		return fired
+	}
+	var fresh, reused Simulation
+	want := run(&fresh)
+	run(&reused)
+	pending, _ := reused.Schedule(1, func() {})
+	reused.Reset()
+	if !pending.Canceled() || reused.Pending() != 0 || reused.Now() != 0 || reused.Fired() != 0 {
+		t.Fatalf("after Reset: canceled %v, pending %d, now %g, fired %d",
+			pending.Canceled(), reused.Pending(), reused.Now(), reused.Fired())
+	}
+	if got := run(&reused); !slices.Equal(got, want) {
+		t.Errorf("reset simulation fired at %v, fresh one at %v", got, want)
 	}
 }
 

@@ -8,6 +8,7 @@ package des
 import (
 	"math"
 	"math/bits"
+	"math/rand/v2"
 )
 
 // RNG is a deterministic pseudo-random generator (xoshiro256** seeded via
@@ -31,6 +32,13 @@ const cacheLine = 64
 // NewRNG returns a generator seeded from seed.
 func NewRNG(seed uint64) *RNG {
 	r := &RNG{}
+	r.Seed(seed)
+	return r
+}
+
+// Seed resets r to the state NewRNG(seed) starts in, so a caller can
+// re-seed one generator in place instead of allocating a fresh one.
+func (r *RNG) Seed(seed uint64) {
 	// splitmix64 expansion of the seed into the xoshiro state.
 	x := seed
 	for i := range r.s {
@@ -40,7 +48,6 @@ func NewRNG(seed uint64) *RNG {
 		z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 		r.s[i] = z ^ (z >> 31)
 	}
-	return r
 }
 
 // Uint64 returns the next 64 random bits.
@@ -74,6 +81,14 @@ func (r *RNG) Exp(mean float64) float64 {
 		u = r.Float64()
 	}
 	return -mean * math.Log(u)
+}
+
+// Norm returns a standard normal sample: the stdlib ziggurat sampler
+// (Marsaglia and Tsang, J. Stat. Softw. 2000) of math/rand/v2 drawing
+// from r, which is a rand.Source. Most draws cost one Uint64, a multiply
+// and a table compare, where Box–Muller pays a Log, a Sqrt and a Cos.
+func (r *RNG) Norm() float64 {
+	return rand.New(r).NormFloat64()
 }
 
 // Intn returns a uniform sample in [0, n).

@@ -122,6 +122,18 @@ func (s *Simulation) Rearm(h *Handle, delay float64, action Action) error {
 	return nil
 }
 
+// Reset cancels every pending event and rewinds s to the zero value's
+// state (time zero, no events fired, sequence numbers from zero), keeping
+// the event list's storage: a reset simulation runs exactly as a fresh
+// one, without growing a new list.
+func (s *Simulation) Reset() {
+	for _, h := range s.events {
+		h.sim, h.canceled = nil, true
+	}
+	clear(s.events)
+	*s = Simulation{events: s.events[:0]}
+}
+
 // Step fires the next pending event, returning false when none remain.
 func (s *Simulation) Step() bool {
 	if len(s.events) == 0 {

@@ -7,6 +7,7 @@ import (
 	"nvrel/internal/des"
 	"nvrel/internal/mlsim"
 	"nvrel/internal/nvp"
+	"nvrel/internal/parallel"
 	"nvrel/internal/percept"
 	"nvrel/internal/reliability"
 )
@@ -45,18 +46,24 @@ func RunHetero(replications int, seed uint64) (*HeteroResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	rng := des.NewRNG(seed)
 	params := nvp.DefaultFourVersion()
 	res := &HeteroResult{PerVersion: make([]float64, params.N)}
-	for i := range res.PerVersion {
+	// Each version's estimate draws from its own stream, so the four run
+	// on the pool and the result does not depend on the worker count.
+	rngs := des.Streams(seed, params.N)
+	err = parallel.ForEach(params.N, func(i int) error {
 		c, err := bench.NewClassifier(mlsim.DefaultDiversity, seed+uint64(i)+1)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		if res.PerVersion[i], err = bench.EstimateInaccuracy(c, 20000, rng); err != nil {
-			return nil, err
-		}
-		res.AveragedP += res.PerVersion[i]
+		res.PerVersion[i], err = bench.EstimateInaccuracy(c, 20000, rngs[i])
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	for _, p := range res.PerVersion {
+		res.AveragedP += p
 	}
 	res.AveragedP /= float64(params.N)
 
@@ -84,22 +91,24 @@ func RunHetero(replications int, seed uint64) (*HeteroResult, error) {
 		return nil, err
 	}
 
-	var acc des.Accumulator
-	master := des.NewRNG(seed + 99)
-	for rep := 0; rep < replications; rep++ {
+	// des.Replicate's stream i is the (i+1)-th fork of des.NewRNG(seed+99),
+	// the stream this loop ran on when it forked serially.
+	res.Simulated, err = des.Replicate(replications, seed+99, func(_ int, rng *des.RNG) (float64, error) {
 		tally, err := percept.RunHeterogeneous(percept.HeteroConfig{
 			Params:          params,
 			HealthyErr:      res.PerVersion,
 			Horizon:         1.5e6,
 			WarmUp:          5e4,
 			RequestInterval: 200,
-		}, master.Fork())
+		}, rng)
 		if err != nil {
-			return nil, err
+			return 0, err
 		}
-		acc.Add(tally.Safety())
+		return tally.Safety(), nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	res.Simulated = acc.Summarize()
 	res.Covered = res.Simulated.Contains(res.HeterogeneousE)
 	return res, nil
 }

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"nvrel/internal/des"
@@ -110,7 +111,7 @@ func TestSimulationWorkerCountInvariant(t *testing.T) {
 	for _, n := range []int{2, 7} {
 		var got percept.Estimate
 		atWorkers(t, n, func() { got = run() })
-		if got != base {
+		if !reflect.DeepEqual(got, base) {
 			t.Errorf("workers=%d: estimate differs from serial\n got: %+v\nwant: %+v", n, got, base)
 		}
 	}

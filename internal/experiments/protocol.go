@@ -68,10 +68,19 @@ func RunProtocol(rounds int, seed uint64) (*ProtocolResult, error) {
 	res := &ProtocolResult{AnalyticSafety: analytic}
 	var latencySum float64
 	var latencyN, msgSum int
+	// Every round reuses one correctness sample, one behavior list, one
+	// round stream (re-seeded as Fork would seed a fresh one) and one
+	// result, and bftvote pools the rest: a round allocates nothing.
+	var (
+		correct   []bool
+		behaviors = make([]bftvote.Behavior, 0, params.N)
+		roundRNG  des.RNG
+		rr        bftvote.RoundResult
+	)
 	for round := 0; round < rounds; round++ {
 		st := sampleState()
-		correct := errModel.SampleCorrectness(rng, st.Healthy, st.Compromised)
-		behaviors := make([]bftvote.Behavior, 0, params.N)
+		correct = errModel.SampleCorrectnessInto(correct, rng, st.Healthy, st.Compromised)
+		behaviors = behaviors[:0]
 		for _, ok := range correct {
 			if ok {
 				behaviors = append(behaviors, bftvote.Honest)
@@ -82,14 +91,15 @@ func RunProtocol(rounds int, seed uint64) (*ProtocolResult, error) {
 		for i := 0; i < st.Down; i++ {
 			behaviors = append(behaviors, bftvote.Silent)
 		}
-		rr, err := bftvote.Run(bftvote.RoundConfig{
+		roundRNG.Seed(rng.Uint64())
+		err := bftvote.RunInto(bftvote.RoundConfig{
 			Behaviors:    behaviors,
 			Quorum:       params.Scheme().Threshold(),
 			CorrectLabel: 1,
 			WrongLabel:   2,
 			Network:      bftvote.NetworkConfig{MeanDelay: 0.005},
 			Timeout:      1,
-		}, rng.Fork())
+		}, &roundRNG, &rr)
 		if err != nil {
 			return nil, fmt.Errorf("round %d: %w", round, err)
 		}

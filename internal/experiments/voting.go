@@ -40,29 +40,32 @@ func RunVoting(replications int, horizon float64, seed uint64) ([]VotingRow, err
 	}
 	policies := []mlsim.WrongLabelPolicy{mlsim.CommonWrongLabel, mlsim.IndependentWrongLabels}
 
+	// One trajectory per policy: every scheme decides on the same sampled
+	// labels, which gives each the tallies of its own run at this seed.
 	var rows []VotingRow
 	for _, policy := range policies {
-		for i, scheme := range schemes {
-			cfg := percept.Config{
-				Params:          nvp.DefaultSixVersion(),
-				Rejuvenation:    true,
-				Horizon:         horizon,
-				WarmUp:          horizon / 40,
-				RequestInterval: 120,
-				Classes:         43, // GTSRB-sized label space
-				WrongLabels:     policy,
-				LabelScheme:     scheme,
-			}
-			est, err := percept.Replicate(cfg, replications, seed+uint64(i)*31+uint64(policy)*977)
-			if err != nil {
-				return nil, fmt.Errorf("scheme %s / %s: %w", scheme.Name(), policy, err)
-			}
+		cfg := percept.Config{
+			Params:          nvp.DefaultSixVersion(),
+			Rejuvenation:    true,
+			Horizon:         horizon,
+			WarmUp:          horizon / 40,
+			RequestInterval: 120,
+			Classes:         43, // GTSRB-sized label space
+			WrongLabels:     policy,
+			LabelSchemes:    schemes,
+		}
+		est, err := percept.Replicate(cfg, replications, seed+uint64(policy)*977)
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", policy, err)
+		}
+		for k, scheme := range schemes {
+			rel, safe := est.LabelReliability[k].Mean, est.LabelSafety[k].Mean
 			rows = append(rows, VotingRow{
 				Scheme:      scheme.Name(),
 				WrongLabels: policy.String(),
-				Reliability: est.LabelReliability.Mean,
-				Safety:      est.LabelSafety.Mean,
-				Skips:       est.LabelSafety.Mean - est.LabelReliability.Mean,
+				Reliability: rel,
+				Safety:      safe,
+				Skips:       safe - rel,
 			})
 		}
 	}

@@ -29,31 +29,6 @@ func BenchmarkSteadyStateGTH(b *testing.B) {
 	}
 }
 
-func BenchmarkSteadyStateLU(b *testing.B) {
-	q := benchGenerator(70)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := SteadyStateLU(q); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkLUSolve(b *testing.B) {
-	a := benchGenerator(70)
-	for i := 0; i < 70; i++ {
-		a.Add(i, i, -1) // make it non-singular
-	}
-	rhs := make([]float64, 70)
-	rhs[0] = 1
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := SolveLinear(a, rhs); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkUniformizedPower(b *testing.B) {
 	qt := CSRFromDenseT(benchGenerator(70))
 	pi := make([]float64, 70)

@@ -123,37 +123,6 @@ func (ws *Workspace) SteadyStateDTMC(p *Dense, dst []float64) ([]float64, error)
 	return ws.SteadyStateGTH(q, dst)
 }
 
-// SteadyStateLU computes the stationary distribution of a CTMC generator by
-// solving pi*Q = 0 with the normalization constraint sum(pi) = 1 via LU.
-// It exists mainly as an independent cross-check of SteadyStateGTH.
-func SteadyStateLU(q *Dense) ([]float64, error) {
-	rows, cols := q.Dims()
-	if rows != cols {
-		return nil, ErrDimensionMismatch
-	}
-	n := rows
-	// Transpose Q and replace the last equation by the normalization.
-	a := q.Transpose()
-	for j := 0; j < n; j++ {
-		a.Set(n-1, j, 1)
-	}
-	b := make([]float64, n)
-	b[n-1] = 1
-	pi, err := SolveLinear(a, b)
-	if err != nil {
-		return nil, err
-	}
-	for i, v := range pi {
-		if v < 0 && v > -1e-10 {
-			pi[i] = 0
-		} else if v < 0 {
-			return nil, fmt.Errorf("linalg: LU steady state produced negative probability %g at state %d", v, i)
-		}
-	}
-	normalize(pi)
-	return pi, nil
-}
-
 // CheckGenerator validates that q is a CTMC generator: every entry
 // finite, non-negative off-diagonals and rows summing to zero within tol.
 // A violation comes back as a *SolveError at site "linalg.generator" whose

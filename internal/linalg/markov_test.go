@@ -2,6 +2,7 @@ package linalg
 
 import (
 	"math"
+	"math/big"
 	"testing"
 	"testing/quick"
 )
@@ -82,6 +83,55 @@ func TestSteadyStateGTHReducibleFails(t *testing.T) {
 	}
 }
 
+// bigSteadyStateLU is the reference the GTH tests check against: π with
+// πQ = 0 and Σπ = 1, from Qᵀ with its last equation replaced by the
+// normalization, solved by Gaussian elimination with partial pivoting (an
+// LU solve) in 256-bit floating point and rounded to float64 at the end.
+// It shares no code and no float64 rounding with SteadyStateGTH.
+func bigSteadyStateLU(q *Dense) []float64 {
+	const prec = 256
+	n, _ := q.Dims()
+	a := make([][]*big.Float, n)
+	for i := range a {
+		a[i] = make([]*big.Float, n+1)
+		for j := 0; j < n; j++ {
+			v := q.At(j, i)
+			if i == n-1 {
+				v = 1
+			}
+			a[i][j] = new(big.Float).SetPrec(prec).SetFloat64(v)
+		}
+		a[i][n] = new(big.Float).SetPrec(prec)
+	}
+	a[n-1][n].SetFloat64(1)
+	for k := 0; k < n; k++ {
+		p := k
+		for i := k + 1; i < n; i++ {
+			if new(big.Float).Abs(a[i][k]).Cmp(new(big.Float).Abs(a[p][k])) > 0 {
+				p = i
+			}
+		}
+		a[k], a[p] = a[p], a[k]
+		for i := k + 1; i < n; i++ {
+			l := new(big.Float).SetPrec(prec).Quo(a[i][k], a[k][k])
+			for j := k; j <= n; j++ {
+				a[i][j].Sub(a[i][j], new(big.Float).SetPrec(prec).Mul(l, a[k][j]))
+			}
+		}
+	}
+	x := make([]*big.Float, n)
+	pi := make([]float64, n)
+	for i := n - 1; i >= 0; i-- {
+		s := new(big.Float).SetPrec(prec).Set(a[i][n])
+		for j := i + 1; j < n; j++ {
+			s.Sub(s, new(big.Float).SetPrec(prec).Mul(a[i][j], x[j]))
+		}
+		x[i] = s.Quo(s, a[i][i])
+		pi[i], _ = x[i].Float64()
+	}
+	return pi
+}
+
 func TestGTHMatchesLU(t *testing.T) {
 	// Stiff generator: rates spanning six orders of magnitude.
 	q, _ := NewDenseFrom([][]float64{
@@ -93,10 +143,7 @@ func TestGTHMatchesLU(t *testing.T) {
 	if err != nil {
 		t.Fatalf("GTH: %v", err)
 	}
-	lu, err := SteadyStateLU(q)
-	if err != nil {
-		t.Fatalf("LU: %v", err)
-	}
+	lu := bigSteadyStateLU(q)
 	if !vecAlmostEqual(gth, lu, 1e-9) {
 		t.Errorf("GTH %v != LU %v", gth, lu)
 	}
@@ -124,10 +171,7 @@ func TestGTHMatchesLUProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		lu, err := SteadyStateLU(q)
-		if err != nil {
-			return false
-		}
+		lu := bigSteadyStateLU(q)
 		return vecAlmostEqual(gth, lu, 1e-8) && almostEqual(Sum(gth), 1, 1e-12)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {

@@ -8,9 +8,14 @@
 //
 // Registers: SI idx, DI vals, R8 widths, R9 chunks left, AX x, R10 next,
 // R11 dst, BX the chunk's first row, CX slots left in the chunk.
+//
+// The leading PCALIGN pads nothing: it makes the linker start the body on
+// a 64-byte boundary, so its loops keep one alignment whatever code is
+// linked ahead of it.
 
 // func chunksAVX512(idx []int32, vals []float64, widths []int32, x, next, dst []float64, w, invRate float64)
 TEXT ·chunksAVX512(SB), NOSPLIT, $0-160
+	PCALIGN $64
 	MOVQ idx_base+0(FP), SI
 	MOVQ vals_base+24(FP), DI
 	MOVQ widths_base+48(FP), R8

@@ -6,6 +6,7 @@ import (
 	"math"
 
 	"nvrel/internal/des"
+	"nvrel/internal/linalg"
 )
 
 // SignBenchmark is a synthetic stand-in for the German Traffic Sign
@@ -67,7 +68,7 @@ func NewSignBenchmark(cfg BenchmarkConfig) (*SignBenchmark, error) {
 	for c := range b.prototypes {
 		v := make([]float64, cfg.Dims)
 		for d := range v {
-			v[d] = gaussian(rng)
+			v[d] = rng.Norm()
 		}
 		normalize(v)
 		b.prototypes[c] = v
@@ -91,16 +92,29 @@ func (b *SignBenchmark) sampleInto(x []float64, rng *des.RNG) (label int) {
 	label = rng.Intn(b.classes)
 	proto := b.prototypes[label]
 	for d := range x {
-		x[d] = proto[d] + b.inputNoise*gaussian(rng)
+		x[d] = proto[d] + b.inputNoise*rng.Norm()
 	}
 	return label
 }
 
 // Classifier is a diverse prototype matcher, one per ML module version.
 type Classifier struct {
-	weights     [][]float64
+	weights     [][]float64 // one row per class: dot4's layout
+	lanes       []float64   // the rows in linalg.LaneWeights layout
+	scores      []float64   // per-class scores, padded to whole chunks of lanes
 	attackNoise float64
 	rng         *des.RNG
+}
+
+// newClassifier returns a healthy classifier scoring with the given
+// per-class weight rows and drawing attack noise from rng.
+func newClassifier(weights [][]float64, rng *des.RNG) *Classifier {
+	return &Classifier{
+		weights: weights,
+		lanes:   linalg.LaneWeights(weights),
+		scores:  make([]float64, (len(weights)+linalg.LaneChunk-1)/linalg.LaneChunk*linalg.LaneChunk),
+		rng:     rng,
+	}
 }
 
 // NewClassifier derives a module-specific classifier from the benchmark.
@@ -116,11 +130,11 @@ func (b *SignBenchmark) NewClassifier(diversity float64, seed uint64) (*Classifi
 	for c, proto := range b.prototypes {
 		row := make([]float64, b.dims)
 		for d, v := range proto {
-			row[d] = v + diversity*gaussian(rng)
+			row[d] = v + diversity*rng.Norm()
 		}
 		w[c] = row
 	}
-	return &Classifier{weights: w, rng: rng}, nil
+	return newClassifier(w, rng), nil
 }
 
 // Compromise degrades the classifier: an attack or fault adds persistent
@@ -142,34 +156,57 @@ func (c *Classifier) Rejuvenate() { c.attackNoise = 0 }
 // noise.
 func (c *Classifier) Compromised() bool { return c.attackNoise > 0 }
 
-// classifyBlock is how many classes Classify scores per pass over x.
-const classifyBlock = 4
+// laneScorer is the host's SIMD class scorer (linalg.LaneScorer); nil
+// means Classify scores with the portable scoreRows.
+var laneScorer = linalg.LaneScorer()
 
 // Classify returns the predicted label for input x.
 //
-// Classes are scored classifyBlock at a time (dot4), each into its own
-// accumulator, so a block's additions form independent chains instead of
-// one dependent chain. Every score is still the in-order sum from +0, and
-// attack noise is drawn in label order: the label and the RNG stream are
-// those of scoring one class at a time.
+// All classes are scored first, then attack noise is drawn in label order
+// and added to each score as it is compared: the label and the RNG stream
+// are those of scoring one class at a time. Every score is the in-order
+// sum from +0 of its class's products, whichever body computes it: the
+// lane scorer, eight classes to a vector, or scoreRows.
 func (c *Classifier) Classify(x []float64) int {
+	scores := c.scoreAll(x)
 	best, bestScore := 0, math.Inf(-1)
-	var scores [classifyBlock]float64
-	for lo := 0; lo < len(c.weights); lo += classifyBlock {
-		// A short last block repeats its last row to fill the pass.
-		rows := c.weights[lo:min(lo+classifyBlock, len(c.weights))]
-		last := len(rows) - 1
-		scores[0], scores[1], scores[2], scores[3] = dot4(rows[0], rows[min(1, last)], rows[min(2, last)], rows[min(3, last)], x)
-		for k, score := range scores[:len(rows)] {
-			if c.attackNoise > 0 {
-				score += c.attackNoise * gaussian(c.rng)
-			}
-			if score > bestScore {
-				best, bestScore = lo+k, score
-			}
+	for label, score := range scores[:len(c.weights)] {
+		if c.attackNoise > 0 {
+			score += c.attackNoise * c.rng.Norm()
+		}
+		if score > bestScore {
+			best, bestScore = label, score
 		}
 	}
 	return best
+}
+
+// scoreAll fills and returns c.scores with the host's body.
+func (c *Classifier) scoreAll(x []float64) []float64 {
+	if laneScorer != nil {
+		laneScorer(c.lanes, x[:len(c.weights[0])], c.scores)
+	} else {
+		scoreRows(c.weights, x, c.scores)
+	}
+	return c.scores
+}
+
+// classifyBlock is how many classes scoreRows scores per pass over x.
+const classifyBlock = 4
+
+// scoreRows is the portable scorer: it sets scores[k] = rows[k]·x,
+// classifyBlock classes per pass (dot4), each into its own accumulator,
+// so a block's additions form independent chains instead of one
+// dependent chain.
+func scoreRows(rows [][]float64, x, scores []float64) {
+	var block [classifyBlock]float64
+	for lo := 0; lo < len(rows); lo += classifyBlock {
+		// A short last block repeats its last row to fill the pass.
+		ws := rows[lo:min(lo+classifyBlock, len(rows))]
+		last := len(ws) - 1
+		block[0], block[1], block[2], block[3] = dot4(ws[0], ws[min(1, last)], ws[min(2, last)], ws[min(3, last)], x)
+		copy(scores[lo:], block[:len(ws)])
+	}
 }
 
 // dot4 returns w0·x … w3·x in one pass over x, each summed over
@@ -220,16 +257,6 @@ func (b *SignBenchmark) EstimateEnsembleInaccuracy(cs []*Classifier, n int, rng 
 		total += p
 	}
 	return total / float64(len(cs)), nil
-}
-
-// gaussian draws a standard normal sample via Box-Muller.
-func gaussian(rng *des.RNG) float64 {
-	u1 := rng.Float64()
-	for u1 == 0 {
-		u1 = rng.Float64()
-	}
-	u2 := rng.Float64()
-	return math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2)
 }
 
 func normalize(v []float64) {

@@ -18,7 +18,7 @@ func refClassify(c *Classifier, x []float64) int {
 			score += w[d] * x[d]
 		}
 		if c.attackNoise > 0 {
-			score += c.attackNoise * gaussian(c.rng)
+			score += c.attackNoise * c.rng.Norm()
 		}
 		if score > bestScore {
 			best, bestScore = label, score
@@ -34,11 +34,11 @@ func wildVector(r *des.RNG, v []float64) {
 	for d := range v {
 		switch r.Intn(6) {
 		case 0:
-			v[d] = gaussian(r)
+			v[d] = r.Norm()
 		case 1:
-			v[d] = gaussian(r) * math.Pow(10, float64(r.Intn(600)-300))
+			v[d] = r.Norm() * math.Pow(10, float64(r.Intn(600)-300))
 		case 2:
-			v[d] = math.Copysign(0, gaussian(r))
+			v[d] = math.Copysign(0, r.Norm())
 		case 3:
 			v[d] = float64(r.Intn(5) - 2)
 		case 4:
@@ -122,19 +122,81 @@ func TestClassifyMatchesScalarReference(t *testing.T) {
 	}
 }
 
+// TestScoreBodiesMatchDot4Bits: every class-score body this host supports
+// scores each class bit for bit as dot4 does, for 1–43 classes and 1–30
+// dimensions, with weights of +0, -0 and subnormal magnitude among wide-
+// ranging mixed-sign ones, and mixed-sign inputs.
+func TestScoreBodiesMatchDot4Bits(t *testing.T) {
+	r := des.NewRNG(2931)
+	type body struct {
+		name string
+		run  func(c *Classifier, x, dst []float64)
+	}
+	bodies := []body{{"rows", func(c *Classifier, x, dst []float64) { scoreRows(c.weights, x, dst) }}}
+	if laneScorer != nil {
+		bodies = append(bodies, body{"lanes", func(c *Classifier, x, dst []float64) { laneScorer(c.lanes, x, dst) }})
+	}
+	for _, b := range bodies {
+		t.Logf("host body %s", b.name)
+	}
+	sprinkle := func(v []float64) {
+		for d := range v {
+			switch r.Intn(8) {
+			case 0:
+				v[d] = math.Copysign(0, -1)
+			case 1:
+				v[d] = 0
+			case 2:
+				v[d] = r.Norm() * 0x1p-1040
+			}
+		}
+	}
+	for classes := 1; classes <= 43; classes++ {
+		for dims := 1; dims <= 30; dims++ {
+			rows := make([][]float64, classes)
+			for k := range rows {
+				rows[k] = make([]float64, dims)
+				wildVector(r, rows[k])
+				sprinkle(rows[k])
+			}
+			x := make([]float64, dims)
+			for d := range x {
+				x[d] = r.Norm() * math.Pow(2, float64(r.Intn(40)-20))
+			}
+			sprinkle(x)
+			c := newClassifier(rows, des.NewRNG(1))
+			for _, b := range bodies {
+				dst := make([]float64, len(c.scores))
+				b.run(c, x, dst)
+				for k, w := range rows {
+					want, _, _, _ := dot4(w, w, w, w, x)
+					if math.Float64bits(dst[k]) != math.Float64bits(want) {
+						t.Fatalf("%s classes %d dims %d class %d: score %v (%#x), dot4 %v (%#x)",
+							b.name, classes, dims, k, dst[k], math.Float64bits(dst[k]), want, math.Float64bits(want))
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestClassifyBreaksTiesToLowestLabel: equal scores across and within
 // blocks go to the lowest label, as the scalar scan's strict > does.
 func TestClassifyBreaksTiesToLowestLabel(t *testing.T) {
 	for _, classes := range []int{2, 4, 5, 9} {
-		c := &Classifier{weights: make([][]float64, classes), rng: des.NewRNG(1)}
-		for k := range c.weights {
-			c.weights[k] = []float64{1, 2}
+		rows := func(lastScore float64) [][]float64 {
+			w := make([][]float64, classes)
+			for k := range w {
+				w[k] = []float64{1, 2}
+			}
+			w[classes-1] = []float64{1, lastScore}
+			return w
 		}
-		c.weights[classes-1] = []float64{1, 3}
+		c := newClassifier(rows(3), des.NewRNG(1))
 		if got := c.Classify([]float64{1, 1}); got != classes-1 {
 			t.Errorf("classes %d: best unique score at %d, got %d", classes, classes-1, got)
 		}
-		c.weights[classes-1] = []float64{1, 2}
+		c = newClassifier(rows(2), des.NewRNG(1))
 		if got := c.Classify([]float64{1, 1}); got != 0 {
 			t.Errorf("classes %d: all tied, got label %d, want 0", classes, got)
 		}

@@ -416,17 +416,17 @@ func TestGaussianMoments(t *testing.T) {
 	var sum, sumSq float64
 	const n = 200000
 	for i := 0; i < n; i++ {
-		g := gaussian(rng)
+		g := rng.Norm()
 		sum += g
 		sumSq += g * g
 	}
 	mean := sum / n
 	variance := sumSq/n - mean*mean
 	if math.Abs(mean) > 0.01 {
-		t.Errorf("gaussian mean = %g", mean)
+		t.Errorf("Norm mean = %g", mean)
 	}
 	if math.Abs(variance-1) > 0.02 {
-		t.Errorf("gaussian variance = %g", variance)
+		t.Errorf("Norm variance = %g", variance)
 	}
 }
 

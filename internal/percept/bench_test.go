@@ -5,6 +5,7 @@ import (
 
 	"nvrel/internal/des"
 	"nvrel/internal/nvp"
+	"nvrel/internal/voter"
 )
 
 func BenchmarkSimulationSixVersion(b *testing.B) {
@@ -50,9 +51,10 @@ func BenchmarkSimulationLabelVoting(b *testing.B) {
 	}
 }
 
-// BenchmarkPerceptStepNoAlloc steps a warmed label-voting System one event
-// at a time. Every timer is a re-armed handle, every action is bound in
-// New and every request samples into reused buffers, so no event may
+// BenchmarkPerceptStepNoAlloc steps a warmed label-voting System, with
+// E13's four schemes deciding every request, one event at a time. Every
+// timer is a re-armed handle, every action is bound in New and every
+// request samples into reused buffers and tallies, so no event may
 // allocate; check.sh fails on any allocation.
 func BenchmarkPerceptStepNoAlloc(b *testing.B) {
 	cfg := Config{
@@ -61,6 +63,7 @@ func BenchmarkPerceptStepNoAlloc(b *testing.B) {
 		Horizon:         1e6,
 		RequestInterval: 300,
 		Classes:         43,
+		LabelSchemes:    []voter.LabelScheme{voter.Threshold{K: 4}, voter.Majority{}, voter.Plurality{}, voter.Unanimity{}},
 	}
 	sys, err := New(cfg, des.NewRNG(3))
 	if err != nil {

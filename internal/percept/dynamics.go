@@ -214,12 +214,12 @@ func (s *System) scheduleNextRequest() {
 
 // onRequest samples one perception request. Without label voting the
 // operational modules' correctness flags feed the counting rule; with
-// label voting enabled each module outputs a class label, the label scheme
-// decides, and the counting rule is tallied from the same sample so both
+// label voting enabled each module outputs a class label, every label
+// scheme decides into its own tally, and the counting rule is tallied from the same sample so both
 // views stay comparable. Samples land in the System's reused buffers.
 func (s *System) onRequest() {
 	if s.measuring {
-		if s.labelScheme != nil {
+		if s.labelSchemes != nil {
 			truth := s.rng.Intn(s.cfg.Classes)
 			labels, err := s.errModel.SampleLabelsInto(s.labels,
 				s.rng, truth, s.cfg.Classes, s.healthy, s.compromised, s.cfg.wrongLabelPolicy())
@@ -227,7 +227,9 @@ func (s *System) onRequest() {
 				panic(fmt.Sprintf("percept: label sampling: %v", err))
 			}
 			s.labels = labels
-			s.labelTally.Record(voter.ClassifyDecision(s.labelScheme.Decide(labels), truth))
+			for k, scheme := range s.labelSchemes {
+				s.labelTallies[k].Record(voter.ClassifyDecision(scheme.Decide(labels), truth))
+			}
 			s.correct = s.correct[:0]
 			for _, l := range labels {
 				s.correct = append(s.correct, l == truth)

@@ -49,18 +49,21 @@ type Config struct {
 
 	// Classes, when at least two, switches requests to label-level voting:
 	// each request draws a ground-truth label and per-module output labels
-	// from the generative model, and LabelScheme decides the output. The
-	// count-rule tally is still maintained from the same samples, so both
-	// views stay comparable.
+	// from the generative model, and every scheme of LabelSchemes decides
+	// the output. The count-rule tally is still maintained from the same
+	// samples, so all views stay comparable.
 	Classes int
 
 	// WrongLabels selects how erring modules choose their wrong label.
 	// The zero value means mlsim.CommonWrongLabel (adversarial agreement).
 	WrongLabels mlsim.WrongLabelPolicy
 
-	// LabelScheme decides label votes. Nil means the BFT threshold
-	// voter.Threshold{K: 2f+r+1}.
-	LabelScheme voter.LabelScheme
+	// LabelSchemes decide label votes, each on the same sampled labels and
+	// into its own tally. Deciding draws no random numbers, so each
+	// scheme's tally is the one a run with that scheme alone would give,
+	// and the schemes are compared on common random numbers. Empty means
+	// the BFT threshold voter.Threshold{K: 2f+r+1} alone.
+	LabelSchemes []voter.LabelScheme
 
 	// Attacker, when non-nil, replaces the constant-rate compromise
 	// process with the Markov-modulated adversary (mirrors
@@ -95,6 +98,11 @@ func (c Config) Validate() error {
 	}
 	if c.WrongLabels != 0 && c.WrongLabels != mlsim.CommonWrongLabel && c.WrongLabels != mlsim.IndependentWrongLabels {
 		errs = append(errs, fmt.Errorf("percept: unknown wrong-label policy %d", c.WrongLabels))
+	}
+	for k, scheme := range c.LabelSchemes {
+		if scheme == nil {
+			errs = append(errs, fmt.Errorf("percept: label scheme %d is nil", k))
+		}
 	}
 	if c.Attacker != nil {
 		if err := c.Attacker.Validate(); err != nil {
@@ -135,9 +143,10 @@ type Result struct {
 	// under the paper's counting rule (A.2/A.3).
 	Tally voter.Tally
 
-	// LabelTally counts outcomes under the configured label scheme; only
+	// LabelTallies count outcomes under each label scheme, in
+	// Config.LabelSchemes order (one tally for the default scheme); only
 	// populated when Config.Classes enables label voting.
-	LabelTally voter.Tally
+	LabelTallies []voter.Tally
 
 	// AnalyticReward is the time-weighted average of the paper's
 	// reliability function over the visited states: the simulation
@@ -185,7 +194,7 @@ type System struct {
 	rf       reliability.StateFn
 	rule     voter.CountRule
 
-	labelScheme voter.LabelScheme
+	labelSchemes []voter.LabelScheme
 
 	firstOutage float64
 	scheme      reliability.Scheme
@@ -193,15 +202,15 @@ type System struct {
 	// Time accrued per population state while measuring, indexed by
 	// stateIndex(healthy, compromised); visited marks each state that
 	// accrued time (possibly zero): the keys of Result.Occupancy.
-	occupancy  []float64
-	visited    []bool
-	lastState  [3]int
-	lastObs    float64
-	measuring  bool
-	windowLo   float64
-	tally      voter.Tally
-	labelTally voter.Tally
-	requests   int
+	occupancy    []float64
+	visited      []bool
+	lastState    [3]int
+	lastObs      float64
+	measuring    bool
+	windowLo     float64
+	tally        voter.Tally
+	labelTallies []voter.Tally
+	requests     int
 }
 
 // New prepares a simulator driven by the given random stream.
@@ -247,14 +256,15 @@ func New(cfg Config, rng *des.RNG) (*System, error) {
 	s.firstOutage = -1
 	s.scheme = cfg.Params.Scheme()
 	if cfg.Classes >= 2 {
-		s.labelScheme = cfg.LabelScheme
-		if s.labelScheme == nil {
+		s.labelSchemes = cfg.LabelSchemes
+		if len(s.labelSchemes) == 0 {
 			th, err := voter.NewThreshold(cfg.Params.Scheme().Threshold())
 			if err != nil {
 				return nil, err
 			}
-			s.labelScheme = th
+			s.labelSchemes = []voter.LabelScheme{th}
 		}
+		s.labelTallies = make([]voter.Tally, len(s.labelSchemes))
 	}
 	return s, nil
 }
@@ -323,11 +333,11 @@ func (s *System) finish() (*Result, error) {
 
 	n := s.cfg.Params.N
 	res := &Result{
-		Tally:       s.tally,
-		LabelTally:  s.labelTally,
-		Occupancy:   make(map[[3]int]float64, numStates(n)),
-		Requests:    s.requests,
-		FirstOutage: s.firstOutage,
+		Tally:        s.tally,
+		LabelTallies: s.labelTallies,
+		Occupancy:    make(map[[3]int]float64, numStates(n)),
+		Requests:     s.requests,
+		FirstOutage:  s.firstOutage,
 	}
 	// Sum in ascending (i, j) order, which is ascending (i, j, k) order
 	// because k = n-i-j: the reward is bit-for-bit reproducible.

@@ -7,6 +7,7 @@ import (
 	"nvrel/internal/des"
 	"nvrel/internal/mlsim"
 	"nvrel/internal/nvp"
+	"nvrel/internal/voter"
 )
 
 func fourVersionConfig() Config {
@@ -324,15 +325,72 @@ func TestLabelVoting(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Replicate: %v", err)
 	}
-	if est.LabelReliability.Mean <= 0 || est.LabelReliability.Mean > 1 {
-		t.Errorf("label reliability = %v", est.LabelReliability)
+	if est.LabelReliability[0].Mean <= 0 || est.LabelReliability[0].Mean > 1 {
+		t.Errorf("label reliability = %v", est.LabelReliability[0])
 	}
-	if est.LabelSafety.Mean < est.LabelReliability.Mean {
-		t.Errorf("label safety %v below reliability %v", est.LabelSafety, est.LabelReliability)
+	if est.LabelSafety[0].Mean < est.LabelReliability[0].Mean {
+		t.Errorf("label safety %v below reliability %v", est.LabelSafety[0], est.LabelReliability[0])
 	}
 	// The count tally is maintained from the same samples.
 	if est.RequestReliability.Mean <= 0 {
 		t.Errorf("count-rule tally missing under label voting: %v", est.RequestReliability)
+	}
+}
+
+// TestMultiSchemeMatchesSingleSchemeRuns: deciding draws no random
+// numbers, so under both wrong-label policies one run deciding with four
+// schemes gives each scheme, field for field, the tally of a run with that
+// scheme alone on the same stream, and one multi-scheme Replicate gives
+// each the estimate of its single-scheme Replicate.
+func TestMultiSchemeMatchesSingleSchemeRuns(t *testing.T) {
+	schemes := []voter.LabelScheme{voter.Threshold{K: 4}, voter.Majority{}, voter.Plurality{}, voter.Unanimity{}}
+	for _, policy := range []mlsim.WrongLabelPolicy{mlsim.CommonWrongLabel, mlsim.IndependentWrongLabels} {
+		cfg := sixVersionConfig()
+		cfg.Horizon = 2e5
+		cfg.Classes = 43
+		cfg.RequestInterval = 120
+		cfg.WrongLabels = policy
+		run := func(schemes []voter.LabelScheme) *Result {
+			c := cfg
+			c.LabelSchemes = schemes
+			sys, err := New(c, des.NewRNG(77))
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := sys.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res
+		}
+		replicate := func(schemes []voter.LabelScheme) *Estimate {
+			c := cfg
+			c.LabelSchemes = schemes
+			est, err := Replicate(c, 3, 78)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return est
+		}
+		all, allEst := run(schemes), replicate(schemes)
+		if len(all.LabelTallies) != len(schemes) || len(allEst.LabelReliability) != len(schemes) {
+			t.Fatalf("%s: %d tallies and %d estimates for %d schemes",
+				policy, len(all.LabelTallies), len(allEst.LabelReliability), len(schemes))
+		}
+		for k, scheme := range schemes {
+			one, oneEst := run(schemes[k:k+1]), replicate(schemes[k:k+1])
+			if all.LabelTallies[k] != one.LabelTallies[0] {
+				t.Errorf("%s %s: shared-run tally %+v, single-scheme run %+v",
+					policy, scheme.Name(), all.LabelTallies[k], one.LabelTallies[0])
+			}
+			if all.Tally != one.Tally || all.Requests != one.Requests || all.AnalyticReward != one.AnalyticReward {
+				t.Errorf("%s %s: count-rule view differs between the shared and the single-scheme run", policy, scheme.Name())
+			}
+			if allEst.LabelReliability[k] != oneEst.LabelReliability[0] || allEst.LabelSafety[k] != oneEst.LabelSafety[0] {
+				t.Errorf("%s %s: shared Replicate %v / %v, single-scheme %v / %v", policy, scheme.Name(),
+					allEst.LabelReliability[k], allEst.LabelSafety[k], oneEst.LabelReliability[0], oneEst.LabelSafety[0])
+			}
+		}
 	}
 }
 
@@ -347,8 +405,8 @@ func TestLabelVotingBenignErrorsAreSafe(t *testing.T) {
 	}
 	// Four independently-wrong modules agreeing on one of 42 wrong labels
 	// is essentially impossible.
-	if est.LabelSafety.Mean < 0.999 {
-		t.Errorf("benign label safety = %v, want ~1", est.LabelSafety)
+	if est.LabelSafety[0].Mean < 0.999 {
+		t.Errorf("benign label safety = %v, want ~1", est.LabelSafety[0])
 	}
 }
 
@@ -367,6 +425,12 @@ func TestConfigValidateLabelFields(t *testing.T) {
 	cfg.WrongLabels = mlsim.WrongLabelPolicy(42)
 	if err := cfg.Validate(); err == nil {
 		t.Error("unknown wrong-label policy accepted")
+	}
+	cfg = fourVersionConfig()
+	cfg.Classes = 10
+	cfg.LabelSchemes = []voter.LabelScheme{voter.Majority{}, nil}
+	if err := cfg.Validate(); err == nil {
+		t.Error("nil label scheme accepted")
 	}
 }
 

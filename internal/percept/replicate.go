@@ -25,10 +25,11 @@ type Estimate struct {
 	// counterpart of the paper's R = 1 - P(error) (safe skips count).
 	RequestSafety des.Summary
 
-	// LabelReliability and LabelSafety summarize the label-voting tallies
-	// (zero-valued unless Config.Classes enables label voting).
-	LabelReliability des.Summary
-	LabelSafety      des.Summary
+	// LabelReliability and LabelSafety summarize the label-voting tallies,
+	// one entry per label scheme in Config.LabelSchemes order (one for the
+	// default scheme); nil unless Config.Classes enables label voting.
+	LabelReliability []des.Summary
+	LabelSafety      []des.Summary
 }
 
 // Replicate runs n independent replications of the configured simulation
@@ -63,25 +64,31 @@ func Replicate(cfg Config, n int, seed uint64) (*Estimate, error) {
 	if err != nil {
 		return nil, err
 	}
-	var rewards, reliab, errRate, safety, labelRel, labelSafe des.Accumulator
+	var rewards, reliab, errRate, safety des.Accumulator
+	schemes := len(results[0].LabelTallies)
+	labelRel := make([]des.Accumulator, schemes)
+	labelSafe := make([]des.Accumulator, schemes)
 	for _, res := range results {
 		rewards.Add(res.AnalyticReward)
 		if cfg.RequestInterval > 0 {
 			reliab.Add(res.Tally.Reliability())
 			errRate.Add(res.Tally.ErrorRate())
 			safety.Add(res.Tally.Safety())
-			if cfg.Classes >= 2 {
-				labelRel.Add(res.LabelTally.Reliability())
-				labelSafe.Add(res.LabelTally.Safety())
+			for k, tally := range res.LabelTallies {
+				labelRel[k].Add(tally.Reliability())
+				labelSafe[k].Add(tally.Safety())
 			}
 		}
 	}
-	return &Estimate{
+	est := &Estimate{
 		AnalyticReward:     rewards.Summarize(),
 		RequestReliability: reliab.Summarize(),
 		RequestErrorRate:   errRate.Summarize(),
 		RequestSafety:      safety.Summarize(),
-		LabelReliability:   labelRel.Summarize(),
-		LabelSafety:        labelSafe.Summarize(),
-	}, nil
+	}
+	for k := range schemes {
+		est.LabelReliability = append(est.LabelReliability, labelRel[k].Summarize())
+		est.LabelSafety = append(est.LabelSafety, labelSafe[k].Summarize())
+	}
+	return est, nil
 }

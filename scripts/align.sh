@@ -9,8 +9,10 @@
 #   diff <(scripts/align.sh old/nvrel) <(scripts/align.sh new/nvrel)
 #
 # Kernels a build does not contain (one an older or newer layout of the
-# series step replaced) print as "absent", so the list keeps every kernel
-# any build has had and the diff shows which side has which.
+# series step replaced, or a Go function the compiler inlined) print as
+# "absent", so the list keeps every kernel any build has had and the diff
+# shows which side has which. An assembly body is listed twice: its Go
+# ABI wrapper under the plain name and the body itself under .abi0.
 set -euo pipefail
 
 if [[ $# -ne 1 || ! -f "$1" ]]; then
@@ -36,10 +38,16 @@ kernels=(
     'nvrel/internal/linalg.rows8'
     'nvrel/internal/linalg.rowsLoop'
     'nvrel/internal/linalg.chunksAVX512'
+    'nvrel/internal/linalg.chunksAVX512.abi0'
     'nvrel/internal/linalg.chunksGo'
+    'nvrel/internal/linalg.lanesAVX512'
+    'nvrel/internal/linalg.lanesAVX512.abi0'
+    'nvrel/internal/mlsim.dot4'
+    'nvrel/internal/mlsim.scoreRows'
     'nvrel/internal/parallel.ForEachHardened'
     'nvrel/internal/des.(*RNG).Uint64'
     'nvrel/internal/des.(*RNG).Exp'
+    'math/rand/v2.(*Rand).NormFloat64'
     'nvrel/internal/des.(*Simulation).Step'
     'nvrel/internal/mlsim.(*Classifier).Classify'
     'nvrel/internal/percept.(*System).onRequest'

@@ -8,11 +8,12 @@ cd "$(dirname "$0")/.."
 echo "== go vet ./..."
 go vet ./...
 
-echo "== portable series body: GOARCH=386 tests, GOARCH=arm64 vet"
-# amd64 runs the series through a vector body chosen at init; these run
-# the portable Go body, which every other architecture uses, and keep
-# the non-amd64 build compiling. A 386 binary runs natively on amd64.
-GOARCH=386 go test ./internal/linalg ./internal/mrgp
+echo "== portable series and class-score bodies: GOARCH=386 tests, GOARCH=arm64 vet"
+# amd64 runs the series and the classifier's class scores through vector
+# bodies chosen at init; these run the portable Go bodies (chunksGo and
+# dot4), which every other architecture uses, and keep the non-amd64
+# build compiling. A 386 binary runs natively on amd64.
+GOARCH=386 go test ./internal/linalg ./internal/mrgp ./internal/mlsim ./internal/percept
 GOARCH=arm64 go vet ./...
 
 echo "== perfbench module: go vet + go test"
@@ -53,7 +54,9 @@ done <<<"$fuzz_targets"
 echo "== no-alloc benchmark guards (-benchtime=1x)"
 # Every benchmark named *NoAlloc must report 0 allocs/op, among them the
 # event simulator's steady state: BenchmarkRearmChurnNoAlloc (des) and
-# BenchmarkPerceptStepNoAlloc (percept).
+# BenchmarkPerceptStepNoAlloc (percept), a ziggurat normal draw
+# (BenchmarkNormNoAlloc, des) and a pooled voting round
+# (BenchmarkRoundNoAlloc, bftvote).
 bench_out=$(go test -run '^$' -bench 'NoAlloc' -benchmem -benchtime=1x ./...)
 echo "$bench_out"
 if ! echo "$bench_out" | awk '/allocs\/op/ { if ($(NF-1)+0 != 0) { print "nonzero allocs: " $0 > "/dev/stderr"; bad = 1 } } END { exit bad }'; then
