@@ -29,10 +29,11 @@ type ProtocolResult struct {
 	AnalyticSafety float64
 }
 
-// RunProtocol executes message-level voting rounds.
+// RunProtocol executes message-level voting rounds; it needs at least
+// one round.
 func RunProtocol(rounds int, seed uint64) (*ProtocolResult, error) {
-	if rounds <= 0 {
-		rounds = 4000
+	if rounds < 1 {
+		return nil, fmt.Errorf("experiments: rounds = %d, want at least 1", rounds)
 	}
 	params := nvp.DefaultSixVersion()
 	model, err := nvp.BuildWithRejuvenation(params)

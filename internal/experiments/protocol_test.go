@@ -1,10 +1,22 @@
 package experiments
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
 )
+
+// TestRunProtocolRejectsNoRounds: a round count below one is an error
+// that names it, not a silent 4000-round run.
+func TestRunProtocolRejectsNoRounds(t *testing.T) {
+	for _, rounds := range []int{0, -1} {
+		want := fmt.Sprintf("rounds = %d", rounds)
+		if _, err := RunProtocol(rounds, 1); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("RunProtocol(%d): err = %v, want one naming %q", rounds, err, want)
+		}
+	}
+}
 
 func TestRunProtocol(t *testing.T) {
 	res, err := RunProtocol(1500, 55)

@@ -54,8 +54,8 @@ func (ws *Workspace) CSRFromDense(d *Dense) *CSR {
 
 // CSRFromDenseT returns the transpose of d in CSR form, which is d's CSC
 // form: the operand layout of the gather kernels (CSR.MulVecInto for
-// x * d, Dense.MulCSCInto for a * d). It keeps the same entries as
-// CSRFromDense.
+// x * d, Dense.MulCSRInto for (a * d)ᵀ from aᵀ). It keeps the same
+// entries as CSRFromDense.
 func CSRFromDenseT(d *Dense) *CSR {
 	return (*Workspace)(nil).CSRFromDenseT(d)
 }
@@ -178,58 +178,6 @@ func (c *CSR) MulVecInto(dst, x []float64) error {
 			s += vals[k] * x[j]
 		}
 		dst[i] = s
-	}
-	return nil
-}
-
-// MulCSCInto computes out = a * B for a dense a and a sparse B given as
-// bt, B's transpose in CSR form (B's CSC form). Each output element is
-// gathered in a register over column j of B, two rows of a per pass, so
-// a term costs O(rows(a) * nnz(B)) as in the dense-times-CSR scatter but
-// without a load and store of the output per multiply-add. The terms of
-// out[i][j] are added in ascending k from +0, as the row scatter over B
-// adds them, so for finite operands the bits are the scatter's (see
-// MulVecInto). out must be sized a.rows x rows(bt) and must not alias a.
-func (out *Dense) MulCSCInto(a *Dense, bt *CSR) error {
-	if a.cols != bt.cols || out.rows != a.rows || out.cols != bt.rows {
-		return ErrDimensionMismatch
-	}
-	if out == a {
-		return ErrDimensionMismatch
-	}
-	inner, cols := a.cols, out.cols
-	i := 0
-	for ; i+1 < a.rows; i += 2 {
-		a0 := a.data[i*inner : (i+1)*inner]
-		a1 := a.data[(i+1)*inner : (i+2)*inner]
-		o0 := out.data[i*cols : (i+1)*cols]
-		o1 := out.data[(i+1)*cols : (i+2)*cols]
-		for j := range o0 {
-			lo, hi := bt.RowPtr[j], bt.RowPtr[j+1]
-			idx, vals := bt.ColIdx[lo:hi], bt.Vals[lo:hi]
-			vals = vals[:len(idx)]
-			var s0, s1 float64
-			for k, c := range idx {
-				v := vals[k]
-				s0 += a0[c] * v
-				s1 += a1[c] * v
-			}
-			o0[j], o1[j] = s0, s1
-		}
-	}
-	if i < a.rows {
-		a0 := a.data[i*inner : (i+1)*inner]
-		o0 := out.data[i*cols : (i+1)*cols]
-		for j := range o0 {
-			lo, hi := bt.RowPtr[j], bt.RowPtr[j+1]
-			idx, vals := bt.ColIdx[lo:hi], bt.Vals[lo:hi]
-			vals = vals[:len(idx)]
-			var s float64
-			for k, c := range idx {
-				s += a0[c] * vals[k]
-			}
-			o0[j] = s
-		}
 	}
 	return nil
 }

@@ -88,7 +88,10 @@ func TestCSRMulVecMatchesDense(t *testing.T) {
 	}
 }
 
-func TestMulCSCIntoMatchesDense(t *testing.T) {
+// TestMulCSRIntoMatchesDense: a product through Dense.MulCSRInto in
+// transposed form, (a q)ᵀ = qᵀ aᵀ with qᵀ in CSR form, agrees with the
+// dense product to rounding.
+func TestMulCSRIntoMatchesDense(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for rep := 0; rep < 10; rep++ {
 		n := 2 + rng.Intn(20)
@@ -104,10 +107,11 @@ func TestMulCSCIntoMatchesDense(t *testing.T) {
 		if err := want.MulInto(a, q); err != nil {
 			t.Fatalf("MulInto: %v", err)
 		}
-		got := NewDense(n, n)
-		if err := got.MulCSCInto(a, ct); err != nil {
-			t.Fatalf("MulCSCInto: %v", err)
+		gotT := NewDense(n, n)
+		if err := gotT.MulCSRInto(ct, a.Transpose()); err != nil {
+			t.Fatalf("MulCSRInto: %v", err)
 		}
+		got := gotT.Transpose()
 		for i := 0; i < n; i++ {
 			for j := 0; j < n; j++ {
 				if math.Abs(got.At(i, j)-want.At(i, j)) > 1e-12*(1+math.Abs(want.At(i, j))) {

@@ -1,12 +1,13 @@
-// Package linalg provides the small dense linear-algebra kernel used by the
-// stochastic solvers in this repository: dense matrices, LU factorization,
-// steady-state solvers for Markov chains (GTH), and Poisson weights for
-// uniformization.
+// Package linalg provides the linear-algebra kernels of the stochastic
+// solvers in this repository: dense row-major and CSR matrices, the
+// dense products of the MRGP scaling-and-doubling route (SIMD lanes on
+// AVX-512 hosts, see lanes.go), steady-state solvers for Markov chains
+// (GTH, Gauss-Seidel, power iteration), and the Poisson weights and
+// vector series of uniformization.
 //
-// The package is deliberately minimal and dependency-free. All matrices are
-// dense and row-major; the state spaces produced by the perception-system
-// Petri nets are tiny (tens of states), so asymptotic sophistication would
-// only obscure the numerics.
+// The package is dependency-free. Every kernel adds its terms in a fixed
+// order, so a result's bits do not depend on the host's vector width or
+// on the worker count.
 package linalg
 
 import (
@@ -142,15 +143,15 @@ func (m *Dense) Mul(other *Dense) (*Dense, error) {
 // a.rows x b.cols and must not alias a or b. Existing contents are
 // overwritten.
 //
-// The kernel fills 2x4 output blocks held in registers, i-j-k within a
-// block: per k it loads two elements of a and four of b's row k for eight
-// multiply-adds, where a row-scatter loop loads and stores the output
-// element on every one. Blocks sweep down a four-column panel of b before
-// moving right, so the panel stays in cache. Each out[i][j] is still the
-// sum of a[i][k]*b[k][j] in ascending k from +0, so the bits equal the
-// scatter form's whenever the operands are finite (a zero a[i][k] the
-// scatter skipped adds a signed zero here, which leaves any sum
-// unchanged).
+// Each out[i][j] is the sum of a[i][k]*b[k][j] in ascending k from +0, so
+// the bits equal the row-scatter form's whenever the operands are finite
+// (a zero a[i][k] the scatter skipped adds a signed zero here, which
+// leaves any sum unchanged). On a host with lanes, row i of out is one
+// lane call: row i of a weighting the rows of b. Elsewhere the kernel
+// fills 2x4 output blocks held in registers, i-j-k within a block: per k
+// it loads two elements of a and four of b's row k for eight
+// multiply-adds. Blocks sweep down a four-column panel of b before
+// moving right, so the panel stays in cache.
 func (out *Dense) MulInto(a, b *Dense) error {
 	if a.cols != b.rows || out.rows != a.rows || out.cols != b.cols {
 		return ErrDimensionMismatch
@@ -158,6 +159,18 @@ func (out *Dense) MulInto(a, b *Dense) error {
 	if out == a || out == b {
 		return ErrDimensionMismatch
 	}
+	if hasLanes {
+		for i := 0; i < a.rows; i++ {
+			hostLanes(b.data, b.cols, nil, a.data[i*a.cols:(i+1)*a.cols], out.data[i*out.cols:(i+1)*out.cols], nil, 0, nil, 0)
+		}
+		return nil
+	}
+	out.mulBlocks(a, b)
+	return nil
+}
+
+// mulBlocks is MulInto's portable body, the 2x4 register blocks.
+func (out *Dense) mulBlocks(a, b *Dense) {
 	inner, cols := a.cols, b.cols
 	rows := a.rows &^ 1
 	j := 0
@@ -203,6 +216,85 @@ func (out *Dense) MulInto(a, b *Dense) error {
 			out.data[i*cols+jj] = s
 		}
 	}
+}
+
+// Fused is an update M += S * out that Dense.MulCSRInto applies to each
+// row of its product as it stores it, element by element as AddScaled
+// does; a nil M or S == 0 leaves M untouched.
+type Fused struct {
+	M *Dense
+	S float64
+}
+
+// MulCSRInto computes out = c * a for a sparse c and a dense a, then
+// applies each fused update (at most two) to out. Row j of out is the
+// combination of a's rows listed in c's row j, in c's storage order from
+// +0: one lane call on a host with lanes, the portable lane body
+// elsewhere. So out[j][i] is summed in the order a gather over c's row j
+// adds it; with c = Bᵀ in CSR form (B's CSC form) and a = Xᵀ, out is
+// (X B)ᵀ with the bits of the gather that sums each element of X B over
+// column j of B. out must be sized rows(c) x a.cols and must alias
+// neither a nor a fused M, and c's column indices must be below a.rows.
+func (out *Dense) MulCSRInto(c *CSR, a *Dense, fused ...Fused) error {
+	if c.cols != a.rows || out.rows != c.rows || out.cols != a.cols || out == a || len(fused) > 2 {
+		return ErrDimensionMismatch
+	}
+	var acc [2][]float64
+	var scale [2]float64
+	for f, fu := range fused {
+		if fu.M == nil || fu.S == 0 {
+			continue
+		}
+		if fu.M.rows != out.rows || fu.M.cols != out.cols || fu.M == out || fu.M == a {
+			return ErrDimensionMismatch
+		}
+		acc[f], scale[f] = fu.M.data, fu.S
+	}
+	cols := out.cols
+	for j := 0; j < out.rows; j++ {
+		lo, hi := c.RowPtr[j], c.RowPtr[j+1]
+		idx, vals := c.ColIdx[lo:hi], c.Vals[lo:hi]
+		for _, k := range idx {
+			if uint(k) >= uint(a.rows) {
+				return ErrDimensionMismatch
+			}
+		}
+		var t, u []float64
+		if acc[0] != nil {
+			t = acc[0][j*cols : (j+1)*cols]
+		}
+		if acc[1] != nil {
+			u = acc[1][j*cols : (j+1)*cols]
+		}
+		if hasLanes {
+			hostLanes(a.data, a.cols, idx, vals, out.data[j*cols:(j+1)*cols], t, scale[0], u, scale[1])
+		} else {
+			lanesGo(a.data, a.cols, idx, vals, out.data[j*cols:(j+1)*cols], t, scale[0], u, scale[1])
+		}
+	}
+	return nil
+}
+
+// TransposeFrom sets out to the transpose of m; out must be sized
+// m.cols x m.rows. A square m may be out itself, transposed in place.
+func (out *Dense) TransposeFrom(m *Dense) error {
+	if out.rows != m.cols || out.cols != m.rows {
+		return ErrDimensionMismatch
+	}
+	if out == m {
+		for i := 0; i < m.rows; i++ {
+			for j := i + 1; j < m.cols; j++ {
+				m.data[i*m.cols+j], m.data[j*m.cols+i] = m.data[j*m.cols+i], m.data[i*m.cols+j]
+			}
+		}
+		return nil
+	}
+	for i := 0; i < m.rows; i++ {
+		row := m.data[i*m.cols : (i+1)*m.cols]
+		for j, v := range row {
+			out.data[j*out.cols+i] = v
+		}
+	}
 	return nil
 }
 
@@ -234,9 +326,17 @@ func (m *Dense) VecMul(x []float64) ([]float64, error) {
 
 // VecMulInto computes dst = x * m (x treated as a row vector). dst must be
 // length m.cols and must not alias x; existing contents are overwritten.
+// Each dst[j] is the sum of x[i]*m[i][j] in ascending i from +0: one lane
+// call on a host with lanes, a row scatter that skips zero x[i]
+// elsewhere. The bits agree whenever m is finite (a skipped term adds a
+// signed zero to a sum that is never -0).
 func (m *Dense) VecMulInto(dst, x []float64) error {
 	if m.rows != len(x) || m.cols != len(dst) {
 		return ErrDimensionMismatch
+	}
+	if hasLanes {
+		hostLanes(m.data, m.cols, nil, x, dst, nil, 0, nil, 0)
+		return nil
 	}
 	clear(dst)
 	for i, xi := range x {

@@ -219,3 +219,30 @@ func randMatrix(rows, cols int, seed uint32) *Dense {
 	}
 	return m
 }
+
+// TestTransposeFromInPlace: a square matrix transposes into itself, and
+// a rectangular one into a matrix of the swapped shape.
+func TestTransposeFromInPlace(t *testing.T) {
+	m := randMatrix(5, 5, 3)
+	want := m.Transpose()
+	if err := m.TransposeFrom(m); err != nil {
+		t.Fatal(err)
+	}
+	for i := range want.data {
+		if m.data[i] != want.data[i] {
+			t.Fatalf("in place: element %d = %v, want %v", i, m.data[i], want.data[i])
+		}
+	}
+	r := randMatrix(2, 3, 4)
+	out := NewDense(3, 2)
+	if err := out.TransposeFrom(r); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		for j := 0; j < 3; j++ {
+			if out.At(j, i) != r.At(i, j) {
+				t.Fatalf("(%d,%d) = %v, want %v", j, i, out.At(j, i), r.At(i, j))
+			}
+		}
+	}
+}

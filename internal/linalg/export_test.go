@@ -13,6 +13,12 @@ func CheckFusedMatchesThreePass(t *testing.T, rng *rand.Rand, name string, qt *C
 	checkFusedMatchesThreePass(t, rng, name, qt)
 }
 
+// CheckLaneBodies runs the lane-body bit check of kernel_test.go on a
+// generator and its clock branching matrix.
+func CheckLaneBodies(t *testing.T, rng *rand.Rand, name string, q, d *Dense) {
+	checkLaneBodies(t, rng, name, q, d)
+}
+
 // CheckChunkLayout checks qt's layout and returns its widest chunk
 // width.
 func CheckChunkLayout(t *testing.T, qt *CSR) int {

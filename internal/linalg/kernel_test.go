@@ -8,9 +8,10 @@ import (
 	"testing"
 )
 
-// The gather kernels (Dense.MulInto, Dense.MulCSCInto, CSR.MulVecInto on
-// a transpose) replaced row-scatter loops and promise the scatter's bits.
-// The scatter forms are kept here verbatim as the references.
+// The gather and lane kernels (Dense.MulInto, Dense.MulCSRInto on
+// transposes, Dense.VecMulInto, CSR.MulVecInto on a transpose) replaced
+// row-scatter loops and promise the scatter's bits. The scatter forms are
+// kept here verbatim as the references.
 
 func (out *Dense) scatterMulInto(a, b *Dense) error {
 	if a.cols != b.rows || out.rows != a.rows || out.cols != b.cols {
@@ -105,62 +106,297 @@ func sameBits(t *testing.T, what string, got, want []float64) {
 	}
 }
 
+// laneBody names one way the dense products run: on the host's vector
+// body (lanes) or on the portable paths (hasLanes false: MulInto's 2x4
+// blocks, VecMulInto's scatter, MulCSRInto's lanesGo).
+type laneBody struct {
+	name  string
+	lanes bool
+}
+
+// laneBodies lists the ways this host runs: the portable paths and, when
+// the host has one, its vector body.
+func laneBodies() []laneBody {
+	if hasLanes {
+		return []laneBody{{"go", false}, {"avx512", true}}
+	}
+	return []laneBody{{"go", false}}
+}
+
+// withLanes runs fn with hasLanes set to lanes.
+func withLanes(lanes bool, fn func()) {
+	saved := hasLanes
+	hasLanes = lanes
+	defer func() { hasLanes = saved }()
+	fn()
+}
+
+// transposed returns mᵀ through TransposeFrom.
+func transposed(t *testing.T, m *Dense) *Dense {
+	t.Helper()
+	out := NewDense(m.cols, m.rows)
+	if err := out.TransposeFrom(m); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
 // TestGatherKernelsMatchScatterBits: on every power P^k of a random
 // uniformized generator — P^0 and P^1 as sparse as P, P^3 partly filled,
-// P^40 dense — each gather kernel reproduces its scatter reference bit
-// for bit, odd sizes (a single-row tail, a column tail) included.
+// P^40 dense — each lane path reproduces its scatter reference bit for
+// bit, odd sizes (a single-row tail, a masked lane tail) included, on
+// the host's vector body and on the portable path. The product by P
+// runs transposed, as the base series does: (P^k P)ᵀ = Pᵀ (P^k)ᵀ.
 func TestGatherKernelsMatchScatterBits(t *testing.T) {
-	rng := rand.New(rand.NewSource(19))
-	for _, n := range []int{1, 7, 70, 71, 140} {
-		p := uniformizedWithZeroDiag(rng, n)
-		pc, pt := CSRFromDense(p), CSRFromDenseT(p)
-		power := Identity(n)
-		for k := 0; k <= 40; k++ {
-			if k == 0 || k == 1 || k == 3 || k == 40 {
-				name := fmt.Sprintf("n=%d k=%d", n, k)
-				want, got := NewDense(n, n), NewDense(n, n)
+	for _, body := range laneBodies() {
+		withLanes(body.lanes, func() {
+			rng := rand.New(rand.NewSource(19))
+			for _, n := range []int{1, 7, 70, 71, 140} {
+				p := uniformizedWithZeroDiag(rng, n)
+				pc, pt := CSRFromDense(p), CSRFromDenseT(p)
+				power := Identity(n)
+				for k := 0; k <= 40; k++ {
+					if k == 0 || k == 1 || k == 3 || k == 40 {
+						name := fmt.Sprintf("%s n=%d k=%d", body.name, n, k)
+						want, got := NewDense(n, n), NewDense(n, n)
 
-				if err := want.scatterMulInto(power, p); err != nil {
-					t.Fatal(err)
-				}
-				if err := got.MulInto(power, p); err != nil {
-					t.Fatal(err)
-				}
-				sameBits(t, name+" MulInto(P^k, P)", got.data, want.data)
-				if err := want.scatterMulInto(power, power); err != nil {
-					t.Fatal(err)
-				}
-				if err := got.MulInto(power, power); err != nil {
-					t.Fatal(err)
-				}
-				sameBits(t, name+" MulInto(P^k, P^k)", got.data, want.data)
+						if err := want.scatterMulInto(power, p); err != nil {
+							t.Fatal(err)
+						}
+						if err := got.MulInto(power, p); err != nil {
+							t.Fatal(err)
+						}
+						sameBits(t, name+" MulInto(P^k, P)", got.data, want.data)
+						for i := 0; i < n; i++ {
+							row := make([]float64, n)
+							if err := p.VecMulInto(row, power.data[i*n:(i+1)*n]); err != nil {
+								t.Fatal(err)
+							}
+							sameBits(t, fmt.Sprintf("%s VecMulInto row %d", name, i), row, want.data[i*n:(i+1)*n])
+						}
+						if err := want.scatterMulInto(power, power); err != nil {
+							t.Fatal(err)
+						}
+						if err := got.MulInto(power, power); err != nil {
+							t.Fatal(err)
+						}
+						sameBits(t, name+" MulInto(P^k, P^k)", got.data, want.data)
 
-				if err := want.scatterMulCSRInto(power, pc); err != nil {
-					t.Fatal(err)
-				}
-				if err := got.MulCSCInto(power, pt); err != nil {
-					t.Fatal(err)
-				}
-				sameBits(t, name+" MulCSCInto", got.data, want.data)
+						if err := want.scatterMulCSRInto(power, pc); err != nil {
+							t.Fatal(err)
+						}
+						gotT := NewDense(n, n)
+						if err := gotT.MulCSRInto(pt, transposed(t, power)); err != nil {
+							t.Fatal(err)
+						}
+						sameBits(t, name+" MulCSRInto", transposed(t, gotT).data, want.data)
 
-				for i := 0; i < n; i++ {
-					x := power.data[i*n : (i+1)*n]
-					wantV, gotV := make([]float64, n), make([]float64, n)
-					if err := pc.scatterVecMulInto(wantV, x); err != nil {
+						for i := 0; i < n; i++ {
+							x := power.data[i*n : (i+1)*n]
+							wantV, gotV := make([]float64, n), make([]float64, n)
+							if err := pc.scatterVecMulInto(wantV, x); err != nil {
+								t.Fatal(err)
+							}
+							if err := pt.MulVecInto(gotV, x); err != nil {
+								t.Fatal(err)
+							}
+							sameBits(t, fmt.Sprintf("%s MulVecInto row %d", name, i), gotV, wantV)
+						}
+					}
+					next := NewDense(n, n)
+					if err := next.scatterMulInto(power, p); err != nil {
 						t.Fatal(err)
 					}
-					if err := pt.MulVecInto(gotV, x); err != nil {
-						t.Fatal(err)
-					}
-					sameBits(t, fmt.Sprintf("%s MulVecInto row %d", name, i), gotV, wantV)
+					power = next
 				}
 			}
-			next := NewDense(n, n)
-			if err := next.scatterMulInto(power, p); err != nil {
+		})
+	}
+}
+
+// checkLaneBodies checks every lane body on the dense-route products of
+// generator q and branching matrix d against their scatter references,
+// bit for bit: the squaring of a base-series matrix, the base series
+// run transposed with its fused updates of T and U (and of T alone),
+// T·D through the transposes, and a vector times T with zero entries.
+func checkLaneBodies(t *testing.T, rng *rand.Rand, name string, q, d *Dense) {
+	t.Helper()
+	n := q.rows
+	rate := UniformizationRate(q.MaxAbsDiag())
+	if rate == 0 {
+		rate = 1
+	}
+	p := q.Clone()
+	p.Scale(1 / rate)
+	for i := 0; i < n; i++ {
+		p.Add(i, i, 1)
+	}
+	pc, pt := CSRFromDense(p), CSRFromDenseT(p)
+	dc, dt := CSRFromDense(d), CSRFromDenseT(d)
+
+	// Series coefficients: Poisson weights and tails over rate, the
+	// tails ending in exact zeros as the clipped tails do.
+	const terms = 7
+	weights, tails := make([]float64, terms), make([]float64, terms)
+	for k := range weights {
+		weights[k] = rng.Float64()
+		if k < terms-2 {
+			tails[k] = rng.Float64() / rate
+		}
+	}
+
+	// The references, in untransposed space: T = sum_k w_k P^k by
+	// AddScaled over scatter powers (P^k times P in CSR form), then
+	// squared and multiplied by D.
+	wantT, wantU, power := NewDense(n, n), NewDense(n, n), Identity(n)
+	for k := 0; k < terms; k++ {
+		wantT.AddScaled(power, weights[k])
+		wantU.AddScaled(power, tails[k])
+		if k == terms-1 {
+			break
+		}
+		next := NewDense(n, n)
+		if err := next.scatterMulCSRInto(power, pc); err != nil {
+			t.Fatal(err)
+		}
+		power = next
+	}
+	wantSq, wantTD := NewDense(n, n), NewDense(n, n)
+	if err := wantSq.scatterMulInto(wantT, wantT); err != nil {
+		t.Fatal(err)
+	}
+	if err := wantTD.scatterMulCSRInto(wantSq, dc); err != nil {
+		t.Fatal(err)
+	}
+	x := signedVector(rng, n)
+	for i := range x {
+		if i%3 == 0 {
+			x[i] = 0
+		}
+	}
+	wantX := make([]float64, n)
+	for i, xi := range x {
+		if xi == 0 {
+			continue
+		}
+		for j := 0; j < n; j++ {
+			wantX[j] += xi * wantSq.At(i, j)
+		}
+	}
+
+	for _, body := range laneBodies() {
+		withLanes(body.lanes, func() {
+			label := fmt.Sprintf("%s %s", body.name, name)
+			for _, withU := range []bool{false, true} {
+				tm, power, next := NewDense(n, n), Identity(n), NewDense(n, n)
+				var um *Dense
+				if withU {
+					um = NewDense(n, n)
+				}
+				tm.AddScaled(power, weights[0])
+				if withU {
+					um.AddScaled(power, tails[0])
+				}
+				for k := 1; k < terms; k++ {
+					if err := next.MulCSRInto(pt, power, Fused{tm, weights[k]}, Fused{um, tails[k]}); err != nil {
+						t.Fatal(err)
+					}
+					power, next = next, power
+				}
+				sameBits(t, fmt.Sprintf("%s series T (U %v)", label, withU), transposed(t, tm).data, wantT.data)
+				if withU {
+					sameBits(t, label+" series U", transposed(t, um).data, wantU.data)
+				}
+			}
+
+			sq := NewDense(n, n)
+			if err := sq.MulInto(wantT, wantT); err != nil {
 				t.Fatal(err)
 			}
-			power = next
+			sameBits(t, label+" squaring", sq.data, wantSq.data)
+
+			tdT := NewDense(n, n)
+			if err := tdT.MulCSRInto(dt, transposed(t, wantSq)); err != nil {
+				t.Fatal(err)
+			}
+			sameBits(t, label+" T·D", transposed(t, tdT).data, wantTD.data)
+
+			got := make([]float64, n)
+			if err := wantSq.VecMulInto(got, x); err != nil {
+				t.Fatal(err)
+			}
+			sameBits(t, label+" x·T", got, wantX)
+		})
+	}
+}
+
+// randomBranching returns a clock branching matrix: each row a few
+// successors with probabilities summing to one, zero columns included.
+func randomBranching(rng *rand.Rand, n int) *Dense {
+	d := NewDense(n, n)
+	for i := 0; i < n; i++ {
+		k := 1 + rng.Intn(3)
+		for e := 0; e < k; e++ {
+			d.Add(i, rng.Intn(n), 1/float64(k))
 		}
+	}
+	return d
+}
+
+// TestLaneBodiesMatchScatterBits runs checkLaneBodies at odd sizes: one
+// state, and sizes that end in a masked partial chunk of lanes after
+// full groups of 64, 32, 16 and 8.
+func TestLaneBodiesMatchScatterBits(t *testing.T) {
+	rng := rand.New(rand.NewSource(32))
+	for _, n := range []int{1, 7, 9, 71, 127} {
+		checkLaneBodies(t, rng, fmt.Sprintf("n=%d", n), randomGenerator(rng, n), randomBranching(rng, n))
+	}
+}
+
+// TestLaneProductsRefuseBadOperands: the vector body trusts its operands,
+// so the products refuse any that would make it read or write out of
+// bounds (a column index past the dense operand, mismatched shapes,
+// aliased outputs) with ErrDimensionMismatch before it runs.
+func TestLaneProductsRefuseBadOperands(t *testing.T) {
+	for _, body := range laneBodies() {
+		withLanes(body.lanes, func() {
+			a, b := NewDense(3, 4), NewDense(4, 5)
+			c := CSRFromDense(Identity(4))
+			bad := CSRFromDense(Identity(4))
+			bad.ColIdx[3] = 4
+			for _, tc := range []struct {
+				name string
+				err  error
+			}{
+				{"MulInto inner mismatch", NewDense(3, 5).MulInto(a, a)},
+				{"MulInto out shape", NewDense(3, 4).MulInto(a, b)},
+				{"MulInto aliased out", b.MulInto(NewDense(4, 4), b)},
+				{"VecMulInto short x", b.VecMulInto(make([]float64, 5), make([]float64, 3))},
+				{"VecMulInto long dst", b.VecMulInto(make([]float64, 6), make([]float64, 4))},
+				{"MulCSRInto column past a", NewDense(4, 5).MulCSRInto(bad, b)},
+				{"MulCSRInto inner mismatch", NewDense(4, 4).MulCSRInto(c, a)},
+				{"MulCSRInto out shape", NewDense(4, 4).MulCSRInto(c, b)},
+				{"MulCSRInto aliased out", b.MulCSRInto(c, b)},
+				{"MulCSRInto fused shape", NewDense(4, 5).MulCSRInto(c, b, Fused{NewDense(5, 4), 1})},
+				{"MulCSRInto fused aliases a", NewDense(4, 5).MulCSRInto(c, b, Fused{b, 1})},
+				{"MulCSRInto three fused", NewDense(4, 5).MulCSRInto(c, b, Fused{}, Fused{}, Fused{})},
+				{"TransposeFrom shape", NewDense(3, 4).TransposeFrom(a)},
+				{"TransposeFrom in place, not square", a.TransposeFrom(a)},
+			} {
+				if tc.err != ErrDimensionMismatch {
+					t.Errorf("%s %s: err = %v, want ErrDimensionMismatch", body.name, tc.name, tc.err)
+				}
+			}
+			out := NewDense(4, 5)
+			self := Fused{out, 1}
+			if err := out.MulCSRInto(c, b, self); err != ErrDimensionMismatch {
+				t.Errorf("%s MulCSRInto fused aliases out: err = %v", body.name, err)
+			}
+			// A zero scale or nil matrix is skipped, whatever its shape.
+			if err := out.MulCSRInto(c, b, Fused{NewDense(1, 1), 0}, Fused{}); err != nil {
+				t.Errorf("%s MulCSRInto skipped updates: %v", body.name, err)
+			}
+		})
 	}
 }
 
@@ -254,18 +490,19 @@ func BenchmarkMulIntoNoAlloc(b *testing.B) {
 	}
 }
 
-// BenchmarkMulCSCNoAlloc times one base-series term, a dense power times
-// the uniformized generator; it must not allocate.
-func BenchmarkMulCSCNoAlloc(b *testing.B) {
+// BenchmarkMulCSRNoAlloc times one base-series term as the dense route
+// runs it: the next transposed power Pᵀ (P^k)ᵀ with both fused updates;
+// it must not allocate.
+func BenchmarkMulCSRNoAlloc(b *testing.B) {
 	for _, n := range []int{70, 140} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			a := randMatrix(n, n, uint32(n))
 			pt := CSRFromDenseT(benchUniformized(n))
-			out := NewDense(n, n)
+			out, tm, um := NewDense(n, n), NewDense(n, n), NewDense(n, n)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if err := out.MulCSCInto(a, pt); err != nil {
+				if err := out.MulCSRInto(pt, a, Fused{tm, 0.5}, Fused{um, 0.25}); err != nil {
 					b.Fatal(err)
 				}
 			}

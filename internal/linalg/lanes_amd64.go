@@ -1,24 +1,18 @@
 package linalg
 
-// The class scorer of lanes_amd64.s: one lane is one class, its products
-// and sums are separate VMULPD and VADDPD in dimension order, so each
-// lane's bits are the scalar dot product's.
+// The lane body of lanes_amd64.s: one lane is one output column, its
+// products and sums are separate VMULPD and VADDPD in term order (never
+// a fused multiply-add), so each lane's bits are the scalar in-order
+// sum's.
 
 //go:noescape
-func lanesAVX512(w, x, dst []float64)
+func lanesAVX512(w []float64, stride int, idx []int, x, dst, t []float64, ts float64, u []float64, us float64)
 
-// laneScorer is lanesAVX512 when hasAVX512, else nil. The body reads w
-// and writes dst at offsets it derives from len(x) and len(dst) alone, so
-// operands that are not a LaneWeights layout for them are refused before
-// it runs.
-var laneScorer = func() func(w, x, dst []float64) {
-	if !hasAVX512() {
-		return nil
-	}
-	return func(w, x, dst []float64) {
-		if len(dst)%chunk != 0 || len(w) != len(x)*len(dst) {
-			panic("linalg: lane scorer operands are not a LaneWeights layout")
-		}
-		lanesAVX512(w, x, dst)
-	}
-}()
+// hasLanes reports whether hostLanes may run: the CPU has AVX-512.
+var hasLanes = hasAVX512()
+
+// hostLanes runs lanesAVX512, called directly so that no function value
+// and ABI wrapper sit between a product's row loop and the body.
+func hostLanes(w []float64, stride int, idx []int, x, dst, t []float64, ts float64, u []float64, us float64) {
+	lanesAVX512(w, stride, idx, x, dst, t, ts, u, us)
+}

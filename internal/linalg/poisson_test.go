@@ -180,3 +180,34 @@ func TestUniformizedDimensionErrors(t *testing.T) {
 		t.Error("expected error for negative time")
 	}
 }
+
+// TestPoissonWeightsMatchDirectLgammaBits: the memoized lgamma(k+1) table
+// and the skipped underflow region left of large means give the weights
+// of the direct form, which calls math.Lgamma per term, bit for bit, at
+// means small and large (across the table's cap), whatever order the
+// table grew in.
+func TestPoissonWeightsMatchDirectLgammaBits(t *testing.T) {
+	direct := func(lambda float64, right int) []float64 {
+		w := make([]float64, right+1)
+		logLambda := math.Log(lambda)
+		var sum float64
+		for k := 0; k <= right; k++ {
+			lg, _ := math.Lgamma(float64(k + 1))
+			w[k] = math.Exp(-lambda + float64(k)*logLambda - lg)
+			sum += w[k]
+		}
+		for k := range w {
+			w[k] /= sum
+		}
+		return w
+	}
+	for _, lambda := range []float64{5000, 0.01, 0.5, 1, 3.7, 31.9, 32, 100, 640.25, 2043, 3900, 4100, 1e4, 37000, 165000.5, 2e6} {
+		got, right := PoissonWeights(lambda, 1e-12)
+		want := direct(lambda, right)
+		for k := range want {
+			if math.Float64bits(got[k]) != math.Float64bits(want[k]) {
+				t.Fatalf("lambda=%g: weight %d = %v, direct form %v", lambda, k, got[k], want[k])
+			}
+		}
+	}
+}

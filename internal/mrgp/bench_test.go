@@ -3,6 +3,7 @@ package mrgp
 import (
 	"testing"
 
+	"nvrel/internal/linalg"
 	"nvrel/internal/petri"
 )
 
@@ -85,5 +86,39 @@ func BenchmarkTransientPair(b *testing.B) {
 		if _, _, err := transientPair(nil, q, 600); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkDenseRouteNoAlloc times the matrix work of one dense-route
+// solve on a warm workspace: the base series and squarings of e^{Q tau}
+// at a long period, the embedded kernel T D and the occupancy through
+// the squarings. It must not allocate.
+func BenchmarkDenseRouteNoAlloc(b *testing.B) {
+	const tau = 3000
+	g := benchGraph(b, tau)
+	ws := linalg.NewWorkspace()
+	n := g.NumStates()
+	sigma, occ := make([]float64, n), make([]float64, n)
+	for i := range sigma {
+		sigma[i] = 1 / float64(n)
+	}
+	solve := func() {
+		var pow [stackSquarings]*linalg.Dense
+		sq, qt, p, err := denseRoute(ws, g, tau, pow[:0])
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := sq.occupancy(ws, qt, sigma, occ); err != nil {
+			b.Fatal(err)
+		}
+		sq.release(ws)
+		ws.PutCSR(qt)
+		ws.PutMat(p)
+	}
+	solve()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		solve()
 	}
 }

@@ -250,41 +250,14 @@ func solveDense(ws *linalg.Workspace, g *petri.Graph) (*Solution, error) {
 	}
 	metSolveDense.Inc()
 
-	// T = e^{Q tau} via uniformization with scaling and doubling (see
-	// transient.go). The occupancy needs only sigma * U(tau), which the
-	// retained squarings give without forming U, and its base-step series
-	// needs only Q's transpose in CSR form, so the dense generator is
-	// released early.
-	q, err := g.GeneratorWS(ws)
+	var pow [stackSquarings]*linalg.Dense
+	sq, qt, p, err := denseRoute(ws, g, delay, pow[:0])
 	if err != nil {
 		return nil, err
-	}
-	sq, err := newSquarings(ws, q, delay, false)
-	qt := ws.CSRFromDenseT(q)
-	ws.PutMat(q)
-	defer ws.PutCSR(qt)
-	if err != nil {
-		return nil, fmt.Errorf("transient pair: %w", err)
 	}
 	defer sq.release(ws)
-
-	// D: branching matrix applied at clock firings, multiplied in CSC form
-	// (the same sums in the same order as the dense product).
-	d := ws.Mat(n, n)
-	for i, sched := range g.Det {
-		for _, pe := range sched.Successors {
-			d.Add(i, pe.To, pe.Prob)
-		}
-	}
-	dt := ws.CSRFromDenseT(d)
-	ws.PutMat(d)
-	defer ws.PutCSR(dt)
-
-	p := ws.Mat(n, n)
+	defer ws.PutCSR(qt)
 	defer ws.PutMat(p)
-	if err := p.MulCSCInto(sq.T(), dt); err != nil {
-		return nil, err
-	}
 	sigma, err := embeddedStationary(ws, p)
 	if err != nil {
 		return nil, fmt.Errorf("embedded chain: %w", err)
@@ -297,6 +270,63 @@ func solveDense(ws *linalg.Workspace, g *petri.Graph) (*Solution, error) {
 	linalg.Normalize(occupancy)
 
 	return &Solution{Pi: occupancy, Embedded: sigma, Delay: delay}, nil
+}
+
+// denseRoute builds the matrices of one dense solve of g, whose clock
+// period is delay, all from the workspace: the squarings of T = e^{Q tau}
+// (appended to pow, see newSquarings), Q's transpose in CSR form for the
+// occupancy's base-step series, and the embedded kernel P = T D. Release
+// them with sq.release, ws.PutCSR(qt) and ws.PutMat(p). They come back
+// separately, not in one struct, so that releasing the CSR and P leaks
+// nothing of a caller's stack buffer behind pow.
+func denseRoute(ws *linalg.Workspace, g *petri.Graph, delay float64, pow []*linalg.Dense) (sq squarings, qt *linalg.CSR, p *linalg.Dense, err error) {
+	n := g.NumStates()
+	// T = e^{Q tau} via uniformization with scaling and doubling (see
+	// transient.go). The occupancy needs only sigma * U(tau), which the
+	// retained squarings give without forming U, and its base-step series
+	// needs only Q's transpose in CSR form, so the dense generator is
+	// released early.
+	q, err := g.GeneratorWS(ws)
+	if err != nil {
+		return squarings{}, nil, nil, err
+	}
+	sq, _, err = newSquarings(ws, q, delay, false, pow)
+	qt = ws.CSRFromDenseT(q)
+	ws.PutMat(q)
+	if err != nil {
+		ws.PutCSR(qt)
+		return squarings{}, nil, nil, fmt.Errorf("transient pair: %w", err)
+	}
+
+	// D: branching matrix applied at clock firings. P = T D is formed as
+	// its transpose Dᵀ Tᵀ, one lane call per column j of D over the rows
+	// of Tᵀ that column lists (Dense.MulCSRInto): each element is the sum
+	// over column j of D in ascending row order from +0, the gather's
+	// order, so P has the bits of the dense product. T is transposed in
+	// place and back, and P in place, so no matrix is held beyond P.
+	d := ws.Mat(n, n)
+	for i, sched := range g.Det {
+		for _, pe := range sched.Successors {
+			d.Add(i, pe.To, pe.Prob)
+		}
+	}
+	dt := ws.CSRFromDenseT(d)
+	ws.PutMat(d)
+	defer ws.PutCSR(dt)
+	// The in-place transposes of the square T and P cannot fail.
+	p = ws.Mat(n, n)
+	t := sq.T()
+	_ = t.TransposeFrom(t)
+	err = p.MulCSRInto(dt, t)
+	_ = t.TransposeFrom(t)
+	_ = p.TransposeFrom(p)
+	if err != nil {
+		sq.release(ws)
+		ws.PutCSR(qt)
+		ws.PutMat(p)
+		return squarings{}, nil, nil, err
+	}
+	return sq, qt, p, nil
 }
 
 // embeddedStationary solves sigma = sigma * P for the embedded chain. The

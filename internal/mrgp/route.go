@@ -28,7 +28,9 @@ const (
 
 	// denseNsPerCube is one n^3 unit of a doubling squaring;
 	// denseNsPerBase is one multiply-add of a base-series term, which
-	// costs n*(nnz+n) of them.
+	// costs n*(nnz+n) of them. Both were fitted on the scalar dense
+	// kernels; DESIGN.md section 7 records the lane kernels' refit and
+	// why it is not in use.
 	denseNsPerCube = 0.47
 	denseNsPerBase = 2.2
 )

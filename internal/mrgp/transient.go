@@ -13,11 +13,12 @@ const transientTarget = 32
 // retained squarings (see squarings.integral). Both come from ws (nil
 // allocates); release them with ws.PutMat.
 func transientPair(ws *linalg.Workspace, q *linalg.Dense, t float64) (tm, um *linalg.Dense, err error) {
-	sq, err := newSquarings(ws, q, t, true)
+	var pow [stackSquarings]*linalg.Dense
+	sq, ub, err := newSquarings(ws, q, t, true, pow[:0])
 	if err != nil {
 		return nil, nil, err
 	}
-	um, err = sq.integral(ws)
+	um, err = sq.integral(ws, ub)
 	if err != nil {
 		sq.release(ws)
 		return nil, nil, err
@@ -45,34 +46,42 @@ func transientPair(ws *linalg.Workspace, q *linalg.Dense, t float64) (tm, um *li
 //
 // so a caller that only needs x U(t) applies d vector products and one
 // base-step vector series instead of materializing U (see occupancy).
+//
+// A squarings holds no matrix outside pow, so its methods leak only the
+// matrices and a caller's stack buffer behind pow stays on the stack.
 type squarings struct {
 	rate float64
 	t    float64 // horizon
 	base float64 // base step b = t/2^d
 	pow  []*linalg.Dense
-	ub   *linalg.Dense // U_b, held only when requested
 }
 
-// newSquarings evaluates the base step and squares it d times. All
-// matrices come from ws; release them with sq.release. withU also keeps
-// the base-step integral matrix, which squarings.integral consumes.
-func newSquarings(ws *linalg.Workspace, q *linalg.Dense, t float64, withU bool) (*squarings, error) {
+// stackSquarings is the length of the pow buffer callers of newSquarings
+// keep on their stack: it holds the squarings of any horizon up to
+// rate*t = transientTarget * 2^31, and a longer one grows it on the heap.
+const stackSquarings = 32
+
+// newSquarings evaluates the base step and squares it d times, appending
+// the d+1 matrices to pow. All matrices come from ws; release them with
+// sq.release. withU also returns the base-step integral matrix U_b,
+// which squarings.integral consumes (nil otherwise).
+func newSquarings(ws *linalg.Workspace, q *linalg.Dense, t float64, withU bool, pow []*linalg.Dense) (sq squarings, ub *linalg.Dense, err error) {
 	n, _ := q.Dims()
-	sq := &squarings{rate: linalg.UniformizationRate(q.MaxAbsDiag()), t: t, base: t}
+	sq = squarings{rate: linalg.UniformizationRate(q.MaxAbsDiag()), t: t, base: t}
 	if sq.frozen() {
 		// Frozen chain: T = I, U = t*I.
 		tm := ws.Mat(n, n)
 		for i := 0; i < n; i++ {
 			tm.Set(i, i, 1)
 		}
-		sq.pow = []*linalg.Dense{tm}
+		sq.pow = append(pow, tm)
 		if withU {
-			sq.ub = ws.Mat(n, n)
+			ub = ws.Mat(n, n)
 			for i := 0; i < n; i++ {
-				sq.ub.Set(i, i, t)
+				ub.Set(i, i, t)
 			}
 		}
-		return sq, nil
+		return sq, ub, nil
 	}
 
 	doublings := 0
@@ -80,21 +89,21 @@ func newSquarings(ws *linalg.Workspace, q *linalg.Dense, t float64, withU bool) 
 		sq.base /= 2
 		doublings++
 	}
-	tm, um, err := uniformizedPair(ws, q, sq.rate, sq.base, withU)
+	tm, ub, err := uniformizedPair(ws, q, sq.rate, sq.base, withU)
 	if err != nil {
-		return nil, err
+		return squarings{}, nil, err
 	}
-	sq.ub = um
-	sq.pow = append(make([]*linalg.Dense, 0, doublings+1), tm)
+	sq.pow = append(pow, tm)
 	for i := 0; i < doublings; i++ {
 		next := ws.Mat(n, n)
 		sq.pow = append(sq.pow, next)
 		if err := next.MulInto(sq.pow[i], sq.pow[i]); err != nil {
 			sq.release(ws)
-			return nil, err
+			ws.PutMat(ub)
+			return squarings{}, nil, err
 		}
 	}
-	return sq, nil
+	return sq, ub, nil
 }
 
 // frozen reports the trivial cases T = I, U = t*I.
@@ -104,11 +113,9 @@ func (sq *squarings) frozen() bool { return sq.rate == 0 || sq.t == 0 }
 func (sq *squarings) T() *linalg.Dense { return sq.pow[len(sq.pow)-1] }
 
 // integral returns U(t) as a matrix, built by U_{i+1} = U_i + pow[i] U_i
-// from the base-step integral. The result is handed to the caller
-// (release it with ws.PutMat). It needs newSquarings(withU = true).
-func (sq *squarings) integral(ws *linalg.Workspace) (*linalg.Dense, error) {
-	um := sq.ub
-	sq.ub = nil
+// from the base-step integral um, which it consumes. The result is
+// handed to the caller (release it with ws.PutMat).
+func (sq *squarings) integral(ws *linalg.Workspace, um *linalg.Dense) (*linalg.Dense, error) {
 	if len(sq.pow) == 1 {
 		return um, nil
 	}
@@ -162,13 +169,21 @@ func (sq *squarings) release(ws *linalg.Workspace) {
 	for _, p := range sq.pow {
 		ws.PutMat(p)
 	}
-	ws.PutMat(sq.ub)
-	sq.pow, sq.ub = nil, nil
+	sq.pow = nil
 }
 
 // uniformizedPair evaluates the series for T and, when withU is set, U at
 // horizon t directly (um is nil otherwise). tm and um come from ws;
 // release them with ws.PutMat.
+//
+// The series runs transposed: (P^{k+1})ᵀ = Pᵀ (P^k)ᵀ, so row j of the
+// next power is the combination of the current power's rows listed in
+// column j of P, one lane call over contiguous rows (Dense.MulCSRInto),
+// with the updates tm += w_k P^k and um += (tail_k/rate) P^k fused into
+// its stores. Every element is the same ascending sum over column j of P
+// from +0 as the untransposed product's, and every update the same
+// multiply and add, so after one transpose at the end tm and um carry
+// the untransposed series' bits.
 func uniformizedPair(ws *linalg.Workspace, q *linalg.Dense, rate, t float64, withU bool) (tm, um *linalg.Dense, err error) {
 	n, _ := q.Dims()
 	p := ws.Mat(n, n)
@@ -177,9 +192,9 @@ func uniformizedPair(ws *linalg.Workspace, q *linalg.Dense, rate, t float64, wit
 	for i := 0; i < n; i++ {
 		p.Add(i, i, 1)
 	}
-	// P has the generator's sparsity, so each term multiplies by it in CSC
-	// form: O(n*nnz) instead of O(n^3), and the same sums in the same order
-	// (the dense product's zero entries of P only ever add +0).
+	// Pᵀ in CSR form lists column j of P as row j, so a term costs
+	// O(n*nnz) instead of O(n^3), with the dense product's sums in its
+	// order (P's zero entries only ever add +0).
 	pt := ws.CSRFromDenseT(p)
 	ws.PutMat(p)
 	defer ws.PutCSR(pt)
@@ -200,25 +215,36 @@ func uniformizedPair(ws *linalg.Workspace, q *linalg.Dense, rate, t float64, wit
 	}
 
 	tm = ws.Mat(n, n)
-	power := ws.Mat(n, n) // P^k
+	power := ws.Mat(n, n) // (P^k)ᵀ
 	next := ws.Mat(n, n)
-	defer ws.PutMat(power)
-	defer ws.PutMat(next)
 	for i := 0; i < n; i++ {
 		power.Set(i, i, 1)
 	}
-	for k := 0; k <= right; k++ {
-		tm.AddScaled(power, weights[k])
+	tm.AddScaled(power, weights[0])
+	if withU {
+		um.AddScaled(power, tail[0]/rate)
+	}
+	for k := 1; k <= right; k++ {
+		fu := linalg.Fused{M: um}
 		if withU {
-			um.AddScaled(power, tail[k]/rate)
+			fu.S = tail[k] / rate
 		}
-		if k == right {
-			break
-		}
-		if err := next.MulCSCInto(power, pt); err != nil {
+		if err := next.MulCSRInto(pt, power, linalg.Fused{M: tm, S: weights[k]}, fu); err != nil {
+			ws.PutMat(power)
+			ws.PutMat(next)
 			return nil, nil, err
 		}
 		power, next = next, power
 	}
+	// Transpose back into the two scratch powers, which tm and um leave
+	// (n x n into n x n cannot fail).
+	_ = power.TransposeFrom(tm)
+	tm, power = power, tm
+	if withU {
+		_ = next.TransposeFrom(um)
+		um, next = next, um
+	}
+	ws.PutMat(power)
+	ws.PutMat(next)
 	return tm, um, nil
 }

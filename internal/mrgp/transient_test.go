@@ -150,7 +150,7 @@ func TestSquaringsOccupancy(t *testing.T) {
 		for i := range x {
 			x[i] = 1 / float64(i+2)
 		}
-		sq, err := newSquarings(ws, c.q, c.horizon, false)
+		sq, _, err := newSquarings(ws, c.q, c.horizon, false, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
@@ -175,6 +175,73 @@ func TestSquaringsOccupancy(t *testing.T) {
 				}
 			} else if d := math.Abs(got[j] - want[j]); d > 1e-14*math.Max(1, math.Abs(want[j])) {
 				t.Errorf("%s: occupancy[%d] = %.17g, want %.17g (diff %.3g)", c.name, j, got[j], want[j], d)
+			}
+		}
+	}
+}
+
+// TestUniformizedPairMatchesUntransposedBits: the base series, run
+// transposed with its T and U updates fused into the lane stores, gives
+// the bits of the untransposed series it replaced: T += w_k P^k and
+// U += (tail_k/rate) P^k by AddScaled, with P^{k+1} summed over column j
+// of P in ascending row order from +0. A dense and a sparse generator,
+// on whichever lane body the host runs.
+func TestUniformizedPairMatchesUntransposedBits(t *testing.T) {
+	sparse := linalg.NewDense(23, 23)
+	for i := 0; i < 23; i++ {
+		for _, j := range []int{(i + 1) % 23, (i * 7) % 23} {
+			if j != i {
+				sparse.Add(i, j, 0.1+float64((i*13+j)%17)/9)
+				sparse.Add(i, i, -(0.1 + float64((i*13+j)%17)/9))
+			}
+		}
+	}
+	for _, c := range []struct {
+		name string
+		q    *linalg.Dense
+	}{{"dense", randomGenerator(9, 4)}, {"sparse", sparse}} {
+		n, _ := c.q.Dims()
+		rate := linalg.UniformizationRate(c.q.MaxAbsDiag())
+		const horizon = 7.3
+		p := c.q.Clone()
+		p.Scale(1 / rate)
+		for i := 0; i < n; i++ {
+			p.Add(i, i, 1)
+		}
+		weights, right := linalg.PoissonWeights(rate*horizon, truncationEpsilon)
+		wantT, wantU, power := linalg.NewDense(n, n), linalg.NewDense(n, n), linalg.Identity(n)
+		acc := 0.0
+		for k := 0; k <= right; k++ {
+			acc += weights[k]
+			tail := max(1-acc, 0)
+			wantT.AddScaled(power, weights[k])
+			wantU.AddScaled(power, tail/rate)
+			next := linalg.NewDense(n, n)
+			for i := 0; i < n; i++ {
+				for j := 0; j < n; j++ {
+					var s float64
+					for r := 0; r < n; r++ {
+						if p.At(r, j) != 0 || r == j {
+							s += power.At(i, r) * p.At(r, j)
+						}
+					}
+					next.Set(i, j, s)
+				}
+			}
+			power = next
+		}
+		tm, um, err := uniformizedPair(nil, c.q, rate, horizon, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < n; i++ {
+			for j := 0; j < n; j++ {
+				if math.Float64bits(tm.At(i, j)) != math.Float64bits(wantT.At(i, j)) {
+					t.Fatalf("%s T[%d][%d] = %v, untransposed series %v", c.name, i, j, tm.At(i, j), wantT.At(i, j))
+				}
+				if math.Float64bits(um.At(i, j)) != math.Float64bits(wantU.At(i, j)) {
+					t.Fatalf("%s U[%d][%d] = %v, untransposed series %v", c.name, i, j, um.At(i, j), wantU.At(i, j))
+				}
 			}
 		}
 	}

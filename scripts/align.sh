@@ -23,7 +23,9 @@ fi
 kernels=(
     'nvrel/internal/linalg.(*CSR).MulVecInto'
     'nvrel/internal/linalg.(*Dense).MulCSCInto'
+    'nvrel/internal/linalg.(*Dense).MulCSRInto'
     'nvrel/internal/linalg.(*Dense).MulInto'
+    'nvrel/internal/linalg.(*Dense).VecMulInto'
     'nvrel/internal/linalg.(*Workspace).UniformizedPowerCSR'
     'nvrel/internal/linalg.(*Workspace).UniformizedIntegralCSR'
     'nvrel/internal/linalg.(*fixedRows).step'
@@ -42,6 +44,7 @@ kernels=(
     'nvrel/internal/linalg.chunksGo'
     'nvrel/internal/linalg.lanesAVX512'
     'nvrel/internal/linalg.lanesAVX512.abi0'
+    'nvrel/internal/linalg.lanesGo'
     'nvrel/internal/mlsim.dot4'
     'nvrel/internal/mlsim.scoreRows'
     'nvrel/internal/parallel.ForEachHardened'
