@@ -164,7 +164,7 @@ func (c *CSR) Dense() *Dense {
 // the bits are the scatter's whenever the operands are finite (a zero
 // x[i] the scatter skipped adds a signed zero, which leaves the sum
 // unchanged). The uniformization series gather the same way over a
-// chunked copy of the rows (see sellRows).
+// chunked copy of the rows (see SELL).
 func (c *CSR) MulVecInto(dst, x []float64) error {
 	if len(x) != c.cols || len(dst) != c.rows {
 		return ErrDimensionMismatch

@@ -513,8 +513,10 @@ func BenchmarkMulCSRNoAlloc(b *testing.B) {
 // threePassSeries is the loop both uniformization series ran before the
 // fused fixed-width step, kept verbatim as its bit reference: per term an
 // axpy into dst, a CSR.MulVecInto into tmp and an in-place update of cur.
-// It adds sum_k coef[k] * pi * (I + Q/rate)^k into dst.
-func threePassSeries(qt *CSR, pi, coef []float64, invRate float64, dst []float64) error {
+// It adds sum_k coef[k] * pi * (I + Q/rate)^k into dst and, when dst2 is
+// non-nil, sum_k coef2[k] * pi * (I + Q/rate)^k into dst2 by one more
+// axpy per term, the reference of the series' second accumulator.
+func threePassSeries(qt *CSR, pi, coef []float64, invRate float64, dst, coef2, dst2 []float64) error {
 	n := len(pi)
 	cur := make([]float64, n)
 	tmp := make([]float64, n)
@@ -524,6 +526,12 @@ func threePassSeries(qt *CSR, pi, coef []float64, invRate float64, dst []float64
 		w := coef[k]
 		for i := range dst {
 			dst[i] += w * cur[i]
+		}
+		if dst2 != nil {
+			w2 := coef2[k]
+			for i := range dst2 {
+				dst2[i] += w2 * cur[i]
+			}
 		}
 		if k == right {
 			break
@@ -630,11 +638,11 @@ func TestFusedSeriesMatchesThreePassBits(t *testing.T) {
 // as its widest row (at least 1), each row's stored entries in storage
 // order with series-numbered columns, and every other slot a pad (its
 // own row, +0). It returns the layout.
-func checkChunkLayout(t *testing.T, qt *CSR) *sellRows {
+func checkChunkLayout(t *testing.T, qt *CSR) *SELL {
 	t.Helper()
 	n, _ := qt.Dims()
 	width := func(i int) int { return qt.RowPtr[i+1] - qt.RowPtr[i] }
-	l := NewWorkspace().sellRows(qt)
+	l := NewWorkspace().SeriesLayout(qt)
 	if len(l.perm) != n {
 		t.Fatalf("n=%d: %d series rows", n, len(l.perm))
 	}
@@ -696,10 +704,11 @@ func checkChunkLayout(t *testing.T, qt *CSR) *sellRows {
 }
 
 // TestSeriesBodiesMatchGoBits: every series body this host supports runs
-// a term bit for bit like the portable chunksGo, on layouts with chunk
-// widths 1-12, sizes with and without a partial last chunk, with and
-// without a hub row, stored values of +0, -0 and subnormal magnitude,
-// and start and accumulator vectors of mixed sign with subnormal entries.
+// a term bit for bit like the portable chunksGo, with and without the
+// second accumulator, on layouts with chunk widths 1-12, sizes with and
+// without a partial last chunk, with and without a hub row, stored values
+// of +0, -0 and subnormal magnitude, and start and accumulator vectors of
+// mixed sign with subnormal entries.
 func TestSeriesBodiesMatchGoBits(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	bodies := hostBodies()
@@ -723,28 +732,41 @@ func TestSeriesBodiesMatchGoBits(t *testing.T) {
 			for _, hub := range []bool{false, true} {
 				qt := randomWidthCSR(rng, n, min(w, n), hub)
 				sprinkle(qt.Vals)
-				l := NewWorkspace().sellRows(qt)
+				l := NewWorkspace().SeriesLayout(qt)
 				size := len(l.widths) * chunk
-				x, dst0 := signedVector(rng, size), signedVector(rng, size)
+				x, dst0, dst20 := signedVector(rng, size), signedVector(rng, size), signedVector(rng, size)
 				sprinkle(x)
 				sprinkle(dst0)
-				weight, invRate := rng.Float64(), 1/(1+rng.Float64())
-				wantNext, wantDst := make([]float64, size), slices.Clone(dst0)
-				chunksGo(l.idx, l.vals, l.widths, x, wantNext, wantDst, weight, invRate)
-				for _, b := range bodies {
-					name := fmt.Sprintf("%s n=%d width=%d hub=%v", b.name, n, w, hub)
-					next, dst := make([]float64, size), slices.Clone(dst0)
-					b.run(l.idx, l.vals, l.widths, x, next, dst, weight, invRate)
-					sameBits(t, name+" next", next, wantNext)
-					sameBits(t, name+" dst", dst, wantDst)
+				sprinkle(dst20)
+				weight, weight2, invRate := rng.Float64(), rng.Float64(), 1/(1+rng.Float64())
+				for _, second := range []bool{false, true} {
+					wantNext, wantDst := make([]float64, size), slices.Clone(dst0)
+					var wantDst2 []float64
+					if second {
+						wantDst2 = slices.Clone(dst20)
+					}
+					chunksGo(l.idx, l.vals, l.widths, x, wantNext, wantDst, wantDst2, weight, weight2, invRate)
+					for _, b := range bodies {
+						name := fmt.Sprintf("%s n=%d width=%d hub=%v second=%v", b.name, n, w, hub, second)
+						next, dst := make([]float64, size), slices.Clone(dst0)
+						var dst2 []float64
+						if second {
+							dst2 = slices.Clone(dst20)
+						}
+						b.run(l.idx, l.vals, l.widths, x, next, dst, dst2, weight, weight2, invRate)
+						sameBits(t, name+" next", next, wantNext)
+						sameBits(t, name+" dst", dst, wantDst)
+						sameBits(t, name+" dst2", dst2, wantDst2)
+					}
 				}
 			}
 		}
 	}
 }
 
-// checkFusedMatchesThreePass checks ws.series and both public kernels on
-// qt against threePassSeries bit for bit, from a signed start vector.
+// checkFusedMatchesThreePass checks ws.series with one and with two
+// accumulators, both public kernels and their fused form UniformizedSELL
+// on qt against threePassSeries bit for bit, from a signed start vector.
 func checkFusedMatchesThreePass(t *testing.T, rng *rand.Rand, name string, qt *CSR) {
 	t.Helper()
 	n, _ := qt.Dims()
@@ -752,30 +774,25 @@ func checkFusedMatchesThreePass(t *testing.T, rng *rand.Rand, name string, qt *C
 	rate := 1.05 * UniformizationRate(qt.MaxAbsDiag())
 	pi := signedVector(rng, n)
 	for _, terms := range []int{1, 2, 4, 41} {
-		coef := make([]float64, terms)
+		coef, coef2 := make([]float64, terms), make([]float64, terms)
 		for k := range coef {
-			coef[k] = rng.Float64()
+			coef[k], coef2[k] = rng.Float64(), rng.Float64()
 		}
-		want, got := make([]float64, n), make([]float64, n)
-		if err := threePassSeries(qt, pi, coef, 1/rate, want); err != nil {
+		want, want2 := make([]float64, n), make([]float64, n)
+		if err := threePassSeries(qt, pi, coef, 1/rate, want, coef2, want2); err != nil {
 			t.Fatal(err)
 		}
-		ws.series(qt, pi, coef, 1/rate, got)
+		got := make([]float64, n)
+		ws.series(ws.SeriesLayout(qt), pi, 1/rate, coef, got, nil, nil)
 		sameBits(t, fmt.Sprintf("%s P^%d", name, terms-1), got, want)
+		got, got2 := make([]float64, n), make([]float64, n)
+		ws.series(ws.SeriesLayout(qt), pi, 1/rate, coef, got, coef2, got2)
+		sameBits(t, fmt.Sprintf("%s P^%d, two accumulators", name, terms-1), got, want)
+		sameBits(t, fmt.Sprintf("%s P^%d, second accumulator", name, terms-1), got2, want2)
 	}
 
 	const tau = 4.0
 	weights, right := PoissonWeights(rate*tau, 1e-12)
-	want := make([]float64, n)
-	if err := threePassSeries(qt, pi, weights[:right+1], 1/rate, want); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ws.UniformizedPowerCSR(qt, pi, tau, rate, 1e-12, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameBits(t, name+" UniformizedPowerCSR", got, want)
-
 	invRate := 1 / rate
 	tail := make([]float64, right+1)
 	acc := 0.0
@@ -787,10 +804,16 @@ func checkFusedMatchesThreePass(t *testing.T, rng *rand.Rand, name string, qt *C
 		}
 		tail[k] *= invRate
 	}
-	clear(want)
-	if err := threePassSeries(qt, pi, tail, invRate, want); err != nil {
+	wantP, wantU := make([]float64, n), make([]float64, n)
+	if err := threePassSeries(qt, pi, weights[:right+1], invRate, wantP, tail, wantU); err != nil {
 		t.Fatal(err)
 	}
+	got, err := ws.UniformizedPowerCSR(qt, pi, tau, rate, 1e-12, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameBits(t, name+" UniformizedPowerCSR", got, wantP)
+
 	// A signed start vector has no unit mass, so the kernel's
 	// truncation rescale (applied only within 1e-6 of the exact
 	// mass t) leaves both results as the series produced them.
@@ -798,5 +821,12 @@ func checkFusedMatchesThreePass(t *testing.T, rng *rand.Rand, name string, qt *C
 	if err != nil {
 		t.Fatal(err)
 	}
-	sameBits(t, name+" UniformizedIntegralCSR", got, want)
+	sameBits(t, name+" UniformizedIntegralCSR", got, wantU)
+
+	gotP, gotU := make([]float64, n), make([]float64, n)
+	if err := ws.UniformizedSELL(ws.SeriesLayout(qt), pi, tau, rate, 1e-12, gotP, gotU); err != nil {
+		t.Fatal(err)
+	}
+	sameBits(t, name+" UniformizedSELL power", gotP, wantP)
+	sameBits(t, name+" UniformizedSELL integral", gotU, wantU)
 }

@@ -7,37 +7,57 @@ import "slices"
 const chunk = 8
 
 // series adds sum_k coef[k] * pi * P^k, k = 0..len(coef)-1, into dst for
-// P = I + Q/rate (invRate = 1/rate), the series both uniformization
-// kernels share; only their per-term coefficients differ. Each term but
-// the last is one call of the host's chunk body over qt's sellRows
-// layout; the last needs no next vector. pi and dst are permuted into
-// series numbering once, dst back out once, so the terms in between run
-// on vectors padded to whole chunks, whose pad entries stay zero.
-func (ws *Workspace) series(qt *CSR, pi, coef []float64, invRate float64, dst []float64) {
-	l := ws.sellRows(qt)
+// P = I + Q/rate (invRate = 1/rate), the series every uniformization
+// kernel runs; only the per-term coefficients differ. When dst2 is
+// non-nil the same terms also add sum_k coef2[k] * pi * P^k into dst2
+// (coef2 as long as coef), so one pass yields both the transient vector
+// and its integral. Each term but the last is one call of the host's
+// chunk body over the layout l; the last needs no next vector. pi and
+// the accumulators are permuted into series numbering once and back out
+// once, so the terms in between run on vectors padded to whole chunks,
+// whose pad entries stay zero.
+func (ws *Workspace) series(l *SELL, pi []float64, invRate float64, coef, dst, coef2, dst2 []float64) {
 	size := len(l.widths) * chunk
 	cur := ws.Vec(size)
 	next := ws.Vec(size)
 	acc := ws.Vec(size)
+	var acc2 []float64
+	if dst2 != nil {
+		acc2 = ws.Vec(size)
+		for p, i := range l.perm {
+			acc2[p] = dst2[i]
+		}
+	}
 	for p, i := range l.perm {
 		cur[p], acc[p] = pi[i], dst[i]
 	}
 	last := len(coef) - 1
 	metUnifEntries.Add(int64(last) * int64(len(l.idx)))
+	w2 := 0.0
 	for k := 0; k < last; k++ {
-		hostBody(l.idx, l.vals, l.widths, cur, next, acc, coef[k], invRate)
+		if dst2 != nil {
+			w2 = coef2[k]
+		}
+		hostBody(l.idx, l.vals, l.widths, cur, next, acc, acc2, coef[k], w2, invRate)
 		cur, next = next, cur
 	}
 	w := coef[last]
 	for p, i := range l.perm {
 		dst[i] = acc[p] + w*cur[p]
 	}
+	if dst2 != nil {
+		w2 = coef2[last]
+		for p, i := range l.perm {
+			dst2[i] = acc2[p] + w2*cur[p]
+		}
+		ws.PutVec(acc2)
+	}
 	ws.PutVec(acc)
 	ws.PutVec(cur)
 	ws.PutVec(next)
 }
 
-// sellRows is a transposed generator laid out for the series step in
+// SELL is a transposed generator laid out for the series step in
 // SELL-8 form, SELL-C-σ (Kreutzer et al., SIAM J. Sci. Comput. 2014)
 // with chunks of C = 8 rows. The states are renumbered stably by stored
 // width: perm[p] is the state of series row p, and the column indices in
@@ -52,7 +72,7 @@ func (ws *Workspace) series(qt *CSR, pi, coef []float64, invRate float64, dst []
 // A lane gathers its row's terms in ascending storage order from +0, as
 // CSR.MulVecInto does; a pad term adds +0 or -0 to a sum that is never
 // -0, so for finite operands the bits are the CSR gather's.
-type sellRows struct {
+type SELL struct {
 	idx    []int32
 	vals   []float64
 	widths []int32
@@ -61,16 +81,18 @@ type sellRows struct {
 	start  []int   // per-width row cursors, while building
 }
 
-// seriesBody runs one series term over every chunk of a sellRows layout:
+// seriesBody runs one series term over every chunk of a SELL layout:
 // for each series row i it gathers s over the row's slots, then
 //
 //	dst[i] += w * x[i]
+//	dst2[i] += w2 * x[i]   (only when dst2 is non-nil)
 //	next[i] = x[i] + s * invRate
 //
-// which are the operations, and so the bits, of an axpy into dst, a
-// CSR.MulVecInto into a scratch vector and an in-place update of x. x,
-// next and dst hold 8*len(widths) entries.
-type seriesBody func(idx []int32, vals []float64, widths []int32, x, next, dst []float64, w, invRate float64)
+// which are the operations, and so the bits, of an axpy into dst, one
+// into dst2, a CSR.MulVecInto into a scratch vector and an in-place
+// update of x. x, next, dst and a non-nil dst2 hold 8*len(widths)
+// entries.
+type seriesBody func(idx []int32, vals []float64, widths []int32, x, next, dst, dst2 []float64, w, w2, invRate float64)
 
 // namedBody is a series body and the name tests report it by.
 type namedBody struct {
@@ -82,14 +104,19 @@ type namedBody struct {
 // first of hostBodies, which ends with the portable chunksGo.
 var hostBody = hostBodies()[0].run
 
-// sellRows copies qt into the workspace's layout; a nil workspace
-// allocates one.
-func (ws *Workspace) sellRows(qt *CSR) *sellRows {
-	var l *sellRows
+// SeriesLayout copies qt, a transposed generator, into the workspace's
+// SELL layout and returns it; a nil workspace allocates one. The layout
+// stays valid until the next call on ws that lays out a generator:
+// SeriesLayout itself, UniformizedPowerCSR or UniformizedIntegralCSR. A
+// caller that runs many series over one generator lays it out once and
+// passes the layout to UniformizedSELL; a layout is never looked up by
+// its CSR, whose pooled storage may be re-stamped in place.
+func (ws *Workspace) SeriesLayout(qt *CSR) *SELL {
+	var l *SELL
 	if ws != nil {
 		l = &ws.rows
 	} else {
-		l = new(sellRows)
+		l = new(SELL)
 	}
 	n := qt.rows
 	width := func(i int) int { return qt.RowPtr[i+1] - qt.RowPtr[i] }
@@ -156,7 +183,7 @@ func (ws *Workspace) sellRows(qt *CSR) *sellRows {
 // without a vector body and the oracle the vector bodies are tested
 // against: each lane's sum is a row's CSR gather. The lanes are spelled
 // out so that their sums stay in registers.
-func chunksGo(idx []int32, vals []float64, widths []int32, x, next, dst []float64, w, invRate float64) {
+func chunksGo(idx []int32, vals []float64, widths []int32, x, next, dst, dst2 []float64, w, w2, invRate float64) {
 	off := 0
 	for c, width := range widths {
 		end := off + int(width)*chunk
@@ -179,6 +206,12 @@ func chunksGo(idx []int32, vals []float64, widths []int32, x, next, dst []float6
 		for lane, sum := range [chunk]float64{s0, s1, s2, s3, s4, s5, s6, s7} {
 			dc[lane] += w * xc[lane]
 			nc[lane] = xc[lane] + sum*invRate
+		}
+		if dst2 != nil {
+			d2 := dst2[r : r+chunk : r+chunk]
+			for lane := range d2 {
+				d2[lane] += w2 * xc[lane]
+			}
 		}
 		off = end
 	}

@@ -6,7 +6,7 @@ package linalg
 // each lane's bits are the scalar row's.
 
 //go:noescape
-func chunksAVX512(idx []int32, vals []float64, widths []int32, x, next, dst []float64, w, invRate float64)
+func chunksAVX512(idx []int32, vals []float64, widths []int32, x, next, dst, dst2 []float64, w, w2, invRate float64)
 
 // cpuid executes CPUID with the given leaf and subleaf.
 func cpuid(leaf, subleaf uint32) (eax, ebx, ecx, edx uint32)

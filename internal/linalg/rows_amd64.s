@@ -1,20 +1,22 @@
 #include "textflag.h"
 
-// The AVX-512 series body over a sellRows layout; see seriesBody and
+// The AVX-512 series body over a SELL layout; see seriesBody and
 // chunksGo. Per chunk, per slot: load the eight lanes' column indices
 // and values, gather x at the indices, multiply and add into the lane
-// sums, which start at +0. Then dst += w*x and next = x + s*invRate for
-// the chunk's eight rows. Every chunk is at least one slot wide.
+// sums, which start at +0. Then dst += w*x, dst2 += w2*x when dst2 is
+// non-nil, and next = x + s*invRate for the chunk's eight rows. Every
+// chunk is at least one slot wide.
 //
 // Registers: SI idx, DI vals, R8 widths, R9 chunks left, AX x, R10 next,
-// R11 dst, BX the chunk's first row, CX slots left in the chunk.
+// R11 dst, R12 dst2 (0 for none), BX the chunk's first row, CX slots
+// left in the chunk.
 //
 // The leading PCALIGN pads nothing: it makes the linker start the body on
 // a 64-byte boundary, so its loops keep one alignment whatever code is
 // linked ahead of it.
 
-// func chunksAVX512(idx []int32, vals []float64, widths []int32, x, next, dst []float64, w, invRate float64)
-TEXT ·chunksAVX512(SB), NOSPLIT, $0-160
+// func chunksAVX512(idx []int32, vals []float64, widths []int32, x, next, dst, dst2 []float64, w, w2, invRate float64)
+TEXT ·chunksAVX512(SB), NOSPLIT, $0-192
 	PCALIGN $64
 	MOVQ idx_base+0(FP), SI
 	MOVQ vals_base+24(FP), DI
@@ -23,8 +25,10 @@ TEXT ·chunksAVX512(SB), NOSPLIT, $0-160
 	MOVQ x_base+72(FP), AX
 	MOVQ next_base+96(FP), R10
 	MOVQ dst_base+120(FP), R11
-	VBROADCASTSD w+144(FP), Z6
-	VBROADCASTSD invRate+152(FP), Z7
+	MOVQ dst2_base+144(FP), R12
+	VBROADCASTSD w+168(FP), Z6
+	VBROADCASTSD w2+176(FP), Z8
+	VBROADCASTSD invRate+184(FP), Z7
 	XORQ BX, BX
 	TESTQ R9, R9
 	JZ avx512done
@@ -49,6 +53,13 @@ avx512slot:
 	VMULPD Z6, Z3, Z4
 	VADDPD (R11)(BX*8), Z4, Z4
 	VMOVUPD Z4, (R11)(BX*8)
+	TESTQ R12, R12
+	JZ avx512next
+	VMULPD Z8, Z3, Z4
+	VADDPD (R12)(BX*8), Z4, Z4
+	VMOVUPD Z4, (R12)(BX*8)
+
+avx512next:
 	VMULPD Z7, Z0, Z5
 	VADDPD Z5, Z3, Z5
 	VMOVUPD Z5, (R10)(BX*8)

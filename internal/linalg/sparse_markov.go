@@ -213,38 +213,20 @@ func driftGS(dst []float64) {
 // which is algebraically cur * (I + Q/rate). qt is the TRANSPOSE of Q in
 // CSR form (petri.Graph.GeneratorCSRTranspose, CSRFromDenseT or
 // TransposeCSR), so cur * Q is a register gather over qt's rows, run as
-// the fused chunk pass of Workspace.series. rate must be >=
-// max_i |Q[i,i]|; pass 0 to derive it from the (materialized) diagonal,
-// which the transpose shares.
+// the fused chunk pass of Workspace.series over the workspace's SELL
+// layout of qt. rate must be >= max_i |Q[i,i]|; pass 0 to derive it from
+// the (materialized) diagonal, which the transpose shares.
 // The result is written into dst when non-nil (length n). All scratch
 // comes from the workspace, so repeated calls at a stamped size run
 // allocation-free.
 func (ws *Workspace) UniformizedPowerCSR(qt *CSR, pi []float64, t, rate, epsilon float64, dst []float64) ([]float64, error) {
-	rows, cols := qt.Dims()
-	if rows != cols || len(pi) != rows {
-		return nil, ErrDimensionMismatch
+	dst, rate, err := seriesArgs(qt, pi, t, rate, dst)
+	if err != nil {
+		return nil, err
 	}
-	n := rows
-	if dst == nil {
-		dst = make([]float64, n)
-	} else if len(dst) != n {
-		return nil, ErrDimensionMismatch
+	if !trivialSeries(pi, t, rate, dst, nil) {
+		ws.uniformized(ws.SeriesLayout(qt), pi, t, rate, epsilon, dst, nil)
 	}
-	if t < 0 {
-		return nil, ErrDimensionMismatch
-	}
-	if rate <= 0 {
-		rate = UniformizationRate(qt.MaxAbsDiag())
-	}
-	if rate == 0 || t == 0 {
-		copy(dst, pi)
-		return dst, nil
-	}
-	weights, right := ws.Poisson(rate*t, epsilon)
-	metUnifSeries.Inc()
-	metUnifTerms.Add(int64(right) + 1)
-	clear(dst)
-	ws.series(qt, pi, weights[:right+1], 1/rate, dst)
 	return dst, nil
 }
 
@@ -259,64 +241,120 @@ func (ws *Workspace) UniformizedPowerCSR(qt *CSR, pi []float64, t, rate, epsilon
 // from distribution pi. qt is the transpose of Q, as for
 // UniformizedPowerCSR.
 func (ws *Workspace) UniformizedIntegralCSR(qt *CSR, pi []float64, t, rate, epsilon float64, dst []float64) ([]float64, error) {
+	dst, rate, err := seriesArgs(qt, pi, t, rate, dst)
+	if err != nil {
+		return nil, err
+	}
+	if !trivialSeries(pi, t, rate, nil, dst) {
+		ws.uniformized(ws.SeriesLayout(qt), pi, t, rate, epsilon, nil, dst)
+	}
+	return dst, nil
+}
+
+// UniformizedSELL is UniformizedPowerCSR over a layout from
+// SeriesLayout: it writes pi * e^{Q t} into dst and, when integral is
+// non-nil, pi * Integral_0^t e^{Q s} ds into integral from the same
+// series pass, each with the bits its own kernel gives. rate is the
+// uniformization rate (UniformizationRate of max_i |Q[i,i]|); with rate
+// or t zero the results are pi and t*pi.
+func (ws *Workspace) UniformizedSELL(l *SELL, pi []float64, t, rate, epsilon float64, dst, integral []float64) error {
+	n := len(l.perm)
+	if len(pi) != n || len(dst) != n || integral != nil && len(integral) != n || t < 0 || rate < 0 {
+		return ErrDimensionMismatch
+	}
+	if !trivialSeries(pi, t, rate, dst, integral) {
+		ws.uniformized(l, pi, t, rate, epsilon, dst, integral)
+	}
+	return nil
+}
+
+// seriesArgs checks the operands of a CSR series kernel, allocates dst
+// when nil and derives a non-positive rate from qt's diagonal.
+func seriesArgs(qt *CSR, pi []float64, t, rate float64, dst []float64) ([]float64, float64, error) {
 	rows, cols := qt.Dims()
-	if rows != cols || len(pi) != rows {
-		return nil, ErrDimensionMismatch
+	if rows != cols || len(pi) != rows || t < 0 {
+		return nil, 0, ErrDimensionMismatch
 	}
-	n := rows
 	if dst == nil {
-		dst = make([]float64, n)
-	} else if len(dst) != n {
-		return nil, ErrDimensionMismatch
-	}
-	if t < 0 {
-		return nil, ErrDimensionMismatch
-	}
-	clear(dst)
-	if t == 0 {
-		return dst, nil
+		dst = make([]float64, rows)
+	} else if len(dst) != rows {
+		return nil, 0, ErrDimensionMismatch
 	}
 	if rate <= 0 {
 		rate = UniformizationRate(qt.MaxAbsDiag())
 	}
-	if rate == 0 {
-		for i := range dst {
-			dst[i] = t * pi[i]
-		}
-		return dst, nil
+	return dst, rate, nil
+}
+
+// trivialSeries writes the results of a series that needs no terms, at
+// t = 0 or rate = 0, into the non-nil outputs: e^{Qt} is the identity
+// there, and the integral is 0 at t = 0 and t*pi at rate 0. It reports
+// whether it did.
+func trivialSeries(pi []float64, t, rate float64, power, integral []float64) bool {
+	if t != 0 && rate != 0 {
+		return false
 	}
+	if power != nil {
+		copy(power, pi)
+	}
+	if integral != nil {
+		clear(integral)
+		if t != 0 {
+			for i := range integral {
+				integral[i] = t * pi[i]
+			}
+		}
+	}
+	return true
+}
+
+// uniformized runs one series of mass rate*t over l into the non-nil
+// outputs: power gets the Poisson weights as coefficients, integral the
+// tail weights tailP(k)/rate, and with both the pass is shared.
+func (ws *Workspace) uniformized(l *SELL, pi []float64, t, rate, epsilon float64, power, integral []float64) {
 	weights, right := ws.Poisson(rate*t, epsilon)
 	invRate := 1 / rate
 	metUnifSeries.Inc()
 	metUnifTerms.Add(int64(right) + 1)
-	// Term k's coefficient is tailP(k)/rate.
-	coef := ws.Vec(right + 1)
-	acc := 0.0
-	for k := 0; k <= right; k++ {
-		acc += weights[k]
-		tail := 1 - acc
-		if tail < 0 {
-			tail = 0
+	var tail []float64
+	if integral != nil {
+		// Term k's coefficient is tailP(k)/rate.
+		tail = ws.Vec(right + 1)
+		acc := 0.0
+		for k := 0; k <= right; k++ {
+			acc += weights[k]
+			tk := 1 - acc
+			if tk < 0 {
+				tk = 0
+			}
+			tail[k] = tk * invRate
 		}
-		coef[k] = tail * invRate
+		clear(integral)
 	}
-	ws.series(qt, pi, coef, invRate, dst)
-	ws.PutVec(coef)
+	if power != nil {
+		clear(power)
+		ws.series(l, pi, invRate, weights[:right+1], power, tail, integral)
+	} else {
+		ws.series(l, pi, invRate, tail, integral, nil, nil)
+	}
+	if integral == nil {
+		return
+	}
+	ws.PutVec(tail)
 	// The truncated series omits sum_{k>right} tail(k)/rate ~= 0 by choice
 	// of right, and analytically the integral masses sum to t: restore that
 	// when the discrepancy is pure truncation noise (a larger scale factor
 	// would hide a real problem).
 	var total float64
-	for _, v := range dst {
+	for _, v := range integral {
 		total += v
 	}
 	if total > 0 {
 		scale := t / total
 		if math.Abs(scale-1) < 1e-6 {
-			for i := range dst {
-				dst[i] *= scale
+			for i := range integral {
+				integral[i] *= scale
 			}
 		}
 	}
-	return dst, nil
 }

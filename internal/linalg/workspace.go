@@ -14,7 +14,7 @@ type Workspace struct {
 	mats    map[matDim][]*Dense
 	csrs    map[csrDim][]*CSR
 	poisson map[poissonKey]poissonMemo
-	rows    sellRows
+	rows    SELL
 }
 
 type matDim struct{ rows, cols int }

@@ -232,7 +232,7 @@ func width5Generator(tb testing.TB) *CSR {
 // is that wide, so the series gathers slots up to that width.
 func classGenerator(tb testing.TB, n, widest int) *CSR {
 	qt := randomWidthCSR(rand.New(rand.NewSource(int64(widest))), n, widest, false)
-	l := NewWorkspace().sellRows(qt)
+	l := NewWorkspace().SeriesLayout(qt)
 	if got := l.widths[len(l.widths)-1]; got != int32(widest) {
 		tb.Fatalf("generator of widest row %d lays out chunks of widths %v", widest, l.widths)
 	}
@@ -332,7 +332,8 @@ func TestUnifEntriesCountsLayoutSlots(t *testing.T) {
 		pi[0] = 1
 		coef := []float64{0.5, 0.25, 0.125, 0.125}
 		before := metUnifEntries.Value()
-		NewWorkspace().series(qt, pi, coef, 0.5, make([]float64, n))
+		ws := NewWorkspace()
+		ws.series(ws.SeriesLayout(qt), pi, 0.5, coef, make([]float64, n), nil, nil)
 		if got, want := metUnifEntries.Value()-before, int64(3*slots); got != want {
 			t.Errorf("n=%d: entries grew by %d, want %d", n, got, want)
 		}

@@ -29,8 +29,8 @@ var (
 	metPowerCycles   = obs.CounterFor("mrgp.power.cycles")
 	metPowerResidual = obs.GaugeFor("mrgp.power.final_residual")
 
-	// Krylov starts whose result was discarded (breakdown, non-finite or
-	// zero mass), leaving the power finisher to run from the original
-	// start.
+	// Krylov starts whose result was discarded (breakdown, non-finite,
+	// zero mass or more than rounding-level negative mass), leaving the
+	// power finisher to run from the original start.
 	metKrylovDiscarded = obs.CounterFor("mrgp.krylov.discarded")
 )

@@ -12,11 +12,17 @@ import (
 // generators (35-332 states, rate*tau 34-2043; DESIGN.md section 7).
 const (
 	// sparseNsPerEntry is one stored generator entry gathered in one
-	// term of a vector series. sparseApplications is the series a cold
-	// sparse solve runs: its Krylov and power applications (7-29
-	// measured, 13 typical) plus the occupancy integral. The value is
-	// the row-class kernel's 1.7 scaled by the SELL-8 kernel's measured
-	// time ratio, 0.31.
+	// term of a vector series, the row-class kernel's 1.7 scaled by the
+	// SELL-8 kernel's measured time ratio, 0.31. sparseApplications is
+	// the series a cold sparse solve was measured to run when the
+	// constants were fitted: its Krylov and power applications (7-29,
+	// 13 typical) plus a separate occupancy integral. With both stages
+	// stopping at the float64 floor and the occupancy fused into the
+	// accepted application, cold solves run 10-17 series (15.1 on
+	// average over the serve-cold box). The value stays 15 because only the product with
+	// sparseNsPerEntry picks a route, and that product was fitted on
+	// whole-solve times; changing one factor without a refit would move
+	// routes the measurements never compared.
 	sparseNsPerEntry   = 0.53
 	sparseApplications = 15
 

@@ -12,24 +12,54 @@ import (
 )
 
 // Power-iteration limits for the sparse embedded chain. The tolerance is on
-// the L1 change per cycle; the stall band accepts the float64 rounding
-// floor when improvement dies out, mirroring linalg.SteadyStateGS.
+// the L1 change per cycle, floored at embTolFor(n); the stall band
+// accepts the float64 rounding floor when improvement dies out, mirroring
+// linalg.SteadyStateGS.
 const (
 	embTol       = 1e-15
 	embStallTol  = 1e-12
 	embMaxCycles = 50000
 )
 
+// embTolFor is the finisher's acceptance tolerance for an n-state chain:
+// the L1 delta at the float64 floor, n*2^-55 (a quarter of n unit
+// roundoffs, u = 2^-53), and embTol where that is smaller (n < 36).
+// Normalizing divides by a sum of n entries, whose rounding error is of
+// order sqrt(n)*u and at most (n-1)*u, so a cycle at the fixed point
+// still moves the vector by about that much in L1; the floor sits
+// sqrt(n)/4 noise widths up and 4x under the worst case (DESIGN.md
+// section 7).
+func embTolFor(n int) float64 {
+	return max(embTol, float64(n)*0x1p-55)
+}
+
 // Restarted-GMRES limits for the Krylov start of the embedded chain: the
 // basis size per restart, the absolute tolerance on ||x - xP||_2, and the
 // restart cap after which the power finisher takes over from whatever
 // progress was made. A restart that fails to halve the residual of the
 // one before it also hands over: restarted GMRES can stagnate, the power
-// iteration cannot.
+// iteration cannot. Below krylovFloor the residual estimate is at the
+// rounding floor of an operator application, and an Arnoldi step that
+// fails to halve it there ends the stage: its column is dropped, so the
+// back-substitution never divides by the near-zero pivot such a step
+// leaves. krylovNegTol bounds the negative mass a result may carry
+// relative to its positive mass: the clipped negatives are meant to be
+// rounding noise on epoch-transient states, not part of the answer.
 const (
 	krylovRestart     = 20
 	krylovTol         = 2e-15
 	krylovMaxRestarts = 8
+	krylovFloor       = 1e-13
+	krylovNegTol      = 1e-12
+)
+
+// Why the Krylov stage stopped, recorded on the mrgp.kernel.embedded span.
+const (
+	krylovStopTol       = "tolerance" // residual estimate at krylovTol, or an exact breakdown
+	krylovStopFloor     = "floor"     // an Arnoldi step stagnated under krylovFloor
+	krylovStopRestart   = "restart"   // a restart failed to halve the residual
+	krylovStopCap       = "cap"       // krylovMaxRestarts restarts ran
+	krylovStopDiscarded = "discarded" // the result was thrown away; v kept its start
 )
 
 // solveSparse computes the steady state of a clocked DSPN without ever
@@ -39,26 +69,31 @@ const (
 //	v -> (v * e^{Q tau}) * D
 //
 // is the matrix-free uniformization series (cur <- cur + (cur*Q)/rate per
-// Poisson term, a gather over Q's plan-stamped transpose) followed by the
-// clock branching matrix, whose transpose is cached on the graph topology. The stationary vector is found in two stages on that
-// one operator:
+// Poisson term, a gather over Q's plan-stamped transpose, laid out once
+// per solve) followed by the clock branching matrix, whose transpose is
+// cached on the graph topology. The stationary vector is found in two
+// stages on that one operator:
 //
 //  1. a restarted GMRES solve of x(I - P) = 0 (embeddedOp.krylov), which
 //     reaches the rounding floor in tens of applications where plain
 //     power iteration needs hundreds;
 //  2. the power iteration v <- normalize(vP) as finisher and acceptance
-//     test, with the tolerance, stall band and cycle cap it has always
-//     had. e^{Q tau} is strictly positive on an irreducible subordinated
+//     test, with the tolerance embTolFor(n), the stall band and the cycle
+//     cap. e^{Q tau} is strictly positive on an irreducible subordinated
 //     chain, so the iteration contracts onto the stationary vector of the
 //     unique closed class of P — the same limit the dense path extracts
 //     by classifying the recurrent class explicitly — from any start, and
 //     the mass it places on epoch-transient states decays geometrically.
 //
-// A Krylov result that broke down, went non-finite or lost its mass is
-// discarded and the finisher runs from the original start, so the Krylov
-// stage can change how many applications a solve takes but never which
-// vector is accepted. Occupancy then follows from one matrix-free
-// integral series.
+// A Krylov result that broke down, went non-finite, lost its mass or
+// carries more than rounding-level negative mass is discarded and the
+// finisher runs from the original start, so the Krylov stage can change
+// how many applications a solve takes but never which criterion the
+// accepted vector passes. Every finisher cycle also integrates its input
+// over the clock period in the same series pass (the series' second
+// accumulator), so the cycle that passes the acceptance test yields the
+// occupancy too: its input is the embedded vector sigma, and pi is the
+// normalized integral sigma * Integral_0^tau e^{Qs} ds.
 //
 // Memory is O(nnz + restart*n) against the dense path's O(n^2), and an
 // application costs O(rate*tau) sparse matvecs, so the solver reaches
@@ -105,7 +140,8 @@ func solveSparse(ctx context.Context, ws *linalg.Workspace, g *petri.Graph, seed
 	defer ws.PutVec(v)
 	defer ws.PutVec(moved)
 	defer ws.PutVec(next)
-	op := embeddedOp{ws: ws, qt: qt, dt: g.DetBranchTranspose(), delay: delay, rate: linalg.UniformizationRate(qt.MaxAbsDiag()), moved: moved}
+	op := embeddedOp{ws: ws, layout: ws.SeriesLayout(qt), dt: g.DetBranchTranspose(), delay: delay,
+		rate: linalg.UniformizationRate(qt.MaxAbsDiag()), moved: moved}
 	warm = linalg.ApplySeed(v, seed)
 	if !warm {
 		for i := range v {
@@ -117,23 +153,27 @@ func solveSparse(ctx context.Context, ws *linalg.Workspace, g *petri.Graph, seed
 	prev := math.Inf(1)
 	stall := 0
 	lastDelta := math.Inf(1)
+	tol := embTolFor(n)
+	occupancy := make([]float64, n)
 	// The embedded-chain span must close before the occupancy span opens
 	// (they are sibling kernels under mrgp.rung.sparse), so it ends via
 	// this helper on every exit from the loop rather than a defer that
-	// would stretch it over the integral below.
+	// would stretch it over the normalization below.
 	_, ksp := obs.StartSpan(ctx, "mrgp.kernel.embedded")
 	kspEnded := false
-	krylov := 0
+	krylov, finisher := 0, 0
+	stop := ""
 	endEmbedded := func(err error) {
 		if kspEnded {
 			return
 		}
 		kspEnded = true
-		ksp.Int("cycles", int64(cycles)).Int("krylov", int64(krylov)).Int("nnz", int64(qt.NNZ())).Float("residual", lastDelta).Err(err)
+		ksp.Int("cycles", int64(cycles)).Int("krylov", int64(krylov)).Str("krylov_stop", stop).
+			Int("finisher", int64(finisher)).Int("nnz", int64(qt.NNZ())).Float("residual", lastDelta).Err(err)
 		ksp.End()
 	}
 	defer endEmbedded(nil)
-	krylov, err = op.krylov(ctx, v)
+	krylov, stop, err = op.krylov(ctx, v)
 	if err != nil {
 		return nil, 0, false, err
 	}
@@ -149,7 +189,7 @@ func solveSparse(ctx context.Context, ws *linalg.Workspace, g *petri.Graph, seed
 					Err: fmt.Errorf("%w: injected embedded power stall at cycle %d", linalg.ErrNotConverged, cycle)}
 			}
 		}
-		if err := op.apply(next, v); err != nil {
+		if err := op.apply(next, v, occupancy); err != nil {
 			return nil, 0, false, err
 		}
 		var delta, norm float64
@@ -173,10 +213,13 @@ func solveSparse(ctx context.Context, ws *linalg.Workspace, g *petri.Graph, seed
 			}
 			delta += diff
 		}
+		// The input moves to next: if this cycle is accepted it is sigma,
+		// the vector occupancy integrated.
 		v, next = next, v
-		cycles = krylov + cycle + 1
+		finisher = cycle + 1
+		cycles = krylov + finisher
 		lastDelta = delta
-		if delta <= embTol {
+		if delta <= tol {
 			converged = true
 			break
 		}
@@ -200,39 +243,36 @@ func solveSparse(ctx context.Context, ws *linalg.Workspace, g *petri.Graph, seed
 	}
 	endEmbedded(nil)
 
+	// The accepted cycle's input (swapped into next) is sigma, and its
+	// integral over the clock period is already in occupancy.
 	sigma := make([]float64, n)
-	copy(sigma, v)
-
-	occupancy := make([]float64, n)
+	copy(sigma, next)
 	_, osp := obs.StartSpan(ctx, "mrgp.kernel.occupancy")
-	_, oerr := ws.UniformizedIntegralCSR(qt, sigma, delay, op.rate, truncationEpsilon, occupancy)
-	osp.Err(oerr)
-	osp.End()
-	if oerr != nil {
-		return nil, 0, false, oerr
-	}
 	linalg.Normalize(occupancy)
+	osp.Str("series", "embedded").End()
 
 	return &Solution{Pi: occupancy, Embedded: sigma, Delay: delay}, cycles, warm, nil
 }
 
 // embeddedOp is the matrix-free embedded-chain operator x -> xP with
 // P = e^{Q tau} D: one uniformization series into moved, then the clock
-// branching matrix. Krylov and power stages apply the same operator, so
-// each application costs exactly one series whichever stage asks. Both
-// matrices are held transposed, the layout of the gather products.
+// branching matrix. Krylov and power stages apply the same operator over
+// one layout of Q's transpose, so each application costs exactly one
+// series whichever stage asks. Both matrices are held transposed, the
+// layout of the gather products.
 type embeddedOp struct {
-	ws    *linalg.Workspace
-	qt    *linalg.CSR
-	dt    *linalg.CSR
-	delay float64
-	rate  float64
-	moved []float64
+	ws     *linalg.Workspace
+	layout *linalg.SELL
+	dt     *linalg.CSR
+	delay  float64
+	rate   float64
+	moved  []float64
 }
 
-// apply writes src*P into dst.
-func (op *embeddedOp) apply(dst, src []float64) error {
-	if _, err := op.ws.UniformizedPowerCSR(op.qt, src, op.delay, op.rate, truncationEpsilon, op.moved); err != nil {
+// apply writes src*P into dst and, when occupancy is non-nil,
+// src * Integral_0^tau e^{Qs} ds into occupancy from the same series.
+func (op *embeddedOp) apply(dst, src, occupancy []float64) error {
+	if err := op.ws.UniformizedSELL(op.layout, src, op.delay, op.rate, truncationEpsilon, op.moved, occupancy); err != nil {
 		return err
 	}
 	return op.dt.MulVecInto(dst, op.moved)
@@ -246,18 +286,24 @@ func (op *embeddedOp) apply(dst, src []float64) error {
 // restart spends one application on the true residual and at most
 // krylovRestart more on Arnoldi steps (modified Gram-Schmidt, Givens
 // rotations on the Hessenberg least-squares problem); it stops once the
-// residual estimate is below krylovTol, after krylovMaxRestarts, or when
-// a restart has stagnated.
+// residual estimate is below krylovTol, when an Arnoldi step stagnates at
+// the rounding floor (that step's column is dropped), after
+// krylovMaxRestarts, or when a restart has stagnated. GMRES on a singular
+// system keeps taking steps past its attainable residual, with Givens
+// pivots shrinking towards zero, and the back-substitution would divide
+// by them (Brown and Walker, SIAM J. Matrix Anal. Appl. 18(1), 1997).
 //
 // The accepted result has its rounding-level negatives (the epoch-
 // transient states, whose stationary mass is zero) clipped and is
 // renormalized into v. On a breakdown of the least-squares problem, a
-// non-finite result or zero mass the result is discarded and v is left
-// exactly as it was, so the power finisher runs bit for bit as it would
-// have without this stage. All storage comes from the workspace. It
-// returns the number of operator applications; the only errors are a
-// dead ctx and operator failures.
-func (op *embeddedOp) krylov(ctx context.Context, v []float64) (applied int, err error) {
+// non-finite result, zero mass or a clipped negative mass above
+// krylovNegTol times the positive mass the result is discarded
+// (mrgp.krylov.discarded) and v is left exactly as it was, so the power
+// finisher runs bit for bit as it would have without this stage. All
+// storage comes from the workspace. It returns the number of operator
+// applications and why the stage stopped; the only errors are a dead ctx
+// and operator failures.
+func (op *embeddedOp) krylov(ctx context.Context, v []float64) (applied int, stop string, err error) {
 	ws, n := op.ws, len(v)
 	m := min(krylovRestart, n)
 	var basis [krylovRestart + 1][]float64
@@ -281,18 +327,19 @@ func (op *embeddedOp) krylov(ctx context.Context, v []float64) (applied int, err
 			return err
 		}
 		applied++
-		return op.apply(dst, src)
+		return op.apply(dst, src, nil)
 	}
-	discard := func() (int, error) {
+	discard := func() (int, string, error) {
 		metKrylovDiscarded.Inc()
-		return applied, nil
+		return applied, krylovStopDiscarded, nil
 	}
 
 	copy(x, v)
 	prevBeta := math.Inf(1)
+	stop = krylovStopCap
 	for restart := 0; restart < krylovMaxRestarts; restart++ {
 		if err := step(w, x); err != nil {
-			return applied, err
+			return applied, "", err
 		}
 		r := basis[0]
 		var beta float64
@@ -304,7 +351,12 @@ func (op *embeddedOp) krylov(ctx context.Context, v []float64) (applied int, err
 		if math.IsNaN(beta) || math.IsInf(beta, 0) {
 			return discard()
 		}
-		if beta <= krylovTol || beta > prevBeta/2 {
+		if beta <= krylovTol {
+			stop = krylovStopTol
+			break
+		}
+		if beta > prevBeta/2 {
+			stop = krylovStopRestart
 			break
 		}
 		prevBeta = beta
@@ -313,10 +365,10 @@ func (op *embeddedOp) krylov(ctx context.Context, v []float64) (applied int, err
 		}
 		clear(g)
 		g[0] = beta
-		k, converged := 0, false
+		k, done := 0, false
 		for j := 0; j < m; j++ {
 			if err := step(w, basis[j]); err != nil {
-				return applied, err
+				return applied, "", err
 			}
 			// u = v_j (I - P), orthogonalized against the basis so far.
 			u, vj := basis[j+1], basis[j]
@@ -348,13 +400,21 @@ func (op *embeddedOp) krylov(ctx context.Context, v []float64) (applied int, err
 			if rho == 0 || math.IsNaN(rho) || (faultinject.Enabled() && fiKrylovBreakdown.Fire()) {
 				return discard()
 			}
-			cs[j], sn[j] = h[j*m+j]/rho, hn/rho
+			c, s := h[j*m+j]/rho, hn/rho
+			// The step would cut the residual estimate from |g[j]| to
+			// |s*g[j]|. At the floor, a cut by less than half is rounding:
+			// leave column j out and stop.
+			if math.Abs(g[j]) <= krylovFloor && math.Abs(s) > 0.5 {
+				stop, done = krylovStopFloor, true
+				break
+			}
+			cs[j], sn[j] = c, s
 			h[j*m+j] = rho
-			g[j+1] = -sn[j] * g[j]
-			g[j] *= cs[j]
+			g[j+1] = -s * g[j]
+			g[j] *= c
 			k = j + 1
 			if math.Abs(g[j+1]) <= krylovTol || hn == 0 {
-				converged = true
+				stop, done = krylovStopTol, true
 				break
 			}
 			for i := range u {
@@ -375,28 +435,41 @@ func (op *embeddedOp) krylov(ctx context.Context, v []float64) (applied int, err
 				x[l] += yi * bi[l]
 			}
 		}
-		if converged {
+		if done {
 			break
 		}
 	}
 
-	var mass float64
+	if !acceptKrylov(v, x) {
+		return discard()
+	}
+	return applied, stop, nil
+}
+
+// acceptKrylov clips the negatives of a Krylov result x and writes it,
+// renormalized, into v. It leaves v untouched and reports false when x
+// has a non-finite entry, no positive mass, or clipped negative mass
+// above krylovNegTol times its positive mass: such a vector is not the
+// stationary vector up to rounding, whatever its residual estimate says.
+func acceptKrylov(v, x []float64) bool {
+	var mass, neg float64
 	for i, xi := range x {
 		if math.IsNaN(xi) || math.IsInf(xi, 0) {
-			return discard()
+			return false
 		}
 		if xi < 0 {
+			neg -= xi
 			x[i] = 0
 			continue
 		}
 		mass += xi
 	}
-	if !(mass > 0) || math.IsInf(mass, 0) {
-		return discard()
+	if !(mass > 0) || math.IsInf(mass, 0) || neg > krylovNegTol*mass {
+		return false
 	}
 	inv := 1 / mass
 	for i := range v {
 		v[i] = x[i] * inv
 	}
-	return applied, nil
+	return true
 }

@@ -109,12 +109,14 @@ for metric in warmstart.lookup.hit warmstart.insert linalg.seed.warm; do
     fi
 done
 # The sparse MRGP Krylov start keeps the interval probe's cold pass at
-# tens of embedded-operator applications per point (the power iteration
-# alone took ~3500 over the sweep).
+# ~14 embedded-operator applications per point (the power iteration
+# alone took ~3500 over the sweep). The cap is the measured 195 plus
+# ~10%: an application count that creeps back towards the pre-floor 231
+# fails here.
 cold_iters=$(awk '/"probe": "mrgp-interval"/ {f = 1} f && /"cold_iters"/ {gsub(/[^0-9]/, ""); print; exit}' \
     artifacts/BENCH_warmstart.json)
-if [ -z "$cold_iters" ] || [ "$cold_iters" -gt 400 ]; then
-    echo "warmstart gate: mrgp-interval cold_iters=${cold_iters:-missing} exceeds 400" >&2
+if [ -z "$cold_iters" ] || [ "$cold_iters" -gt 215 ]; then
+    echo "warmstart gate: mrgp-interval cold_iters=${cold_iters:-missing} exceeds 215" >&2
     exit 1
 fi
 
