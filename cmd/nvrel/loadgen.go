@@ -296,8 +296,7 @@ func startSelfServe(cfg loadgenConfig, out io.Writer) (stop func(), url string, 
 	s := newServer(serveConfig{
 		maxConcurrent: cfg.concurrency,
 		solveTimeout:  cfg.timeout,
-		cacheSize:     4096,
-		cacheTTL:      15 * time.Minute,
+		cacheSize:     defaultCacheSize,
 		shadowRate:    cfg.shadowRate,
 	})
 	hs := &http.Server{Handler: s.handler()}

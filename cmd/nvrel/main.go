@@ -97,7 +97,7 @@ commands:
   chaos                      run the sweeps under a fault-injection plan and
                              assert every fault is recovered or surfaced typed
   serve                      run the live-telemetry HTTP daemon (/metrics
-                             Prometheus, /metrics.json, /traces, /events, /slo,
+                             Prometheus, /metrics.json, /traces, /events,
                              /healthz, /debug/flight, POST /solve,
                              POST /solve/batch)
   loadgen                    drive a serve daemon with a repeat/neighbor/cold

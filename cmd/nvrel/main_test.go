@@ -2,7 +2,10 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"errors"
+	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -10,7 +13,9 @@ import (
 	"testing"
 	"time"
 
+	"nvrel"
 	"nvrel/internal/des"
+	"nvrel/internal/linalg"
 )
 
 // capture runs the CLI against an in-memory buffer and returns what was
@@ -262,6 +267,48 @@ func TestCmdSweepCSV(t *testing.T) {
 	lines := strings.Split(strings.TrimSpace(out), "\n")
 	if len(lines) != 3 || !strings.HasPrefix(lines[0], "p,four_version,six_version") {
 		t.Errorf("csv output wrong:\n%s", out)
+	}
+}
+
+// TestCmdSweepWorkspaceMatchesNil: sweep solves each grid point on an
+// arena workspace; its table must be byte-identical to one printed from
+// nil-workspace solves, and one reused workspace must give the nil bits
+// on every route (CTMC, dense and sparse MRGP).
+func TestCmdSweepWorkspaceMatchesNil(t *testing.T) {
+	out, err := capture(t, "sweep", "-param", "mttc", "-from", "1000", "-to", "2000", "-steps", "3", "-csv")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	cache := nvrel.NewModelCache()
+	ws := linalg.NewWorkspace()
+	want := "mttc,four_version,six_version\n"
+	for _, v := range []float64{1000, 1500, 2000} {
+		p4, p6, p10 := nvrel.DefaultFourVersion(), nvrel.DefaultSixVersion(), nvrel.DefaultSixVersion()
+		p4.MeanTimeToCompromise, p6.MeanTimeToCompromise, p10.MeanTimeToCompromise, p10.N = v, v, v, 10
+		m4, _ := cache.BuildNoRejuvenation(p4)
+		m6, _ := cache.BuildWithRejuvenation(p6)
+		m10, _ := cache.BuildWithRejuvenation(p10)
+		var rel [3]float64
+		for k, m := range []*nvrel.Model{m4, m6, m10} {
+			arch := [3]string{"4v", "6v", "6v"}[k]
+			nilRel, err := solveShadowed(ctx, "test", arch, m, nil, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wsRel, err := solveShadowed(ctx, "test", arch, m, ws, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if math.Float64bits(wsRel) != math.Float64bits(nilRel) {
+				t.Errorf("mttc=%g model %d: workspace solve %x, nil-workspace solve %x", v, k, math.Float64bits(wsRel), math.Float64bits(nilRel))
+			}
+			rel[k] = nilRel
+		}
+		want += fmt.Sprintf("%.6g,%.7f,%.7f\n", v, rel[0], rel[1])
+	}
+	if out != want {
+		t.Errorf("sweep table differs from nil-workspace solves:\n--- got ---\n%s--- want ---\n%s", out, want)
 	}
 }
 

@@ -44,16 +44,20 @@ import (
 // graph work across requests sharing a topology. One daemon is the
 // whole serving path: request -> cache -> pool -> solve.
 
+// secondsBounds are the bucket bounds of the daemon's latency histograms.
+var secondsBounds = []float64{0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1, 5, 10}
+
 // Serve-layer metrics, following the <package>.<area>.<event> convention.
+// serve.solve.seconds times each /solve answer and the warm-up solve,
+// cache hits and failures included.
 var (
 	srvMetRequests      = obs.CounterFor("serve.request")
 	srvMetRequestErrors = obs.CounterFor("serve.request.error")
-	srvMetRequestSec    = obs.HistogramFor("serve.request.seconds",
-		[]float64{0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1, 5, 10})
+	srvMetRequestSec    = obs.HistogramFor("serve.request.seconds", secondsBounds)
 	srvMetSolveOK       = obs.CounterFor("serve.solve.ok")
 	srvMetSolveErrors   = obs.CounterFor("serve.solve.error")
 	srvMetSolveRejected = obs.CounterFor("serve.solve.rejected_busy")
-	srvMetSolveTiming   = obs.TimingFor("serve.solve")
+	srvMetSolveSec      = obs.HistogramFor("serve.solve.seconds", secondsBounds)
 	srvMetSolveCompute  = obs.CounterFor("serve.solve.compute")
 	srvMetBatch         = obs.CounterFor("serve.batch")
 	srvMetBatchItems    = obs.CounterFor("serve.batch.items")
@@ -71,30 +75,30 @@ const maxSolveBody = 1 << 20
 // path so the handler can map it to 429 rather than 422.
 var errBusy = errors.New("solver at max concurrency")
 
+// Fixed daemon settings. The span ring holds obs.DefaultTraceCapacity
+// spans and the shadow verifier runs on shadow.Config's defaults.
+const (
+	defaultCacheSize = 4096             // -cache-size default, also loadgen -self-serve's
+	cacheTTL         = 15 * time.Minute // solve-result cache entry lifetime
+	shutdownTimeout  = 10 * time.Second // in-flight drain budget on SIGINT/SIGTERM
+)
+
 // serveConfig is the flag-settable daemon shape.
 type serveConfig struct {
-	addr            string
-	maxConcurrent   int
-	solveTimeout    time.Duration
-	shutdownTimeout time.Duration
-	traceRing       int
-	cacheSize       int
-	cacheTTL        time.Duration
-	eventLog        string // JSON-lines request-event stream ("" = ring only)
-	sloWindow       time.Duration
-	sloAvailability float64
-	sloLatency      time.Duration
+	addr          string
+	maxConcurrent int
+	solveTimeout  time.Duration
+	cacheSize     int
+	eventLog      string // JSON-lines request-event stream ("" = ring only)
 
 	// Process rejuvenation and chaos arming.
 	rejuvenateAfter    time.Duration // drain + exit after this long (0 = off)
 	rejuvenateRequests int           // drain + exit after this many solve requests (0 = off)
 	chaosPlan          string        // faultinject plan JSON armed at boot ("" = off)
 
-	// Shadow verification (DESIGN.md §14).
-	shadowRate    float64 // sampled fraction of solves re-solved on an independent rung (0 = off)
-	shadowWorkers int     // shadow verification pool size (0 = 1)
-	shadowQueue   int     // pending shadow jobs before shedding (0 = 64)
-	shadowTol     float64 // agreement band on pi (L-inf) and E[R] (0 = shadow.DefaultPiTol)
+	// Shadow verification (DESIGN.md §14): sampled fraction of solves
+	// re-solved on an independent rung (0 = off).
+	shadowRate float64
 }
 
 // server is the daemon state: the model cache shared by every request
@@ -114,7 +118,6 @@ type server struct {
 	arena    *linalg.Arena
 	scache   *servecache.Cache[solveResult]
 	sem      chan struct{}
-	slo      *obs.SLOTracker
 	shadow   *shadow.Verifier // nil unless -shadow-rate > 0
 	ready    atomic.Bool
 	draining atomic.Bool
@@ -137,27 +140,18 @@ func newServer(cfg serveConfig) *server {
 	// records behind /events, /debug/flight and the event log.
 	obs.EventsEnable()
 	s := &server{
-		cfg:     cfg,
-		cache:   nvrel.NewModelCache(),
-		warmReg: nvrel.NewWarmRegistry(),
-		arena:   linalg.NewArena(),
-		scache:  servecache.New(cfg.cacheSize, cfg.cacheTTL, cloneSolveResult),
-		sem:     make(chan struct{}, cfg.maxConcurrent),
-		slo: obs.NewSLOTracker(obs.SLOConfig{
-			Window:       cfg.sloWindow,
-			Availability: cfg.sloAvailability,
-			Latency:      cfg.sloLatency,
-		}),
+		cfg:         cfg,
+		cache:       nvrel.NewModelCache(),
+		warmReg:     nvrel.NewWarmRegistry(),
+		arena:       linalg.NewArena(),
+		scache:      servecache.New(cfg.cacheSize, cacheTTL, cloneSolveResult),
+		sem:         make(chan struct{}, cfg.maxConcurrent),
 		start:       time.Now(),
 		rejuvenateC: make(chan struct{}),
 	}
 	if cfg.shadowRate > 0 {
 		s.shadow = shadow.New(shadow.Config{
 			Rate:    cfg.shadowRate,
-			PiTol:   cfg.shadowTol,
-			RelTol:  cfg.shadowTol,
-			Workers: cfg.shadowWorkers,
-			Queue:   cfg.shadowQueue,
 			Timeout: cfg.solveTimeout,
 			Source:  "serve",
 		})
@@ -177,23 +171,19 @@ func (w *statusWriter) WriteHeader(code int) {
 }
 
 // instrument wraps a handler with the request counter and latency
-// histogram feeding the same registry the daemon exports, and scores
-// solve traffic against the SLO tracker — an availability violation is a
-// shed request (429) or a server-side failure (5xx), never a client
-// error (4xx means the request itself was wrong, not the service).
+// histogram feeding the same registry the daemon exports, and counts
+// solve traffic against the -rejuvenate-requests budget.
 func (s *server) instrument(h http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		t0 := time.Now()
 		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
 		h.ServeHTTP(sw, r)
-		elapsed := time.Since(t0)
 		srvMetRequests.Inc()
-		srvMetRequestSec.Observe(elapsed.Seconds())
+		srvMetRequestSec.Observe(time.Since(t0).Seconds())
 		if sw.status >= 400 {
 			srvMetRequestErrors.Inc()
 		}
 		if r.Method == http.MethodPost && strings.HasPrefix(r.URL.Path, "/solve") {
-			s.slo.Record(elapsed, sw.status == http.StatusTooManyRequests || sw.status >= 500)
 			s.noteSolveRequest()
 		}
 	})
@@ -261,12 +251,6 @@ func (s *server) handler() http.Handler {
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
 		enc.Encode(newFlightDoc(s.shadow))
-	})
-	mux.HandleFunc("GET /slo", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		enc.Encode(s.slo.Report())
 	})
 	mux.HandleFunc("POST /solve", s.handleSolve)
 	mux.HandleFunc("POST /solve/batch", s.handleBatch)
@@ -528,7 +512,7 @@ func (s *server) solveCached(ctx context.Context, key, arch string, p nvrel.Para
 		return r, err
 	})
 	elapsed := time.Since(t0)
-	srvMetSolveTiming.Record(elapsed)
+	srvMetSolveSec.Observe(elapsed.Seconds())
 	if err != nil {
 		code := http.StatusUnprocessableEntity
 		switch {
@@ -842,21 +826,12 @@ func cmdServe(args []string, out io.Writer) error {
 	fs.StringVar(&cfg.addr, "addr", "127.0.0.1:8077", "listen address (use :0 for an ephemeral port)")
 	fs.IntVar(&cfg.maxConcurrent, "max-concurrent", 4, "max in-flight /solve requests before 429")
 	fs.DurationVar(&cfg.solveTimeout, "solve-timeout", 30*time.Second, "default per-request solve deadline")
-	fs.DurationVar(&cfg.shutdownTimeout, "shutdown-timeout", 10*time.Second, "in-flight drain budget on SIGINT/SIGTERM")
-	fs.IntVar(&cfg.traceRing, "trace-ring", obs.DefaultTraceCapacity, "span ring-buffer capacity")
-	fs.IntVar(&cfg.cacheSize, "cache-size", 4096, "solve-result cache capacity in entries (0 = unbounded)")
-	fs.DurationVar(&cfg.cacheTTL, "cache-ttl", 15*time.Minute, "solve-result cache entry lifetime (0 = never expires)")
+	fs.IntVar(&cfg.cacheSize, "cache-size", defaultCacheSize, "solve-result cache capacity in entries (0 = unbounded)")
 	fs.StringVar(&cfg.eventLog, "event-log", "", "append request events as JSON lines to this file (\"\" = in-memory ring only)")
-	fs.DurationVar(&cfg.sloWindow, "slo-window", 5*time.Minute, "SLO rolling evaluation window")
-	fs.Float64Var(&cfg.sloAvailability, "slo-availability", 0.999, "availability objective scored at /slo")
-	fs.DurationVar(&cfg.sloLatency, "slo-latency", time.Second, "p99 latency objective scored at /slo")
 	fs.DurationVar(&cfg.rejuvenateAfter, "rejuvenate-after", 0, "drain and exit cleanly after this long, for a supervisor restart (0 = off)")
 	fs.IntVar(&cfg.rejuvenateRequests, "rejuvenate-requests", 0, "drain and exit cleanly after this many solve requests (0 = off)")
 	fs.StringVar(&cfg.chaosPlan, "chaos-plan", "", "arm this faultinject plan JSON at boot (solver sites such as linalg.gs.drift)")
 	fs.Float64Var(&cfg.shadowRate, "shadow-rate", 0, "fraction of solves re-solved on an independent solver path and cross-checked (0 = off)")
-	fs.IntVar(&cfg.shadowWorkers, "shadow-workers", 1, "shadow verification worker pool size")
-	fs.IntVar(&cfg.shadowQueue, "shadow-queue", 64, "pending shadow verifications before shedding (skipped, never blocking)")
-	fs.Float64Var(&cfg.shadowTol, "shadow-tol", shadow.DefaultPiTol, "cross-path agreement band on the distribution (L-inf) and E[R]")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -865,9 +840,6 @@ func cmdServe(args []string, out io.Writer) error {
 	// always collects metrics, spans, and events (newServer turns events
 	// on), whatever the global flags say.
 	obs.Enable()
-	if cfg.traceRing > 0 && cfg.traceRing != obs.DefaultTraceCapacity {
-		obs.SetTraceCapacity(cfg.traceRing)
-	}
 	obs.TraceEnable()
 	if cfg.eventLog != "" {
 		f, err := os.OpenFile(cfg.eventLog, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
@@ -936,7 +908,7 @@ func cmdServe(args []string, out io.Writer) error {
 	// the listener is already gone.
 	s.beginDrain()
 	fmt.Fprintln(out, "nvrel serve: shutting down, draining in-flight requests")
-	shCtx, cancel := context.WithTimeout(context.Background(), cfg.shutdownTimeout)
+	shCtx, cancel := context.WithTimeout(context.Background(), shutdownTimeout)
 	defer cancel()
 	if err := srv.Shutdown(shCtx); err != nil {
 		return fmt.Errorf("serve: shutdown: %w", err)

@@ -30,7 +30,6 @@ func TestServeContentTypeHeaders(t *testing.T) {
 		{"/healthz", "application/json"},
 		{"/events", "application/json"},
 		{"/traces", "application/json"},
-		{"/slo", "application/json"},
 		{"/debug/flight", "application/json"},
 	}
 	for _, c := range cases {

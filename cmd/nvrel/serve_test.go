@@ -220,8 +220,10 @@ func TestServeSolveTraceNesting(t *testing.T) {
 
 func TestServeMetricsEndpoints(t *testing.T) {
 	_, ts := newTestServer(t)
-	// A request before scraping so serve.request is nonzero.
-	if resp, err := http.Get(ts.URL + "/healthz"); err == nil {
+	// A solve before scraping so serve.request and serve.solve.seconds are
+	// nonzero.
+	if resp, err := http.Post(ts.URL+"/solve", "application/json", strings.NewReader(`{"arch":"4v"}`)); err == nil {
+		io.Copy(io.Discard, resp.Body)
 		resp.Body.Close()
 	}
 
@@ -238,14 +240,16 @@ func TestServeMetricsEndpoints(t *testing.T) {
 	if !strings.Contains(text, "# TYPE serve_request counter") {
 		t.Errorf("/metrics missing serve_request family:\n%.400s", text)
 	}
-	var serveReq int64
-	for _, line := range strings.Split(text, "\n") {
-		if n, _ := fmt.Sscanf(line, "serve_request %d", &serveReq); n == 1 {
-			break
-		}
+	if !strings.Contains(text, "# TYPE serve_solve_seconds histogram") {
+		t.Errorf("/metrics missing serve_solve_seconds histogram:\n%.400s", text)
 	}
-	if serveReq < 1 {
-		t.Errorf("serve_request = %d, want >= 1", serveReq)
+	var serveReq, solveCount int64
+	for _, line := range strings.Split(text, "\n") {
+		fmt.Sscanf(line, "serve_request %d", &serveReq)
+		fmt.Sscanf(line, "serve_solve_seconds_count %d", &solveCount)
+	}
+	if serveReq < 1 || solveCount < 1 {
+		t.Errorf("serve_request = %d, serve_solve_seconds_count = %d, want both >= 1", serveReq, solveCount)
 	}
 
 	resp, err = http.Get(ts.URL + "/metrics.json")
@@ -481,33 +485,6 @@ func TestServeEventsEndpoint(t *testing.T) {
 	}
 }
 
-func TestServeSLOEndpoint(t *testing.T) {
-	_, ts := newTestServer(t)
-	if resp, err := http.Post(ts.URL+"/solve", "application/json", strings.NewReader(`{"arch":"6v"}`)); err == nil {
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-	}
-	resp, err := http.Get(ts.URL + "/slo")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rep obs.SLOReport
-	err = json.NewDecoder(resp.Body).Decode(&rep)
-	resp.Body.Close()
-	if err != nil {
-		t.Fatalf("/slo: %v", err)
-	}
-	if rep.Requests < 1 {
-		t.Errorf("/slo requests = %d, want >= 1 after a solve", rep.Requests)
-	}
-	if !rep.Healthy || rep.Errors != 0 {
-		t.Errorf("/slo report = %+v, want healthy with zero errors", rep)
-	}
-	if rep.AvailabilityObjective != 0.999 || rep.LatencyObjectiveSeconds != 1 {
-		t.Errorf("/slo default objectives = %v/%v", rep.AvailabilityObjective, rep.LatencyObjectiveSeconds)
-	}
-}
-
 func TestServeReadyzDrainingWins(t *testing.T) {
 	s, ts := newTestServer(t)
 	s.warmUp(io.Discard)
@@ -576,5 +553,32 @@ func TestServeRejuvenateAfterNRequests(t *testing.T) {
 	s.triggerRejuvenate("second trigger")
 	if s.rejuvenateReason != first {
 		t.Errorf("reason overwritten: %q -> %q", first, s.rejuvenateReason)
+	}
+}
+
+// TestServeRejuvenateAfterTimer: a spent -rejuvenate-after budget closes
+// the latch with a "ran for" reason.
+func TestServeRejuvenateAfterTimer(t *testing.T) {
+	s := newServer(serveConfig{maxConcurrent: 1, rejuvenateAfter: 10 * time.Millisecond})
+	defer s.rejuvenateTimer()()
+	select {
+	case <-s.rejuvenateC:
+	case <-time.After(10 * time.Second):
+		t.Fatal("rejuvenation timer never fired")
+	}
+	if !strings.HasPrefix(s.rejuvenateReason, "ran for ") {
+		t.Errorf("reason = %q, want \"ran for ...\"", s.rejuvenateReason)
+	}
+}
+
+// TestServeRejuvenateTimerStops: the stop function cmdServe defers on a
+// normal shutdown cancels a timer that has not fired yet.
+func TestServeRejuvenateTimerStops(t *testing.T) {
+	s := newServer(serveConfig{maxConcurrent: 1, rejuvenateAfter: 50 * time.Millisecond})
+	s.rejuvenateTimer()()
+	select {
+	case <-s.rejuvenateC:
+		t.Fatalf("stopped timer fired: %s", s.rejuvenateReason)
+	case <-time.After(200 * time.Millisecond):
 	}
 }

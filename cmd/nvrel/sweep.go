@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"nvrel"
+	"nvrel/internal/linalg"
 	"nvrel/internal/nvp"
 	"nvrel/internal/obs"
 	"nvrel/internal/parallel"
@@ -76,6 +77,7 @@ func cmdSweep(args []string, out io.Writer) error {
 		err       error
 	}
 	cache := nvrel.NewModelCache()
+	arena := linalg.NewArena()
 	var ver *shadow.Verifier
 	if *shadowRate > 0 {
 		ver = shadow.New(shadow.Config{Rate: *shadowRate, Workers: 2, Source: "sweep"})
@@ -85,6 +87,8 @@ func cmdSweep(args []string, out io.Writer) error {
 	solvePoint := func(ctx context.Context, i int) (err error) {
 		v := *from + (*to-*from)*float64(i)/float64(*steps-1)
 		points[i].v = v
+		ws := arena.Get()
+		defer arena.Put(ws)
 		ctx, sp := obs.StartSpan(ctx, "sweep.point")
 		sp.Int("index", int64(i)).Float("value", v).Str("param", *param)
 		defer func() {
@@ -100,7 +104,7 @@ func cmdSweep(args []string, out io.Writer) error {
 			if err != nil {
 				return fmt.Errorf("sweep: four-version at %s=%g: %w", *param, v, err)
 			}
-			if e4, err = solveShadowed(ctx, "sweep", "4v", m4, ver); err != nil {
+			if e4, err = solveShadowed(ctx, "sweep", "4v", m4, ws, ver); err != nil {
 				return fmt.Errorf("sweep: four-version at %s=%g: %w", *param, v, err)
 			}
 		}
@@ -111,7 +115,7 @@ func cmdSweep(args []string, out io.Writer) error {
 		if err != nil {
 			return fmt.Errorf("sweep: six-version at %s=%g: %w", *param, v, err)
 		}
-		e6, err := solveShadowed(ctx, "sweep", "6v", m6, ver)
+		e6, err := solveShadowed(ctx, "sweep", "6v", m6, ws, ver)
 		if err != nil {
 			return fmt.Errorf("sweep: six-version at %s=%g: %w", *param, v, err)
 		}
@@ -176,11 +180,12 @@ func cmdSweep(args []string, out io.Writer) error {
 	return nil
 }
 
-// solveShadowed solves one grid point with full diagnostics, files its
-// compute record, and offers the result to the sweep's shadow sampler.
-func solveShadowed(ctx context.Context, source, arch string, m *nvrel.Model, ver *shadow.Verifier) (float64, error) {
+// solveShadowed solves one grid point on the caller's workspace with full
+// diagnostics, files its compute record, and offers the result to the
+// sweep's shadow sampler.
+func solveShadowed(ctx context.Context, source, arch string, m *nvrel.Model, ws *linalg.Workspace, ver *shadow.Verifier) (float64, error) {
 	start := time.Now()
-	pi, diag, err := m.SolveWith(ctx, nil, nvp.Opts{})
+	pi, diag, err := m.SolveWith(ctx, ws, nvp.Opts{})
 	if err != nil {
 		return 0, err
 	}

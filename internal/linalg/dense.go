@@ -72,13 +72,6 @@ func (m *Dense) Set(i, j int, v float64) { m.data[i*m.cols+j] = v }
 // Add increments element (i, j) by v.
 func (m *Dense) Add(i, j int, v float64) { m.data[i*m.cols+j] += v }
 
-// Row returns a copy of row i.
-func (m *Dense) Row(i int) []float64 {
-	out := make([]float64, m.cols)
-	copy(out, m.data[i*m.cols:(i+1)*m.cols])
-	return out
-}
-
 // Clone returns a deep copy of the matrix.
 func (m *Dense) Clone() *Dense {
 	c := NewDense(m.rows, m.cols)

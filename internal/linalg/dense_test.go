@@ -156,15 +156,6 @@ func TestScaleAddMat(t *testing.T) {
 	}
 }
 
-func TestRowIsCopy(t *testing.T) {
-	m, _ := NewDenseFrom([][]float64{{1, 2}, {3, 4}})
-	r := m.Row(0)
-	r[0] = 99
-	if m.At(0, 0) != 1 {
-		t.Error("Row returned aliased storage")
-	}
-}
-
 func TestMaxAbs(t *testing.T) {
 	m, _ := NewDenseFrom([][]float64{{-7, 2}, {3, 4}})
 	if got := m.MaxAbs(); got != 7 {

@@ -8,14 +8,13 @@ import "nvrel/internal/obs"
 // near-zero-overhead properties either way.
 var (
 	// Gauss-Seidel steady state: solves started, total sweeps across
-	// solves, how each solve ended, and the final relative L1 residual
-	// (delta/norm) of the most recent solve.
+	// solves, and how each solve ended. Each solve's final relative L1
+	// residual (delta/norm) is SolveDiag.Residual.
 	metGSSolves    = obs.CounterFor("linalg.gs.solves")
 	metGSSweeps    = obs.CounterFor("linalg.gs.sweeps")
 	metGSConverged = obs.CounterFor("linalg.gs.converged")
 	metGSStalled   = obs.CounterFor("linalg.gs.stalled")
 	metGSExhausted = obs.CounterFor("linalg.gs.exhausted")
-	metGSResidual  = obs.GaugeFor("linalg.gs.final_residual")
 
 	// Workspace pools: a hit reuses released scratch, a miss allocates.
 	// Nil-workspace callers (no pooling requested) are not counted.

@@ -157,7 +157,6 @@ func (ws *Workspace) SteadyStateGS(ctx context.Context, qt *CSR, dst, seed []flo
 		if delta <= gsTol*norm {
 			metGSConverged.Inc()
 			residual = delta / norm
-			metGSResidual.Set(residual)
 			driftGS(dst)
 			return sweep + 1, warm, residual, nil
 		}
@@ -168,7 +167,6 @@ func (ws *Workspace) SteadyStateGS(ctx context.Context, qt *CSR, dst, seed []flo
 			if stall++; stall >= 10 && delta <= gsStallTol*norm {
 				metGSStalled.Inc()
 				residual = delta / norm
-				metGSResidual.Set(residual)
 				driftGS(dst)
 				return sweep + 1, warm, residual, nil
 			}

@@ -176,24 +176,6 @@ func ValidateDistribution(site string, v []float64) error {
 	return nil
 }
 
-// ValidateFinite checks every entry of v is finite and no entry is below
-// -NegativeTol — the guard for non-simplex vectors (expected sojourn
-// times, reward integrals). The success path is allocation-free.
-func ValidateFinite(site string, v []float64) error {
-	for i, x := range v {
-		if math.IsNaN(x) {
-			return &SolveError{Site: site, Kind: FailNaN, Index: i, Value: x}
-		}
-		if math.IsInf(x, 0) {
-			return &SolveError{Site: site, Kind: FailInf, Index: i, Value: x}
-		}
-		if x < -NegativeTol {
-			return &SolveError{Site: site, Kind: FailNegative, Index: i, Value: x, Residual: -x}
-		}
-	}
-	return nil
-}
-
 // ValidateGeneratorCSR checks a CTMC generator in CSR form (either
 // orientation — the sign pattern and total conservation are transpose
 // invariant): every value finite, off-diagonals non-negative, diagonals

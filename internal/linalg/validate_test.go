@@ -43,18 +43,6 @@ func TestValidateDistribution(t *testing.T) {
 	}
 }
 
-func TestValidateFinite(t *testing.T) {
-	if err := ValidateFinite("t", []float64{0, 3.5, 1e9}); err != nil {
-		t.Fatalf("clean vector rejected: %v", err)
-	}
-	if se, ok := AsSolveError(ValidateFinite("t", []float64{0, math.NaN()})); !ok || se.Kind != FailNaN {
-		t.Fatalf("NaN not caught: %v %v", se, ok)
-	}
-	if se, ok := AsSolveError(ValidateFinite("t", []float64{-1})); !ok || se.Kind != FailNegative {
-		t.Fatalf("negative not caught: %v %v", se, ok)
-	}
-}
-
 func TestValidateGeneratorCSR(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	q := CSRFromDense(randomGenerator(rng, 12))

@@ -24,10 +24,10 @@ var (
 	metRecoveredDense = obs.CounterFor("mrgp.solve.recovered_dense")
 
 	// Sparse embedded-chain operator applications (Krylov start and power
-	// finisher alike, one uniformization series each) across solves, and
-	// the final L1 residual of the most recent solve.
-	metPowerCycles   = obs.CounterFor("mrgp.power.cycles")
-	metPowerResidual = obs.GaugeFor("mrgp.power.final_residual")
+	// finisher alike, one uniformization series each) across solves. Each
+	// solve's final L1 residual is the mrgp.kernel.embedded span's
+	// residual attribute.
+	metPowerCycles = obs.CounterFor("mrgp.power.cycles")
 
 	// Krylov starts whose result was discarded (breakdown, non-finite,
 	// zero mass or more than rounding-level negative mass), leaving the

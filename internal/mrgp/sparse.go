@@ -234,7 +234,6 @@ func solveSparse(ctx context.Context, ws *linalg.Workspace, g *petri.Graph, seed
 		prev = delta
 	}
 	metPowerCycles.Add(int64(cycles))
-	metPowerResidual.Set(lastDelta)
 	if !converged {
 		err := &linalg.SolveError{Site: "mrgp.power", Kind: linalg.FailNotConverged, Index: -1, Residual: lastDelta,
 			Err: fmt.Errorf("%w: embedded power iteration after %d cycles", linalg.ErrNotConverged, embMaxCycles)}

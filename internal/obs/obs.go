@@ -1,14 +1,15 @@
 // Package obs is the solver-aware observability layer: a stdlib-only
-// metrics registry of atomic counters, gauges, bounded histograms, and
-// nestable timing spans that the hot solver packages (linalg, petri, mrgp,
-// parallel, nvp, des, percept) report into.
+// metrics registry of atomic counters, gauges and bounded histograms,
+// plus a span tracer (trace.go) and a request-event ring (events.go), that
+// the hot solver packages (linalg, petri, mrgp, parallel, nvp, des,
+// percept) report into. Latencies are histograms of seconds.
 //
 // The design contract is zero overhead when disabled: instrumentation is
 // off by default, every metric operation short-circuits on one atomic
-// load, and neither the disabled nor the enabled path allocates — Span is
-// a value type and the update paths are pure atomics — so instrumented
-// kernels keep their AllocsPerRun == 0 guarantees (see
-// BenchmarkObsDisabledNoAlloc and BenchmarkObsEnabledNoAlloc).
+// load, and neither the disabled nor the enabled path allocates — the
+// update paths are pure atomics — so instrumented kernels keep their
+// AllocsPerRun == 0 guarantees (see BenchmarkObsDisabledNoAlloc and
+// BenchmarkObsEnabledNoAlloc).
 //
 // Metric handles are package-level: resolve them once in a var block
 // (CounterFor et al. intern by name) and call the methods from hot loops.
@@ -19,11 +20,9 @@ package obs
 import (
 	"fmt"
 	"math"
-	"math/bits"
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // enabled gates every metric update. It is process-global: the CLI flips
@@ -53,14 +52,12 @@ type registry struct {
 	counters   map[string]*Counter
 	gauges     map[string]*Gauge
 	histograms map[string]*Histogram
-	timings    map[string]*Timing
 }
 
 var def = &registry{
 	counters:   make(map[string]*Counter),
 	gauges:     make(map[string]*Gauge),
 	histograms: make(map[string]*Histogram),
-	timings:    make(map[string]*Timing),
 }
 
 // Counter is a monotonically increasing atomic counter.
@@ -206,161 +203,7 @@ func (h *Histogram) Count() int64 {
 	return h.count.Load()
 }
 
-// latencyBuckets is the fixed bucket count of the per-Timing latency
-// histogram: one log2 bucket per possible bits.Len64 of a nanosecond
-// duration (0..64), so bucketing is a single instruction with no search
-// and no allocation — Record stays on the enabled-path zero-alloc
-// contract guarded by BenchmarkObsEnabledNoAlloc.
-const latencyBuckets = 65
-
-// latencyBucket maps a duration in nanoseconds to its log2 bucket:
-// bucket b holds durations in [2^(b-1), 2^b) ns (bucket 0 holds 0 and
-// negatives, which clock skew can produce).
-func latencyBucket(ns int64) int {
-	if ns <= 0 {
-		return 0
-	}
-	return bits.Len64(uint64(ns))
-}
-
-// Timing aggregates durations: count, total, max, and a bounded log2
-// latency histogram (for tail percentile estimates), in nanoseconds.
-// Spans started from a Timing may nest freely — each Span is an
-// independent value and sibling or enclosing spans do not interact.
-type Timing struct {
-	name  string
-	count atomic.Int64
-	total atomic.Int64
-	max   atomic.Int64
-	lat   [latencyBuckets]atomic.Int64
-}
-
-// TimingFor returns the timing registered under name, creating it on
-// first use.
-func TimingFor(name string) *Timing {
-	def.mu.Lock()
-	defer def.mu.Unlock()
-	t, ok := def.timings[name]
-	if !ok {
-		t = &Timing{name: name}
-		def.timings[name] = t
-	}
-	return t
-}
-
-// Span is an in-flight timing measurement. The zero Span (returned when
-// collection is disabled) is inert.
-type Span struct {
-	t     *Timing
-	start time.Time
-}
-
-// Start opens a span against the timing. When collection is disabled (or
-// t is nil) it returns the inert zero Span without reading the clock.
-func (t *Timing) Start() Span {
-	if t == nil || !enabled.Load() {
-		return Span{}
-	}
-	return Span{t: t, start: time.Now()}
-}
-
-// End closes the span, folding its duration into the timing. Safe on the
-// zero Span.
-func (s Span) End() {
-	if s.t == nil {
-		return
-	}
-	s.t.Record(time.Since(s.start))
-}
-
-// Record folds an externally measured duration into the timing.
-func (t *Timing) Record(d time.Duration) {
-	if t == nil || !enabled.Load() {
-		return
-	}
-	ns := int64(d)
-	t.count.Add(1)
-	t.total.Add(ns)
-	t.lat[latencyBucket(ns)].Add(1)
-	for {
-		old := t.max.Load()
-		if ns <= old || t.max.CompareAndSwap(old, ns) {
-			return
-		}
-	}
-}
-
-// Count returns the number of recorded spans.
-func (t *Timing) Count() int64 {
-	if t == nil {
-		return 0
-	}
-	return t.count.Load()
-}
-
-// Total returns the accumulated duration.
-func (t *Timing) Total() time.Duration {
-	if t == nil {
-		return 0
-	}
-	return time.Duration(t.total.Load())
-}
-
-// Quantile estimates the q-quantile (0 < q <= 1) of recorded durations
-// from the log2 latency histogram, interpolating linearly within the
-// containing bucket and clamping to the recorded max (an estimate can
-// otherwise land past it, since a bucket's range is a full octave). Zero
-// when nothing has been recorded.
-func (t *Timing) Quantile(q float64) time.Duration {
-	if t == nil {
-		return 0
-	}
-	var counts [latencyBuckets]int64
-	var n int64
-	for i := range t.lat {
-		counts[i] = t.lat[i].Load()
-		n += counts[i]
-	}
-	if n == 0 {
-		return 0
-	}
-	return time.Duration(log2Quantile(&counts, n, q, float64(t.max.Load())))
-}
-
-// log2Quantile estimates the q-quantile in nanoseconds from a log2-ns
-// bucket array holding n samples, interpolating linearly within the
-// containing octave and clamping to maxNS when positive. Shared by
-// Timing.Quantile and the SLO tracker's windowed histograms.
-func log2Quantile(counts *[latencyBuckets]int64, n int64, q float64, maxNS float64) float64 {
-	rank := q * float64(n)
-	var cum int64
-	for b, c := range counts {
-		if c == 0 {
-			continue
-		}
-		before := float64(cum)
-		cum += c
-		if float64(cum) < rank {
-			continue
-		}
-		var lo, hi float64
-		if b == 0 {
-			lo, hi = 0, 1
-		} else {
-			lo = math.Ldexp(1, b-1)
-			hi = lo * 2
-		}
-		est := lo + (hi-lo)*(rank-before)/float64(c)
-		if maxNS > 0 && est > maxNS {
-			est = maxNS
-		}
-		return est
-	}
-	return maxNS
-}
-
-// Reset zeroes every registered metric (counts, gauges, histograms,
-// timings). Registration survives; handles stay valid. Meant for bench
+// Reset zeroes every registered metric (counts, gauges, histograms). Registration survives; handles stay valid. Meant for bench
 // harnesses that want per-run snapshots, not for concurrent use with
 // active updates.
 func Reset() {
@@ -378,13 +221,5 @@ func Reset() {
 		}
 		h.count.Store(0)
 		h.sumBits.Store(0)
-	}
-	for _, t := range def.timings {
-		t.count.Store(0)
-		t.total.Store(0)
-		t.max.Store(0)
-		for i := range t.lat {
-			t.lat[i].Store(0)
-		}
 	}
 }

@@ -22,15 +22,12 @@ func TestDisabledMetricsStayZero(t *testing.T) {
 	c := CounterFor("test.disabled.counter")
 	g := GaugeFor("test.disabled.gauge")
 	h := HistogramFor("test.disabled.hist", []float64{1, 10})
-	tm := TimingFor("test.disabled.timing")
 	c.Add(5)
 	g.Set(3.5)
 	h.Observe(4)
-	sp := tm.Start()
-	sp.End()
-	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 || tm.Count() != 0 {
-		t.Errorf("disabled metrics recorded: counter=%d gauge=%g hist=%d timing=%d",
-			c.Value(), g.Value(), h.Count(), tm.Count())
+	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 {
+		t.Errorf("disabled metrics recorded: counter=%d gauge=%g hist=%d",
+			c.Value(), g.Value(), h.Count())
 	}
 }
 
@@ -58,11 +55,12 @@ func TestCounterGaugeHistogramTiming(t *testing.T) {
 			t.Errorf("hist count = %d, want 4", h.Count())
 		}
 
-		tm := TimingFor("test.timing")
-		tm.Record(3 * time.Millisecond)
-		tm.Record(1 * time.Millisecond)
-		if tm.Count() != 2 || tm.Total() != 4*time.Millisecond {
-			t.Errorf("timing count=%d total=%v, want 2/4ms", tm.Count(), tm.Total())
+		// A latency is a histogram of seconds.
+		lat := HistogramFor("test.timing.seconds", []float64{0.001, 0.01})
+		lat.Observe((3 * time.Millisecond).Seconds())
+		lat.Observe((500 * time.Microsecond).Seconds())
+		if hs := Capture().Histograms["test.timing.seconds"]; hs.Count != 2 || hs.Counts[0] != 1 || hs.Counts[1] != 1 || hs.Sum != 0.0035 {
+			t.Errorf("latency histogram = %+v, want one sample each in (0, 1ms] and (1ms, 10ms], sum 3.5ms", hs)
 		}
 	})
 }
@@ -71,23 +69,21 @@ func TestInterningSharesCells(t *testing.T) {
 	if CounterFor("test.shared") != CounterFor("test.shared") {
 		t.Error("CounterFor returned distinct cells for one name")
 	}
-	if TimingFor("test.shared.t") != TimingFor("test.shared.t") {
-		t.Error("TimingFor returned distinct cells for one name")
+	if HistogramFor("test.shared.h", nil) != HistogramFor("test.shared.h", []float64{1}) {
+		t.Error("HistogramFor returned distinct cells for one name")
 	}
 }
 
 func TestNilHandlesAreInert(t *testing.T) {
 	var (
-		c  *Counter
-		g  *Gauge
-		h  *Histogram
-		tm *Timing
+		c *Counter
+		g *Gauge
+		h *Histogram
 	)
 	c.Inc()
 	g.Set(1)
 	h.Observe(1)
-	tm.Start().End()
-	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 || tm.Count() != 0 {
+	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 {
 		t.Error("nil handles recorded values")
 	}
 }
@@ -97,7 +93,6 @@ func TestSnapshotRoundTripsJSON(t *testing.T) {
 		CounterFor("test.snap.counter").Add(7)
 		GaugeFor("test.snap.gauge").Set(1.5)
 		HistogramFor("test.snap.hist", []float64{2, 4}).Observe(3)
-		TimingFor("test.snap.timing").Record(2 * time.Millisecond)
 
 		s := Capture()
 		if s.Counters["test.snap.counter"] < 7 {
@@ -109,10 +104,6 @@ func TestSnapshotRoundTripsJSON(t *testing.T) {
 		hs := s.Histograms["test.snap.hist"]
 		if hs.Count < 1 || len(hs.Counts) != len(hs.Bounds)+1 {
 			t.Errorf("snapshot histogram malformed: %+v", hs)
-		}
-		ts := s.Timings["test.snap.timing"]
-		if ts.Count < 1 || ts.TotalSeconds <= 0 || ts.MeanSeconds <= 0 {
-			t.Errorf("snapshot timing malformed: %+v", ts)
 		}
 
 		data, err := json.Marshal(s)
@@ -132,12 +123,12 @@ func TestSnapshotRoundTripsJSON(t *testing.T) {
 func TestResetZeroesEverything(t *testing.T) {
 	withEnabled(t, func() {
 		c := CounterFor("test.reset.counter")
-		tm := TimingFor("test.reset.timing")
+		h := HistogramFor("test.reset.hist", []float64{1})
 		c.Add(3)
-		tm.Record(time.Millisecond)
+		h.Observe(2)
 		Reset()
-		if c.Value() != 0 || tm.Count() != 0 || tm.Total() != 0 {
-			t.Errorf("reset left counter=%d timing=%d/%v", c.Value(), tm.Count(), tm.Total())
+		if c.Value() != 0 || h.Count() != 0 {
+			t.Errorf("reset left counter=%d hist=%d", c.Value(), h.Count())
 		}
 	})
 }
@@ -153,7 +144,6 @@ func TestConcurrentUpdates(t *testing.T) {
 	withEnabled(t, func() {
 		c := CounterFor("test.concurrent.counter")
 		h := HistogramFor("test.concurrent.hist", []float64{10})
-		tm := TimingFor("test.concurrent.timing")
 		base := c.Value()
 		var wg sync.WaitGroup
 		const workers, per = 8, 1000
@@ -164,7 +154,6 @@ func TestConcurrentUpdates(t *testing.T) {
 				for i := 0; i < per; i++ {
 					c.Inc()
 					h.Observe(float64(i % 20))
-					tm.Record(time.Nanosecond)
 				}
 			}()
 		}
@@ -176,8 +165,8 @@ func TestConcurrentUpdates(t *testing.T) {
 }
 
 // BenchmarkObsDisabledNoAlloc guards the zero-overhead-when-disabled
-// contract: with collection off, counters, gauges, histograms, and spans
-// must not allocate. check.sh runs every NoAlloc benchmark with
+// contract: with collection off, counters, gauges and histograms must not
+// allocate. check.sh runs every NoAlloc benchmark with
 // -benchtime=1x and fails on a nonzero allocs/op.
 func BenchmarkObsDisabledNoAlloc(b *testing.B) {
 	prev := Disable()
@@ -185,7 +174,6 @@ func BenchmarkObsDisabledNoAlloc(b *testing.B) {
 	c := CounterFor("bench.disabled.counter")
 	g := GaugeFor("bench.disabled.gauge")
 	h := HistogramFor("bench.disabled.hist", []float64{1, 10, 100})
-	tm := TimingFor("bench.disabled.timing")
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -193,8 +181,6 @@ func BenchmarkObsDisabledNoAlloc(b *testing.B) {
 		c.Add(3)
 		g.Set(float64(i))
 		h.Observe(float64(i))
-		sp := tm.Start()
-		sp.End()
 	}
 }
 
@@ -207,15 +193,12 @@ func BenchmarkObsEnabledNoAlloc(b *testing.B) {
 	c := CounterFor("bench.enabled.counter")
 	g := GaugeFor("bench.enabled.gauge")
 	h := HistogramFor("bench.enabled.hist", []float64{1, 10, 100})
-	tm := TimingFor("bench.enabled.timing")
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		c.Inc()
 		g.Set(float64(i))
 		h.Observe(float64(i))
-		sp := tm.Start()
-		sp.End()
 	}
 }
 

@@ -3,11 +3,11 @@ package obs
 import "sort"
 
 // Percentile returns the q-quantile (0 <= q <= 1) of samples by the
-// nearest-rank method on a sorted copy. Unlike Timing.Quantile, which
-// reads the fixed log2-ns histogram and is therefore only accurate to a
-// factor of two, this is exact — the load generator uses it to report
-// p50/p95/p99 from its recorded per-request latencies, where a gate like
-// "hit p50 at least 10x faster than miss p50" needs real resolution.
+// nearest-rank method on a sorted copy. It is exact — the load generator
+// uses it to report p50/p95/p99 from its recorded per-request latencies,
+// where a gate like "hit p50 at least 10x faster than miss p50" needs
+// real resolution; the registry's histograms only bound a quantile to
+// its bucket.
 // Returns 0 for an empty sample set. NaNs sort to the front and should be
 // filtered by the caller.
 func Percentile(samples []float64, q float64) float64 {

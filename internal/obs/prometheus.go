@@ -63,8 +63,7 @@ func WritePrometheus(w io.Writer) error {
 // WritePrometheus encodes the snapshot in Prometheus text exposition
 // format: counters and gauges as single samples, histograms as
 // cumulative _bucket{le=...} series (ending with the mandatory +Inf
-// bucket) plus _sum and _count, and timings as <name>_seconds summaries
-// with quantile labels plus _sum and _count.
+// bucket) plus _sum and _count.
 func (s Snapshot) WritePrometheus(w io.Writer) error {
 	bw := &errWriter{w: w}
 	for _, name := range sortedKeys(s.Counters) {
@@ -91,16 +90,6 @@ func (s Snapshot) WritePrometheus(w io.Writer) error {
 		bw.line(p + `_bucket{le="+Inf"} ` + strconv.FormatInt(h.Count, 10))
 		bw.line(p + "_sum " + promFloat(h.Sum))
 		bw.line(p + "_count " + strconv.FormatInt(h.Count, 10))
-	}
-	for _, name := range sortedKeys(s.Timings) {
-		t := s.Timings[name]
-		p := promName(name) + "_seconds"
-		bw.line("# TYPE " + p + " summary")
-		bw.line(p + `{quantile="0.5"} ` + promFloat(t.P50Seconds))
-		bw.line(p + `{quantile="0.95"} ` + promFloat(t.P95Seconds))
-		bw.line(p + `{quantile="0.99"} ` + promFloat(t.P99Seconds))
-		bw.line(p + "_sum " + promFloat(t.TotalSeconds))
-		bw.line(p + "_count " + strconv.FormatInt(t.Count, 10))
 	}
 	return bw.err
 }

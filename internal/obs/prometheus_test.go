@@ -6,12 +6,11 @@ import (
 	"os"
 	"strings"
 	"testing"
-	"time"
 )
 
 // TestWritePrometheusGolden pins the exposition format against a golden
 // file: name sanitization ('.' and leading digits), cumulative histogram
-// buckets ending in +Inf, and summary quantile rows for timings.
+// buckets ending in +Inf.
 func TestWritePrometheusGolden(t *testing.T) {
 	s := Snapshot{
 		Counters: map[string]int64{
@@ -27,17 +26,6 @@ func TestWritePrometheusGolden(t *testing.T) {
 				Counts: []int64{2, 3, 0, 1},
 				Count:  6,
 				Sum:    123.5,
-			},
-		},
-		Timings: map[string]TimingSnapshot{
-			"nvp.solve": {
-				Count:        4,
-				TotalSeconds: 0.25,
-				MeanSeconds:  0.0625,
-				MaxSeconds:   0.1,
-				P50Seconds:   0.05,
-				P95Seconds:   0.09,
-				P99Seconds:   0.1,
 			},
 		},
 	}
@@ -89,7 +77,6 @@ func TestWritePrometheusCoversEveryInternedMetric(t *testing.T) {
 		CounterFor("test.prom.counter").Inc()
 		GaugeFor("test.prom.gauge").Set(1)
 		HistogramFor("test.prom.hist", []float64{1, 2}).Observe(1.5)
-		TimingFor("test.prom.timing").Record(time.Millisecond)
 	})
 	snap := Capture()
 	var buf bytes.Buffer
@@ -103,7 +90,7 @@ func TestWritePrometheusCoversEveryInternedMetric(t *testing.T) {
 			families[name]++
 		}
 	}
-	total := len(snap.Counters) + len(snap.Gauges) + len(snap.Histograms) + len(snap.Timings)
+	total := len(snap.Counters) + len(snap.Gauges) + len(snap.Histograms)
 	if len(families) != total {
 		t.Errorf("exposition has %d families, registry has %d metrics", len(families), total)
 	}
@@ -112,7 +99,7 @@ func TestWritePrometheusCoversEveryInternedMetric(t *testing.T) {
 			t.Errorf("family %q emitted %d times, want exactly once", name, n)
 		}
 	}
-	for _, want := range []string{"test_prom_counter", "test_prom_gauge", "test_prom_hist", "test_prom_timing_seconds"} {
+	for _, want := range []string{"test_prom_counter", "test_prom_gauge", "test_prom_hist"} {
 		if families[want] != 1 {
 			t.Errorf("interned metric %q missing from exposition", want)
 		}
@@ -167,52 +154,6 @@ func TestHistogramForRejectsDuplicateBounds(t *testing.T) {
 		}
 	}()
 	HistogramFor("test.bad.dup", []float64{1, 2, 2})
-}
-
-func TestTimingQuantiles(t *testing.T) {
-	withEnabled(t, func() {
-		tm := TimingFor("test.quantile.timing")
-		// 90 short observations at ~1ms and 10 long at ~64ms: p50 must
-		// land in the short octave, p99 in the long one. Log2 buckets
-		// are accurate to a factor of two, so assert octaves not exact
-		// values.
-		for i := 0; i < 90; i++ {
-			tm.Record(time.Millisecond)
-		}
-		for i := 0; i < 10; i++ {
-			tm.Record(64 * time.Millisecond)
-		}
-		p50, p99 := tm.Quantile(0.50), tm.Quantile(0.99)
-		if p50 < 500*time.Microsecond || p50 > 2*time.Millisecond {
-			t.Errorf("p50 = %v, want ~1ms", p50)
-		}
-		if p99 < 32*time.Millisecond || p99 > 64*time.Millisecond {
-			t.Errorf("p99 = %v, want ~64ms (clamped to max)", p99)
-		}
-		if max := tm.Quantile(1.0); max > 64*time.Millisecond {
-			t.Errorf("p100 = %v exceeds recorded max", max)
-		}
-
-		s := Capture()
-		ts := s.Timings["test.quantile.timing"]
-		if ts.P50Seconds <= 0 || ts.P95Seconds < ts.P50Seconds || ts.P99Seconds < ts.P95Seconds {
-			t.Errorf("snapshot percentiles not monotone: %+v", ts)
-		}
-		if ts.P99Seconds > ts.MaxSeconds {
-			t.Errorf("snapshot p99 %g exceeds max %g", ts.P99Seconds, ts.MaxSeconds)
-		}
-	})
-}
-
-func TestTimingQuantileEmpty(t *testing.T) {
-	var tm *Timing
-	if tm.Quantile(0.5) != 0 {
-		t.Error("nil timing quantile nonzero")
-	}
-	fresh := TimingFor("test.quantile.empty")
-	if fresh.Quantile(0.99) != 0 {
-		t.Error("empty timing quantile nonzero")
-	}
 }
 
 func TestWriteJSONSnapshot(t *testing.T) {

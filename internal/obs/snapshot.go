@@ -14,7 +14,6 @@ type Snapshot struct {
 	Counters   map[string]int64             `json:"counters,omitempty"`
 	Gauges     map[string]float64           `json:"gauges,omitempty"`
 	Histograms map[string]HistogramSnapshot `json:"histograms,omitempty"`
-	Timings    map[string]TimingSnapshot    `json:"timings,omitempty"`
 }
 
 // HistogramSnapshot is one histogram's state: parallel bounds/counts
@@ -24,22 +23,6 @@ type HistogramSnapshot struct {
 	Counts []int64   `json:"counts,omitempty"`
 	Count  int64     `json:"count"`
 	Sum    float64   `json:"sum"`
-}
-
-// TimingSnapshot is one timing's state in seconds. The percentiles are
-// estimates from a per-Timing bounded log2 latency histogram (linear
-// interpolation within the containing octave, clamped to the observed
-// max), so tails are accurate to within a factor of two — enough to
-// tell a 10 ms p99 from a 100 ms one, which is what the exposition is
-// for.
-type TimingSnapshot struct {
-	Count        int64   `json:"count"`
-	TotalSeconds float64 `json:"total_seconds"`
-	MeanSeconds  float64 `json:"mean_seconds"`
-	MaxSeconds   float64 `json:"max_seconds"`
-	P50Seconds   float64 `json:"p50_seconds"`
-	P95Seconds   float64 `json:"p95_seconds"`
-	P99Seconds   float64 `json:"p99_seconds"`
 }
 
 // Capture snapshots the default registry. It is safe against concurrent
@@ -52,7 +35,6 @@ func Capture() Snapshot {
 		Counters:   make(map[string]int64, len(def.counters)),
 		Gauges:     make(map[string]float64, len(def.gauges)),
 		Histograms: make(map[string]HistogramSnapshot, len(def.histograms)),
-		Timings:    make(map[string]TimingSnapshot, len(def.timings)),
 	}
 	for name, c := range def.counters {
 		s.Counters[name] = c.v.Load()
@@ -71,20 +53,6 @@ func Capture() Snapshot {
 			hs.Counts[i] = h.buckets[i].Load()
 		}
 		s.Histograms[name] = hs
-	}
-	for name, t := range def.timings {
-		ts := TimingSnapshot{
-			Count:        t.count.Load(),
-			TotalSeconds: time.Duration(t.total.Load()).Seconds(),
-			MaxSeconds:   time.Duration(t.max.Load()).Seconds(),
-			P50Seconds:   t.Quantile(0.50).Seconds(),
-			P95Seconds:   t.Quantile(0.95).Seconds(),
-			P99Seconds:   t.Quantile(0.99).Seconds(),
-		}
-		if ts.Count > 0 {
-			ts.MeanSeconds = ts.TotalSeconds / float64(ts.Count)
-		}
-		s.Timings[name] = ts
 	}
 	return s
 }

@@ -157,40 +157,30 @@ func NewTracer(capacity int) *Tracer {
 	return &Tracer{idBase: newID(), slots: make([]ringSlot, capacity)}
 }
 
-var defTracer atomic.Pointer[Tracer]
+var defTracer *Tracer
 
 func init() {
 	seedIDRng()
-	defTracer.Store(NewTracer(DefaultTraceCapacity))
+	defTracer = NewTracer(DefaultTraceCapacity)
 }
 
 // TraceEnable turns span recording on for the default tracer and reports
 // the previous state.
-func TraceEnable() bool { return defTracer.Load().enabled.Swap(true) }
+func TraceEnable() bool { return defTracer.enabled.Swap(true) }
 
 // TraceDisable turns span recording off and reports the previous state.
-func TraceDisable() bool { return defTracer.Load().enabled.Swap(false) }
+func TraceDisable() bool { return defTracer.enabled.Swap(false) }
 
 // SetTraceEnabled restores a state previously returned by TraceEnable or
 // TraceDisable.
-func SetTraceEnabled(on bool) { defTracer.Load().enabled.Store(on) }
+func SetTraceEnabled(on bool) { defTracer.enabled.Store(on) }
 
 // TraceEnabled reports whether the default tracer is recording.
-func TraceEnabled() bool { return defTracer.Load().enabled.Load() }
-
-// SetTraceCapacity replaces the default tracer's ring with a fresh one of
-// the given capacity, preserving the enabled state. Meant for daemon
-// startup, before spans are in flight; in-flight spans from the old ring
-// are dropped.
-func SetTraceCapacity(capacity int) {
-	t := NewTracer(capacity)
-	t.enabled.Store(TraceEnabled())
-	defTracer.Store(t)
-}
+func TraceEnabled() bool { return defTracer.enabled.Load() }
 
 // TraceReset marks every recorded span in the default tracer's ring as
 // invalid. Registration state (enabled, capacity) survives.
-func TraceReset() { defTracer.Load().Reset() }
+func TraceReset() { defTracer.Reset() }
 
 // Reset invalidates every recorded span.
 func (t *Tracer) Reset() {
@@ -235,7 +225,7 @@ type TraceSpan struct {
 // returns ctx unchanged and a nil span without reading the clock or
 // allocating. A nil ctx is treated as context.Background().
 func StartSpan(ctx context.Context, name string) (context.Context, *TraceSpan) {
-	return defTracer.Load().StartSpan(ctx, name)
+	return defTracer.StartSpan(ctx, name)
 }
 
 // StartSpan opens a span against this tracer; see the package-level
@@ -355,7 +345,7 @@ func (s *TraceSpan) record(dur time.Duration) SpanRecord {
 // ring, ordered by start time (ties by ID). The snapshot is not a
 // consistent cut — spans ending during the copy may or may not appear —
 // which trace exports never need.
-func TraceSnapshot() []SpanRecord { return defTracer.Load().Snapshot() }
+func TraceSnapshot() []SpanRecord { return defTracer.Snapshot() }
 
 // Snapshot copies every recorded span out of the ring; see TraceSnapshot.
 func (t *Tracer) Snapshot() []SpanRecord { return t.collect(0) }
@@ -367,7 +357,7 @@ func CollectTrace(trace uint64) []SpanRecord {
 	if trace == 0 {
 		return []SpanRecord{}
 	}
-	return defTracer.Load().collect(trace)
+	return defTracer.collect(trace)
 }
 
 // collect copies the spans of one trace (every span when trace is zero;

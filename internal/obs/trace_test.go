@@ -333,25 +333,6 @@ func TestConcurrentSpans(t *testing.T) {
 	})
 }
 
-func TestSetTraceCapacityPreservesEnabled(t *testing.T) {
-	prev := TraceEnable()
-	defer func() {
-		SetTraceEnabled(prev)
-		SetTraceCapacity(DefaultTraceCapacity)
-	}()
-	SetTraceCapacity(2)
-	if !TraceEnabled() {
-		t.Fatal("SetTraceCapacity dropped enabled state")
-	}
-	for i := 0; i < 5; i++ {
-		_, sp := StartSpan(nil, "cap")
-		sp.End()
-	}
-	if got := len(TraceSnapshot()); got != 2 {
-		t.Errorf("resized ring holds %d spans, want 2", got)
-	}
-}
-
 // BenchmarkTraceDisabledNoAlloc guards the tracer's zero-overhead
 // contract: with tracing off, StartSpan plus every attribute setter and
 // End must not allocate. check.sh runs it with -benchtime=1x and fails on

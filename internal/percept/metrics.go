@@ -2,10 +2,6 @@ package percept
 
 import "nvrel/internal/obs"
 
-// Metric handles for the simulation layer. All updates are no-ops while obs
-// is disabled (the default).
-var (
-	// Replications completed and their wall-clock timing distribution.
-	metReplications    = obs.CounterFor("percept.replications")
-	metReplicationTime = obs.TimingFor("percept.replication_time")
-)
+// metReplications counts completed replications. Updates are no-ops while
+// obs is disabled (the default).
+var metReplications = obs.CounterFor("percept.replications")

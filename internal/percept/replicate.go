@@ -47,7 +47,6 @@ func Replicate(cfg Config, n int, seed uint64) (*Estimate, error) {
 	rngs := des.Streams(seed, n)
 	results := make([]*Result, n)
 	err := parallel.ForEach(n, func(rep int) error {
-		span := metReplicationTime.Start()
 		sys, err := New(cfg, rngs[rep])
 		if err != nil {
 			return err
@@ -57,7 +56,6 @@ func Replicate(cfg Config, n int, seed uint64) (*Estimate, error) {
 			return err
 		}
 		results[rep] = res
-		span.End()
 		metReplications.Inc()
 		return nil
 	})

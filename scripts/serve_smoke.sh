@@ -110,6 +110,12 @@ if ! grep -q '^serve_solve_ok ' artifacts/metrics.prom; then
     echo "serve smoke: serve_solve_ok missing from /metrics" >&2
     exit 1
 fi
+# The solves above must have reached the solve-latency histogram.
+if ! awk '$1 == "serve_solve_seconds_count" { if ($2 + 0 > 0) found = 1 } END { exit !found }' artifacts/metrics.prom; then
+    echo "serve smoke: serve_solve_seconds_count missing or zero in /metrics" >&2
+    grep '^serve_solve_seconds' artifacts/metrics.prom >&2 || true
+    exit 1
+fi
 
 echo "== serve smoke: save /traces"
 curl -fsS "$base_url/traces" >artifacts/trace.json
