@@ -5,25 +5,54 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 )
+
+// chaosGate holds the outputs of one `nvrel -metrics … chaos -steps 2`
+// run, the same invocation scripts/check.sh makes. TestCmdChaos reads its
+// report and TestCmdBenchEmbedsSolverMetrics its -metrics artifact, so the
+// plan runs once however many of the two are selected.
+var chaosGate struct {
+	once            sync.Once
+	out             string
+	err             error
+	report, metrics []byte
+}
+
+func runChaosGate(t *testing.T) (out string, report, metrics []byte) {
+	t.Helper()
+	chaosGate.once.Do(func() {
+		dir, err := os.MkdirTemp("", "nvrel-chaos-")
+		if err != nil {
+			chaosGate.err = err
+			return
+		}
+		defer os.RemoveAll(dir)
+		path, metricsPath := filepath.Join(dir, "chaos.json"), filepath.Join(dir, "metrics.json")
+		chaosGate.out, chaosGate.err = capture(t, "-metrics", metricsPath, "chaos", "-steps", "2", "-timeout", "2m", "-o", path)
+		if chaosGate.err != nil {
+			return
+		}
+		if chaosGate.report, chaosGate.err = os.ReadFile(path); chaosGate.err != nil {
+			return
+		}
+		chaosGate.metrics, chaosGate.err = os.ReadFile(metricsPath)
+	})
+	if chaosGate.err != nil {
+		t.Fatalf("chaos gate failed: %v\n%s", chaosGate.err, chaosGate.out)
+	}
+	return chaosGate.out, chaosGate.report, chaosGate.metrics
+}
 
 // TestCmdChaos is the acceptance gate of the fault-injection harness: the
 // full built-in plan (every registered site, silent-corruption modes
 // included) over the standard sweep workloads must report zero silent
 // wrong answers, with every fault either recovered or surfaced typed.
 func TestCmdChaos(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "chaos.json")
-	out, err := capture(t, "chaos", "-steps", "2", "-timeout", "2m", "-o", path)
-	if err != nil {
-		t.Fatalf("chaos gate failed: %v\n%s", err, out)
-	}
+	out, data, _ := runChaosGate(t)
 	if !strings.Contains(out, "0 silent wrong answers") {
 		t.Errorf("summary line missing:\n%s", out)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
 	}
 	var report ChaosReport
 	if err := json.Unmarshal(data, &report); err != nil {
@@ -75,6 +104,34 @@ func TestCmdChaos(t *testing.T) {
 		if report.Metrics.Counters[name] == 0 {
 			t.Errorf("chaos metrics left %s at zero", name)
 		}
+	}
+}
+
+// TestCmdBenchEmbedsSolverMetrics checks that a gate run's metrics
+// artifact carries the solver counters the removed `nvrel bench` report
+// used to embed. The -metrics artifact of the chaos gate run sees the
+// sparse routes at work: Gauss-Seidel sweeps, graph restamps and plan memo
+// hits through the model cache, registry seeds accepted by the kernels,
+// and a pool utilization reading. scripts/check.sh greps the same names.
+func TestCmdBenchEmbedsSolverMetrics(t *testing.T) {
+	_, _, data := runChaosGate(t)
+	var doc metricsDoc
+	if err := json.Unmarshal(data, &doc); err != nil {
+		t.Fatalf("metrics file is not valid JSON: %v", err)
+	}
+	for _, name := range []string{
+		"linalg.gs.sweeps", "petri.solve.sparse", "petri.restamp", "petri.plan.memo_hit",
+		"nvp.cache.hit", "warmstart.lookup.hit", "warmstart.insert", "linalg.seed.warm",
+	} {
+		if doc.Metrics.Counters[name] == 0 {
+			t.Errorf("-metrics artifact left %s at zero", name)
+		}
+	}
+	if doc.Metrics.Gauges["parallel.pool.utilization"] == 0 {
+		t.Error("-metrics artifact left parallel.pool.utilization at zero")
+	}
+	if doc.Manifest.Command != "chaos" {
+		t.Errorf("manifest command = %q, want chaos", doc.Manifest.Command)
 	}
 }
 

@@ -30,8 +30,7 @@ import (
 // latency is the cache's whole value proposition), writes the report as
 // a JSON artifact, and exits non-zero when a -max-p99 / -max-error-rate /
 // -min-hit-rate / -min-p50-speedup gate is violated — so check.sh can
-// gate serving-latency regressions the way `bench -compare` gates solver
-// regressions.
+// gate serving-latency regressions.
 
 type loadgenConfig struct {
 	url         string
@@ -494,8 +493,7 @@ func writeLoadgenSummary(out io.Writer, r *lgReport) {
 	}
 }
 
-// checkGates turns threshold violations into a non-zero exit, mirroring
-// the bench -compare regression gate.
+// checkGates turns threshold violations into a non-zero exit.
 func checkGates(cfg *loadgenConfig, r *lgReport) error {
 	var failures []string
 	if cfg.maxP99 > 0 && r.Latency.P99 > cfg.maxP99.Seconds() {

@@ -60,8 +60,6 @@ func dispatch(args []string, out io.Writer) error {
 		return cmdAnalyze(args[1:], out)
 	case "sweep":
 		return cmdSweep(args[1:], out)
-	case "bench":
-		return cmdBench(args[1:], out)
 	case "trace":
 		return cmdTrace(args[1:], out)
 	case "chaos":
@@ -92,7 +90,6 @@ commands:
   export                     emit a model as Graphviz DOT (-arch 4v|6v)
   analyze                    solve a custom DSPN from a text definition (-net file)
   sweep                      sweep any parameter over a grid (-param -from -to -steps)
-  bench                      time the sweep experiments end-to-end per worker count
   trace                      print one simulated event timeline (-arch -horizon -seed)
   chaos                      run the sweeps under a fault-injection plan and
                              assert every fault is recovered or surfaced typed

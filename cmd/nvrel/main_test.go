@@ -53,6 +53,16 @@ func TestCmdUnknown(t *testing.T) {
 	}
 }
 
+// TestCmdBenchOnlyValidation: the bench harness is gone (timings come from
+// perfbench and `go test -bench`), so a script still calling it with its
+// old flags must fail loudly as an unknown command, not run something else.
+func TestCmdBenchOnlyValidation(t *testing.T) {
+	_, err := capture(t, "bench", "-reps", "1", "-only", "nope")
+	if err == nil || !strings.Contains(err.Error(), "unknown command") {
+		t.Errorf("bench -only nope: err = %v, want unknown command", err)
+	}
+}
+
 func TestCmdList(t *testing.T) {
 	out, err := capture(t, "list")
 	if err != nil {

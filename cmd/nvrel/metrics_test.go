@@ -95,51 +95,6 @@ func TestGlobalProfileFlags(t *testing.T) {
 	}
 }
 
-// TestCmdBenchEmbedsSolverMetrics drives the gs-sparse probe (the one
-// bench entry sized past linalg.SparseThreshold) and checks the report
-// embeds the solver counters the probe must light up: Gauss-Seidel sweeps,
-// graph restamps, and plan memo hits.
-func TestCmdBenchEmbedsSolverMetrics(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "bench.json")
-	if _, err := capture(t, "bench", "-reps", "1", "-only", "gs-sparse", "-o", path); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var report BenchReport
-	if err := json.Unmarshal(data, &report); err != nil {
-		t.Fatalf("bench report is not valid JSON: %v", err)
-	}
-	if len(report.Results) == 0 {
-		t.Fatal("bench report has no results")
-	}
-	for _, name := range []string{
-		"linalg.gs.sweeps",
-		"petri.solve.sparse",
-		"petri.restamp",
-		"petri.plan.memo_hit",
-		"nvp.cache.hit",
-	} {
-		if report.Metrics.Counters[name] == 0 {
-			t.Errorf("bench metrics left %s at zero: %v", name, report.Metrics.Counters)
-		}
-	}
-	if report.Manifest.Command != "bench" {
-		t.Errorf("manifest command = %q, want bench", report.Manifest.Command)
-	}
-	if report.Manifest.Phases["gs-sparse"] <= 0 {
-		t.Errorf("manifest phases missing gs-sparse: %v", report.Manifest.Phases)
-	}
-}
-
-func TestCmdBenchOnlyValidation(t *testing.T) {
-	if _, err := capture(t, "bench", "-reps", "1", "-only", "nope"); err == nil {
-		t.Error("unknown -only experiment accepted")
-	}
-}
-
 func TestParamsHash(t *testing.T) {
 	a := paramsHash([]string{"solve", "-arch", "4v"})
 	b := paramsHash([]string{"solve", "-arch", "6v"})

@@ -45,7 +45,9 @@ import (
 // whole serving path: request -> cache -> pool -> solve.
 
 // secondsBounds are the bucket bounds of the daemon's latency histograms.
-var secondsBounds = []float64{0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1, 5, 10}
+// The sub-millisecond bounds separate cache hits (tens of microseconds)
+// from fast misses.
+var secondsBounds = []float64{1e-5, 5e-5, 1e-4, 5e-4, 0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1, 5, 10}
 
 // Serve-layer metrics, following the <package>.<area>.<event> convention.
 // serve.solve.seconds times each /solve answer and the warm-up solve,

@@ -220,11 +220,13 @@ func TestServeSolveTraceNesting(t *testing.T) {
 
 func TestServeMetricsEndpoints(t *testing.T) {
 	_, ts := newTestServer(t)
-	// A solve before scraping so serve.request and serve.solve.seconds are
-	// nonzero.
-	if resp, err := http.Post(ts.URL+"/solve", "application/json", strings.NewReader(`{"arch":"4v"}`)); err == nil {
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
+	// A solve and its cache hit before scraping so serve.request and
+	// serve.solve.seconds are nonzero.
+	for range 2 {
+		if resp, err := http.Post(ts.URL+"/solve", "application/json", strings.NewReader(`{"arch":"4v"}`)); err == nil {
+			io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+		}
 	}
 
 	resp, err := http.Get(ts.URL + "/metrics")
@@ -243,13 +245,18 @@ func TestServeMetricsEndpoints(t *testing.T) {
 	if !strings.Contains(text, "# TYPE serve_solve_seconds histogram") {
 		t.Errorf("/metrics missing serve_solve_seconds histogram:\n%.400s", text)
 	}
-	var serveReq, solveCount int64
+	var serveReq, solveCount, subMilli int64
 	for _, line := range strings.Split(text, "\n") {
 		fmt.Sscanf(line, "serve_request %d", &serveReq)
 		fmt.Sscanf(line, "serve_solve_seconds_count %d", &solveCount)
+		fmt.Sscanf(line, `serve_solve_seconds_bucket{le="0.0005"} %d`, &subMilli)
 	}
 	if serveReq < 1 || solveCount < 1 {
 		t.Errorf("serve_request = %d, serve_solve_seconds_count = %d, want both >= 1", serveReq, solveCount)
+	}
+	// The hit resolves below the 1 ms bucket.
+	if subMilli < 1 {
+		t.Errorf(`serve_solve_seconds_bucket{le="0.0005"} = %d, want >= 1 after a cache hit`, subMilli)
 	}
 
 	resp, err = http.Get(ts.URL + "/metrics.json")

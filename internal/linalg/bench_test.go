@@ -36,7 +36,7 @@ func BenchmarkUniformizedPower(b *testing.B) {
 	var ws *Workspace
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ws.UniformizedPowerCSR(qt, pi, 1.5, 0, 1e-12, nil); err != nil {
+		if _, err := seriesCSR(ws, qt, pi, 1.5, 1e-12, false, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -224,12 +224,12 @@ func TestUniformizedCSRMatchesDense(t *testing.T) {
 		pi[rng.Intn(n)] = 1
 		for _, horizon := range []float64{0, 0.7, 13} {
 			wantP := denseUniformized(q, pi, horizon, false)
-			gotP, err := ws.UniformizedPowerCSR(ct, pi, horizon, 0, 1e-12, nil)
+			gotP, err := seriesCSR(ws, ct, pi, horizon, 1e-12, false, nil)
 			if err != nil {
 				t.Fatalf("csr power: %v", err)
 			}
 			wantU := denseUniformized(q, pi, horizon, true)
-			gotU, err := ws.UniformizedIntegralCSR(ct, pi, horizon, 0, 1e-12, nil)
+			gotU, err := seriesCSR(ws, ct, pi, horizon, 1e-12, true, nil)
 			if err != nil {
 				t.Fatalf("csr integral: %v", err)
 			}

@@ -34,7 +34,6 @@ var (
 	metPowerIters     = obs.CounterFor("linalg.power.iters")
 	metPowerConverged = obs.CounterFor("linalg.power.converged")
 	metPowerExhausted = obs.CounterFor("linalg.power.exhausted")
-	metPowerResidual  = obs.GaugeFor("linalg.power.final_residual")
 
 	// Guard rejections: generators or iterates refused by the validation
 	// layer before or during a GS solve (see validate.go).

@@ -51,14 +51,28 @@ func TestPoissonWeightsPanicsOnNegative(t *testing.T) {
 	PoissonWeights(-1, 1e-12)
 }
 
+// seriesCSR lays qt out on ws and runs UniformizedSELL at the rate qt's
+// diagonal gives, into dst (allocated when nil): the power, or with
+// integral set the integral.
+func seriesCSR(ws *Workspace, qt *CSR, pi []float64, t, epsilon float64, integral bool, dst []float64) ([]float64, error) {
+	if dst == nil {
+		dst = make([]float64, len(pi))
+	}
+	power, occ := dst, []float64(nil)
+	if integral {
+		power, occ = nil, dst
+	}
+	return dst, ws.UniformizedSELL(ws.SeriesLayout(qt), pi, t, UniformizationRate(qt.MaxAbsDiag()), epsilon, power, occ)
+}
+
 // powerCSR and integralCSR run the uniformization series of a dense
 // generator through the CSR kernels with an allocating workspace.
 func powerCSR(q *Dense, pi []float64, t, epsilon float64) ([]float64, error) {
-	return (*Workspace)(nil).UniformizedPowerCSR(CSRFromDenseT(q), pi, t, 0, epsilon, nil)
+	return seriesCSR(nil, CSRFromDenseT(q), pi, t, epsilon, false, nil)
 }
 
 func integralCSR(q *Dense, pi []float64, t, epsilon float64) ([]float64, error) {
-	return (*Workspace)(nil).UniformizedIntegralCSR(CSRFromDenseT(q), pi, t, 0, epsilon, nil)
+	return seriesCSR(nil, CSRFromDenseT(q), pi, t, epsilon, true, nil)
 }
 
 func TestUniformizedPowerTwoState(t *testing.T) {
@@ -92,7 +106,7 @@ func TestUniformizedPowerZeroGenerator(t *testing.T) {
 	pi := []float64{0.2, 0.3, 0.5}
 	got, err := powerCSR(q, pi, 10, 1e-12)
 	if err != nil {
-		t.Fatalf("UniformizedPowerCSR: %v", err)
+		t.Fatalf("powerCSR: %v", err)
 	}
 	if !vecAlmostEqual(got, pi, 1e-15) {
 		t.Errorf("got %v, want %v", got, pi)
@@ -104,7 +118,7 @@ func TestUniformizedPowerConvergesToSteadyState(t *testing.T) {
 	pi0 := []float64{1, 0, 0, 0}
 	long, err := powerCSR(q, pi0, 200, 1e-13)
 	if err != nil {
-		t.Fatalf("UniformizedPowerCSR: %v", err)
+		t.Fatalf("powerCSR: %v", err)
 	}
 	ss, err := SteadyStateGTH(q)
 	if err != nil {
@@ -148,7 +162,7 @@ func TestUniformizedIntegralZeroCases(t *testing.T) {
 	q := birthDeathGenerator(3, 1, 1)
 	got, err := integralCSR(q, []float64{1, 0, 0}, 0, 1e-12)
 	if err != nil {
-		t.Fatalf("UniformizedIntegralCSR: %v", err)
+		t.Fatalf("integralCSR: %v", err)
 	}
 	if Sum(got) != 0 {
 		t.Errorf("integral over [0,0] = %v", got)
@@ -157,7 +171,7 @@ func TestUniformizedIntegralZeroCases(t *testing.T) {
 	z := NewDense(2, 2)
 	got, err = integralCSR(z, []float64{0.5, 0.5}, 4, 1e-12)
 	if err != nil {
-		t.Fatalf("UniformizedIntegralCSR: %v", err)
+		t.Fatalf("integralCSR: %v", err)
 	}
 	if !vecAlmostEqual(got, []float64{2, 2}, 1e-12) {
 		t.Errorf("got %v, want [2 2]", got)
@@ -167,17 +181,20 @@ func TestUniformizedIntegralZeroCases(t *testing.T) {
 func TestUniformizedDimensionErrors(t *testing.T) {
 	qt := CSRFromDenseT(birthDeathGenerator(3, 1, 1))
 	var ws *Workspace
-	if _, err := ws.UniformizedPowerCSR(qt, []float64{1, 0}, 1, 0, 1e-12, nil); err == nil {
+	if _, err := seriesCSR(ws, qt, []float64{1, 0}, 1, 1e-12, false, nil); err == nil {
 		t.Error("expected dimension error")
 	}
-	if _, err := ws.UniformizedIntegralCSR(qt, []float64{1, 0}, 1, 0, 1e-12, nil); err == nil {
+	if _, err := seriesCSR(ws, qt, []float64{1, 0}, 1, 1e-12, true, nil); err == nil {
 		t.Error("expected dimension error")
 	}
-	if _, err := ws.UniformizedPowerCSR(qt, []float64{1, 0, 0}, 1, 0, 1e-12, make([]float64, 2)); err == nil {
+	if _, err := seriesCSR(ws, qt, []float64{1, 0, 0}, 1, 1e-12, false, make([]float64, 2)); err == nil {
 		t.Error("expected dimension error for a short destination")
 	}
-	if _, err := ws.UniformizedPowerCSR(qt, []float64{1, 0, 0}, -1, 0, 1e-12, nil); err == nil {
+	if _, err := seriesCSR(ws, qt, []float64{1, 0, 0}, -1, 1e-12, false, nil); err == nil {
 		t.Error("expected error for negative time")
+	}
+	if err := ws.UniformizedSELL(ws.SeriesLayout(qt), []float64{1, 0, 0}, 1, 1, 1e-12, nil, nil); err == nil {
+		t.Error("expected error with neither output")
 	}
 }
 

@@ -127,7 +127,6 @@ func (ws *Workspace) SteadyStatePower(ctx context.Context, q *CSR, dst, seed []f
 		rel := delta / norm
 		if rel <= powerTol {
 			metPowerConverged.Inc()
-			metPowerResidual.Set(rel)
 			return iter + 1, warm, nil
 		}
 		// Stall acceptance mirrors SteadyStateGS: when the per-iteration
@@ -136,7 +135,6 @@ func (ws *Workspace) SteadyStatePower(ctx context.Context, q *CSR, dst, seed []f
 		if delta >= prev*0.98 {
 			if stall++; stall >= 20 && rel <= powerStallTol {
 				metPowerConverged.Inc()
-				metPowerResidual.Set(rel)
 				return iter + 1, warm, nil
 			}
 		} else {

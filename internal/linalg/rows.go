@@ -106,11 +106,10 @@ var hostBody = hostBodies()[0].run
 
 // SeriesLayout copies qt, a transposed generator, into the workspace's
 // SELL layout and returns it; a nil workspace allocates one. The layout
-// stays valid until the next call on ws that lays out a generator:
-// SeriesLayout itself, UniformizedPowerCSR or UniformizedIntegralCSR. A
-// caller that runs many series over one generator lays it out once and
-// passes the layout to UniformizedSELL; a layout is never looked up by
-// its CSR, whose pooled storage may be re-stamped in place.
+// stays valid until the next SeriesLayout call on ws. A caller that runs
+// many series over one generator lays it out once and passes the layout
+// to UniformizedSELL; a layout is never looked up by its CSR, whose
+// pooled storage may be re-stamped in place.
 func (ws *Workspace) SeriesLayout(qt *CSR) *SELL {
 	var l *SELL
 	if ws != nil {

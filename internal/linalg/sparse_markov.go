@@ -18,16 +18,18 @@ var ErrNotConverged = errors.New("linalg: iterative solver did not converge")
 // steady-state routing prefers sparse Gauss-Seidel over dense GTH. Below
 // it the dense direct method wins on constant factors; above it the
 // sparse kernels' O(nnz) sweeps and O(n) memory dominate. The value was
-// chosen from the BENCH_scale.json curves: the CTMC steady state crosses
-// over at ~153 states, so 160 sits in the tie band where no family loses
-// measurably. The same count gates warm-start seeding (nvp.WarmRegistry),
-// and nothing else reads it. Transient vector series take no route: they
-// always run the CSR kernels, which win at every size. The MRGP transient
-// matrix pair takes none either: it is dense scaling and doubling at every
-// size (DESIGN.md section 7). The clock-synchronous MRGP solve routes each
-// solve by estimated cost instead, because its crossover depends on
-// rate*tau rather than on the state count (at 70 states the sparse route
-// is ~4x faster at tau = 100 s and ~20x slower at 3000 s).
+// chosen from the crossover curves the old bench command's scale mode
+// recorded (since deleted): the CTMC steady state crosses over at ~153
+// states, so 160 sits in the tie band where no family loses measurably;
+// nvp's BenchmarkSolveScale re-measures those rungs. The same count
+// gates warm-start seeding (nvp.WarmRegistry), and nothing else reads
+// it. Transient vector series take no route: they always run the CSR
+// kernels, which win at every size. The MRGP transient matrix pair takes
+// none either: it is dense scaling and doubling at every size (DESIGN.md
+// section 7). The clock-synchronous MRGP solve routes each solve by
+// estimated cost instead, because its crossover depends on rate*tau
+// rather than on the state count (at 70 states the sparse route is ~4x
+// faster at tau = 100 s and ~20x slower at 3000 s).
 const SparseThreshold = 160
 
 // GS iteration limits. The tolerance is on the L1 change of the iterate per
@@ -203,85 +205,36 @@ func driftGS(dst []float64) {
 	dst[lo] += eps
 }
 
-// UniformizedPowerCSR computes pi * e^{Q t} for a CSR generator Q without
-// ever materializing the uniformized DTMC: one series step is
+// UniformizedSELL computes pi * e^{Q t} for a generator Q without ever
+// materializing the uniformized DTMC: one series step is
 //
 //	cur <- cur + (cur * Q) / rate
 //
-// which is algebraically cur * (I + Q/rate). qt is the TRANSPOSE of Q in
-// CSR form (petri.Graph.GeneratorCSRTranspose, CSRFromDenseT or
-// TransposeCSR), so cur * Q is a register gather over qt's rows, run as
-// the fused chunk pass of Workspace.series over the workspace's SELL
-// layout of qt. rate must be >= max_i |Q[i,i]|; pass 0 to derive it from
-// the (materialized) diagonal, which the transpose shares.
-// The result is written into dst when non-nil (length n). All scratch
-// comes from the workspace, so repeated calls at a stamped size run
-// allocation-free.
-func (ws *Workspace) UniformizedPowerCSR(qt *CSR, pi []float64, t, rate, epsilon float64, dst []float64) ([]float64, error) {
-	dst, rate, err := seriesArgs(qt, pi, t, rate, dst)
-	if err != nil {
-		return nil, err
-	}
-	if !trivialSeries(pi, t, rate, dst, nil) {
-		ws.uniformized(ws.SeriesLayout(qt), pi, t, rate, epsilon, dst, nil)
-	}
-	return dst, nil
-}
-
-// UniformizedIntegralCSR computes pi * Integral_0^t e^{Q s} ds with the
-// same matrix-free series as UniformizedPowerCSR, using the tail-weight
-// identity
+// which is algebraically cur * (I + Q/rate). l is the SeriesLayout of the
+// TRANSPOSE of Q in CSR form (petri.Graph.GeneratorCSRTranspose,
+// CSRFromDenseT or TransposeCSR), so cur * Q is a register gather over
+// its rows, run as the fused chunk pass of Workspace.series. The same
+// pass computes pi * Integral_0^t e^{Q s} ds with the tail-weight identity
 //
 //	Integral_0^t e^{Qs} ds = (1/rate) * sum_{k>=0} tailP(k) * P^k,
 //
-// where tailP(k) = P[K > k] for K ~ Poisson(rate*t). The result, dotted
-// with a reward vector, is the expected reward accumulated over [0, t]
-// from distribution pi. qt is the transpose of Q, as for
-// UniformizedPowerCSR.
-func (ws *Workspace) UniformizedIntegralCSR(qt *CSR, pi []float64, t, rate, epsilon float64, dst []float64) ([]float64, error) {
-	dst, rate, err := seriesArgs(qt, pi, t, rate, dst)
-	if err != nil {
-		return nil, err
-	}
-	if !trivialSeries(pi, t, rate, nil, dst) {
-		ws.uniformized(ws.SeriesLayout(qt), pi, t, rate, epsilon, nil, dst)
-	}
-	return dst, nil
-}
-
-// UniformizedSELL is UniformizedPowerCSR over a layout from
-// SeriesLayout: it writes pi * e^{Q t} into dst and, when integral is
-// non-nil, pi * Integral_0^t e^{Q s} ds into integral from the same
-// series pass, each with the bits its own kernel gives. rate is the
-// uniformization rate (UniformizationRate of max_i |Q[i,i]|); with rate
-// or t zero the results are pi and t*pi.
+// where tailP(k) = P[K > k] for K ~ Poisson(rate*t); dotted with a reward
+// vector it is the expected reward accumulated over [0, t] from pi. The
+// power goes into dst and the integral into integral, each when non-nil
+// (at least one must be), each with the bits its own series gives. rate
+// is the uniformization rate (UniformizationRate of max_i |Q[i,i]|);
+// with rate or t zero the results are pi and t*pi. All scratch comes from
+// the workspace, so repeated calls at a stamped size run allocation-free.
 func (ws *Workspace) UniformizedSELL(l *SELL, pi []float64, t, rate, epsilon float64, dst, integral []float64) error {
 	n := len(l.perm)
-	if len(pi) != n || len(dst) != n || integral != nil && len(integral) != n || t < 0 || rate < 0 {
+	if len(pi) != n || dst != nil && len(dst) != n || integral != nil && len(integral) != n ||
+		dst == nil && integral == nil || t < 0 || rate < 0 {
 		return ErrDimensionMismatch
 	}
 	if !trivialSeries(pi, t, rate, dst, integral) {
 		ws.uniformized(l, pi, t, rate, epsilon, dst, integral)
 	}
 	return nil
-}
-
-// seriesArgs checks the operands of a CSR series kernel, allocates dst
-// when nil and derives a non-positive rate from qt's diagonal.
-func seriesArgs(qt *CSR, pi []float64, t, rate float64, dst []float64) ([]float64, float64, error) {
-	rows, cols := qt.Dims()
-	if rows != cols || len(pi) != rows || t < 0 {
-		return nil, 0, ErrDimensionMismatch
-	}
-	if dst == nil {
-		dst = make([]float64, rows)
-	} else if len(dst) != rows {
-		return nil, 0, ErrDimensionMismatch
-	}
-	if rate <= 0 {
-		rate = UniformizationRate(qt.MaxAbsDiag())
-	}
-	return dst, rate, nil
 }
 
 // trivialSeries writes the results of a series that needs no terms, at

@@ -22,15 +22,13 @@ func rateGenerator(n int, edges ...[3]float64) *Dense {
 // transient returns pi0 e^{Qt} through the CSR uniformization series, the
 // vector kernel every propagator runs on.
 func transient(q *Dense, pi0 []float64, t float64) ([]float64, error) {
-	var ws *Workspace
-	return ws.UniformizedPowerCSR(CSRFromDenseT(q), pi0, t, 0, 1e-12, nil)
+	return powerCSR(q, pi0, t, 1e-12)
 }
 
 // occupancy returns, per state, the expected time spent there over [0, t]
 // starting from pi0.
 func occupancy(q *Dense, pi0 []float64, t float64) ([]float64, error) {
-	var ws *Workspace
-	return ws.UniformizedIntegralCSR(CSRFromDenseT(q), pi0, t, 0, 1e-12, nil)
+	return integralCSR(q, pi0, t, 1e-12)
 }
 
 func TestTransientMatchesClosedForm(t *testing.T) {

@@ -35,11 +35,11 @@ func TestWorkspaceUniformizedPowerMatchesPlain(t *testing.T) {
 	var plain *Workspace
 	for rep := 0; rep < 3; rep++ {
 		for _, tt := range []float64{0, 0.3, 1.7, 12} {
-			want, err := plain.UniformizedPowerCSR(qt, pi, tt, 0, 1e-12, nil)
+			want, err := seriesCSR(plain, qt, pi, tt, 1e-12, false, nil)
 			if err != nil {
 				t.Fatalf("plain t=%g: %v", tt, err)
 			}
-			got, err := ws.UniformizedPowerCSR(qt, pi, tt, 0, 1e-12, nil)
+			got, err := seriesCSR(ws, qt, pi, tt, 1e-12, false, nil)
 			if err != nil {
 				t.Fatalf("ws t=%g: %v", tt, err)
 			}
@@ -61,11 +61,11 @@ func TestWorkspaceUniformizedIntegralMatchesPlain(t *testing.T) {
 	var plain *Workspace
 	for rep := 0; rep < 3; rep++ {
 		for _, tt := range []float64{0, 0.5, 4} {
-			want, err := plain.UniformizedIntegralCSR(qt, pi, tt, 0, 1e-12, nil)
+			want, err := seriesCSR(plain, qt, pi, tt, 1e-12, true, nil)
 			if err != nil {
 				t.Fatalf("plain t=%g: %v", tt, err)
 			}
-			got, err := ws.UniformizedIntegralCSR(qt, pi, tt, 0, 1e-12, nil)
+			got, err := seriesCSR(ws, qt, pi, tt, 1e-12, true, nil)
 			if err != nil {
 				t.Fatalf("ws t=%g: %v", tt, err)
 			}
@@ -189,12 +189,12 @@ func TestUniformizedPowerNoAlloc(t *testing.T) {
 	pi := []float64{1, 0, 0, 0}
 	dst := make([]float64, 4)
 	ws := NewWorkspace()
-	if _, err := ws.UniformizedPowerCSR(qt, pi, 1.7, 0, 1e-12, dst); err != nil {
+	if _, err := seriesCSR(ws, qt, pi, 1.7, 1e-12, false, dst); err != nil {
 		t.Fatalf("warm-up: %v", err)
 	}
 	allocs := testing.AllocsPerRun(100, func() {
-		if _, err := ws.UniformizedPowerCSR(qt, pi, 1.7, 0, 1e-12, dst); err != nil {
-			t.Fatalf("UniformizedPowerCSR: %v", err)
+		if _, err := seriesCSR(ws, qt, pi, 1.7, 1e-12, false, dst); err != nil {
+			t.Fatalf("seriesCSR: %v", err)
 		}
 	})
 	if allocs != 0 {
@@ -209,13 +209,13 @@ func BenchmarkUniformizedPowerNoAlloc(b *testing.B) {
 	pi := []float64{1, 0, 0, 0}
 	dst := make([]float64, 4)
 	ws := NewWorkspace()
-	if _, err := ws.UniformizedPowerCSR(qt, pi, 1.7, 0, 1e-12, dst); err != nil {
+	if _, err := seriesCSR(ws, qt, pi, 1.7, 1e-12, false, dst); err != nil {
 		b.Fatalf("warm-up: %v", err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ws.UniformizedPowerCSR(qt, pi, 1.7, 0, 1e-12, dst); err != nil {
+		if _, err := seriesCSR(ws, qt, pi, 1.7, 1e-12, false, dst); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -239,7 +239,7 @@ func classGenerator(tb testing.TB, n, widest int) *CSR {
 	return qt
 }
 
-// seriesNoAlloc checks that UniformizedPowerCSR on qt runs
+// seriesNoAlloc checks that the power series on qt runs
 // allocation-free after warm-up.
 func seriesNoAlloc(t *testing.T, qt *CSR) {
 	n, _ := qt.Dims()
@@ -247,12 +247,12 @@ func seriesNoAlloc(t *testing.T, qt *CSR) {
 	pi[0] = 1
 	dst := make([]float64, n)
 	ws := NewWorkspace()
-	if _, err := ws.UniformizedPowerCSR(qt, pi, 1.7, 0, 1e-12, dst); err != nil {
+	if _, err := seriesCSR(ws, qt, pi, 1.7, 1e-12, false, dst); err != nil {
 		t.Fatalf("warm-up: %v", err)
 	}
 	allocs := testing.AllocsPerRun(100, func() {
-		if _, err := ws.UniformizedPowerCSR(qt, pi, 1.7, 0, 1e-12, dst); err != nil {
-			t.Fatalf("UniformizedPowerCSR: %v", err)
+		if _, err := seriesCSR(ws, qt, pi, 1.7, 1e-12, false, dst); err != nil {
+			t.Fatalf("seriesCSR: %v", err)
 		}
 	})
 	if allocs != 0 {
@@ -268,13 +268,13 @@ func benchSeriesNoAlloc(b *testing.B, qt *CSR) {
 	pi[0] = 1
 	dst := make([]float64, n)
 	ws := NewWorkspace()
-	if _, err := ws.UniformizedPowerCSR(qt, pi, 1.7, 0, 1e-12, dst); err != nil {
+	if _, err := seriesCSR(ws, qt, pi, 1.7, 1e-12, false, dst); err != nil {
 		b.Fatalf("warm-up: %v", err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ws.UniformizedPowerCSR(qt, pi, 1.7, 0, 1e-12, dst); err != nil {
+		if _, err := seriesCSR(ws, qt, pi, 1.7, 1e-12, false, dst); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -348,12 +348,12 @@ func TestUniformizedIntegralNoAlloc(t *testing.T) {
 	pi := []float64{1, 0, 0, 0}
 	dst := make([]float64, 4)
 	ws := NewWorkspace()
-	if _, err := ws.UniformizedIntegralCSR(qt, pi, 1.7, 0, 1e-12, dst); err != nil {
+	if _, err := seriesCSR(ws, qt, pi, 1.7, 1e-12, true, dst); err != nil {
 		t.Fatalf("warm-up: %v", err)
 	}
 	allocs := testing.AllocsPerRun(100, func() {
-		if _, err := ws.UniformizedIntegralCSR(qt, pi, 1.7, 0, 1e-12, dst); err != nil {
-			t.Fatalf("UniformizedIntegralCSR: %v", err)
+		if _, err := seriesCSR(ws, qt, pi, 1.7, 1e-12, true, dst); err != nil {
+			t.Fatalf("seriesCSR: %v", err)
 		}
 	})
 	if allocs != 0 {
@@ -368,13 +368,13 @@ func BenchmarkUniformizedIntegralNoAlloc(b *testing.B) {
 	pi := []float64{1, 0, 0, 0}
 	dst := make([]float64, 4)
 	ws := NewWorkspace()
-	if _, err := ws.UniformizedIntegralCSR(qt, pi, 1.7, 0, 1e-12, dst); err != nil {
+	if _, err := seriesCSR(ws, qt, pi, 1.7, 1e-12, true, dst); err != nil {
 		b.Fatalf("warm-up: %v", err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ws.UniformizedIntegralCSR(qt, pi, 1.7, 0, 1e-12, dst); err != nil {
+		if _, err := seriesCSR(ws, qt, pi, 1.7, 1e-12, true, dst); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -47,17 +47,17 @@ const maxHorizonSteps = 1e7
 // integral series restores its total mass to t, which a killed process
 // does not keep.
 //
-// Every vector series runs through the CSR kernels over Q'ᵀ; a clocked
-// graph additionally holds the one-period matrices e^{Q' tau} and
-// Integral_0^tau e^{Q' s} ds and D in CSR. A pure CTMC never builds a dense
-// matrix. A Propagator reuses private scratch and is not safe for
-// concurrent use.
+// Every vector series runs over Q'ᵀ, laid out once for the series kernel
+// when the propagator is built; a clocked graph additionally holds the
+// one-period matrices e^{Q' tau} and Integral_0^tau e^{Q' s} ds and D in
+// CSR. A pure CTMC never builds a dense matrix. A Propagator reuses
+// private scratch and is not safe for concurrent use.
 type Propagator struct {
 	n      int
 	killed bool          // kill was given: AccumulatedReward is refused
 	rate   float64       // uniformization rate of Q'
 	delay  float64       // clock period; 0 for a pure CTMC
-	qt     *linalg.CSR   // Q'ᵀ
+	qt     *linalg.SELL  // Q'ᵀ, laid out once on ws for the series
 	dt     *linalg.CSR   // Dᵀ, the tick branching; nil for a pure CTMC
 	tTau   *linalg.Dense // e^{Q' tau}; nil for a pure CTMC
 	uTau   *linalg.Dense // Integral_0^tau e^{Q' s} ds; nil for a pure CTMC
@@ -87,7 +87,8 @@ func NewPropagator(g *petri.Graph, kill []float64) (*Propagator, error) {
 	for i, k := range kill {
 		qt.Vals[diagSlot(qt, i)] -= k
 	}
-	p := &Propagator{n: n, killed: kill != nil, rate: linalg.UniformizationRate(qt.MaxAbsDiag()), qt: qt, ws: linalg.NewWorkspace()}
+	ws := linalg.NewWorkspace()
+	p := &Propagator{n: n, killed: kill != nil, rate: linalg.UniformizationRate(qt.MaxAbsDiag()), qt: ws.SeriesLayout(qt), ws: ws}
 	if !g.HasDeterministic() {
 		return p, nil
 	}
@@ -147,7 +148,8 @@ func (p *Propagator) Distribution(pi0 []float64, t float64) ([]float64, error) {
 	if t == 0 {
 		return cur, nil
 	}
-	return p.ws.UniformizedPowerCSR(p.qt, cur, t, p.rate, truncationEpsilon, nil)
+	dst := make([]float64, p.n)
+	return dst, p.ws.UniformizedSELL(p.qt, cur, t, p.rate, truncationEpsilon, dst, nil)
 }
 
 // AccumulatedReward returns Integral_0^t E[r(X_s)] ds starting from pi0,
@@ -186,7 +188,7 @@ func (p *Propagator) AccumulatedReward(pi0, reward []float64, t float64) (float6
 		}
 	}
 	if t > 0 {
-		if _, err := p.ws.UniformizedIntegralCSR(p.qt, cur, t, p.rate, truncationEpsilon, occ); err != nil {
+		if err := p.ws.UniformizedSELL(p.qt, cur, t, p.rate, truncationEpsilon, nil, occ); err != nil {
 			return 0, err
 		}
 		inc, err := linalg.Dot(occ, reward)

@@ -178,8 +178,8 @@ func TestTransientPairMatchesVectorSeries(t *testing.T) {
 
 	for c, tc := range cases {
 		n, _ := tc.q.Dims()
-		qt := linalg.CSRFromDenseT(tc.q)
-		unit := make([]float64, n)
+		l, rate := ws.SeriesLayout(linalg.CSRFromDenseT(tc.q)), linalg.UniformizationRate(tc.q.MaxAbsDiag())
+		unit, tRow, uRow := make([]float64, n), make([]float64, n), make([]float64, n)
 		for _, horizon := range tc.horizons {
 			tm, um, err := transientPair(ws, tc.q, horizon)
 			if err != nil {
@@ -188,12 +188,7 @@ func TestTransientPairMatchesVectorSeries(t *testing.T) {
 			for i := 0; i < n; i++ {
 				clear(unit)
 				unit[i] = 1
-				tRow, err := ws.UniformizedPowerCSR(qt, unit, horizon, 0, 1e-13, nil)
-				if err != nil {
-					t.Fatal(err)
-				}
-				uRow, err := ws.UniformizedIntegralCSR(qt, unit, horizon, 0, 1e-13, nil)
-				if err != nil {
+				if err := ws.UniformizedSELL(l, unit, horizon, rate, 1e-13, tRow, uRow); err != nil {
 					t.Fatal(err)
 				}
 				for j := 0; j < n; j++ {

@@ -160,8 +160,7 @@ func (sq *squarings) occupancy(ws *linalg.Workspace, qt *linalg.CSR, x, dst []fl
 			v[j] += w
 		}
 	}
-	_, err := ws.UniformizedIntegralCSR(qt, v, sq.base, sq.rate, truncationEpsilon, dst)
-	return err
+	return ws.UniformizedSELL(ws.SeriesLayout(qt), v, sq.base, sq.rate, truncationEpsilon, nil, dst)
 }
 
 // release returns every matrix still held by sq to ws.

@@ -39,7 +39,7 @@ func TestTransientPairMatchesRowUniformization(t *testing.T) {
 	var ws *linalg.Workspace
 	for _, horizon := range []float64{0.5, 3, 40, 300} {
 		q := randomGenerator(5, 7)
-		qt := linalg.CSRFromDenseT(q)
+		l, rate := ws.SeriesLayout(linalg.CSRFromDenseT(q)), linalg.UniformizationRate(q.MaxAbsDiag())
 		tm, um, err := transientPair(nil, q, horizon)
 		if err != nil {
 			t.Fatalf("transientPair(%g): %v", horizon, err)
@@ -47,12 +47,8 @@ func TestTransientPairMatchesRowUniformization(t *testing.T) {
 		for i := 0; i < 5; i++ {
 			basis := make([]float64, 5)
 			basis[i] = 1
-			tRow, err := ws.UniformizedPowerCSR(qt, basis, horizon, 0, 1e-13, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			uRow, err := ws.UniformizedIntegralCSR(qt, basis, horizon, 0, 1e-13, nil)
-			if err != nil {
+			tRow, uRow := make([]float64, 5), make([]float64, 5)
+			if err := ws.UniformizedSELL(l, basis, horizon, rate, 1e-13, tRow, uRow); err != nil {
 				t.Fatal(err)
 			}
 			for j := 0; j < 5; j++ {

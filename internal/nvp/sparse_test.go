@@ -1,6 +1,7 @@
 package nvp
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -112,6 +113,55 @@ func TestKrylovSparseMatchesDense(t *testing.T) {
 			t.Logf("%+v seeded=%v: %d applications, max|sparse-dense| %.3g", pt, diag.Seeded, diag.PowerIters, worst)
 			if worst > 1e-12 {
 				t.Errorf("%+v seeded=%v: max|sparse-dense| = %.3g", pt, diag.Seeded, worst)
+			}
+		}
+	}
+}
+
+// BenchmarkSolveScale times each steady-state rung over model size N:
+// dense GTH against sparse Gauss-Seidel on the no-rejuvenation CTMC, and
+// the dense embedded chain against the sparse MRGP route on the
+// rejuvenation DSPN. The dense rungs stop at the largest N that finished
+// inside a 5 s budget on linux/amd64 (gth: N=90, 4186 states, 1.5 s;
+// mrgp-dense: N=24, 925 states, 3 s); past it they cost minutes and
+// gigabytes. The crossover points behind linalg.SparseThreshold and the
+// MRGP route's cost rule are re-measured here; the whole list takes ~5 s
+// at -benchtime=1x on linux/amd64 with 2 CPUs:
+//
+//	go test -run '^$' -bench SolveScale -benchtime 1x ./internal/nvp
+func BenchmarkSolveScale(b *testing.B) {
+	for _, fam := range []struct {
+		build     func(Params) (*Model, error)
+		params    func() Params
+		sizes     []int
+		rungs     [2]string // dense, sparse
+		denseMaxN int
+	}{
+		{BuildNoRejuvenation, DefaultFourVersion, []int{6, 10, 16, 24, 40, 60, 90, 130, 180}, [2]string{"gth", "gs"}, 90},
+		{BuildWithRejuvenation, DefaultSixVersion, []int{6, 8, 10, 12, 14, 16, 20, 24, 30}, [2]string{"mrgp-dense", "mrgp-sparse"}, 24},
+	} {
+		for _, n := range fam.sizes {
+			for i, rung := range fam.rungs {
+				if i == 0 && n > fam.denseMaxN {
+					continue
+				}
+				b.Run(fmt.Sprintf("%s/N=%d", rung, n), func(b *testing.B) {
+					p := fam.params()
+					p.N = n
+					m, err := fam.build(p)
+					if err != nil {
+						b.Fatal(err)
+					}
+					m.Graph.SparsePlan() // memoized: build it outside the timer
+					b.ReportAllocs()
+					b.ResetTimer()
+					for range b.N {
+						if _, _, err := m.SolveWith(nil, nil, Opts{Rung: rung}); err != nil {
+							b.Fatal(err)
+						}
+					}
+					b.ReportMetric(float64(m.Graph.NumStates()), "states")
+				})
 			}
 		}
 	}

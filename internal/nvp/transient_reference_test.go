@@ -137,7 +137,8 @@ func refTransient4v(g *petri.Graph, reward, times []float64) ([]float64, error) 
 	for i, t := range times {
 		var pi []float64
 		if qt != nil {
-			pi, err = ws.UniformizedPowerCSR(qt, g.Initial, t, 0, 1e-12, nil)
+			pi = make([]float64, len(g.Initial))
+			err = ws.UniformizedSELL(ws.SeriesLayout(qt), g.Initial, t, linalg.UniformizationRate(qt.MaxAbsDiag()), 1e-12, pi, nil)
 		} else {
 			pi, err = refUniformizedPower(q, g.Initial, t)
 		}
@@ -161,7 +162,8 @@ func refMission4v(g *petri.Graph, reward, windows []float64) ([]float64, error) 
 				return nil, err
 			}
 			var ws *linalg.Workspace
-			if occ, err = ws.UniformizedIntegralCSR(qt, g.Initial, t, 0, 1e-12, nil); err != nil {
+			occ = make([]float64, len(g.Initial))
+			if err := ws.UniformizedSELL(ws.SeriesLayout(qt), g.Initial, t, linalg.UniformizationRate(qt.MaxAbsDiag()), 1e-12, nil, occ); err != nil {
 				return nil, err
 			}
 		} else {

@@ -192,3 +192,103 @@ func TestWarmRegistryCorruptSeedDegrades(t *testing.T) {
 		t.Fatal("no linalg.seed.rejected evidence of the graceful degradation")
 	}
 }
+
+// refineSchedule is base*(1 + width*shrink^k) for k = 0..points-1: a
+// geometric refinement toward a point of interest, the solve sequence the
+// optimizer's golden-section probes and a daemon's near-duplicate
+// requests produce (unlike the figures' coarse grids, whose 25-50%
+// parameter jumps leave any neighbor seed far from the answer).
+func refineSchedule(base, width, shrink float64, points int) []float64 {
+	out := make([]float64, points)
+	for k := range out {
+		out[k] = base * (1 + width)
+		width *= shrink
+	}
+	return out
+}
+
+// TestWarmStartGate is the warm-start engine's regression gate. Each
+// probe sweeps Restamp-sibling models past linalg.SparseThreshold twice
+// on one goroutine, so the seeding order is deterministic: cold, then
+// warm through a fresh registry. gs-mttc refines the mean time to
+// compromise around 1000 s (four versions, N=24, 325 states, Gauss-Seidel)
+// and must need at most 0.6x its cold iterations warm (0.548 measured).
+// mrgp-interval refines the rejuvenation interval around 450 s (six
+// versions, N=10, 176 states, sparse MRGP); its embedded vector is far
+// more parameter-sensitive, so it is gated only on not regressing and on
+// a cold cost of at most 215 embedded applications (195 measured, 231
+// before the Krylov start's float64 floor).
+func TestWarmStartGate(t *testing.T) {
+	prevObs := obs.Enable()
+	t.Cleanup(func() { obs.SetEnabled(prevObs) })
+	warmCounters := []string{"warmstart.lookup.hit", "warmstart.insert", "linalg.seed.warm"}
+	before := make(map[string]int64)
+	for _, name := range warmCounters {
+		before[name] = obs.CounterFor(name).Value()
+	}
+	probes := []struct {
+		name       string
+		params     func(v float64) Params
+		build      func(*ModelCache, Params) (*Model, error)
+		schedule   []float64
+		maxRatio   float64
+		maxColdIts int
+	}{
+		{"gs-mttc", func(v float64) Params {
+			p := DefaultFourVersion()
+			p.N, p.MeanTimeToCompromise = 24, v
+			return p
+		}, (*ModelCache).BuildNoRejuvenation, refineSchedule(1000, 0.4, 0.6, 24), 0.6, 0},
+		{"mrgp-interval", func(v float64) Params {
+			p := DefaultSixVersion()
+			p.N, p.RejuvenationInterval = 10, v
+			return p
+		}, (*ModelCache).BuildWithRejuvenation, refineSchedule(450, 0.4, 0.6, 14), 1, 215},
+	}
+	for _, pr := range probes {
+		cache, reg, ws := NewModelCache(), NewWarmRegistry(), linalg.NewWorkspace()
+		models := make([]*Model, len(pr.schedule))
+		colds := make([][]float64, len(models))
+		coldIts, warmIts := 0, 0
+		for i, v := range pr.schedule {
+			m, err := pr.build(cache, pr.params(v))
+			if err != nil {
+				t.Fatalf("%s: build at %g: %v", pr.name, v, err)
+			}
+			models[i] = m
+			pi, diag, err := m.SolveWith(nil, ws, Opts{})
+			if err != nil {
+				t.Fatalf("%s: cold point %d: %v", pr.name, i, err)
+			}
+			colds[i], coldIts = pi, coldIts+diag.Iterations()
+		}
+		maxDiff := 0.0
+		for i, m := range models {
+			pi, diag, err := reg.SolveDiagCtxWS(nil, m, ws)
+			if err != nil {
+				t.Fatalf("%s: warm point %d: %v", pr.name, i, err)
+			}
+			warmIts += diag.Iterations()
+			for j := range pi {
+				maxDiff = math.Max(maxDiff, math.Abs(pi[j]-colds[i][j]))
+			}
+		}
+		ratio := float64(warmIts) / float64(coldIts)
+		t.Logf("%s: %d states, %d points: %d cold -> %d warm iterations (%.3fx), max|diff| %.3g",
+			pr.name, models[0].Graph.NumStates(), len(models), coldIts, warmIts, ratio, maxDiff)
+		if ratio > pr.maxRatio {
+			t.Errorf("%s: warm/cold iterations %.3f exceed %g", pr.name, ratio, pr.maxRatio)
+		}
+		if pr.maxColdIts > 0 && coldIts > pr.maxColdIts {
+			t.Errorf("%s: %d cold iterations exceed %d", pr.name, coldIts, pr.maxColdIts)
+		}
+		if maxDiff > 1e-12 {
+			t.Errorf("%s: max|pi_warm - pi_cold| = %.3g exceeds 1e-12", pr.name, maxDiff)
+		}
+	}
+	for _, name := range warmCounters {
+		if obs.CounterFor(name).Value() == before[name] {
+			t.Errorf("%s stayed at zero: the registry never warmed", name)
+		}
+	}
+}

@@ -59,7 +59,7 @@ func Capture() Snapshot {
 
 // Manifest identifies the run a snapshot came from: toolchain, machine
 // shape, the command and a hash of its full parameter vector, and the
-// wall clock per phase. Everything needed to tell two BENCH_*.json or
+// wall clock per phase. Everything needed to tell two chaos reports or
 // metrics snapshots apart months later.
 type Manifest struct {
 	GoVersion  string `json:"go_version"`

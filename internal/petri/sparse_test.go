@@ -113,12 +113,11 @@ func TestUniformizationSparseMatchesDense(t *testing.T) {
 		pi := make([]float64, n)
 		pi[rng.Intn(n)] = 1
 		for _, horizon := range []float64{0.4, 9} {
-			want, err := ws.UniformizedPowerCSR(linalg.CSRFromDenseT(q), pi, horizon, 0, 1e-12, nil)
-			if err != nil {
+			want, got := make([]float64, n), make([]float64, n)
+			if err := ws.UniformizedSELL(ws.SeriesLayout(linalg.CSRFromDenseT(q)), pi, horizon, linalg.UniformizationRate(q.MaxAbsDiag()), 1e-12, want, nil); err != nil {
 				t.Fatalf("dense: %v", err)
 			}
-			got, err := ws.UniformizedPowerCSR(ct, pi, horizon, 0, 1e-12, nil)
-			if err != nil {
+			if err := ws.UniformizedSELL(ws.SeriesLayout(ct), pi, horizon, linalg.UniformizationRate(ct.MaxAbsDiag()), 1e-12, got, nil); err != nil {
 				t.Fatalf("sparse: %v", err)
 			}
 			for i := range want {

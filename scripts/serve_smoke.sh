@@ -3,7 +3,7 @@
 # ephemeral port, wait for readiness, POST a solve, scrape /metrics, and
 # save the span ring as a Perfetto-loadable trace. Artifacts land in
 # artifacts/ (serve.log, metrics.prom, trace.json, solve.json) so CI
-# uploads them alongside the bench and chaos reports.
+# uploads them alongside the loadgen and chaos reports.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -113,6 +113,13 @@ fi
 # The solves above must have reached the solve-latency histogram.
 if ! awk '$1 == "serve_solve_seconds_count" { if ($2 + 0 > 0) found = 1 } END { exit !found }' artifacts/metrics.prom; then
     echo "serve smoke: serve_solve_seconds_count missing or zero in /metrics" >&2
+    grep '^serve_solve_seconds' artifacts/metrics.prom >&2 || true
+    exit 1
+fi
+# The first /solve {"arch":"6v"} above hit the warm-up's cache entry; a
+# hit takes tens of microseconds and must land below the 1 ms bucket.
+if ! awk '$1 == "serve_solve_seconds_bucket{le=\"0.0005\"}" { if ($2 + 0 >= 1) found = 1 } END { exit !found }' artifacts/metrics.prom; then
+    echo "serve smoke: no solve in serve_solve_seconds_bucket{le=\"0.0005\"}; a cache hit should be there" >&2
     grep '^serve_solve_seconds' artifacts/metrics.prom >&2 || true
     exit 1
 fi
